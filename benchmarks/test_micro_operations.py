@@ -13,6 +13,7 @@ cache hit rates accumulated while benchmarking, so the perf trajectory
 of the hot path is machine-readable from PR to PR.
 """
 
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -23,6 +24,7 @@ from repro import perf
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine
 from repro.core.fields import ARTICLE_SCHEMA
+from repro.core.predicates import Prefix, Range, Wildcard
 from repro.core.query import FieldQuery
 from repro.core.scheme import simple_scheme
 from repro.core.service import IndexService
@@ -211,6 +213,31 @@ def test_micro_partial_order_incremental_add(benchmark):
 def test_micro_canonical_key(benchmark):
     constraints = {"author": "John_Smith", "title": "TCP", "year": "1989"}
     benchmark(lambda: ARTICLE_SCHEMA.xpath_for(constraints))
+
+
+def test_micro_cold_decode(benchmark):
+    """One memo miss of ``FieldQuery.parse``: MSD-length keys, the four
+    predicate spellings in turn (~100 us each through the xmlq parser)."""
+    # An equal schema with a memo of its own to drop, not the other benches'.
+    schema = dataclasses.replace(ARTICLE_SCHEMA)
+    rest = {"title": "TCP_congestion_control", "conf": "INFOCOM", "size": "315635"}
+    keys = itertools.cycle(
+        [
+            FieldQuery(schema, {**rest, "author": author, "year": year}).key()
+            for author, year in (
+                ("John_Smith", "1996"),
+                (Prefix("John_S"), "1996"),
+                (Wildcard("John*th"), "1996"),
+                ("John_Smith", Range(1990, 1996)),
+            )
+        ]
+    )
+
+    def decode():
+        schema.__dict__.pop(FieldQuery._PARSE_CACHE_ATTR, None)
+        return FieldQuery.parse(schema, next(keys))
+
+    benchmark(decode)
 
 
 def test_micro_chord_lookup(benchmark):

@@ -184,6 +184,14 @@ class TestEndToEndCounters:
         # field queries decide covering by constraint subset, and any
         # text-level covers calls hit the memo.
         assert increments["homomorphism_node_visits"] <= 10_000
+        # Answers hold canonical keys, decoded directly: no lookup, hit
+        # or miss, goes through the general XPath parser.
+        assert increments["field_parse_cache_misses"] > 0
+        assert increments["xpath_parses"] == 0
+        assert calls == (
+            increments["field_parse_cache_hits"]
+            + increments["field_parse_cache_misses"]
+        )
         # The predicate algebra must be pay-for-what-you-use: an
         # exact-only workload never walks a trie or specializes a
         # predicate query back down to its target.

@@ -16,6 +16,7 @@ know the size beforehand", Section IV-C).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Mapping, Optional
 
 from repro.xmlq.element import Element
@@ -48,14 +49,34 @@ class Schema:
         if overlap:
             raise SchemaError(f"fields cannot be both queryable and admin: {overlap}")
 
-    @property
+    # Derived tables sit on the query hot path, so each is computed once
+    # per instance (cached_property stores into the instance ``__dict__``,
+    # which a frozen dataclass permits).
+
+    @cached_property
     def field_names(self) -> tuple[str, ...]:
         """Queryable field names, in schema declaration order."""
         return tuple(self.fields)
 
-    @property
+    @cached_property
     def all_field_names(self) -> tuple[str, ...]:
         return tuple(self.fields) + tuple(self.admin)
+
+    @cached_property
+    def key_frames(self) -> dict[str, tuple[str, str]]:
+        """Per field, in schema order, the text that surrounds its
+        constraint in a canonical key: the opening tag chain and the
+        brackets closing it (``author/name`` -> ``("[author[name", "]]")``)."""
+        frames = {}
+        for name in self.all_field_names:
+            tags = self.path_of(name).split("/")
+            frames[name] = ("[" + "[".join(tags), "]" * len(tags))
+        return frames
+
+    @cached_property
+    def key_fields(self) -> dict[str, str]:
+        """The reverse table key decoding uses: tag chain -> field name."""
+        return {chain[1:]: name for name, (chain, _) in self.key_frames.items()}
 
     def path_of(self, field_name: str) -> str:
         """The element path of a field inside descriptors."""
@@ -81,22 +102,18 @@ class Schema:
         """
         if not constraints:
             raise SchemaError("a query needs at least one field constraint")
-        unknown = set(constraints) - set(self.all_field_names)
+        frames = self.key_frames
+        unknown = constraints.keys() - frames.keys()
         if unknown:
             raise SchemaError(f"unknown fields in constraints: {sorted(unknown)}")
         predicates = []
-        for field_name in self.all_field_names:
+        for field_name, (chain, closing) in frames.items():
             if field_name in constraints:
                 constraint = constraints[field_name]
-                parts = self.path_of(field_name).split("/")
                 if hasattr(constraint, "predicate_texts"):
-                    predicates.extend(constraint.predicate_texts(tuple(parts)))
-                    continue
-                parts.append(str(constraint))
-                nested = parts[-1]
-                for tag in reversed(parts[:-1]):
-                    nested = f"{tag}[{nested}]"
-                predicates.append(f"[{nested}]")
+                    predicates.extend(constraint.predicate_texts(chain, closing))
+                else:
+                    predicates.append(f"{chain}[{constraint}]{closing}")
         predicates.sort()
         return f"/{self.root}" + "".join(predicates)
 

@@ -23,8 +23,10 @@ Every predicate knows three things:
     pairs (undecidable cases return False); the exact/prefix/range
     fragments are complete and pinned against the ``repro.xmlq``
     tree-pattern homomorphism oracle by tests;
-``predicate_texts(path)``
-    its canonical XPath predicate spelling(s), fixed points of
+``predicate_texts(chain, closing)``
+    its canonical XPath predicate spelling(s) between a field's opening
+    tag chain and closing brackets (``[author[name`` ... ``]]``, from
+    :attr:`repro.core.fields.Schema.key_frames`), fixed points of
     :func:`repro.xmlq.normalize.normalize_xpath` so predicate keys hash
     and travel exactly like the seed's equality keys:
 
@@ -34,6 +36,12 @@ Every predicate knows three things:
     Wildcard   ``[author[name="Al*n"]]``
     Range      ``[year>=1995][year<=2000]`` (two comparison preds)
     =========  ==================================================
+
+    :meth:`repro.core.query.FieldQuery.parse` reads these spellings back
+    by bracket structure alone, so the constructors refuse the
+    characters that would make a key ambiguous: brackets anywhere,
+    comparison operators in an exact value.  Everything else -- spaces,
+    ``/``, any unicode -- round-trips.
 
 ``rank()`` orders predicates by specificity (exact above prefix above
 wildcard above range) for the engine's entry selection, and
@@ -56,9 +64,14 @@ PREFIX_TAG = "prefix:"
 #: rejected so every query has exactly one canonical spelling.
 RANGE_TAG = "range:"
 
-#: The lexer's bare-word class: leaf values in canonical key text must
-#: match it or the key would not round-trip through the query parser.
+#: The lexer's bare-word class, which prefixes are held to.
 _BARE_WORD_RE = re.compile(r"[\w.\-:+]+\Z")
+#: Characters an exact value may not contain: wildcard and quote marks
+#: (other kinds' spellings), and the brackets and comparison operators
+#: by which the key decoder tells structure from value.
+_EXACT_RESERVED_RE = re.compile(r"""[*"'\[\]=<>]""")
+#: A wildcard pattern travels quoted, so only quotes and brackets are out.
+_WILDCARD_RESERVED_RE = re.compile(r"""["'\[\]]""")
 
 #: Exact specificity dominates any literal length a prefix or wildcard
 #: could reach.
@@ -86,9 +99,10 @@ class Exact:
             raise PredicateError(
                 f"exact value {value!r} collides with a reserved predicate tag"
             )
-        if "*" in value or '"' in value or "'" in value:
+        if _EXACT_RESERVED_RE.search(value):
             raise PredicateError(
-                f"exact value {value!r} contains wildcard/quote characters"
+                f"exact value {value!r} contains a character reserved by the "
+                "key grammar (one of * \" ' [ ] = < >)"
             )
 
     def matches(self, value: str) -> bool:
@@ -111,9 +125,9 @@ class Exact:
     def trie_anchor(self) -> str:
         return self.value
 
-    def predicate_texts(self, path_parts: tuple[str, ...]) -> list[str]:
+    def predicate_texts(self, chain: str, closing: str) -> list[str]:
         """Canonical spelling: the value nested in the field path."""
-        return [f"[{_nest(path_parts, self.value)}]"]
+        return [f"{chain}[{self.value}]{closing}"]
 
     def __repr__(self) -> str:
         return f"Exact({self.value!r})"
@@ -166,9 +180,9 @@ class Prefix:
     def trie_anchor(self) -> str:
         return self.prefix
 
-    def predicate_texts(self, path_parts: tuple[str, ...]) -> list[str]:
+    def predicate_texts(self, chain: str, closing: str) -> list[str]:
         """Canonical spelling: the tagged prefix nested in the path."""
-        return [f"[{_nest(path_parts, self.text)}]"]
+        return [f"{chain}[{PREFIX_TAG}{self.prefix}]{closing}"]
 
     def __repr__(self) -> str:
         return f"Prefix({self.prefix!r})"
@@ -193,9 +207,10 @@ class Wildcard:
             raise PredicateError(
                 f"wildcard pattern {pattern!r} has no '*' (use an exact value)"
             )
-        if '"' in pattern or "'" in pattern:
+        if _WILDCARD_RESERVED_RE.search(pattern):
             raise PredicateError(
-                f"wildcard pattern {pattern!r} contains quote characters"
+                f"wildcard pattern {pattern!r} contains quote or bracket "
+                "characters"
             )
 
     def matches(self, value: str) -> bool:
@@ -248,12 +263,11 @@ class Wildcard:
     def trie_anchor(self) -> str:
         return self.pattern.split("*", 1)[0]
 
-    def predicate_texts(self, path_parts: tuple[str, ...]) -> list[str]:
+    def predicate_texts(self, chain: str, closing: str) -> list[str]:
         """Canonical spelling: a quoted comparison on the leaf tag."""
         # '*' is never a bare word, so the comparison literal is always
         # double-quoted -- exactly the normalizer's serialization.
-        leaf = f'{path_parts[-1]}="{self.pattern}"'
-        return [f"[{_nest(path_parts[:-1], leaf)}]"]
+        return [f'{chain}="{self.pattern}"{closing}']
 
     def __repr__(self) -> str:
         return f"Wildcard({self.pattern!r})"
@@ -313,12 +327,9 @@ class Range:
             anchor += 1
         return lo[:anchor]
 
-    def predicate_texts(self, path_parts: tuple[str, ...]) -> list[str]:
+    def predicate_texts(self, chain: str, closing: str) -> list[str]:
         """Canonical spelling: the ``>=``/``<=`` comparison pair."""
-        return [
-            f"[{_nest(path_parts[:-1], f'{path_parts[-1]}>={self.lo}')}]",
-            f"[{_nest(path_parts[:-1], f'{path_parts[-1]}<={self.hi}')}]",
-        ]
+        return [f"{chain}>={self.lo}{closing}", f"{chain}<={self.hi}{closing}"]
 
     def __repr__(self) -> str:
         return f"Range({self.lo}, {self.hi})"
@@ -356,10 +367,3 @@ def coerce(constraint: object) -> FieldPredicate:
         return Wildcard(text)
     return Exact(text)
 
-
-def _nest(path_parts: tuple[str, ...], leaf: str) -> str:
-    """Wrap a leaf in nested element predicates: ``a[b[leaf]]``."""
-    nested = leaf
-    for tag in reversed(path_parts):
-        nested = f"{tag}[{nested}]"
-    return nested

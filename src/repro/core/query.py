@@ -20,29 +20,30 @@ property-based tests on the fragments where the homomorphism applies.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 from typing import Iterable, Mapping, Optional
 
 from repro.core.fields import Record, Schema, SchemaError
 from repro.core.predicates import (
     PREFIX_TAG,
-    RANGE_TAG,
     Exact,
     FieldPredicate,
-    PredicateError,
     Prefix,
     Range,
     Wildcard,
     coerce,
 )
 from repro.perf import counters
-from repro.xmlq.astnodes import LocationStep, Predicate
 from repro.xmlq.pattern import TreePattern, pattern_from_xpath
-from repro.xmlq.xpparser import parse_xpath
+
+#: A comparison leaf of a canonical key, ``tag OP value``.  Matches any
+#: text: one without a leading ``tag OP`` comes back with ``OP`` empty.
+_COMPARISON_RE = re.compile(r"([^=<>]*)(>=|<=|=|)(.*)", re.DOTALL)
 
 
 class QueryParseError(ValueError):
-    """Raised when query text cannot be interpreted against a schema."""
+    """Raised when query text is not the canonical key of a query."""
 
 
 class FieldQuery:
@@ -55,8 +56,11 @@ class FieldQuery:
     ) -> None:
         if not constraints:
             raise SchemaError("a query needs at least one field constraint")
-        for field_name in constraints:
-            schema.path_of(field_name)  # validates field names
+        unknown = constraints.keys() - schema.key_frames.keys()
+        if unknown:
+            raise SchemaError(
+                f"unknown fields {sorted(unknown)} in schema {schema.root!r}"
+            )
         self.schema = schema
         self._items: tuple[tuple[str, FieldPredicate], ...] = tuple(
             (name, coerce(constraints[name]))
@@ -94,7 +98,13 @@ class FieldQuery:
 
     @classmethod
     def parse(cls, schema: Schema, text: str) -> "FieldQuery":
-        """Recover a field query from its canonical XPath text."""
+        """Recover a field query from its canonical XPath text.
+
+        The inverse of :meth:`key`, memoized per schema: any other text,
+        equivalent spellings included, raises :class:`QueryParseError`.
+        User-typed XPath goes through
+        :func:`repro.xmlq.normalize.normalize_xpath` first.
+        """
         counters.field_parse_calls += 1
         cache: Optional[OrderedDict[str, "FieldQuery"]]
         cache = schema.__dict__.get(cls._PARSE_CACHE_ATTR)
@@ -109,107 +119,73 @@ class FieldQuery:
             cache.move_to_end(text)
             return cached
         counters.field_parse_cache_misses += 1
-        parsed = cls._parse_uncached(schema, text)
+        parsed = cls._decode(schema, text)
         cache[text] = parsed
         while len(cache) > cls._PARSE_CACHE_LIMIT:
             cache.popitem(last=False)
         return parsed
 
     @classmethod
-    def _parse_uncached(cls, schema: Schema, text: str) -> "FieldQuery":
-        try:
-            path = parse_xpath(text)
-        except ValueError as error:
-            raise QueryParseError(f"unparseable query text: {error}") from error
-        if not path.absolute or path.length != 1:
-            raise QueryParseError(
-                f"canonical query text must be a rooted single step: {text!r}"
-            )
-        root_step = path.steps[0]
-        if root_step.name != schema.root:
-            raise QueryParseError(
-                f"query root {root_step.name!r} does not match schema "
-                f"{schema.root!r}"
-            )
-        reverse = {
-            tuple(schema.path_of(name).split("/")): name
-            for name in schema.all_field_names
-        }
-        constraints: dict[str, FieldPredicate] = {}
-        # Range constraints arrive as two comparison predicates on the
-        # same field; both bounds must be present for the pair to fold.
-        range_bounds: dict[str, dict[str, int]] = {}
-        for predicate in root_step.predicates:
-            tags, value, op = _linearize(predicate)
-            field_name = reverse.get(tuple(tags))
-            if field_name is None:
-                raise QueryParseError(
-                    f"no schema field at path {'/'.join(tags)!r} in {text!r}"
-                )
-            if op in (">=", "<="):
-                if field_name in constraints:
-                    raise QueryParseError(
-                        f"duplicate constraint on {field_name!r}"
-                    )
-                bounds = range_bounds.setdefault(field_name, {})
-                if op in bounds:
-                    raise QueryParseError(
-                        f"duplicate {op} bound on {field_name!r} in {text!r}"
-                    )
-                try:
-                    bounds[op] = int(value)
-                except ValueError:
-                    raise QueryParseError(
-                        f"non-numeric range bound {value!r} in {text!r}"
-                    ) from None
-                continue
-            if field_name in constraints or field_name in range_bounds:
-                raise QueryParseError(f"duplicate constraint on {field_name!r}")
-            constraints[field_name] = cls._leaf_predicate(op, value, text)
-        for field_name, bounds in range_bounds.items():
-            if set(bounds) != {">=", "<="}:
-                raise QueryParseError(
-                    f"range on {field_name!r} needs both >= and <= bounds: "
-                    f"{text!r}"
-                )
-            try:
-                constraints[field_name] = Range(bounds[">="], bounds["<="])
-            except PredicateError as error:
-                raise QueryParseError(str(error)) from error
-        if not constraints:
-            raise QueryParseError(f"query has no field constraints: {text!r}")
-        return cls(schema, constraints)
+    def _decode(cls, schema: Schema, text: str) -> "FieldQuery":
+        """The inverse of :meth:`key`: reads a canonical key, refuses the rest.
 
-    @classmethod
-    def _leaf_predicate(
-        cls, op: Optional[str], value: str, text: str
-    ) -> FieldPredicate:
-        """Predicate for one parsed leaf (everything but range pairs)."""
+        A key is ``/root`` followed by predicate chains
+        ``[tag[tag[leaf]]]``.  No value holds a bracket (the predicate
+        constructors refuse them), so ``][`` can only separate two
+        chains and the last ``[`` of a chain can only separate its tags
+        from its leaf.  A leaf is a value (exact, or ``prefix:P``) or a
+        comparison on the last tag (``tag="pat*"``, ``tag>=lo``,
+        ``tag<=hi``).  Whatever survives that reading is accepted only
+        if it spells its own key, which is what rules out the remaining
+        non-canonical texts: stray brackets, unsorted or repeated
+        predicates, unquoted patterns, ``007``.
+        """
+        opening = f"/{schema.root}["
+        if not (text.startswith(opening) and text.endswith("]")):
+            raise QueryParseError(
+                f"not a predicate query rooted at {schema.root!r}: {text!r}"
+            )
+        chains = schema.key_fields
+        constraints: dict[str, FieldPredicate] = {}
+        bounds: dict[str, dict[str, int]] = {}
         try:
-            if op is None:
-                if value.startswith(PREFIX_TAG):
-                    prefix = value[len(PREFIX_TAG):]
-                    if not prefix:
-                        raise QueryParseError(f"empty prefix constraint: {text!r}")
-                    return Prefix(prefix)
-                if value.startswith(RANGE_TAG):
-                    raise QueryParseError(
-                        f"range constraints are spelled as comparison "
-                        f"predicates, not {value!r}: {text!r}"
+            for chain in text[len(opening):-1].split("]["):
+                tags, _, tail = chain.rpartition("[")
+                leaf = tail.rstrip("]")
+                field_name = chains.get(tags)
+                if field_name is not None:
+                    constraints[field_name] = (
+                        Prefix(leaf[len(PREFIX_TAG):])
+                        if leaf.startswith(PREFIX_TAG)
+                        else Exact(leaf)
                     )
-                return Exact(value)
-            if op == "=":
-                if "*" not in value:
-                    raise QueryParseError(
-                        f"comparison predicates are not field constraints: "
-                        f"{text!r}"
+                    continue
+                tag, op, value = _COMPARISON_RE.fullmatch(leaf).groups()
+                field_name = chains.get(f"{tags}[{tag}" if tags else tag)
+                if field_name is None or not op:
+                    raise SchemaError(f"no schema field at {chain!r}")
+                if op == "=":
+                    # Strips the quotes; the round trip below checks them.
+                    constraints[field_name] = Wildcard(value[1:-1])
+                else:
+                    bounds.setdefault(field_name, {})[op] = int(value)
+            for field_name, pair in bounds.items():
+                if len(pair) != 2:
+                    raise SchemaError(
+                        f"range on {field_name!r} needs both >= and <= bounds"
                     )
-                return Wildcard(value)
-        except PredicateError as error:
-            raise QueryParseError(str(error)) from error
-        raise QueryParseError(
-            f"unsupported comparison operator {op!r} in {text!r}"
-        )
+                constraints[field_name] = Range(pair[">="], pair["<="])
+            query = cls(schema, constraints)
+        except ValueError as error:  # SchemaError, PredicateError, int()
+            raise QueryParseError(f"{error} in {text!r}") from error
+        canonical = schema.xpath_for(constraints)
+        if canonical != text:
+            raise QueryParseError(
+                f"not a canonical key (that would be {canonical!r}): {text!r}"
+            )
+        # The caller's string, which the memo holds anyway, not the copy.
+        query._key = text
+        return query
 
     # -- accessors ----------------------------------------------------------------
 
@@ -340,34 +316,3 @@ class FieldQuery:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{name}={pred.text!r}" for name, pred in self._items)
         return f"FieldQuery({pairs})"
-
-
-def _linearize(
-    predicate: Predicate,
-) -> tuple[list[str], str, Optional[str]]:
-    """Flatten a canonical predicate tree into (tags, value, operator).
-
-    Canonical predicates are chains ``a[b[...[leaf]]]`` after
-    normalization: each step has exactly one nested predicate until the
-    leaf, which is either a bare value step (operator ``None``) or a
-    comparison ``tag op literal`` (prefix/wildcard/range spellings).
-    """
-    tags: list[str] = []
-    node = predicate
-    while True:
-        steps = node.path.steps
-        if len(steps) != 1:
-            raise QueryParseError("predicate is not a canonical chain")
-        step: LocationStep = steps[0]
-        if node.comparison is not None:
-            if step.predicates:
-                raise QueryParseError("predicate is not a canonical chain")
-            tags.append(step.name)
-            return tags, node.comparison.value, node.comparison.op
-        if not step.predicates:
-            # The leaf: this step's name is the constrained value.
-            return tags, step.name, None
-        if len(step.predicates) != 1:
-            raise QueryParseError("predicate is not a canonical chain")
-        tags.append(step.name)
-        node = step.predicates[0]

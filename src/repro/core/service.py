@@ -385,14 +385,15 @@ class IndexService:
         shortcuts: list[str] = []
         file_found = False
         rejected = 0
+        verify_entry = None
+        if self._trusted_publishers is not None:
+            from repro.sec.entries import verify_entry
         for item in response.payload:
             if item == IndexService.FILE_FOUND_MARK:
                 file_found = True
             elif item.startswith(SHORTCUT_MARK):
                 shortcuts.append(item[len(SHORTCUT_MARK):])
-            elif self._trusted_publishers is not None:
-                from repro.sec.entries import verify_entry
-
+            elif verify_entry is not None:
                 entry = verify_entry(key, item, self._trusted_publishers)
                 if entry is None:
                     rejected += 1

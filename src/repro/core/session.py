@@ -19,6 +19,7 @@ from typing import Optional, Union
 from repro.core.fields import Record, Schema
 from repro.core.query import FieldQuery, QueryParseError
 from repro.core.service import IndexService
+from repro.xmlq.normalize import normalize_xpath
 
 
 class SessionError(RuntimeError):
@@ -53,6 +54,11 @@ class InteractiveSession:
         if not service.transport.is_registered(user):
             service.transport.register(user, lambda message: None)
         if isinstance(start, str):
+            # User-typed text: any equivalent XPath spelling names the query.
+            try:
+                start = normalize_xpath(start)
+            except ValueError as error:
+                raise QueryParseError(f"unparseable query text: {error}") from error
             start = FieldQuery.parse(service.schema, start)
         self._stack: list[SessionStep] = []
         self._fetched: Optional[str] = None

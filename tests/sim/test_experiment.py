@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.query import FieldQuery
 from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
@@ -92,6 +93,21 @@ class TestRun:
         assert result.node_query_percentages[0] >= result.node_query_percentages[-1]
         # Fan-out: percentages sum to more than 100% (Fig 15 note).
         assert sum(result.node_query_percentages) > 100.0
+
+    def test_lookup_phase_never_runs_the_xpath_parser(self, tiny_corpus):
+        """Answers hold canonical keys, which ``FieldQuery.parse`` decodes
+        directly: the general xmlq parser is for user-typed text only."""
+        experiment = Experiment(TINY, corpus=tiny_corpus)
+        experiment.populate()
+        # Earlier tests parsed the same keys: start from a cold memo so
+        # the run has misses, the path that used to reach the parser.
+        experiment.service.schema.__dict__.pop(FieldQuery._PARSE_CACHE_ATTR, None)
+        counts = experiment.run().perf_counters
+        assert counts["xpath_parses"] == 0
+        assert counts["field_parse_cache_misses"] > 0
+        assert counts["field_parse_calls"] == (
+            counts["field_parse_cache_hits"] + counts["field_parse_cache_misses"]
+        )
 
     def test_shared_corpus_must_match(self, tiny_corpus):
         with pytest.raises(ValueError):
