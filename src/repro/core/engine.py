@@ -164,19 +164,10 @@ class LookupEngine:
         retry_backoff: tuple[int, ...] = DEFAULT_RETRY_BACKOFF,
         backoff_unit_ms: float = DEFAULT_BACKOFF_UNIT_MS,
         tracer: Optional["Tracer"] = None,
-        pipelined_shortcuts: bool = False,
     ) -> None:
-        """``pipelined_shortcuts`` makes the *synchronous* driver
-        dispatch the post-lookup cache-shortcut inserts through the
-        service's continuation-passing API instead of one blocking
-        round-trip per traversed node -- the wire client's pipelining
-        optimization.  Off by default: the simulation's sequential
-        driver must stay operation-for-operation identical to the
-        pre-kernel call stack."""
         self.service = service
         self.user = user
         self.tracer = tracer
-        self.pipelined_shortcuts = pipelined_shortcuts
         self.max_interactions = max_interactions
         self.max_retries = max_retries
         self.backoff_unit_ms = backoff_unit_ms
@@ -253,8 +244,14 @@ class LookupEngine:
         """
         trace = self._begin_search(query, target)
         steps = self.search_steps(trace, target)
+        meter = self.service.transport.meter
+        touched: set[str] = set()
 
         def advance(send: bool, value: object) -> None:
+            # Overlapping lookups share one meter: whatever runs on this
+            # lookup's behalf credits its own Figure 15 node set, which
+            # the caller flushes with ``meter.end_query()`` on completion.
+            meter.current_query_nodes = touched
             try:
                 if send:
                     step = steps.send(value)
@@ -328,19 +325,12 @@ class LookupEngine:
         if isinstance(step, FetchStep):
             return self.service.fetch_file(step.msd, self.user)
         if isinstance(step, ShortcutStep):
-            if self.pipelined_shortcuts:
-                # Fire-and-forget through the continuation API: the
-                # lookup's result does not depend on the shortcut
-                # landing, so the client need not wait out one RTT per
-                # traversed node (the wire transport runs these
-                # concurrently on its loop).
-                self.service.insert_shortcut_async(
-                    step.node, step.query_key, step.msd_key, self.user
-                )
-            else:
-                self.service.insert_shortcut(
-                    step.node, step.query_key, step.msd_key, self.user
-                )
+            # Fire-and-forget under every driver: over the simulated
+            # transport the insert completes inline, and the wire
+            # client's service sends it without awaiting the reply.
+            self.service.insert_shortcut(
+                step.node, step.query_key, step.msd_key, self.user
+            )
             return None
         # BackoffStep: sequential mode has no clock; the budget units the
         # generator already burned *are* the backoff.

@@ -18,8 +18,9 @@ are measured, not estimated.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
 
 if TYPE_CHECKING:
     from repro.sec.identity import NodeIdentity
@@ -39,6 +40,10 @@ from repro.storage.store import DHTStorage
 SHORTCUT_MARK = "~"
 #: Value stored in the file store to represent the article content.
 FILE_MARK = "file"
+
+#: One service operation in flight: yields each request, is resumed with
+#: its response (or has the DeliveryError thrown in), returns the result.
+_Steps = Generator[Message, Optional[Message], object]
 
 
 class IndexServiceError(RuntimeError):
@@ -314,16 +319,40 @@ class IndexService:
         logic, since the same node will answer a retransmission.
         """
         counters.service_queries += 1
+        return self._run(self._replica_steps(MessageKind.QUERY_REQUEST, key, user))
+
+    def _replica_steps(
+        self, kind: MessageKind, key: str, user: str, routed: bool = False
+    ) -> _Steps:
+        """Ask the replicas of ``key`` in turn -- the one failover loop.
+
+        Yields each request :class:`Message` and is resumed with its
+        response, or has the :class:`DeliveryError` thrown in; returns a
+        :class:`QueryAnswer` for a query request, ``(node, found)`` for
+        a file request.  A persistent failure moves on to the next
+        replica; a transient one propagates, whatever was heard before
+        it.  ``routed`` requests carry their overlay path length, which
+        only a clocked transport charges for.
+        """
+        fetch = kind is MessageKind.FILE_REQUEST
+        store = self.file_store if fetch else self.index_store
         tracer = self.transport.tracer
-        last_error: Optional[DeliveryError] = None
-        order = self._replica_order(self.index_store, key)
+        trust = self.trust
+        # Figure 15 credits every replica that answered, to the query
+        # that was current when the operation began (overlapping
+        # lookups re-point the meter's set between our resumes).
+        touched = self.transport.meter.current_query_nodes
+        order = self._replica_order(store, key)
+        route_hops = self._route_hops(store, key) if routed else 1
         #: Empty answers awaiting a second opinion (trust ledger only):
         #: an empty answer passes every signature check whether the
         #: replica honestly holds nothing or maliciously withholds, so
         #: it is only believed once another replica agrees (or none are
         #: left to ask).  A later non-empty answer contradicts them.
         withheld: list[QueryAnswer] = []
+        last_error: Optional[DeliveryError] = None
         for attempt, node in enumerate(order):
+            name = self.endpoint_name(node)
             if attempt:
                 counters.service_failovers += 1
                 if tracer is not None:
@@ -331,36 +360,43 @@ class IndexService:
                         key=key, node=node, attempt=attempt,
                         level="service", use_current=True,
                     )
-            request = Message(
-                kind=MessageKind.QUERY_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-            )
             try:
-                response = self.transport.send(request)
+                response = yield Message(
+                    kind=kind,
+                    source=user,
+                    destination=name,
+                    payload=(key,),
+                    route_hops=route_hops,
+                )
             except DeliveryError as error:
-                if self.trust is not None:
+                if trust is not None:
                     self._trust_penalty(node, error)
                 if not error.retry_elsewhere:
                     raise
                 last_error = error
                 continue
             assert response is not None
-            if self.trust is not None:
-                self.trust.record_success(self.endpoint_name(node))
-            self.transport.meter.touch_node(self.endpoint_name(node))
+            if trust is not None:
+                trust.record_success(name)
+            touched.add(name)
+            if fetch:
+                return node, bool(response.payload)
             answer = self._parse_answer(node, key, response)
             if (
-                self.trust is not None
+                trust is not None
                 and answer.empty
                 and attempt + 1 < len(order)
             ):
                 withheld.append(answer)
                 continue
             if withheld and not answer.empty:
+                # The earlier replicas withheld what this one holds.
                 for earlier in withheld:
-                    self._contradiction_penalty(earlier.node)
+                    liar = self.endpoint_name(earlier.node)
+                    counters.sec_contradictions += 1
+                    self._trust_updated(
+                        liar, trust.record_contradiction(liar), "contradiction"
+                    )
             return answer
         if withheld:
             # Every remaining replica erred; the uncorroborated empty
@@ -368,6 +404,70 @@ class IndexService:
             return withheld[0]
         assert last_error is not None
         raise last_error
+
+    def _run(self, steps: _Steps):
+        """The blocking driver: each request the steps yield is sent
+        inline and its outcome handed straight back."""
+        send = self.transport.send
+        resume = steps.send
+        try:
+            request = resume(None)
+            while True:
+                try:
+                    response = send(request)
+                except DeliveryError as error:
+                    request = steps.throw(error)
+                else:
+                    request = resume(response)
+        except StopIteration as done:
+            return done.value
+
+    def _run_async(
+        self,
+        steps: _Steps,
+        on_done: Callable[[object], None],
+        on_error: Callable[[DeliveryError], None],
+    ) -> None:
+        """The continuation driver: requests travel the virtual clock,
+        and the outcome reaches ``on_done`` / ``on_error``.
+
+        Resumes fire from kernel continuations, long after other lookups
+        moved the tracer's current-span pointer: the requesting span is
+        captured now and re-activated around every resume, so failover
+        and trust events -- and the next request's hops -- stay
+        attributed to this lookup.
+        """
+        tracer = self.transport.tracer
+        span = tracer.current if tracer is not None else None
+        self._step(steps, steps.send, None, span, on_done, on_error)
+
+    def _step(self, steps: _Steps, resume, value, span, on_done, on_error):
+        """One resume of the continuation driver, and the send it asks for.
+
+        A method handed its state, not closures naming each other: those
+        would be one reference cycle per operation, kept alive until the
+        garbage collector runs.
+        """
+        tracer = self.transport.tracer
+        with nullcontext() if tracer is None else tracer.activated(span):
+            try:
+                request = resume(value)
+            except StopIteration as done:
+                finish, outcome = on_done, done.value
+            except DeliveryError as error:
+                finish, outcome = on_error, error
+            else:
+                self.transport.send_async(
+                    request,
+                    lambda response: self._step(
+                        steps, steps.send, response, span, on_done, on_error
+                    ),
+                    lambda error: self._step(
+                        steps, steps.throw, error, span, on_done, on_error
+                    ),
+                )
+                return
+        finish(outcome)
 
     def _parse_answer(
         self, node: int, key: str, response: Message
@@ -402,40 +502,27 @@ class IndexService:
             else:
                 entries.append(item)
         if rejected:
+            name = self.endpoint_name(node)
             tracer = self.transport.tracer
             if tracer is not None:
-                tracer.sec_verify_fail(
-                    destination=self.endpoint_name(node), role="entry"
-                )
+                tracer.sec_verify_fail(destination=name, role="entry")
             if self.trust is not None:
-                score = self.trust.record_verify_failure(
-                    self.endpoint_name(node)
+                self._trust_updated(
+                    name,
+                    self.trust.record_verify_failure(name),
+                    "verify_failure",
                 )
-                counters.sec_trust_updates += 1
-                if tracer is not None:
-                    tracer.trust_update(
-                        peer=self.endpoint_name(node),
-                        score=score,
-                        cause="verify_failure",
-                    )
         return QueryAnswer(
             node=node, entries=entries, shortcuts=shortcuts,
             file_found=file_found,
         )
 
-    def _contradiction_penalty(self, node: int) -> None:
-        """Record that ``node`` withheld an answer another replica holds."""
-        trust = self.trust
-        assert trust is not None
-        name = self.endpoint_name(node)
-        score = trust.record_contradiction(name)
-        counters.sec_contradictions += 1
+    def _trust_updated(self, name: str, score: float, cause: str) -> None:
+        """Count and trace one ledger penalty just recorded."""
         counters.sec_trust_updates += 1
         tracer = self.transport.tracer
         if tracer is not None:
-            tracer.trust_update(
-                peer=name, score=score, cause="contradiction"
-            )
+            tracer.trust_update(peer=name, score=score, cause=cause)
 
     def _replica_order(self, store: DHTStorage, key: str) -> list[int]:
         """The replicas of a key in the order this request tries them.
@@ -466,17 +553,10 @@ class IndexService:
         """
         trust = self.trust
         assert trust is not None
-        trusted = [
-            node for node in order if trust.is_trusted(self.endpoint_name(node))
-        ]
-        if len(trusted) == len(order):
-            return order
-        flagged = [
-            node
-            for node in order
-            if not trust.is_trusted(self.endpoint_name(node))
-        ]
-        return trusted + flagged
+        return sorted(
+            order,
+            key=lambda node: not trust.is_trusted(self.endpoint_name(node)),
+        )
 
     def _trust_penalty(self, node: int, error: DeliveryError) -> None:
         """Feed a failed exchange into the trust ledger (trust attached).
@@ -497,14 +577,7 @@ class IndexService:
             cause = "timeout"
         else:
             return
-        counters.sec_trust_updates += 1
-        tracer = self.transport.tracer
-        if tracer is not None:
-            tracer.trust_update(peer=name, score=score, cause=cause)
-
-    def _pick_replica(self, store: DHTStorage, key: str) -> int:
-        """The first replica this request would try (see _replica_order)."""
-        return self._replica_order(store, key)[0]
+        self._trust_updated(name, score, cause)
 
     def fetch_file(self, msd: FieldQuery, user: str) -> tuple[int, bool]:
         """Retrieve the file stored under an MSD; returns (node, found).
@@ -513,39 +586,8 @@ class IndexService:
         :meth:`query_key`; transient drops propagate for retry.
         """
         counters.service_file_fetches += 1
-        tracer = self.transport.tracer
-        key = msd.key()
-        last_error: Optional[DeliveryError] = None
-        for attempt, node in enumerate(self._replica_order(self.file_store, key)):
-            if attempt:
-                counters.service_failovers += 1
-                if tracer is not None:
-                    tracer.failover(
-                        key=key, node=node, attempt=attempt,
-                        level="service", use_current=True,
-                    )
-            request = Message(
-                kind=MessageKind.FILE_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-            )
-            try:
-                response = self.transport.send(request)
-            except DeliveryError as error:
-                if self.trust is not None:
-                    self._trust_penalty(node, error)
-                if not error.retry_elsewhere:
-                    raise
-                last_error = error
-                continue
-            assert response is not None
-            if self.trust is not None:
-                self.trust.record_success(self.endpoint_name(node))
-            self.transport.meter.touch_node(self.endpoint_name(node))
-            return node, bool(response.payload)
-        assert last_error is not None
-        raise last_error
+        steps = self._replica_steps(MessageKind.FILE_REQUEST, msd.key(), user)
+        return self._run(steps)
 
     def insert_shortcut(self, node: int, query_key: str, msd_key: str, user: str) -> None:
         """Create a cache shortcut on a node (counted as cache traffic).
@@ -554,29 +596,25 @@ class IndexService:
         failure (node crashed, message lost) is swallowed -- the lookup
         already succeeded, and a later lookup will re-seed the cache.
         """
+        self._run(self._shortcut_steps(node, query_key, msd_key, user))
+
+    def _shortcut_steps(
+        self, node: int, query_key: str, msd_key: str, user: str
+    ) -> _Steps:
+        """The one request of a shortcut creation, failure swallowed."""
         if not self.cache_policy.caches_enabled:
             return
-        request = Message(
-            kind=MessageKind.CACHE_INSERT,
-            source=user,
-            destination=self.endpoint_name(node),
-            payload=(query_key, msd_key),
-        )
         try:
-            self.transport.send(request)
+            yield Message(
+                kind=MessageKind.CACHE_INSERT,
+                source=user,
+                destination=self.endpoint_name(node),
+                payload=(query_key, msd_key),
+            )
         except DeliveryError:
             pass
 
     # -- user-facing operations (event-kernel, continuation-passing) --------------------
-    #
-    # The async variants mirror their synchronous counterparts exchange
-    # for exchange -- same counters, same replica failover policy -- but
-    # deliver through the transport's virtual clock, so N lookups can be
-    # in flight at once and each request pays its overlay routing delay
-    # (``route_hops`` legs, sampled by the bound latency model).  Results
-    # and delivery failures arrive via continuations instead of
-    # return/raise.  Per-query node touching is left to the driver (the
-    # meter's current-query set cannot tell overlapping lookups apart).
 
     def query_async(
         self,
@@ -597,93 +635,14 @@ class IndexService:
     ) -> None:
         """Scheduled variant of :meth:`query_key` with replica failover.
 
-        Failover works exactly like the synchronous path, spread over
-        virtual time: a persistent failure (crashed/departed replica)
-        becomes an error event one request leg later, at which point the
-        next replica is tried; transient drops propagate to ``on_error``
-        for the caller's retry logic.
+        Failover is spread over virtual time: a persistent failure
+        (crashed/departed replica) becomes an error event one request
+        leg later, at which point the next replica is tried; transient
+        drops propagate to ``on_error`` for the caller's retry logic.
         """
         counters.service_queries += 1
-        order = self._replica_order(self.index_store, key)
-        hops = self._route_hops(self.index_store, key)
-        tracer = self.transport.tracer
-        # Failover attempts fire from kernel continuations, long after
-        # other lookups moved the tracer's current-span pointer: capture
-        # the requesting span now and re-activate it per attempt.
-        span = tracer.current if tracer is not None else None
-        # Second-opinion state, mirroring the synchronous path: empty
-        # answers are deferred until another replica corroborates them.
-        withheld: list[QueryAnswer] = []
-
-        def attempt(index: int) -> None:
-            node = order[index]
-            if index:
-                counters.service_failovers += 1
-                if tracer is not None:
-                    tracer.failover(
-                        key=key, node=node, attempt=index,
-                        level="service", ref=span,
-                    )
-            request = Message(
-                kind=MessageKind.QUERY_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-                route_hops=hops,
-            )
-
-            def on_result(response: Optional[Message]) -> None:
-                assert response is not None
-                if self.trust is not None:
-                    self.trust.record_success(self.endpoint_name(node))
-                if tracer is not None:
-                    with tracer.activated(span):
-                        answer = self._parse_answer(node, key, response)
-                else:
-                    answer = self._parse_answer(node, key, response)
-                if (
-                    self.trust is not None
-                    and answer.empty
-                    and index + 1 < len(order)
-                ):
-                    withheld.append(answer)
-                    attempt(index + 1)
-                    return
-                if withheld and not answer.empty:
-                    if tracer is not None:
-                        with tracer.activated(span):
-                            for earlier in withheld:
-                                self._contradiction_penalty(earlier.node)
-                    else:
-                        for earlier in withheld:
-                            self._contradiction_penalty(earlier.node)
-                on_done(answer)
-
-            def on_fail(error: DeliveryError) -> None:
-                if self.trust is not None:
-                    # Continuations run long after other lookups moved the
-                    # current span; re-activate ours for the trust event.
-                    if tracer is not None:
-                        with tracer.activated(span):
-                            self._trust_penalty(node, error)
-                    else:
-                        self._trust_penalty(node, error)
-                if error.retry_elsewhere and index + 1 < len(order):
-                    attempt(index + 1)
-                elif withheld:
-                    # Every remaining replica erred; the uncorroborated
-                    # empty answer is still an answer.
-                    on_done(withheld[0])
-                else:
-                    on_error(error)
-
-            if tracer is not None:
-                with tracer.activated(span):
-                    self.transport.send_async(request, on_result, on_fail)
-            else:
-                self.transport.send_async(request, on_result, on_fail)
-
-        attempt(0)
+        steps = self._replica_steps(MessageKind.QUERY_REQUEST, key, user, True)
+        self._run_async(steps, on_done, on_error)
 
     def fetch_file_async(
         self,
@@ -694,75 +653,20 @@ class IndexService:
     ) -> None:
         """Scheduled variant of :meth:`fetch_file`; yields (node, found)."""
         counters.service_file_fetches += 1
-        key = msd.key()
-        order = self._replica_order(self.file_store, key)
-        hops = self._route_hops(self.file_store, key)
-        tracer = self.transport.tracer
-        span = tracer.current if tracer is not None else None
-
-        def attempt(index: int) -> None:
-            node = order[index]
-            if index:
-                counters.service_failovers += 1
-                if tracer is not None:
-                    tracer.failover(
-                        key=key, node=node, attempt=index,
-                        level="service", ref=span,
-                    )
-            request = Message(
-                kind=MessageKind.FILE_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-                route_hops=hops,
-            )
-
-            def on_result(response: Optional[Message]) -> None:
-                assert response is not None
-                if self.trust is not None:
-                    self.trust.record_success(self.endpoint_name(node))
-                on_done((node, bool(response.payload)))
-
-            def on_fail(error: DeliveryError) -> None:
-                if self.trust is not None:
-                    if tracer is not None:
-                        with tracer.activated(span):
-                            self._trust_penalty(node, error)
-                    else:
-                        self._trust_penalty(node, error)
-                if error.retry_elsewhere and index + 1 < len(order):
-                    attempt(index + 1)
-                else:
-                    on_error(error)
-
-            if tracer is not None:
-                with tracer.activated(span):
-                    self.transport.send_async(request, on_result, on_fail)
-            else:
-                self.transport.send_async(request, on_result, on_fail)
-
-        attempt(0)
+        steps = self._replica_steps(MessageKind.FILE_REQUEST, msd.key(), user, True)
+        self._run_async(steps, on_done, on_error)
 
     def insert_shortcut_async(
         self, node: int, query_key: str, msd_key: str, user: str
     ) -> None:
         """Scheduled, fire-and-forget variant of :meth:`insert_shortcut`.
 
-        The shortcut lands one request leg after ``now``; delivery
-        failures are swallowed exactly like the synchronous path (a later
-        lookup re-seeds the cache).
+        The shortcut lands one request leg after ``now``; nobody waits
+        for it, and a delivery failure is swallowed all the same (a
+        later lookup re-seeds the cache).
         """
-        if not self.cache_policy.caches_enabled:
-            return
-        request = Message(
-            kind=MessageKind.CACHE_INSERT,
-            source=user,
-            destination=self.endpoint_name(node),
-            payload=(query_key, msd_key),
-        )
-        self.transport.send_async(
-            request, lambda response: None, lambda error: None
-        )
+        steps = self._shortcut_steps(node, query_key, msd_key, user)
+        self._run_async(steps, lambda result: None, lambda error: None)
 
     def _route_hops(self, store: DHTStorage, key: str) -> int:
         """Overlay legs a request for ``key`` traverses (>= 1).

@@ -20,7 +20,6 @@ reproducible:
 """
 
 from repro.net.faults import (
-    MS_PER_TICK,
     NO_FAULTS,
     CrashEvent,
     FaultPlan,
@@ -58,7 +57,6 @@ __all__ = [
     "FaultPlan",
     "FaultyTransport",
     "RestartEvent",
-    "MS_PER_TICK",
     "ConstantLatency",
     "LatencyModel",
     "SeededUniformLatency",

@@ -63,12 +63,7 @@ from typing import Callable, Optional
 
 from repro.net.faults import NO_FAULTS, FaultPlan, FaultyTransport, _default_crashable
 from repro.net.message import Message, MessageKind
-from repro.net.transport import (
-    DeliveryError,
-    ErrorCallback,
-    ResponseCallback,
-    SimulatedTransport,
-)
+from repro.net.transport import DeliveryError, SimulatedTransport, _Delivery
 from repro.perf import counters
 
 #: Shortcut marker on query-response entries (mirrors
@@ -205,7 +200,10 @@ class AdversarialTransport(FaultyTransport):
 
     # -- delivery -----------------------------------------------------------
 
-    def send(self, message: Message) -> Optional[Message]:
+    def _delivery(self, message: Message, timed: bool) -> _Delivery:
+        """The benign exchange with the adversary's two interventions:
+        eclipsed lookup traffic is lost before it leaves, and a
+        compromised destination's answer is replaced once it is back."""
         if self.eclipsed and self._eclipse_blocks(message):
             self._advance_schedule()
             self.sends += 1
@@ -214,57 +212,20 @@ class AdversarialTransport(FaultyTransport):
             # them.  To the caller this is an ordinary transient drop --
             # an eclipse is indistinguishable from loss, which is what
             # makes it insidious.
-            self.inner.meter.record(message)
-            raise DeliveryError(DeliveryError.DROPPED, message.destination)
-        response = super().send(message)
-        if not self.roles or response is None:
-            return response
-        role = self.roles.get(message.destination)
-        if role is None or message.kind not in _LOOKUP_KINDS:
+            return (
+                yield from self.inner._delivery(
+                    message, timed, lost=DeliveryError.DROPPED
+                )
+            )
+        response = yield from super()._delivery(message, timed)
+        role = self.roles.get(message.destination) if self.roles else None
+        if (
+            response is None
+            or role is None
+            or message.kind not in _LOOKUP_KINDS
+        ):
             return response
         return self._corrupt(message, response, role)
-
-    def send_async(
-        self,
-        message: Message,
-        on_result: ResponseCallback,
-        on_error: ErrorCallback,
-    ) -> None:
-        if self.eclipsed and self._eclipse_blocks(message):
-            self._advance_schedule()
-            self.sends += 1
-            counters.sec_eclipse_drops += 1
-            self.inner.meter.record(message)
-            kernel = self.inner.kernel
-            if kernel is None:
-                raise RuntimeError("send_async requires bind_clock() first")
-            delay = self.inner._hop_delay(message)
-            if self.inner.tracer is not None:
-                self.inner._trace_hop(
-                    message, "request", delay, use_current=True
-                )
-            kernel.post(
-                delay,
-                lambda: on_error(
-                    DeliveryError(DeliveryError.DROPPED, message.destination)
-                ),
-            )
-            return
-        role = self.roles.get(message.destination) if self.roles else None
-        if role is None or message.kind not in _LOOKUP_KINDS:
-            super().send_async(message, on_result, on_error)
-            return
-
-        def deliver(response: Optional[Message]) -> None:
-            if response is None:
-                on_result(None)
-                return
-            try:
-                on_result(self._corrupt(message, response, role))
-            except DeliveryError as error:
-                on_error(error)
-
-        super().send_async(message, deliver, on_error)
 
     # -- adversarial behavior ------------------------------------------------
 

@@ -11,8 +11,7 @@ unchanged over it -- driven by a seeded :class:`FaultPlan`:
 - per-exchange *duplicate* delivery (the destination handles the message
   twice, as a retransmitting network would cause),
 - added *latency milliseconds* per delivered message, on the same
-  virtual clock the event kernel uses (the legacy unit-less "ticks" are
-  accepted as a deprecated alias converting at :data:`MS_PER_TICK`),
+  virtual clock the event kernel uses,
 - a *crash/rejoin schedule*: endpoints marked crashed stay registered but
   refuse delivery until they recover, which is exactly the window in
   which replica failover and lookup retries must carry the load,
@@ -37,8 +36,8 @@ counter increments, byte-identical metering to the bare transport.
 from __future__ import annotations
 
 import random
-import warnings
-from dataclasses import InitVar, dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.message import Message
@@ -49,6 +48,8 @@ from repro.net.transport import (
     ErrorCallback,
     ResponseCallback,
     SimulatedTransport,
+    _complete,
+    _Delivery,
 )
 from repro.perf import counters
 
@@ -56,10 +57,6 @@ if TYPE_CHECKING:
     from repro.net.latency import LatencyModel
     from repro.obs.tracer import Tracer
     from repro.sim.kernel import EventKernel
-
-#: Conversion rate of the deprecated unit-less latency "ticks" to virtual
-#: milliseconds: one tick is one millisecond on the shared clock.
-MS_PER_TICK = 1.0
 
 
 @dataclass(frozen=True)
@@ -108,9 +105,7 @@ class FaultPlan:
     """Seeded description of what goes wrong, and how often.
 
     Added latency is expressed in virtual-clock milliseconds
-    (``max_latency_ms``).  The pre-kernel ``max_latency_ticks`` keyword
-    is still accepted as a deprecated alias and converts at
-    :data:`MS_PER_TICK`.
+    (``max_latency_ms``).
     """
 
     drop_probability: float = 0.0
@@ -119,23 +114,8 @@ class FaultPlan:
     crash_schedule: tuple[CrashEvent, ...] = ()
     restart_schedule: tuple[RestartEvent, ...] = ()
     seed: int = 0
-    max_latency_ticks: InitVar[Optional[int]] = None
 
-    def __post_init__(self, max_latency_ticks: Optional[int]) -> None:
-        if max_latency_ticks is not None:
-            warnings.warn(
-                "FaultPlan(max_latency_ticks=...) is deprecated; use "
-                "max_latency_ms (1 tick = 1 ms on the virtual clock)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.max_latency_ms:
-                raise ValueError(
-                    "give max_latency_ms or max_latency_ticks, not both"
-                )
-            object.__setattr__(
-                self, "max_latency_ms", max_latency_ticks * MS_PER_TICK
-            )
+    def __post_init__(self) -> None:
         for name in ("drop_probability", "duplicate_probability"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -158,6 +138,10 @@ class FaultPlan:
 #: The transparent plan: wrapping with it is behaviourally identical to
 #: the bare transport (asserted by tests).
 NO_FAULTS = FaultPlan()
+
+
+def _discard(outcome: object) -> None:
+    """Continuation of a delivery whose outcome nobody awaits."""
 
 
 def _default_crashable(names: list[str]) -> list[str]:
@@ -270,49 +254,7 @@ class FaultyTransport:
         - a send to a crashed endpoint meters the request bytes and
           raises with reason ``crashed`` so callers fail over.
         """
-        self._advance_schedule()
-        self.sends += 1
-        plan = self.plan
-        if message.destination in self._crashed:
-            counters.fault_crashed_sends += 1
-            self.inner.meter.record(message)
-            raise DeliveryError(DeliveryError.CRASHED, message.destination)
-        if (
-            plan.drop_probability
-            and self._rng.random() < plan.drop_probability
-        ):
-            counters.fault_drops += 1
-            self.inner.meter.record(message)
-            raise DeliveryError(DeliveryError.DROPPED, message.destination)
-        if plan.max_latency_ms:
-            added_ms = self._draw_latency_ms()
-            self.latency_ms += added_ms
-            counters.fault_latency_ms += added_ms
-        response = self.inner.send(message)
-        if (
-            plan.duplicate_probability
-            and self._rng.random() < plan.duplicate_probability
-        ):
-            counters.fault_duplicates += 1
-            # Duplicate legs are unattributed, matching the async path.
-            tracer = self.inner.tracer
-            if tracer is not None:
-                with tracer.activated(None):
-                    self.inner.send(message)
-            else:
-                self.inner.send(message)
-        if (
-            response is not None
-            and plan.drop_probability
-            and self._rng.random() < plan.drop_probability
-        ):
-            counters.fault_drops += 1
-            raise DeliveryError(DeliveryError.DROPPED, message.destination)
-        return response
-
-    def _draw_latency_ms(self) -> float:
-        """One added-latency draw from the plan's seeded RNG."""
-        return self._rng.uniform(0.0, self.plan.max_latency_ms)
+        return _complete(self._delivery(message, False))
 
     # -- virtual-time delivery ---------------------------------------------
 
@@ -332,112 +274,68 @@ class FaultyTransport:
         on_result: ResponseCallback,
         on_error: ErrorCallback,
     ) -> None:
-        """Scheduled delivery with planned faults on the virtual clock.
+        """The exchange of :meth:`send` on the virtual clock.
 
-        Mirrors :meth:`send` fault-for-fault, with time made explicit:
+        Time is made explicit: a refused or dropped request reaches
+        ``on_error`` after the request's one-way delay (the idealized
+        timeout of the failure detector); injected latency lengthens the
+        request leg; a duplicate is a second scheduled delivery whose
+        response is discarded; a dropped *response* is decided when the
+        response leg arrives -- the work and bytes were spent, the
+        caller still sees the error.
+        """
+        self.inner._schedule(self._delivery(message, True), on_result, on_error)
 
-        - crashed destination / dropped request: request bytes metered,
-          ``on_error`` fires after the request's one-way delay (the
-          idealized timeout of the failure detector);
-        - injected latency is added to the request leg's travel time (and
-          accounted in ``latency_ms`` exactly like the sync path);
-        - a duplicated request is a second scheduled delivery whose
-          response is discarded;
-        - a dropped *response* is decided when the response leg arrives:
-          the work and bytes were spent, the caller still sees the error.
+    def _delivery(self, message: Message, timed: bool) -> _Delivery:
+        """One exchange under the plan -- the only place faults are drawn.
 
-        All draws happen at send time except the response drop (drawn at
-        response arrival), so fault sequences are a deterministic
-        function of the kernel's event order.
+        The draw order is the same for both drivers: request drop, added
+        latency, duplicate (all at send time), then the response drop
+        once the response has arrived -- so a timed fault sequence is a
+        deterministic function of the kernel's event order.
         """
         self._advance_schedule()
         self.sends += 1
         plan = self.plan
-        kernel = self.inner.kernel
-        if kernel is None:
-            raise RuntimeError("send_async requires bind_clock() first")
+        deliver = self.inner._delivery
         if message.destination in self._crashed:
             counters.fault_crashed_sends += 1
-            self.inner.meter.record(message)
-            delay = self.inner._hop_delay(message)
-            # The failed request leg still takes its one-way delay before
-            # the sender learns of the loss; traced as a waited leg.
-            if self.inner.tracer is not None:
-                self.inner._trace_hop(
-                    message, "request", delay, use_current=True
-                )
-            kernel.post(
-                delay,
-                lambda: on_error(
-                    DeliveryError(DeliveryError.CRASHED, message.destination)
-                ),
-            )
-            return
+            return (yield from deliver(message, timed, lost=DeliveryError.CRASHED))
         if (
             plan.drop_probability
             and self._rng.random() < plan.drop_probability
         ):
             counters.fault_drops += 1
-            self.inner.meter.record(message)
-            delay = self.inner._hop_delay(message)
-            if self.inner.tracer is not None:
-                self.inner._trace_hop(
-                    message, "request", delay, use_current=True
-                )
-            kernel.post(
-                delay,
-                lambda: on_error(
-                    DeliveryError(DeliveryError.DROPPED, message.destination)
-                ),
-            )
-            return
+            return (yield from deliver(message, timed, lost=DeliveryError.DROPPED))
         extra_ms = 0.0
         if plan.max_latency_ms:
-            extra_ms = self._draw_latency_ms()
+            extra_ms = self._rng.uniform(0.0, plan.max_latency_ms)
             self.latency_ms += extra_ms
             counters.fault_latency_ms += extra_ms
-        duplicated = bool(
+        if (
             plan.duplicate_probability
             and self._rng.random() < plan.duplicate_probability
-        )
-
-        def deliver_result(response: Optional[Message]) -> None:
-            if (
-                response is not None
-                and plan.drop_probability
-                and self._rng.random() < plan.drop_probability
-            ):
-                counters.fault_drops += 1
-                on_error(
-                    DeliveryError(DeliveryError.DROPPED, message.destination)
-                )
-                return
-            on_result(response)
-
-        self.inner.send_async(
-            message, deliver_result, on_error, extra_delay_ms=extra_ms
-        )
-        if duplicated:
+        ):
             counters.fault_duplicates += 1
-            # The duplicate delivery is not on any lookup's critical path
-            # (its response is discarded), so its legs are recorded
-            # unattributed -- the latency-sum trace invariant holds.
+            # Nobody awaits the copy, so it is on no lookup's critical
+            # path: its legs are recorded unattributed and the
+            # latency-sum trace invariant holds.
             tracer = self.inner.tracer
-            if tracer is not None:
-                with tracer.activated(None):
-                    self.inner.send_async(
-                        message,
-                        lambda response: None,
-                        lambda error: None,
-                        extra_delay_ms=extra_ms,
-                    )
-            else:
-                self.inner.send_async(
-                    message,
-                    lambda response: None,
-                    lambda error: None,
-                    extra_delay_ms=extra_ms,
-                )
+            copy = deliver(message, timed, extra_ms)
+            with nullcontext() if tracer is None else tracer.activated(None):
+                if timed:
+                    self.inner._schedule(copy, _discard, _discard)
+                else:
+                    _complete(copy)
+        response = yield from deliver(message, timed, extra_ms)
+        if (
+            response is not None
+            and plan.drop_probability
+            and self._rng.random() < plan.drop_probability
+        ):
+            counters.fault_drops += 1
+            raise DeliveryError(DeliveryError.DROPPED, message.destination)
+        return response
 
     def _advance_schedule(self) -> None:
         """Fire crash/restart/recovery events due at the current send."""

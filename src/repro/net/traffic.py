@@ -39,9 +39,12 @@ class TrafficMeter:
         self._bytes: Counter[TrafficCategory] = Counter()
         self._messages: Counter[TrafficCategory] = Counter()
         self._node_loads: dict[str, NodeLoad] = {}
-        # Nodes touched by the query currently being processed; flushed
-        # into queries_touched by end_query().
-        self._current_query_nodes: set[str] = set()
+        #: Nodes touched by the query currently being processed; flushed
+        #: into queries_touched by end_query().  A driver running
+        #: overlapping lookups points this at each lookup's own set
+        #: before resuming it; an operation that outlives one resume
+        #: keeps the set it started under.
+        self.current_query_nodes: set[str] = set()
 
     # -- byte accounting ---------------------------------------------------
 
@@ -91,20 +94,15 @@ class TrafficMeter:
 
     def touch_node(self, node: str) -> None:
         """Mark that the current query was processed by ``node``."""
-        self._current_query_nodes.add(node)
+        self.current_query_nodes.add(node)
 
     def end_query(self) -> None:
         """Flush the set of nodes touched by the query just completed."""
-        self.count_query(self._current_query_nodes)
-        self._current_query_nodes.clear()
+        self.count_query(self.current_query_nodes)
+        self.current_query_nodes.clear()
 
     def count_query(self, nodes: set[str]) -> None:
-        """Credit one completed query to every node in ``nodes``.
-
-        Concurrent lookups each carry their own touched-node set (the
-        shared ``touch_node`` scratch set cannot tell overlapping
-        queries apart), and flush it here when the lookup completes.
-        """
+        """Credit one completed query to every node in ``nodes``."""
         loads = self._node_loads
         for node in nodes:
             load = loads.get(node)
@@ -129,4 +127,4 @@ class TrafficMeter:
         self._bytes.clear()
         self._messages.clear()
         self._node_loads.clear()
-        self._current_query_nodes.clear()
+        self.current_query_nodes.clear()

@@ -20,7 +20,7 @@ answered first.  Byte metering is identical in both modes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.net.message import Message
 from repro.net.traffic import TrafficMeter
@@ -84,6 +84,9 @@ Endpoint = Callable[[Message], Optional[Message]]
 ResponseCallback = Callable[[Optional[Message]], None]
 #: Continuation receiving the DeliveryError of a failed async exchange.
 ErrorCallback = Callable[["DeliveryError"], None]
+#: One exchange in flight: yields the delays to wait out, returns the
+#: response, raises the DeliveryError.
+_Delivery = Generator[float, None, Optional[Message]]
 
 
 class SimulatedTransport:
@@ -137,23 +140,7 @@ class SimulatedTransport:
         between resolution and delivery).  A message lost in flight still
         costs its request bytes, so failed sends are metered.
         """
-        handler = self._endpoints.get(message.destination)
-        if handler is None:
-            if message.destination in self._ever_registered:
-                self.meter.record(message)
-                raise DeliveryError(
-                    DeliveryError.UNREGISTERED, message.destination
-                )
-            raise TransportError(f"no such endpoint: {message.destination!r}")
-        self.meter.record(message)
-        if self.tracer is not None:
-            self._trace_hop(message, "request", 0.0, use_current=True)
-        response = handler(message)
-        if response is not None:
-            self.meter.record(response)
-            if self.tracer is not None:
-                self._trace_hop(response, "response", 0.0, use_current=True)
-        return response
+        return _complete(self._delivery(message, False))
 
     # -- virtual-time delivery ---------------------------------------------
 
@@ -180,8 +167,7 @@ class SimulatedTransport:
         message: Message,
         leg: str,
         latency_ms: float,
-        use_current: bool = False,
-        ref: Optional["SpanRef"] = None,
+        ref: Optional["SpanRef"],
     ) -> None:
         """Record one route-hop event for a metered message."""
         assert self.tracer is not None
@@ -193,7 +179,6 @@ class SimulatedTransport:
             latency_ms=latency_ms,
             leg=leg,
             ref=ref,
-            use_current=use_current,
         )
 
     def _hop_delay(self, message: Message) -> float:
@@ -213,15 +198,14 @@ class SimulatedTransport:
         message: Message,
         on_result: ResponseCallback,
         on_error: ErrorCallback,
-        extra_delay_ms: float = 0.0,
     ) -> None:
         """Deliver a message through the virtual clock.
 
-        The handler runs at ``now + hop_delay + extra_delay_ms``; its
-        response (if any) arrives back at the sender one response leg
-        later, passed to ``on_result``.  Handlers and callbacks never run
-        inside this call -- everything goes through the kernel heap, so
-        concurrent exchanges interleave strictly by virtual time.
+        The handler runs at ``now + hop_delay``; its response (if any)
+        arrives back at the sender one response leg later, passed to
+        ``on_result``.  Handlers and callbacks never run inside this
+        call -- everything goes through the kernel heap, so concurrent
+        exchanges interleave strictly by virtual time.
 
         Runtime failures are *reported, not raised*: ``on_error``
         receives the :class:`DeliveryError` after the request's one-way
@@ -230,54 +214,98 @@ class SimulatedTransport:
         name that never existed, or sending without :meth:`bind_clock` --
         still raises :class:`TransportError` synchronously.
         """
-        if self.kernel is None or self.latency is None:
-            raise TransportError("send_async requires bind_clock() first")
-        if (
-            message.destination not in self._endpoints
-            and message.destination not in self._ever_registered
-        ):
-            raise TransportError(f"no such endpoint: {message.destination!r}")
-        # The sender spends the request bytes now, delivered or not.
-        self.meter.record(message)
-        delay = self._hop_delay(message) + extra_delay_ms
-        # Attribution for the response leg is captured now: by the time
-        # the arrival event fires, other lookups' sends will have moved
-        # the tracer's current-span pointer.
-        span = self.tracer.current if self.tracer is not None else None
-        if self.tracer is not None:
-            self._trace_hop(message, "request", delay, ref=span)
-        # post, not schedule: nothing cancels an in-flight message, so
-        # the cancellable handle would be a dead allocation per send.
-        # Both book from the same seq counter, so ordering is unchanged.
-        self.kernel.post(
-            delay,
-            lambda: self._deliver_scheduled(message, on_result, on_error, span),
-        )
+        self._schedule(self._delivery(message, True), on_result, on_error)
 
-    def _deliver_scheduled(
+    def _delivery(
         self,
         message: Message,
+        timed: bool,
+        extra_delay_ms: float = 0.0,
+        lost: Optional[str] = None,
+    ) -> _Delivery:
+        """One exchange, written once for both drivers.
+
+        ``timed`` deliveries yield each leg's delay for the kernel driver
+        to wait out; untimed ones (:meth:`send`) never yield, cost zero
+        delay and sample no latency.  ``lost`` is the fault layer's
+        verdict that nobody answers this request: it fails with that
+        reason where the handler would have run.  A leg that fails is
+        traced only when timed: the sender waited it out, so it is on
+        the lookup's clock, whereas the inline failure took no time.
+        """
+        destination = message.destination
+        handler = self._endpoints.get(destination)
+        if handler is None and destination not in self._ever_registered:
+            raise TransportError(f"no such endpoint: {destination!r}")
+        # The sender spends the request bytes now, delivered or not.
+        self.meter.record(message)
+        tracer = self.tracer
+        # Attribution for both legs is captured now: by the time a timed
+        # arrival fires, other lookups' sends will have moved the
+        # tracer's current-span pointer.
+        span = tracer.current if tracer is not None else None
+        delay = self._hop_delay(message) + extra_delay_ms if timed else 0.0
+        if tracer is not None and (
+            timed or (handler is not None and lost is None)
+        ):
+            self._trace_hop(message, "request", delay, span)
+        if timed:
+            yield delay
+            # Resolved again at arrival: a node that departed while the
+            # message was in flight is as unreachable as one that left
+            # before it was sent.
+            handler = self._endpoints.get(destination)
+        if lost is not None:
+            raise DeliveryError(lost, destination)
+        if handler is None:
+            raise DeliveryError(DeliveryError.UNREGISTERED, destination)
+        response = handler(message)
+        if response is not None:
+            self.meter.record(response)
+            delay = self._hop_delay(response) if timed else 0.0
+            if tracer is not None:
+                self._trace_hop(response, "response", delay, span)
+            if timed:
+                yield delay
+        return response
+
+    def _schedule(
+        self,
+        delivery: _Delivery,
         on_result: ResponseCallback,
         on_error: ErrorCallback,
-        span: Optional["SpanRef"] = None,
     ) -> None:
-        """Arrival event: run the handler, schedule the response leg.
+        """The kernel driver: each delay a timed delivery yields becomes
+        one posted event; its outcome goes to the continuations.
 
-        The destination is re-resolved at arrival time -- a node that
-        departed while the message was in flight yields the same
-        ``unregistered`` delivery error the synchronous path produces.
+        The clock check comes before the delivery's first step, so a
+        misuse raises with no byte metered and no fault drawn.
         """
-        assert self.kernel is not None
-        handler = self._endpoints.get(message.destination)
-        if handler is None:
-            on_error(DeliveryError(DeliveryError.UNREGISTERED, message.destination))
-            return
-        response = handler(message)
-        if response is None:
-            on_result(None)
-            return
-        self.meter.record(response)
-        response_delay = self._hop_delay(response)
-        if self.tracer is not None:
-            self._trace_hop(response, "response", response_delay, ref=span)
-        self.kernel.post(response_delay, lambda: on_result(response))
+        if self.kernel is None or self.latency is None:
+            raise TransportError("send_async requires bind_clock() first")
+        try:
+            delay = next(delivery)
+        except StopIteration as done:
+            on_result(done.value)
+        except DeliveryError as error:
+            on_error(error)
+        else:
+            # post, not schedule: nothing cancels an in-flight message,
+            # so the cancellable handle would be a dead allocation per
+            # send.  A fresh lambda per leg rather than one closure
+            # re-posting itself: a self-referencing closure is a
+            # reference cycle, and every send would wait for the
+            # garbage collector.
+            self.kernel.post(
+                delay, lambda: self._schedule(delivery, on_result, on_error)
+            )
+
+
+def _complete(delivery: _Delivery) -> Optional[Message]:
+    """The blocking driver: an untimed delivery never waits, so one step
+    runs it to its end inline."""
+    try:
+        next(delivery)
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("an untimed delivery asked to wait")

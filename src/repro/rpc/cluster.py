@@ -58,6 +58,15 @@ if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
 
 
+class _WireIndexService(IndexService):
+    """The client's service.  Over sockets nobody waits for a best-effort
+    shortcut to land (the lookup's result does not depend on it, and the
+    transport runs the inserts concurrently on its loop), so the blocking
+    name is the fire-and-forget one."""
+
+    insert_shortcut = IndexService.insert_shortcut_async
+
+
 class ClusterClient:
     """A lookup client speaking to a daemon overlay over real sockets."""
 
@@ -96,9 +105,10 @@ class ClusterClient:
         client surface is blocking (it drives the sequential engine).
 
         ``pipelined`` batches an insert's replica placements into one
-        concurrent round and fire-and-forgets cache shortcuts, instead
-        of one blocking round-trip per message (``False`` restores the
-        strict request/response lockstep, for A/B measurement).
+        concurrent round instead of one blocking round-trip per message
+        (``False`` restores the strict request/response lockstep, for
+        A/B measurement).  It governs the insert fan-out only: cache
+        shortcuts are fire-and-forget either way.
         ``discover_timeout_ms`` / ``discover_retries`` bound every
         membership discovery: a dead bootstrap raises
         :class:`TransportError` after at most
@@ -159,7 +169,7 @@ class ClusterClient:
         # mirror answers placement only, data lives in the daemons.
         # The cache policy matters client-side too: it decides whether
         # successful lookups send CACHE_INSERT shortcuts to the daemons.
-        self.service = IndexService(
+        self.service = _WireIndexService(
             self.schema,
             self.scheme,
             self.index_store,
@@ -169,12 +179,7 @@ class ClusterClient:
             cache_capacity=cache_capacity,
             local_nodes=(),
         )
-        self.engine = LookupEngine(
-            self.service,
-            user=user,
-            tracer=tracer,
-            pipelined_shortcuts=pipelined,
-        )
+        self.engine = LookupEngine(self.service, user=user, tracer=tracer)
 
     def _discover(self, bootstrap: Address) -> dict[int, Address]:
         """Fetch the membership, under an explicit retry/timeout budget.

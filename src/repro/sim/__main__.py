@@ -156,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max added latency per delivered message, in virtual ms",
     )
     chaos.add_argument(
-        "--latency-ticks",
-        type=int,
-        default=None,
-        help="deprecated alias of --latency-ms (1 tick = 1 ms)",
-    )
-    chaos.add_argument(
         "--churn-events",
         type=int,
         default=None,
@@ -332,7 +326,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "fault_drop_probability": args.drop_probability,
         "fault_duplicate_probability": args.duplicate_probability,
         "fault_latency_ms": args.latency_ms,
-        "fault_latency_ticks": args.latency_ticks,
         "churn_events": args.churn_events,
         "churn_mode": args.churn_mode,
         "crash_events": args.crash_events,

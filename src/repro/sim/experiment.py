@@ -25,7 +25,6 @@ import random
 import shutil
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
@@ -51,7 +50,7 @@ from repro.dht.kademlia import KademliaNetwork
 from repro.dht.pastry import PastryNetwork
 from repro.dht.ring import IdealRing
 from repro.net.adversary import ROLE_SYBIL, AdversarialTransport, AdversaryPlan
-from repro.net.faults import MS_PER_TICK, FaultPlan, FaultyTransport
+from repro.net.faults import FaultPlan, FaultyTransport
 from repro.net.latency import parse_latency_model
 from repro.net.transport import SimulatedTransport
 from repro.obs.tracer import Tracer
@@ -136,10 +135,6 @@ class ExperimentConfig:
     fault_drop_probability: float = 0.0
     fault_duplicate_probability: float = 0.0
     fault_latency_ms: float = 0.0
-    #: Deprecated pre-kernel spelling of ``fault_latency_ms`` (one
-    #: legacy tick is ``MS_PER_TICK`` virtual milliseconds).  Setting
-    #: both is an error.
-    fault_latency_ticks: int = 0
     #: Transient node crashes: events spread uniformly over the feed;
     #: each crashes one random live node (it stays in the overlay and
     #: registered, but refuses delivery) for ``crash_downtime_queries``
@@ -256,33 +251,17 @@ class ExperimentConfig:
             raise ValueError(f"predicate_mix must be in [0, 1]: {self.predicate_mix}")
         if self.index_structure not in ("chains", "trie"):
             raise ValueError(f"unknown index structure {self.index_structure!r}")
-        if self.fault_latency_ticks:
-            if self.fault_latency_ms:
-                raise ValueError(
-                    "give fault_latency_ms or fault_latency_ticks, not both"
-                )
-            warnings.warn(
-                "ExperimentConfig(fault_latency_ticks=...) is deprecated; "
-                "use fault_latency_ms (1 tick = 1 virtual ms)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         # Delegates range checks on the probabilities / latency.
         self.fault_plan()
         # Delegates range checks on the adversary counts / drop rate.
         self.adversary_plan()
-
-    @property
-    def effective_fault_latency_ms(self) -> float:
-        """Injected-latency bound in ms, folding in the deprecated ticks."""
-        return self.fault_latency_ms + self.fault_latency_ticks * MS_PER_TICK
 
     def fault_plan(self) -> FaultPlan:
         """The message-fault plan this configuration describes."""
         return FaultPlan(
             drop_probability=self.fault_drop_probability,
             duplicate_probability=self.fault_duplicate_probability,
-            max_latency_ms=self.effective_fault_latency_ms,
+            max_latency_ms=self.fault_latency_ms,
             seed=self.churn_seed,
         )
 
@@ -728,11 +707,9 @@ class Experiment:
 
         def finish(trace: SearchTrace, started_at: float) -> None:
             response_times.add(kernel.now - started_at)
-            # Overlapping lookups cannot share the meter's scratch set;
-            # each trace carries its own visited nodes (Fig 15).
-            meter.count_query(
-                {self.service.endpoint_name(node) for node, _ in trace.visited}
-            )
+            # The engine pointed the meter at this lookup's own touched
+            # nodes (Fig 15) before completing it.
+            meter.end_query()
             self._record_trace(result, trace)
 
         def begin(

@@ -136,9 +136,10 @@ def test_trace_reconstructs_traffic_meter_counts(
 def test_trace_reconstructs_traffic_in_kernel_mode():
     """The cross-check holds with overlapping lookups on the kernel.
 
-    Concurrent mode feeds Figure 15 through ``count_query`` with each
-    SearchTrace's own visited set; reconstructing those sets from the
-    exported trace events must land on the same aggregate counts.
+    Concurrent mode keeps one touched-node set per lookup (the engine
+    points the meter at it before each resume); reconstructing those
+    sets from the exported trace events must land on the same aggregate
+    counts.
     """
     config = ExperimentConfig(
         cache="single",

@@ -17,7 +17,7 @@ from repro.net.adversary import (
 )
 from repro.net.faults import NO_FAULTS, FaultyTransport
 from repro.net.message import Message, MessageKind
-from repro.net.transport import DeliveryError, SimulatedTransport
+from repro.net.transport import DeliveryError, SimulatedTransport, TransportError
 
 
 def echo_endpoint(received):
@@ -258,3 +258,27 @@ class TestEclipse:
             outcomes.append(delivered)
         assert outcomes[0] == outcomes[1]
         assert 0 < outcomes[0] < 50
+
+
+
+class TestUnboundClockMisuse:
+    @pytest.mark.parametrize("eclipse_drop", [1.0, 0.5])
+    def test_eclipsed_send_async_without_clock_raises_before_any_state_changes(
+        self, wired, eclipse_drop
+    ):
+        rng = random.Random(9)
+        transport, received = wired(
+            AdversaryPlan(eclipse_victims=1, eclipse_drop=eclipse_drop),
+            rng=rng,
+        )
+        transport.eclipse("node:1")
+        state = rng.getstate()
+        before = perf.snapshot()
+        with pytest.raises(TransportError) as excinfo:
+            transport.send_async(query(), lambda r: None, lambda e: None)
+        assert not isinstance(excinfo.value, DeliveryError)
+        assert transport.sends == 0
+        assert transport.meter.total_bytes == 0
+        assert rng.getstate() == state
+        assert not any(perf.delta(before, perf.snapshot()).values())
+        assert received == []

@@ -6,7 +6,6 @@ import pytest
 
 from repro import perf
 from repro.net.faults import (
-    MS_PER_TICK,
     NO_FAULTS,
     CrashEvent,
     FaultPlan,
@@ -158,18 +157,6 @@ class TestLatency:
         for _ in range(50):
             faulty.send(request())
         assert 0 < faulty.latency_ms <= 250.0
-
-    def test_deprecated_ticks_alias_converts(self):
-        with pytest.warns(DeprecationWarning):
-            plan = FaultPlan(max_latency_ticks=7)
-        # The pinned conversion rate: one legacy tick is one virtual
-        # millisecond on the shared clock.
-        assert MS_PER_TICK == 1.0
-        assert plan.max_latency_ms == 7 * MS_PER_TICK
-
-    def test_ticks_and_ms_together_rejected(self):
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            FaultPlan(max_latency_ms=3.0, max_latency_ticks=4)
 
 
 class TestCrashes:
@@ -326,6 +313,34 @@ class TestAsyncFaults:
             return outcomes
 
         assert drive() == drive()
+
+
+class TestUnboundClockMisuse:
+    def test_send_async_without_clock_raises_before_any_state_changes(
+        self, wired
+    ):
+        # A plan that would crash the destination, drop, delay and
+        # duplicate on this very send -- were it ever started.
+        plan = FaultPlan(
+            drop_probability=1.0,
+            duplicate_probability=1.0,
+            max_latency_ms=50.0,
+            crash_schedule=(CrashEvent(at_send=0, downtime_sends=5),),
+        )
+        rng = random.Random(9)
+        faulty, received = wired(plan, rng=rng)
+        state = rng.getstate()
+        before = perf.snapshot()
+        with pytest.raises(TransportError) as excinfo:
+            faulty.send_async(request(), lambda r: None, lambda e: None)
+        assert not isinstance(excinfo.value, DeliveryError)
+        assert faulty.sends == 0
+        assert faulty.latency_ms == 0.0
+        assert faulty.crashed_endpoints == set()
+        assert faulty.meter.total_bytes == 0
+        assert rng.getstate() == state
+        assert not any(perf.delta(before, perf.snapshot()).values())
+        assert received == []
 
 
 class TestEndpointProtocol:

@@ -1,15 +1,12 @@
-"""The ``timeout`` delivery reason and the legacy ``*_ticks`` aliases.
+"""The ``timeout`` delivery reason.
 
 Real transports (repro.rpc) detect loss with a timer, so the typed
 failure hierarchy gained a ``timeout`` reason.  These tests pin its
 contract: transient exactly like ``dropped`` -- the engine retries the
 same node, the service does *not* fail over to a replica -- so the
 retry/failover split stays semantically identical between the simulated
-and the real transport.  They also pin that the deprecated tick-based
-latency spellings warn exactly once (the new transport is ms-only).
+and the real transport.
 """
-
-import warnings
 
 import pytest
 
@@ -20,9 +17,7 @@ from repro.core.scheme import simple_scheme
 from repro.core.service import IndexService
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
-from repro.net.faults import FaultPlan
 from repro.net.transport import DeliveryError, SimulatedTransport
-from repro.sim.experiment import ExperimentConfig
 from repro.storage.store import DHTStorage
 
 RECORD = Record(
@@ -120,36 +115,3 @@ class TestTimeoutReason:
                 (trace.found, trace.retries, trace.interactions)
             )
         assert outcomes[0] == outcomes[1]
-
-
-class TestTickAliasesWarnOnce:
-    def test_fault_plan_ticks_alias_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plan = FaultPlan(max_latency_ticks=5)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "max_latency_ticks" in str(deprecations[0].message)
-        assert plan.max_latency_ms == 5.0
-
-    def test_experiment_config_ticks_alias_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = ExperimentConfig(fault_latency_ticks=3)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "fault_latency_ticks" in str(deprecations[0].message)
-        assert config.effective_fault_latency_ms == 3.0
-
-    def test_ms_spelling_warns_never(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            FaultPlan(max_latency_ms=5.0)
-            ExperimentConfig(fault_latency_ms=3.0)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]

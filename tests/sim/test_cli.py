@@ -93,19 +93,6 @@ class TestPresetAndChaosFlags:
         assert config.churn_seed == 11
         assert config.has_chaos
 
-    def test_deprecated_latency_ticks_still_converts(self):
-        from repro.net.faults import MS_PER_TICK
-
-        with pytest.warns(DeprecationWarning):
-            config = parse(["--latency-ticks", "3"])
-        assert config.fault_latency_ticks == 3
-        assert config.effective_fault_latency_ms == 3 * MS_PER_TICK
-        assert config.fault_plan().max_latency_ms == 3 * MS_PER_TICK
-
-    def test_latency_ms_and_ticks_together_rejected(self):
-        with pytest.raises(ValueError):
-            parse(["--latency-ms", "2", "--latency-ticks", "3"])
-
     def test_no_chaos_by_default(self):
         assert not parse([]).has_chaos
 

@@ -15,7 +15,11 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.sim.experiment import Experiment, ExperimentConfig
-from repro.sim.presets import CHURN_SMOKE_CONFIG
+from repro.sim.presets import (
+    ADVERSARIAL_SMOKE_CONFIG,
+    CHURN_SMOKE_CONFIG,
+    RESTART_CHAOS_SMOKE_CONFIG,
+)
 
 TINY = ExperimentConfig(
     num_nodes=30,
@@ -93,26 +97,64 @@ class TestDeterminism:
         assert first.searches == config.num_queries
 
 
+#: The chaos cells the two drivers must replay identically, beside the
+#: reliable one: churn + crashes + drops, the same with duplicates,
+#: restart chaos over the WAL, and the Byzantine population with the
+#: trust ledger off and on (second opinions, contradiction penalties,
+#: trusted-first ordering).
+CHAOS_CELLS = {
+    "churn-smoke": CHURN_SMOKE_CONFIG.scaled(0.25),
+    "churn-smoke-duplicates": replace(
+        CHURN_SMOKE_CONFIG.scaled(0.25), fault_duplicate_probability=0.05
+    ),
+    "restart-chaos-smoke": RESTART_CHAOS_SMOKE_CONFIG,
+    "adversarial-smoke-unverified": replace(
+        ADVERSARIAL_SMOKE_CONFIG, verify_signatures=False
+    ),
+    "adversarial-smoke-verified": replace(
+        ADVERSARIAL_SMOKE_CONFIG, verify_signatures=True
+    ),
+}
+
+#: What legitimately differs between the drivers: the mode label, the
+#: clock's own outputs, and wall-clock disk replay.
+_DRIVER_FIELDS = (
+    "latency_model",
+    "virtual_time_ms",
+    "response_time_ms_mean",
+    "response_time_ms_p50",
+    "response_time_ms_p95",
+    "response_time_ms_p99",
+    "recovery_replay_ms",
+)
+
+
+def assert_kernel_replays_sequential(sequential):
+    # constant:0 forces the kernel path (uses_kernel is True) while
+    # keeping delivery instantaneous and the user population at 1,
+    # so every exchange happens in the sequential order.
+    kernel = replace(sequential, latency_model="constant:0")
+    assert not sequential.uses_kernel
+    assert kernel.uses_kernel
+
+    seq_result, seq_traces = run_with_traces(sequential)
+    ker_result, ker_traces = run_with_traces(kernel)
+    assert seq_traces == ker_traces
+    seq_fields = comparable(seq_result)
+    ker_fields = comparable(ker_result)
+    for name in _DRIVER_FIELDS:
+        seq_fields.pop(name)
+        ker_fields.pop(name)
+    assert seq_fields == ker_fields
+
+
 class TestSequentialEquivalence:
     def test_single_user_zero_latency_matches_sequential_driver(self):
-        # constant:0 forces the kernel path (uses_kernel is True) while
-        # keeping delivery instantaneous and the user population at 1,
-        # so every exchange happens in the sequential order.
-        sequential = replace(TINY, cache="single")
-        kernel = replace(sequential, latency_model="constant:0")
-        assert not sequential.uses_kernel
-        assert kernel.uses_kernel
+        assert_kernel_replays_sequential(replace(TINY, cache="single"))
 
-        seq_result, seq_traces = run_with_traces(sequential)
-        ker_result, ker_traces = run_with_traces(kernel)
-        assert seq_traces == ker_traces
-        seq_fields = comparable(seq_result)
-        ker_fields = comparable(ker_result)
-        # Only the mode labels may differ between the two drivers.
-        for name in ("latency_model",):
-            seq_fields.pop(name)
-            ker_fields.pop(name)
-        assert seq_fields == ker_fields
+    @pytest.mark.parametrize("cell", sorted(CHAOS_CELLS))
+    def test_drivers_agree_on_every_chaos_cell(self, cell):
+        assert_kernel_replays_sequential(CHAOS_CELLS[cell])
 
     def test_concurrent_reliable_run_matches_sequential_aggregates(self):
         # Without faults or caches, per-query interaction counts are
