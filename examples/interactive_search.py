@@ -6,19 +6,23 @@ Two features of Section IV the automated simulation doesn't show:
 1. the *interactive* lookup mode, where the user reads each result set
    and refines by hand (here scripted step by step), and
 2. *substring matching* index classes -- finding an author knowing only
-   the first letters of their name.
+   the first letters of their name, through the trie-over-DHT index: the
+   scheme declares prefix levels for the field and a prefix lookup is an
+   ordinary query whose constraint is a ``Prefix`` predicate.
 
 Run:  python examples/interactive_search.py
 """
 
 from repro.core import (
     ARTICLE_SCHEMA,
+    FieldPredicates,
     FieldQuery,
     IndexService,
     InteractiveSession,
     LookupEngine,
-    PrefixIndex,
+    Prefix,
     Record,
+    TrieIndex,
     simple_scheme,
 )
 from repro.dht import IdealRing, hash_key
@@ -39,9 +43,15 @@ def main() -> None:
     ring = IdealRing()
     for index in range(12):
         ring.add_node(hash_key(f"peer-{index}"))
+    # One-letter and four-letter author prefix levels (Section IV-C).
+    scheme = simple_scheme(
+        predicates={
+            "author": FieldPredicates(kinds=("prefix",), trie_levels=(1, 4))
+        }
+    )
     service = IndexService(
         ARTICLE_SCHEMA,
-        simple_scheme(),
+        scheme,
         DHTStorage(ring),
         DHTStorage(ring),
         SimulatedTransport(),
@@ -56,9 +66,7 @@ def main() -> None:
     ]
     for record in records:
         service.insert_record(record)
-    # One-letter and four-letter author prefix indexes (Section IV-C).
-    prefix_index = PrefixIndex(service, {"author": [1, 4]})
-    prefix_index.insert_all(records)
+    TrieIndex(service).insert_all(records)
 
     # --- interactive walk: a user exploring John Smith's publications ---
     print("-- interactive session: author John_Smith --")
@@ -82,15 +90,18 @@ def main() -> None:
 
     # --- prefix search: the user only remembers "Al..." ---
     print("\n-- prefix exploration: authors starting with 'A' --")
-    for entry in prefix_index.explore("author", "A"):
+    starts_with_a = FieldQuery(ARTICLE_SCHEMA, {"author": Prefix("A")})
+    session = InteractiveSession(service, starts_with_a)
+    for entry in session.choices():
         print("   ", entry)
     print("-- refining to 'Alan' --")
-    for entry in prefix_index.explore("author", "Alan"):
+    session.refine(0)
+    for entry in session.choices():
         print("   ", entry)
 
     engine = LookupEngine(service, user="user:demo")
     target = records[1]  # Alan_Doe's "Filters"
-    trace = prefix_index.search(engine, "author", "A", target)
+    trace = engine.search(starts_with_a, target)
     print(
         f"\nfull search from one letter: found={trace.found} in "
         f"{trace.interactions} interactions"

@@ -24,11 +24,12 @@ import random
 import sys
 
 from repro.core.query import FieldQuery
+from repro.core.scheme import SCHEMES
+from repro.dht import SUBSTRATES
 from repro.obs.summarize import summarize_file
 from repro.obs.tracer import Tracer
 from repro.perf import counters
 from repro.rpc.cluster import LocalCluster
-from repro.rpc.daemon import SCHEMES, SUBSTRATES
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
 

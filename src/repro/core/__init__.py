@@ -49,7 +49,6 @@ from repro.core.scheme import (
 )
 from repro.core.service import IndexService, IndexServiceError
 from repro.core.session import InteractiveSession, SessionError, SessionStep
-from repro.core.substring import PrefixIndex, PrefixQuery
 from repro.core.trie import TrieIndex
 
 __all__ = [
@@ -76,8 +75,6 @@ __all__ = [
     "InteractiveSession",
     "SessionError",
     "SessionStep",
-    "PrefixIndex",
-    "PrefixQuery",
     "Exact",
     "Prefix",
     "Wildcard",

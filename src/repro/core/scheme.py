@@ -400,6 +400,26 @@ def complex_scheme(
     )
 
 
+#: The paper's evaluation schemes by name (Figure 8) -- the one table
+#: behind ``--scheme`` in the simulator, the node daemon and the client.
+SCHEMES = {
+    "simple": simple_scheme,
+    "flat": flat_scheme,
+    "complex": complex_scheme,
+}
+
+
+def build_scheme(
+    name: str,
+    schema: Optional[Schema] = None,
+    predicates: Optional[Mapping[str, FieldPredicates]] = None,
+) -> IndexScheme:
+    """The named index scheme from the paper's evaluation."""
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme: {name!r}")
+    return SCHEMES[name](schema, predicates=predicates)
+
+
 def _default_schema() -> Schema:
     from repro.core.fields import ARTICLE_SCHEMA
 

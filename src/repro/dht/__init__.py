@@ -2,7 +2,7 @@
 
 The paper layers its indexes on top of "an arbitrary P2P DHT
 infrastructure" (Chord, CAN, Pastry, Tapestry are cited) and explicitly
-does not depend on any particular one.  This package provides three
+does not depend on any particular one.  This package provides five
 interchangeable substrates behind one interface:
 
 - :class:`repro.dht.ring.IdealRing` -- consistent hashing with global
@@ -38,6 +38,26 @@ from repro.dht.kademlia import KademliaNetwork, KademliaNode
 from repro.dht.pastry import PastryNetwork, PastryNode
 from repro.dht.ring import IdealRing
 
+#: The substrates by name -- the one table behind ``--substrate`` in the
+#: simulator, the node daemon and the cluster client.
+SUBSTRATES: dict[str, type[DHTProtocol]] = {
+    "ideal": IdealRing,
+    "chord": ChordNetwork,
+    "kademlia": KademliaNetwork,
+    "pastry": PastryNetwork,
+    "can": CANNetwork,
+}
+
+
+def build_substrate(
+    name: str, node_ids: list[NodeId], bits: int = DEFAULT_BITS
+) -> DHTProtocol:
+    """One converged overlay of the named substrate over ``node_ids``."""
+    if name not in SUBSTRATES:
+        raise ValueError(f"unknown substrate: {name!r}")
+    return SUBSTRATES[name].bulk_build(node_ids, bits=bits)
+
+
 __all__ = [
     "DEFAULT_BITS",
     "IdSpace",
@@ -55,4 +75,5 @@ __all__ = [
     "PastryNode",
     "CANNetwork",
     "Zone",
+    "build_substrate",
 ]

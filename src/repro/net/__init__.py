@@ -13,19 +13,13 @@ reproducible:
 - :mod:`repro.net.transport` -- an in-process transport that routes
   messages between registered endpoints while metering them,
 - :mod:`repro.net.faults` -- deterministic fault injection (message
-  loss, duplicates, added latency, crash/rejoin schedules) wrapping the
-  transport behind the same endpoint protocol,
+  loss, duplicates, added latency, refusal of marked-down endpoints)
+  wrapping the transport behind the same endpoint protocol,
 - :mod:`repro.net.latency` -- pluggable link-latency models so substrate
   experiments can report lookup delays.
 """
 
-from repro.net.faults import (
-    NO_FAULTS,
-    CrashEvent,
-    FaultPlan,
-    FaultyTransport,
-    RestartEvent,
-)
+from repro.net.faults import NO_FAULTS, FaultPlan, FaultyTransport
 from repro.net.latency import (
     ConstantLatency,
     LatencyModel,
@@ -53,10 +47,8 @@ __all__ = [
     "TransportError",
     "DeliveryError",
     "NO_FAULTS",
-    "CrashEvent",
     "FaultPlan",
     "FaultyTransport",
-    "RestartEvent",
     "ConstantLatency",
     "LatencyModel",
     "SeededUniformLatency",

@@ -59,9 +59,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.net.faults import NO_FAULTS, FaultPlan, FaultyTransport, _default_crashable
+from repro.net.faults import NO_FAULTS, FaultPlan, FaultyTransport
 from repro.net.message import Message, MessageKind
 from repro.net.transport import DeliveryError, SimulatedTransport, _Delivery
 from repro.perf import counters
@@ -145,10 +145,9 @@ class AdversarialTransport(FaultyTransport):
         plan: FaultPlan = NO_FAULTS,
         adversary: AdversaryPlan = NO_ADVERSARY,
         rng: Optional[random.Random] = None,
-        crashable: Callable[[list[str]], list[str]] = _default_crashable,
         verify: bool = False,
     ) -> None:
-        super().__init__(inner, plan, rng, crashable)
+        super().__init__(inner, plan, rng)
         self.adversary = adversary
         self.verify = verify
         #: endpoint name -> adversary role, for every compromised node.
@@ -205,7 +204,6 @@ class AdversarialTransport(FaultyTransport):
         eclipsed lookup traffic is lost before it leaves, and a
         compromised destination's answer is replaced once it is back."""
         if self.eclipsed and self._eclipse_blocks(message):
-            self._advance_schedule()
             self.sends += 1
             counters.sec_eclipse_drops += 1
             # The sender spent the request bytes; the victim never saw

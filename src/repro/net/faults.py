@@ -12,15 +12,13 @@ unchanged over it -- driven by a seeded :class:`FaultPlan`:
   twice, as a retransmitting network would cause),
 - added *latency milliseconds* per delivered message, on the same
   virtual clock the event kernel uses,
-- a *crash/rejoin schedule*: endpoints marked crashed stay registered but
-  refuse delivery until they recover, which is exactly the window in
-  which replica failover and lookup retries must carry the load,
-- a *restart schedule*: like a crash, but the victim's process dies
-  (SIGKILL semantics -- in-memory state is gone; ``power_loss=True``
-  additionally destroys un-synced WAL bytes).  The transport only
-  marks the outage window and fires the :attr:`FaultyTransport.on_kill`
-  / :attr:`FaultyTransport.on_restart` hooks; what state survives is
-  the harness's business (see :mod:`repro.storage.durable`).
+- refusal of delivery to endpoints *marked down*
+  (:meth:`FaultyTransport.fail_node` / ``recover_node``): they stay
+  registered but refuse delivery, which is exactly the window in which
+  replica failover and lookup retries must carry the load.  The
+  transport owns no schedule -- who goes down when, and what state
+  survives a restart, is the experiment's business (the chaos timeline
+  of :mod:`repro.sim.experiment`).
 
 Every injected fault raises the typed
 :class:`repro.net.transport.DeliveryError` (never the hard
@@ -38,7 +36,7 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.net.message import Message
 from repro.net.traffic import TrafficMeter
@@ -60,47 +58,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class CrashEvent:
-    """One scheduled crash: at the ``at_send``-th send, ``victim`` goes
-    down for the next ``downtime_sends`` sends, then rejoins.
-
-    ``victim=None`` picks a random crashable endpoint (by default any
-    ``node:``-named one) at fire time, using the transport's RNG.
-    """
-
-    at_send: int
-    downtime_sends: int
-    victim: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.at_send < 0 or self.downtime_sends < 1:
-            raise ValueError("need at_send >= 0 and downtime_sends >= 1")
-
-
-@dataclass(frozen=True)
-class RestartEvent:
-    """One scheduled process restart: at the ``at_send``-th send the
-    ``victim`` is killed -- SIGKILL semantics, so unlike a
-    :class:`CrashEvent` its in-memory state does not survive -- stays
-    down for ``downtime_sends`` sends, then restarts and recovers
-    whatever it persisted.  ``power_loss=True`` models the plug being
-    pulled mid-write: the un-fsynced tail of the victim's write-ahead
-    log is destroyed too.
-
-    ``victim=None`` picks a random crashable endpoint at fire time.
-    """
-
-    at_send: int
-    downtime_sends: int
-    victim: Optional[str] = None
-    power_loss: bool = False
-
-    def __post_init__(self) -> None:
-        if self.at_send < 0 or self.downtime_sends < 1:
-            raise ValueError("need at_send >= 0 and downtime_sends >= 1")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """Seeded description of what goes wrong, and how often.
 
@@ -111,8 +68,6 @@ class FaultPlan:
     drop_probability: float = 0.0
     duplicate_probability: float = 0.0
     max_latency_ms: float = 0.0
-    crash_schedule: tuple[CrashEvent, ...] = ()
-    restart_schedule: tuple[RestartEvent, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -130,8 +85,6 @@ class FaultPlan:
             self.drop_probability == 0.0
             and self.duplicate_probability == 0.0
             and self.max_latency_ms == 0.0
-            and not self.crash_schedule
-            and not self.restart_schedule
         )
 
 
@@ -142,11 +95,6 @@ NO_FAULTS = FaultPlan()
 
 def _discard(outcome: object) -> None:
     """Continuation of a delivery whose outcome nobody awaits."""
-
-
-def _default_crashable(names: list[str]) -> list[str]:
-    """Endpoints eligible for random crash selection: index nodes only."""
-    return [name for name in names if name.startswith("node:")]
 
 
 class FaultyTransport:
@@ -162,32 +110,14 @@ class FaultyTransport:
         inner: SimulatedTransport,
         plan: FaultPlan = NO_FAULTS,
         rng: Optional[random.Random] = None,
-        crashable: Callable[[list[str]], list[str]] = _default_crashable,
     ) -> None:
         self.inner = inner
         self.plan = plan
         self._rng = rng if rng is not None else random.Random(plan.seed)
-        self._crashable = crashable
         self._crashed: set[str] = set()
         self.sends = 0
         #: Total injected latency, in virtual-clock milliseconds.
         self.latency_ms = 0.0
-        self._pending_crashes = sorted(
-            plan.crash_schedule, key=lambda event: event.at_send
-        )
-        self._pending_recoveries: list[tuple[int, str]] = []
-        self._pending_restarts = sorted(
-            plan.restart_schedule, key=lambda event: event.at_send
-        )
-        self._pending_restart_recoveries: list[tuple[int, str, bool]] = []
-        #: Invoked as ``on_kill(name, power_loss)`` the moment a
-        #: scheduled restart takes ``name`` down -- the harness's chance
-        #: to drop (and, under power loss, tear) the victim's journal.
-        self.on_kill: Optional[Callable[[str, bool], None]] = None
-        #: Invoked as ``on_restart(name, power_loss)`` when the victim's
-        #: downtime elapses, *after* delivery is re-enabled -- the
-        #: harness's chance to replay persisted state and re-replicate.
-        self.on_restart: Optional[Callable[[str, bool], None]] = None
 
     # -- endpoint protocol (delegation) ------------------------------------
 
@@ -294,7 +224,6 @@ class FaultyTransport:
         once the response has arrived -- so a timed fault sequence is a
         deterministic function of the kernel's event order.
         """
-        self._advance_schedule()
         self.sends += 1
         plan = self.plan
         deliver = self.inner._delivery
@@ -336,75 +265,3 @@ class FaultyTransport:
             counters.fault_drops += 1
             raise DeliveryError(DeliveryError.DROPPED, message.destination)
         return response
-
-    def _advance_schedule(self) -> None:
-        """Fire crash/restart/recovery events due at the current send."""
-        while self._pending_recoveries and (
-            self._pending_recoveries[0][0] <= self.sends
-        ):
-            _, name = self._pending_recoveries.pop(0)
-            self.recover_node(name)
-        while self._pending_restart_recoveries and (
-            self._pending_restart_recoveries[0][0] <= self.sends
-        ):
-            _, name, power_loss = self._pending_restart_recoveries.pop(0)
-            self.recover_node(name)
-            if self.on_restart is not None:
-                self.on_restart(name, power_loss)
-        while self._pending_crashes and (
-            self._pending_crashes[0].at_send <= self.sends
-        ):
-            event = self._pending_crashes.pop(0)
-            victim = self._pick_victim(event.victim)
-            if victim is None:
-                continue
-            self.fail_node(victim)
-            recover_at = self.sends + event.downtime_sends
-            self._pending_recoveries.append((recover_at, victim))
-            self._pending_recoveries.sort()
-        while self._pending_restarts and (
-            self._pending_restarts[0].at_send <= self.sends
-        ):
-            event = self._pending_restarts.pop(0)
-            victim = self._pick_victim(event.victim)
-            if victim is None:
-                continue
-            self.fail_node(victim)
-            counters.fault_restarts += 1
-            if event.power_loss:
-                counters.fault_power_losses += 1
-            if self.on_kill is not None:
-                self.on_kill(victim, event.power_loss)
-            recover_at = self.sends + event.downtime_sends
-            self._pending_restart_recoveries.append(
-                (recover_at, victim, event.power_loss)
-            )
-            self._pending_restart_recoveries.sort()
-
-    def _pick_victim(self, victim: Optional[str]) -> Optional[str]:
-        """Resolve a scheduled event's victim (random when unset)."""
-        if victim is not None:
-            return victim
-        candidates = [
-            name
-            for name in self._crashable(self.inner.endpoint_names)
-            if name not in self._crashed
-        ]
-        if not candidates:
-            return None
-        return candidates[self._rng.randrange(len(candidates))]
-
-
-#: Adversarial (Byzantine) extensions live in :mod:`repro.net.adversary`
-#: and are re-exported here lazily (PEP 562) -- a plain ``from
-#: repro.net.faults import AdversaryPlan`` works without creating an
-#: import cycle (the adversary module subclasses FaultyTransport).
-_ADVERSARY_EXPORTS = ("AdversaryPlan", "AdversarialTransport", "NO_ADVERSARY")
-
-
-def __getattr__(name: str):
-    if name in _ADVERSARY_EXPORTS:
-        from repro.net import adversary
-
-        return getattr(adversary, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,8 +35,9 @@ import contextlib
 import signal
 import sys
 
-from repro.dht import DEFAULT_BITS
-from repro.rpc.daemon import SCHEMES, SUBSTRATES, NodeDaemon
+from repro.core.scheme import SCHEMES
+from repro.dht import DEFAULT_BITS, SUBSTRATES
+from repro.rpc.daemon import NodeDaemon
 from repro.rpc.loop import install_uvloop
 
 

@@ -35,7 +35,7 @@ from repro.rpc.codec import (
     measured_size_bytes,
 )
 from repro.rpc.cluster import ClusterClient, LocalCluster
-from repro.rpc.daemon import NodeDaemon, build_scheme, build_substrate
+from repro.rpc.daemon import NodeDaemon
 from repro.rpc.transport import (
     AsyncioTransport,
     WallClock,
@@ -57,8 +57,6 @@ __all__ = [
     "WallClock",
     "daemon_endpoint_name",
     "NodeDaemon",
-    "build_scheme",
-    "build_substrate",
     "ClusterClient",
     "LocalCluster",
 ]

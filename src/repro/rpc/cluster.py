@@ -35,16 +35,12 @@ from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine, SearchTrace
 from repro.core.fields import ARTICLE_SCHEMA, Record, Schema
 from repro.core.query import FieldQuery
+from repro.core.scheme import build_scheme
 from repro.core.service import FILE_MARK, IndexService
-from repro.dht import DEFAULT_BITS, hash_key
+from repro.dht import DEFAULT_BITS, build_substrate, hash_key
 from repro.net.message import Message, MessageKind
 from repro.net.transport import TransportError
-from repro.rpc.daemon import (
-    NodeDaemon,
-    build_scheme,
-    build_substrate,
-    parse_member,
-)
+from repro.rpc.daemon import NodeDaemon, parse_member
 from repro.rpc.transport import (
     Address,
     AsyncioTransport,

@@ -62,23 +62,9 @@ from typing import Optional
 
 from repro.core.cache import CachePolicy
 from repro.core.fields import ARTICLE_SCHEMA, Schema
-from repro.core.scheme import (
-    IndexScheme,
-    complex_scheme,
-    flat_scheme,
-    simple_scheme,
-)
+from repro.core.scheme import build_scheme
 from repro.core.service import IndexService
-from repro.dht import (
-    DEFAULT_BITS,
-    CANNetwork,
-    ChordNetwork,
-    DHTProtocol,
-    IdealRing,
-    KademliaNetwork,
-    PastryNetwork,
-    hash_key,
-)
+from repro.dht import DEFAULT_BITS, DHTProtocol, build_substrate, hash_key
 from repro.net.message import Message, MessageKind
 from repro.net.transport import DeliveryError, TransportError
 from repro.rpc.transport import (
@@ -88,44 +74,7 @@ from repro.rpc.transport import (
 )
 from repro.sec import NodeIdentity
 from repro.storage.durable import DurableNodeState, RecoveryReport
-from repro.storage.store import DHTStorage
-
-#: Names accepted by ``--substrate`` / :func:`build_substrate`.
-SUBSTRATES = ("ideal", "chord", "kademlia", "pastry", "can")
-#: Names accepted by ``--scheme`` / :func:`build_scheme`.
-SCHEMES = ("simple", "flat", "complex")
-
-
-def build_substrate(
-    name: str, node_ids: list[int], bits: int = DEFAULT_BITS
-) -> DHTProtocol:
-    """One overlay instance of the named substrate over ``node_ids``."""
-    if name == "ideal":
-        ring = IdealRing(bits)
-        for node_id in node_ids:
-            ring.add_node(node_id)
-        return ring
-    if name == "chord":
-        return ChordNetwork.bulk_build(node_ids, bits=bits)
-    if name == "kademlia":
-        return KademliaNetwork.bulk_build(node_ids, bits=bits)
-    if name == "pastry":
-        return PastryNetwork.bulk_build(node_ids, bits=bits)
-    if name == "can":
-        return CANNetwork.bulk_build(node_ids, bits=bits)
-    raise ValueError(f"unknown substrate: {name!r}")
-
-
-def build_scheme(name: str, schema: Schema) -> IndexScheme:
-    """The named index scheme from the paper's evaluation."""
-    if name == "simple":
-        return simple_scheme(schema)
-    if name == "flat":
-        return flat_scheme(schema)
-    if name == "complex":
-        return complex_scheme(schema)
-    raise ValueError(f"unknown scheme: {name!r}")
-
+from repro.storage.store import DHTStorage, replay_durable_state
 
 def format_member(node_id: int, address: Address) -> str:
     """Wire form of one membership entry: ``<id:x>@host:port``."""
@@ -289,38 +238,25 @@ class NodeDaemon:
         return address
 
     def _restore_durable_state(self) -> list[tuple[int, Address]]:
-        """Re-apply recovered state to the fresh in-memory node.
-
-        The recovered entries come *from* the journal, so they are
-        applied with journaling suppressed -- replaying must not re-log
-        (the seq watermark plus idempotent application is what keeps
-        repeated restarts from growing the WAL or the stores).  Returns
-        the remembered peers to try rejoining through.
+        """Re-apply recovered state to the fresh in-memory node (see
+        :func:`repro.storage.store.replay_durable_state`).  Returns the
+        remembered peers to try rejoining through.
         """
         assert self.durable is not None
         assert self.index_store is not None and self.file_store is not None
         assert self.service is not None
-        state = self.durable.state
-        self.durable.replaying = True
-        try:
-            self.index_store.replay_entries(
-                self.node_id, state.entries("index")
-            )
-            self.file_store.replay_entries(
-                self.node_id, state.entries("file")
-            )
-            cache = self.service.caches.get(self.node_id)
-            if cache is not None:
-                for query_key, targets in state.cache.items():
-                    for msd_key in targets:
-                        cache.insert(query_key, msd_key)
-            recovered_peers = [
-                (node_id, peer_address)
-                for node_id, peer_address in sorted(state.peers.items())
-                if node_id != self.node_id
-            ]
-        finally:
-            self.durable.replaying = False
+        replay_durable_state(
+            self.durable,
+            self.node_id,
+            self.index_store,
+            self.file_store,
+            self.service.caches.get(self.node_id),
+        )
+        recovered_peers = [
+            (node_id, peer_address)
+            for node_id, peer_address in sorted(self.durable.state.peers.items())
+            if node_id != self.node_id
+        ]
         # Journal this life's identity and address (no-ops when they
         # match the recovered state).
         self.index_store.attach_journal(self.durable, "index")

@@ -38,18 +38,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 from repro.analysis.tables import format_table
+from repro.core.scheme import SCHEMES
+from repro.dht import SUBSTRATES
 from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.sim.metrics import ExperimentResult
 from repro.sim.presets import get_preset, preset_names
-
-#: Presets that run as a two-cell comparison (trie vs covering chains).
-_COMPARISON_PRESETS = {"range-queries", "range-queries-smoke"}
-
-#: Presets that run as a security comparison (verification off vs on).
-_SEC_PRESETS = {"adversarial", "adversarial-smoke"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,19 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
             "Run one cell of the ICDCS'04 data-indexing evaluation grid."
         ),
     )
-    parser.add_argument(
-        "--scheme", choices=("simple", "flat", "complex"), default=None
-    )
+    parser.add_argument("--scheme", choices=tuple(SCHEMES), default=None)
     parser.add_argument(
         "--cache",
         default=None,
         help="none | multi | single | lruK (e.g. lru30)",
     )
-    parser.add_argument(
-        "--substrate",
-        choices=("ideal", "chord", "kademlia", "pastry", "can"),
-        default=None,
-    )
+    parser.add_argument("--substrate", choices=tuple(SUBSTRATES), default=None)
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument("--articles", type=int, default=None)
     parser.add_argument("--queries", type=int, default=None)
@@ -115,26 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="open-loop Poisson mean inter-arrival gap (0 = closed loop)",
-    )
-    kernel.add_argument(
-        "--scheduler",
-        choices=("auto", "heap", "wheel"),
-        default=None,
-        help=(
-            "event-kernel scheduler: binary heap or calendar-queue "
-            "timing wheel (auto: wheel at web scale); the choice "
-            "changes throughput only, never any measured number"
-        ),
-    )
-    kernel.add_argument(
-        "--metrics",
-        choices=("auto", "exact", "sketch"),
-        default=None,
-        help=(
-            "response-time collector: exact percentiles or a "
-            "constant-memory <1%%-error sketch (auto: sketch at "
-            "web scale)"
-        ),
     )
     chaos = parser.add_argument_group("failure model")
     chaos.add_argument(
@@ -321,8 +292,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "concurrency": args.concurrency,
         "latency_model": args.latency_model,
         "arrival_interval_ms": args.arrival_interval_ms,
-        "scheduler": args.scheduler,
-        "metrics": args.metrics,
         "fault_drop_probability": args.drop_probability,
         "fault_duplicate_probability": args.duplicate_probability,
         "fault_latency_ms": args.latency_ms,
@@ -372,82 +341,6 @@ def _cell_metrics(result: ExperimentResult) -> dict:
     }
 
 
-def run_comparison(
-    config: ExperimentConfig, bench_out: str | None, preset: str
-) -> int:
-    """Run the trie and covering-chains cells head-to-head and report."""
-    cells: dict[str, ExperimentResult] = {}
-    for structure in ("trie", "chains"):
-        cell_config = replace(config, index_structure=structure)
-        print(
-            f"running {preset} [{structure}]: {cell_config.num_nodes} nodes, "
-            f"{cell_config.num_articles:,} articles, "
-            f"{cell_config.num_queries:,} queries "
-            f"({100 * cell_config.predicate_mix:.0f}% predicate mix) ...",
-            flush=True,
-        )
-        cells[structure] = Experiment(cell_config).run()
-    trie, chains = cells["trie"], cells["chains"]
-    rows = [
-        ["interactions / query",
-         round(trie.avg_interactions, 3), round(chains.avg_interactions, 3)],
-        ["lookups found",
-         f"{trie.found}/{trie.searches}", f"{chains.found}/{chains.searches}"],
-        ["predicate queries", trie.predicate_queries, chains.predicate_queries],
-        ["queries hitting recoverable errors",
-         trie.nonindexed_queries, chains.nonindexed_queries],
-        ["wasted error interactions",
-         trie.total_error_interactions, chains.total_error_interactions],
-        ["normal traffic / query",
-         f"{trie.normal_bytes_per_query:,.0f} B",
-         f"{chains.normal_bytes_per_query:,.0f} B"],
-        ["index storage",
-         f"{trie.index_storage_bytes:,} B", f"{chains.index_storage_bytes:,} B"],
-        ["trie walks",
-         trie.perf_counters.get("trie_walks", 0),
-         chains.perf_counters.get("trie_walks", 0)],
-        ["specialization fallbacks",
-         trie.perf_counters.get("engine_specializations", 0),
-         chains.perf_counters.get("engine_specializations", 0)],
-        ["runtime",
-         f"{trie.runtime_seconds:.1f} s", f"{chains.runtime_seconds:.1f} s"],
-    ]
-    print(format_table(
-        ["metric", "trie index", "covering chains"],
-        rows,
-        title=f"{config.scheme} scheme, predicate_mix={config.predicate_mix}",
-    ))
-    if bench_out:
-        record = {
-            "preset": preset,
-            "scheme": config.scheme,
-            "cache": config.cache,
-            "workload": {
-                "num_nodes": config.num_nodes,
-                "num_articles": config.num_articles,
-                "num_queries": config.num_queries,
-                "num_authors": config.num_authors,
-                "predicate_mix": config.predicate_mix,
-                "corpus_seed": config.corpus_seed,
-                "query_seed": config.query_seed,
-            },
-            "cells": {
-                name: _cell_metrics(result) for name, result in cells.items()
-            },
-        }
-        try:
-            with open(bench_out) as handle:
-                trajectory = json.load(handle)
-        except (OSError, ValueError):
-            trajectory = []
-        trajectory.append(record)
-        with open(bench_out, "w") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
-        print(f"benchmark record appended to {bench_out}")
-    return 0
-
-
 def _sec_cell_metrics(result: ExperimentResult) -> dict:
     """The comparison numbers of one adversarial cell."""
     return {
@@ -470,89 +363,168 @@ def _sec_cell_metrics(result: ExperimentResult) -> dict:
     }
 
 
-def run_sec_comparison(
+@dataclass(frozen=True)
+class _Comparison:
+    """One head-to-head preset: two cells differing in one config field,
+    a two-column table, and the record appended to a BENCH trajectory."""
+
+    #: The config field the cells differ in, and (cell name, value) x 2.
+    field: str
+    cells: tuple[tuple[str, Any], ...]
+    #: The workload detail of a cell's "running ..." progress line.
+    progress: Callable[[ExperimentConfig], str]
+    headers: tuple[str, str]
+    title: Callable[[ExperimentConfig], str]
+    #: Table rows: (label, one cell's value from its result).
+    rows: tuple[tuple[str, Callable[[ExperimentResult], Any]], ...]
+    #: The record's sections between "cache" and "cells", and the
+    #: per-cell numbers.
+    record: Callable[[ExperimentConfig], dict]
+    metrics: Callable[[ExperimentResult], dict]
+
+
+#: Trie index vs covering chains (``--preset range-queries``).
+_QUERY_COMPARISON = _Comparison(
+    field="index_structure",
+    cells=(("trie", "trie"), ("chains", "chains")),
+    progress=lambda config: (
+        f"{config.num_nodes} nodes, "
+        f"{config.num_articles:,} articles, "
+        f"{config.num_queries:,} queries "
+        f"({100 * config.predicate_mix:.0f}% predicate mix)"
+    ),
+    headers=("trie index", "covering chains"),
+    title=lambda config: (
+        f"{config.scheme} scheme, predicate_mix={config.predicate_mix}"
+    ),
+    rows=(
+        ("interactions / query", lambda r: round(r.avg_interactions, 3)),
+        ("lookups found", lambda r: f"{r.found}/{r.searches}"),
+        ("predicate queries", lambda r: r.predicate_queries),
+        ("queries hitting recoverable errors", lambda r: r.nonindexed_queries),
+        ("wasted error interactions", lambda r: r.total_error_interactions),
+        ("normal traffic / query",
+         lambda r: f"{r.normal_bytes_per_query:,.0f} B"),
+        ("index storage", lambda r: f"{r.index_storage_bytes:,} B"),
+        ("trie walks", lambda r: r.perf_counters.get("trie_walks", 0)),
+        ("specialization fallbacks",
+         lambda r: r.perf_counters.get("engine_specializations", 0)),
+        ("runtime", lambda r: f"{r.runtime_seconds:.1f} s"),
+    ),
+    record=lambda config: {
+        "workload": {
+            "num_nodes": config.num_nodes,
+            "num_articles": config.num_articles,
+            "num_queries": config.num_queries,
+            "num_authors": config.num_authors,
+            "predicate_mix": config.predicate_mix,
+            "corpus_seed": config.corpus_seed,
+            "query_seed": config.query_seed,
+        },
+    },
+    metrics=_cell_metrics,
+)
+
+#: Verification off vs on (``--preset adversarial``).  Same seeds, same
+#: Byzantine population (recruitment draws from the chaos RNG before
+#: any fault draw) -- the only difference between the cells is the
+#: repro.sec defence.
+_SEC_COMPARISON = _Comparison(
+    field="verify_signatures",
+    cells=(("verify-off", False), ("verify-on", True)),
+    progress=lambda config: (
+        f"{config.num_nodes} nodes, "
+        f"{config.adversary_poisoners} poisoners, "
+        f"{config.adversary_liars} liars, "
+        f"{config.adversary_sybil_joins} sybil joins, "
+        f"{config.adversary_eclipse_victims} eclipsed, "
+        f"{config.num_queries:,} queries"
+    ),
+    headers=("verification off", "verification on"),
+    title=lambda config: (
+        f"{config.scheme} scheme under attack, "
+        f"{config.num_nodes} nodes, churn_seed={config.churn_seed}"
+    ),
+    rows=(
+        ("lookup success rate", lambda r: f"{100 * r.success_rate:.2f}%"),
+        ("poisoned file results",
+         lambda r: (
+             f"{r.poisoned_results} ({100 * r.poisoned_result_rate:.2f}%)"
+         )),
+        ("forged index answers delivered", lambda r: r.forged_answers),
+        ("forgeries caught by verification", lambda r: r.verify_failures),
+        ("withheld answers contradicted", lambda r: r.contradictions),
+        ("lookups eaten by eclipse sets", lambda r: r.eclipse_drops),
+        ("adversarial nodes (of which Sybils)",
+         lambda r: f"{r.adversarial_nodes} ({r.sybil_joins})"),
+        ("peers below trust threshold", lambda r: r.low_trust_peers),
+        ("replica failovers (service)", lambda r: r.service_failovers),
+        ("retries / lookup", lambda r: round(r.retries_per_lookup, 4)),
+        ("lookups that gave up", lambda r: r.lookups_gave_up),
+        ("runtime", lambda r: f"{r.runtime_seconds:.1f} s"),
+    ),
+    record=lambda config: {
+        "workload": {
+            "num_nodes": config.num_nodes,
+            "num_articles": config.num_articles,
+            "num_queries": config.num_queries,
+            "num_authors": config.num_authors,
+            "replication": config.replication,
+            "fault_drop_probability": config.fault_drop_probability,
+            "corpus_seed": config.corpus_seed,
+            "query_seed": config.query_seed,
+            "churn_seed": config.churn_seed,
+        },
+        "adversary": {
+            "poisoners": config.adversary_poisoners,
+            "liars": config.adversary_liars,
+            "sybil_joins": config.adversary_sybil_joins,
+            "eclipse_victims": config.adversary_eclipse_victims,
+            "eclipse_drop": config.adversary_eclipse_drop,
+        },
+    },
+    metrics=_sec_cell_metrics,
+)
+
+#: Presets that run as a two-cell comparison instead of one cell.
+_COMPARISONS = {
+    "range-queries": _QUERY_COMPARISON,
+    "range-queries-smoke": _QUERY_COMPARISON,
+    "adversarial": _SEC_COMPARISON,
+    "adversarial-smoke": _SEC_COMPARISON,
+}
+
+
+def run_comparison(
     config: ExperimentConfig, bench_out: str | None, preset: str
 ) -> int:
-    """Run the adversarial cell with verification off and on, and report.
-
-    Same seeds, same Byzantine population (recruitment draws from the
-    chaos RNG before any fault draw) -- the only difference between the
-    cells is the repro.sec defence.
-    """
+    """Run a comparison preset's two cells head-to-head and report."""
+    comparison = _COMPARISONS[preset]
     cells: dict[str, ExperimentResult] = {}
-    for name, verify in (("verify-off", False), ("verify-on", True)):
-        cell_config = replace(config, verify_signatures=verify)
+    for name, value in comparison.cells:
+        cell_config = replace(config, **{comparison.field: value})
         print(
-            f"running {preset} [{name}]: {cell_config.num_nodes} nodes, "
-            f"{cell_config.adversary_poisoners} poisoners, "
-            f"{cell_config.adversary_liars} liars, "
-            f"{cell_config.adversary_sybil_joins} sybil joins, "
-            f"{cell_config.adversary_eclipse_victims} eclipsed, "
-            f"{cell_config.num_queries:,} queries ...",
+            f"running {preset} [{name}]: "
+            f"{comparison.progress(cell_config)} ...",
             flush=True,
         )
         cells[name] = Experiment(cell_config).run()
-    off, on = cells["verify-off"], cells["verify-on"]
-    rows = [
-        ["lookup success rate",
-         f"{100 * off.success_rate:.2f}%", f"{100 * on.success_rate:.2f}%"],
-        ["poisoned file results",
-         f"{off.poisoned_results} ({100 * off.poisoned_result_rate:.2f}%)",
-         f"{on.poisoned_results} ({100 * on.poisoned_result_rate:.2f}%)"],
-        ["forged index answers delivered",
-         off.forged_answers, on.forged_answers],
-        ["forgeries caught by verification",
-         off.verify_failures, on.verify_failures],
-        ["withheld answers contradicted",
-         off.contradictions, on.contradictions],
-        ["lookups eaten by eclipse sets",
-         off.eclipse_drops, on.eclipse_drops],
-        ["adversarial nodes (of which Sybils)",
-         f"{off.adversarial_nodes} ({off.sybil_joins})",
-         f"{on.adversarial_nodes} ({on.sybil_joins})"],
-        ["peers below trust threshold",
-         off.low_trust_peers, on.low_trust_peers],
-        ["replica failovers (service)",
-         off.service_failovers, on.service_failovers],
-        ["retries / lookup",
-         round(off.retries_per_lookup, 4), round(on.retries_per_lookup, 4)],
-        ["lookups that gave up", off.lookups_gave_up, on.lookups_gave_up],
-        ["runtime",
-         f"{off.runtime_seconds:.1f} s", f"{on.runtime_seconds:.1f} s"],
-    ]
     print(format_table(
-        ["metric", "verification off", "verification on"],
-        rows,
-        title=(
-            f"{config.scheme} scheme under attack, "
-            f"{config.num_nodes} nodes, churn_seed={config.churn_seed}"
-        ),
+        ["metric", *comparison.headers],
+        [
+            [label, *(value(result) for result in cells.values())]
+            for label, value in comparison.rows
+        ],
+        title=comparison.title(config),
     ))
     if bench_out:
         record = {
             "preset": preset,
             "scheme": config.scheme,
             "cache": config.cache,
-            "workload": {
-                "num_nodes": config.num_nodes,
-                "num_articles": config.num_articles,
-                "num_queries": config.num_queries,
-                "num_authors": config.num_authors,
-                "replication": config.replication,
-                "fault_drop_probability": config.fault_drop_probability,
-                "corpus_seed": config.corpus_seed,
-                "query_seed": config.query_seed,
-                "churn_seed": config.churn_seed,
-            },
-            "adversary": {
-                "poisoners": config.adversary_poisoners,
-                "liars": config.adversary_liars,
-                "sybil_joins": config.adversary_sybil_joins,
-                "eclipse_victims": config.adversary_eclipse_victims,
-                "eclipse_drop": config.adversary_eclipse_drop,
-            },
+            **comparison.record(config),
             "cells": {
-                name: _sec_cell_metrics(result)
+                name: comparison.metrics(result)
                 for name, result in cells.items()
             },
         }
@@ -576,10 +548,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.preset in _COMPARISON_PRESETS:
+    if args.preset in _COMPARISONS:
         return run_comparison(config, args.bench_out, args.preset)
-    if args.preset in _SEC_PRESETS:
-        return run_sec_comparison(config, args.bench_out, args.preset)
     print(
         f"running {config.scheme}/{config.cache} over {config.substrate}: "
         f"{config.num_nodes} nodes, {config.num_articles:,} articles, "
@@ -615,8 +585,8 @@ def main(argv: list[str] | None = None) -> int:
              f"{result.response_time_ms_p95:,.1f} / "
              f"{result.response_time_ms_p99:,.1f} ms"],
             ["kernel events",
-             f"{events:,} ({config.resolved_scheduler} scheduler, "
-             f"{events / max(result.runtime_seconds, 1e-9):,.0f}/s)"],
+             f"{events:,} "
+             f"({events / max(result.runtime_seconds, 1e-9):,.0f}/s)"],
         ]
     print(format_table(["metric", "value"], rows, title=result.label()))
     if config.uses_kernel:

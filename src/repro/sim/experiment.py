@@ -29,26 +29,19 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
 from repro import perf
-from repro.analysis.stats import ExactQuantiles, LogBucketQuantiles
+from repro.analysis.stats import ExactQuantiles
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine, SearchTrace
 from repro.core.fields import ARTICLE_SCHEMA
 from repro.core.scheme import (
+    SCHEMES,
     IndexScheme,
     article_predicates,
-    complex_scheme,
-    flat_scheme,
-    simple_scheme,
+    build_scheme,
 )
 from repro.core.trie import TrieIndex
 from repro.core.service import IndexService
-from repro.dht.base import DHTProtocol
-from repro.dht.can import CANNetwork
-from repro.dht.chord import ChordNetwork
-from repro.dht.idspace import hash_key
-from repro.dht.kademlia import KademliaNetwork
-from repro.dht.pastry import PastryNetwork
-from repro.dht.ring import IdealRing
+from repro.dht import SUBSTRATES, build_substrate, hash_key
 from repro.net.adversary import ROLE_SYBIL, AdversarialTransport, AdversaryPlan
 from repro.net.faults import FaultPlan, FaultyTransport
 from repro.net.latency import parse_latency_model
@@ -58,22 +51,10 @@ from repro.sec import TrustLedger
 from repro.sim.kernel import EventKernel
 from repro.sim.metrics import ExperimentResult
 from repro.storage.durable import FsyncPolicy, NodeWalSet
-from repro.storage.store import DHTStorage
+from repro.storage.store import DHTStorage, replay_durable_state
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 from repro.workload.popularity import PowerLawPopularity
 from repro.workload.querygen import QueryGenerator, WorkloadQuery
-
-_SCHEME_BUILDERS = {
-    "simple": simple_scheme,
-    "flat": flat_scheme,
-    "complex": complex_scheme,
-}
-
-#: Query count at which "auto" flips from the paper-scale machinery
-#: (binary-heap kernel, exact percentiles) to the web-scale machinery
-#: (timing-wheel kernel, log-bucket quantile sketch).  Every paper
-#: preset sits well below this, so paper-scale numbers never change.
-_WEB_SCALE_QUERIES = 200_000
 
 
 @dataclass(frozen=True)
@@ -169,13 +150,6 @@ class ExperimentConfig:
     #: overhead; a traced run records every lookup span but changes no
     #: aggregate (tracing is read-only observation).
     trace: bool = False
-    #: Event-kernel scheduler for kernel-mode runs: "heap" (the seed
-    #: binary heap), "wheel" (the calendar-queue timing wheel), or
-    #: "auto" (heap below ``_WEB_SCALE_QUERIES`` queries, wheel at or
-    #: above).  Both schedulers honour the same (time, seq) ordering
-    #: contract, so the choice changes throughput only, never any
-    #: measured number.
-    scheduler: str = "auto"
     #: Fraction of workload queries loosened into predicate queries
     #: (prefix / wildcard / year-range -- see
     #: :meth:`repro.workload.querygen.QueryGenerator._predicated`).
@@ -189,12 +163,6 @@ class ExperimentConfig:
     #: entries, predicate lookups rewritten onto trie nodes).  Ignored
     #: unless ``predicate_mix`` > 0.
     index_structure: str = "chains"
-    #: Response-time collector: "exact" (every sample kept; percentiles
-    #: bit-identical to the seed accumulation list), "sketch" (constant
-    #: memory, <1% relative error -- see
-    #: :class:`repro.analysis.stats.LogBucketQuantiles`), or "auto"
-    #: (exact below ``_WEB_SCALE_QUERIES`` queries, sketch at or above).
-    metrics: str = "auto"
     #: Adversarial (Byzantine) population -- see
     #: :mod:`repro.net.adversary`.  Poisoners fabricate index entries
     #: and serve forged files; liars forge shortcut referrals; Sybils
@@ -220,9 +188,9 @@ class ExperimentConfig:
     verify_signatures: bool = False
 
     def __post_init__(self) -> None:
-        if self.scheme not in _SCHEME_BUILDERS:
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.substrate not in ("ideal", "chord", "kademlia", "pastry", "can"):
+        if self.substrate not in SUBSTRATES:
             raise ValueError(f"unknown substrate {self.substrate!r}")
         CachePolicy.parse(self.cache)  # validates
         if self.num_nodes < 1 or self.num_articles < 1 or self.num_queries < 0:
@@ -243,10 +211,6 @@ class ExperimentConfig:
         if self.durability not in ("none", "wal"):
             raise ValueError(f"unknown durability {self.durability!r}")
         FsyncPolicy.parse(self.fsync)  # validates
-        if self.scheduler not in ("auto", "heap", "wheel"):
-            raise ValueError(f"unknown scheduler {self.scheduler!r}")
-        if self.metrics not in ("auto", "exact", "sketch"):
-            raise ValueError(f"unknown metrics mode {self.metrics!r}")
         if not 0.0 <= self.predicate_mix <= 1.0:
             raise ValueError(f"predicate_mix must be in [0, 1]: {self.predicate_mix}")
         if self.index_structure not in ("chains", "trie"):
@@ -302,20 +266,6 @@ class ExperimentConfig:
             or self.arrival_interval_ms > 0
         )
 
-    @property
-    def resolved_scheduler(self) -> str:
-        """The concrete kernel scheduler ("auto" resolved by scale)."""
-        if self.scheduler != "auto":
-            return self.scheduler
-        return "wheel" if self.num_queries >= _WEB_SCALE_QUERIES else "heap"
-
-    @property
-    def resolved_metrics(self) -> str:
-        """The concrete collector mode ("auto" resolved by scale)."""
-        if self.metrics != "auto":
-            return self.metrics
-        return "sketch" if self.num_queries >= _WEB_SCALE_QUERIES else "exact"
-
     def scaled(self, factor: float) -> "ExperimentConfig":
         """A proportionally smaller/larger copy (for quick tests)."""
         return replace(
@@ -325,6 +275,12 @@ class ExperimentConfig:
             num_queries=max(0, int(self.num_queries * factor)),
             num_authors=max(1, int(self.num_authors * factor)),
         )
+
+
+#: Outage kinds in the pending-recovery map.  A crashed node keeps its
+#: state; a killed one lost its RAM; a power loss also tore the
+#: un-fsynced tail of its write-ahead log.
+_CRASH, _KILL, _POWER_LOSS = "crash", "kill", "power_loss"
 
 
 class Experiment:
@@ -348,25 +304,28 @@ class Experiment:
         )
         if len(self.corpus) != config.num_articles:
             raise ValueError("shared corpus does not match the configuration")
-        if scheme is not None:
-            self.scheme = scheme
-        elif config.predicate_mix > 0:
-            # Predicate workloads need the scheme to declare the kinds it
-            # resolves.  The trie cell also declares levels (so lookups
-            # rewrite onto trie nodes); the chains cell declares kinds
-            # only, opting into the specialization fallback.
-            declarations = article_predicates()
-            if config.index_structure != "trie":
-                declarations = {
-                    field: replace(declared, trie_levels=())
-                    for field, declared in declarations.items()
-                }
-            self.scheme = _SCHEME_BUILDERS[config.scheme](
-                ARTICLE_SCHEMA, predicates=declarations
-            )
-        else:
-            self.scheme = _SCHEME_BUILDERS[config.scheme](ARTICLE_SCHEMA)
-        self.protocol = self._build_substrate()
+        if scheme is None:
+            declarations = None
+            if config.predicate_mix > 0:
+                # Predicate workloads need the scheme to declare the kinds
+                # it resolves.  The trie cell also declares levels (so
+                # lookups rewrite onto trie nodes); the chains cell
+                # declares kinds only, opting into the specialization
+                # fallback.
+                declarations = article_predicates()
+                if config.index_structure != "trie":
+                    declarations = {
+                        field: replace(declared, trie_levels=())
+                        for field, declared in declarations.items()
+                    }
+            scheme = build_scheme(config.scheme, ARTICLE_SCHEMA, declarations)
+        self.scheme = scheme
+        node_ids = sorted(
+            {hash_key(f"node-{i}", config.bits) for i in range(config.num_nodes)}
+        )
+        if len(node_ids) != config.num_nodes:
+            raise RuntimeError("node id collision; increase bits")
+        self.protocol = build_substrate(config.substrate, node_ids, config.bits)
         # One seeded RNG drives churn scheduling, crash victim selection,
         # and message-fault draws: chaos runs are bit-reproducible, and a
         # zero fault plan makes the wrapper draw-free and transparent.
@@ -458,35 +417,21 @@ class Experiment:
             self.service.journal = self.walset
         self.engine = LookupEngine(self.service, user="user:0", tracer=self.tracer)
         self._populated = False
-        self._dht_hops_total = 0
-        self._dht_lookups = 0
-        self._join_counter = config.num_nodes
-        self._sybil_counter = 0
-        #: Sybil-flood schedule: query positions at which one adversary-
-        #: controlled node joins (filled by :meth:`_chaos_schedule`).
-        self._sybil_positions: set[int] = set()
+        #: Serial of the last id tried per joiner label (see
+        #: :meth:`_join_fresh_node`).
+        self._join_serials = {"node": config.num_nodes, "sybil": 0}
         self.churn_keys_moved = 0
-        self.repair_keys = 0
-        self.repair_bytes = 0
-        #: Nodes currently in a crash window, mapped to their scheduled
-        #: recovery query position.
-        self._crashed_until: dict[int, int] = {}
-        #: Nodes currently in a restart window, mapped to their
-        #: scheduled recovery position and the power-loss flag.
-        self._restarting_until: dict[int, tuple[int, bool]] = {}
-        #: Restart schedule: query position -> power-loss flag (filled
-        #: by :meth:`_chaos_schedule`).
-        self._restart_positions: dict[int, bool] = {}
-        self._restarts = 0
-        self._power_losses = 0
-        self._recovered_entries = 0
-        self._recovered_cache_entries = 0
-        self._wal_records_replayed = 0
-        self._wal_torn_bytes = 0
-        self._recovery_replay_ms = 0.0
-        self._post_restart_searches = 0
-        self._post_restart_found = 0
+        #: The one chaos timeline: query position -> the node-lifecycle
+        #: events due there (built by :meth:`_chaos_timeline` when the
+        #: run starts).
+        self._timeline: dict[int, list[tuple]] = {}
+        #: The one pending-recovery map: every node currently down ->
+        #: (query position at which it comes back, outage kind).
+        self._down: dict[int, tuple[int, str]] = {}
         self._any_recovery = False
+        #: The result being accumulated (created by :meth:`_run`); the
+        #: chaos handlers write their counts onto it directly.
+        self._result: ExperimentResult
         #: Optional observer called with every SearchTrace as the feed
         #: runs (determinism and zero-fault-identity tests use this).
         self.trace_sink: Optional[Callable[[SearchTrace], None]] = None
@@ -494,23 +439,6 @@ class Experiment:
         #: (merged into ``result.perf_counters`` with a ``kernel_``
         #: prefix; empty for sequential runs).
         self._kernel_stats: dict[str, int] = {}
-
-    def _build_substrate(self) -> DHTProtocol:
-        config = self.config
-        node_ids = sorted(
-            {hash_key(f"node-{i}", config.bits) for i in range(config.num_nodes)}
-        )
-        if len(node_ids) != config.num_nodes:
-            raise RuntimeError("node id collision; increase bits")
-        if config.substrate == "ideal":
-            return IdealRing.bulk_build(node_ids, bits=config.bits)
-        if config.substrate == "chord":
-            return ChordNetwork.bulk_build(node_ids, bits=config.bits)
-        if config.substrate == "kademlia":
-            return KademliaNetwork.bulk_build(node_ids, bits=config.bits)
-        if config.substrate == "pastry":
-            return PastryNetwork.bulk_build(node_ids, bits=config.bits)
-        return CANNetwork.bulk_build(node_ids, bits=config.bits)
 
     # -- population --------------------------------------------------------------
 
@@ -563,7 +491,7 @@ class Experiment:
         perf_before = perf.snapshot()
         self.populate()
         config = self.config
-        result = ExperimentResult(
+        result = self._result = ExperimentResult(
             scheme=config.scheme,
             cache=config.cache,
             substrate=config.substrate,
@@ -582,15 +510,15 @@ class Experiment:
             seed=config.query_seed,
             predicate_mix=config.predicate_mix,
         )
-        churn_positions, crash_positions = self._chaos_schedule()
+        self._timeline = self._chaos_timeline()
 
         feed = generator.generate(config.num_queries)
         if config.uses_kernel:
-            self._run_concurrent(result, feed, churn_positions, crash_positions)
+            self._run_concurrent(feed)
         else:
-            self._run_sequential(result, feed, churn_positions, crash_positions)
+            self._run_sequential(feed)
         self._process_recoveries(config.num_queries)
-        self._collect(result)
+        self._collect()
         result.perf_counters = perf.delta(perf_before, perf.snapshot())
         for name, value in self._kernel_stats.items():
             result.perf_counters[f"kernel_{name}"] = value
@@ -603,8 +531,6 @@ class Experiment:
             "storage_failovers",
         ):
             setattr(result, counter, result.perf_counters.get(counter, 0))
-        result.repair_keys = self.repair_keys
-        result.repair_bytes = self.repair_bytes
         counts = result.perf_counters
         result.verify_failures = counts.get("sec_verify_failures", 0)
         result.contradictions = counts.get("sec_contradictions", 0)
@@ -623,18 +549,9 @@ class Experiment:
             result.poisoned_result_rate = (
                 result.poisoned_results / result.searches
             )
-        result.restarts = self._restarts
-        result.power_losses = self._power_losses
-        result.recovered_entries = self._recovered_entries
-        result.recovered_cache_entries = self._recovered_cache_entries
-        result.wal_records_replayed = self._wal_records_replayed
-        result.wal_torn_bytes = self._wal_torn_bytes
-        result.recovery_replay_ms = self._recovery_replay_ms
-        result.post_restart_searches = self._post_restart_searches
-        result.post_restart_found = self._post_restart_found
-        if self._post_restart_searches:
+        if result.post_restart_searches:
             result.post_restart_success_rate = (
-                self._post_restart_found / self._post_restart_searches
+                result.post_restart_found / result.post_restart_searches
             )
         result.runtime_seconds = time.monotonic() - started
         return result
@@ -649,28 +566,16 @@ class Experiment:
             )
         return self.tracer.write_jsonl(path)
 
-    def _run_sequential(
-        self,
-        result: ExperimentResult,
-        feed: Iterable[WorkloadQuery],
-        churn_positions: set[int],
-        crash_positions: set[int],
-    ) -> None:
+    def _run_sequential(self, feed: Iterable[WorkloadQuery]) -> None:
         """The paper's feed: one query at a time through the call stack."""
         meter = self.transport.meter
         for position, workload_query in enumerate(feed):
-            self._dispatch_chaos(position, churn_positions, crash_positions)
+            self._dispatch_chaos(position)
             trace = self.engine.search(workload_query.query, workload_query.target)
             meter.end_query()
-            self._record_trace(result, trace)
+            self._record_trace(trace)
 
-    def _run_concurrent(
-        self,
-        result: ExperimentResult,
-        feed: Iterable[WorkloadQuery],
-        churn_positions: set[int],
-        crash_positions: set[int],
-    ) -> None:
+    def _run_concurrent(self, feed: Iterable[WorkloadQuery]) -> None:
         """Kernel mode: overlapping lookups on the virtual clock.
 
         Closed loop by default -- each of the ``concurrency`` users
@@ -681,7 +586,8 @@ class Experiment:
         when the query at that position is dispatched.
         """
         config = self.config
-        kernel = EventKernel(scheduler=config.resolved_scheduler)
+        result = self._result
+        kernel = EventKernel(scheduler="wheel")
         latency = parse_latency_model(
             config.latency_model, seed=config.churn_seed
         )
@@ -693,13 +599,9 @@ class Experiment:
             for index in range(1, config.concurrency)
         ]
         meter = self.transport.meter
-        # Exact mode keeps every sample (bit-identical to the seed's
-        # accumulation list); sketch mode is constant-memory for feeds
-        # where 10^6+ floats per metric would dominate the footprint.
-        if config.resolved_metrics == "sketch":
-            response_times = LogBucketQuantiles()
-        else:
-            response_times = ExactQuantiles()
+        # Every sample is kept: percentiles are exact, at 8 bytes per
+        # query per metric.
+        response_times = ExactQuantiles()
         # The feed is a generator: closed-loop mode pulls queries one at
         # a time as users free up, so the 10^6-query web-scale workload
         # never materializes in memory.
@@ -710,7 +612,7 @@ class Experiment:
             # The engine pointed the meter at this lookup's own touched
             # nodes (Fig 15) before completing it.
             meter.end_query()
-            self._record_trace(result, trace)
+            self._record_trace(trace)
 
         def begin(
             engine: LookupEngine,
@@ -718,7 +620,7 @@ class Experiment:
             workload_query: WorkloadQuery,
             and_then: Optional[Callable[[], None]] = None,
         ) -> None:
-            self._dispatch_chaos(position, churn_positions, crash_positions)
+            self._dispatch_chaos(position)
             started_at = kernel.now
 
             def on_complete(trace: SearchTrace) -> None:
@@ -779,27 +681,11 @@ class Experiment:
             result.response_time_ms_p95 = response_times.percentile(0.95)
             result.response_time_ms_p99 = response_times.percentile(0.99)
 
-    def _dispatch_chaos(
-        self,
-        position: int,
-        churn_positions: set[int],
-        crash_positions: set[int],
-    ) -> None:
-        """Apply the chaos schedule due at one query position."""
-        self._process_recoveries(position)
-        if position in self._sybil_positions:
-            self._sybil_join_event()
-        if position in churn_positions:
-            self._churn_event()
-        if position in crash_positions:
-            self._crash_event(position)
-        if position in self._restart_positions:
-            self._restart_event(position, self._restart_positions[position])
-
-    def _record_trace(self, result: ExperimentResult, trace: SearchTrace) -> None:
+    def _record_trace(self, trace: SearchTrace) -> None:
         """Fold one completed lookup into the running result."""
         if self.trace_sink is not None:
             self.trace_sink(trace)
+        result = self._result
         result.searches += 1
         result.found += int(trace.found)
         if not trace.query.is_exact():
@@ -808,8 +694,8 @@ class Experiment:
             # Every lookup completing after the first restart recovery
             # counts toward the post-restart success rate -- whether
             # recovered state actually serves.
-            self._post_restart_searches += 1
-            self._post_restart_found += int(trace.found)
+            result.post_restart_searches += 1
+            result.post_restart_found += int(trace.found)
         result.total_interactions += trace.interactions
         result.total_retries += trace.retries
         result.total_failed_sends += trace.failed_sends
@@ -821,68 +707,9 @@ class Experiment:
             result.cache_hits += 1
         if trace.first_contact_hit:
             result.first_contact_hits += 1
-        self._dht_hops_total += sum(
-            1 for _ in trace.visited
-        )  # interactions resolve one key each
 
-    def _chaos_schedule(self) -> tuple[set[int], set[int]]:
-        """Query positions at which churn and crash events fire.
-
-        Computed up front from the shared chaos RNG, so the schedule is
-        independent of how many per-message fault draws the feed makes.
-        Uniform mode spreads events evenly (the seed behaviour); poisson
-        mode draws each position independently at the configured rate.
-        """
-        config = self.config
-        churn_positions: set[int] = set()
-        if config.churn_events:
-            if config.churn_mode == "poisson" and config.num_queries:
-                rate = min(1.0, config.churn_events / config.num_queries)
-                churn_positions = {
-                    position
-                    for position in range(config.num_queries)
-                    if self._chaos_rng.random() < rate
-                }
-            else:
-                stride = max(1, config.num_queries // (config.churn_events + 1))
-                churn_positions = {
-                    stride * (event + 1) for event in range(config.churn_events)
-                }
-        crash_positions: set[int] = set()
-        if config.crash_events:
-            stride = max(1, config.num_queries // (config.crash_events + 1))
-            crash_positions = {
-                stride * (event + 1) for event in range(config.crash_events)
-            }
-        self._restart_positions = {}
-        total_restarts = config.restart_events + config.power_loss_events
-        if total_restarts:
-            # Which of the scheduled kills are power losses is drawn
-            # from the shared chaos RNG (after the churn draws, so
-            # restart-free cells see an unchanged stream).
-            flags = [False] * config.restart_events + (
-                [True] * config.power_loss_events
-            )
-            self._chaos_rng.shuffle(flags)
-            stride = max(1, config.num_queries // (total_restarts + 1))
-            self._restart_positions = {
-                stride * (event + 1): flags[event]
-                for event in range(total_restarts)
-            }
-        self._sybil_positions = set()
-        if config.adversary_sybil_joins:
-            # Spread uniformly, like crashes; placement draws no RNG, so
-            # the benign chaos stream is unchanged by a Sybil flood.
-            stride = max(
-                1, config.num_queries // (config.adversary_sybil_joins + 1)
-            )
-            self._sybil_positions = {
-                stride * (event + 1)
-                for event in range(config.adversary_sybil_joins)
-            }
-        return churn_positions, crash_positions
-
-    def _collect(self, result: ExperimentResult) -> None:
+    def _collect(self) -> None:
+        result = self._result
         queries = max(1, result.searches)
         result.avg_interactions = result.total_interactions / queries
         result.success_rate = result.found / queries
@@ -919,6 +746,133 @@ class Experiment:
 
         result.avg_dht_hops = self._average_dht_hops()
 
+    # -- chaos: the one timeline, its events, the recovery rule -------------------
+
+    def _chaos_timeline(self) -> dict[int, list[tuple]]:
+        """The chaos schedule: query position -> the lifecycle events due.
+
+        Built once, up front, from the config and the shared chaos RNG,
+        so it is independent of how many per-message fault draws the
+        feed makes.  Each event is ``(handler, *args)`` with an outage
+        already resolved to the position at which the victim comes back.
+        Events at one position run in the order they are appended here
+        -- Sybil join, churn, crash, restart -- and the RNG is drawn in
+        this order: the Poisson churn positions, then the power-loss
+        shuffle (Sybil and crash placement draw nothing, so a benign
+        cell's stream is unchanged by a flood and a restart-free cell's
+        by the restart axis).  Uniform placement spreads events evenly
+        over the feed (the seed behaviour); ``churn_mode="poisson"``
+        draws each query position independently at the configured rate.
+        """
+        config = self.config
+        timeline: dict[int, list[tuple]] = {}
+
+        def at(position: int, *event: object) -> None:
+            timeline.setdefault(position, []).append(event)
+
+        def spread(events: int) -> list[int]:
+            stride = max(1, config.num_queries // (events + 1))
+            return [stride * (event + 1) for event in range(events)]
+
+        for position in spread(config.adversary_sybil_joins):
+            at(position, self._sybil_join_event)
+        churn_positions = spread(config.churn_events)
+        if (
+            config.churn_events
+            and config.churn_mode == "poisson"
+            and config.num_queries
+        ):
+            rate = min(1.0, config.churn_events / config.num_queries)
+            churn_positions = [
+                position
+                for position in range(config.num_queries)
+                if self._chaos_rng.random() < rate
+            ]
+        for position in churn_positions:
+            at(position, self._churn_event)
+        for position in spread(config.crash_events):
+            at(
+                position,
+                self._take_down,
+                position + config.crash_downtime_queries,
+                _CRASH,
+            )
+        # Which of the scheduled kills are power losses is drawn from
+        # the shared chaos RNG.
+        power_loss_flags = [False] * config.restart_events + (
+            [True] * config.power_loss_events
+        )
+        self._chaos_rng.shuffle(power_loss_flags)
+        for position, power_loss in zip(
+            spread(len(power_loss_flags)), power_loss_flags
+        ):
+            at(
+                position,
+                self._restart_event,
+                position + config.restart_downtime_queries,
+                power_loss,
+            )
+        return timeline
+
+    def _dispatch_chaos(self, position: int) -> None:
+        """Apply the chaos due at one query position: the recoveries,
+        then the timeline's events in their listed order."""
+        self._process_recoveries(position)
+        for handler, *args in self._timeline.get(position, ()):
+            handler(*args)
+
+    def _repair_stores(self) -> int:
+        """Run the incremental :meth:`DHTStorage.repair` pass over both
+        stores -- the maintenance a DHash/PAST-class layer performs after
+        any membership or liveness change -- and meter it.  Returns the
+        number of keys re-replicated."""
+        keys = 0
+        for store in (self.index_store, self.file_store):
+            report = store.repair()
+            keys += report.keys_repaired
+            self._result.repair_bytes += report.bytes_copied
+        self._result.repair_keys += keys
+        return keys
+
+    def _join_fresh_node(self, label: str) -> int:
+        """Join one node under the next unused ``<label>-<serial>`` id."""
+        while True:
+            self._join_serials[label] += 1
+            joiner = hash_key(
+                f"{label}-{self._join_serials[label]}", self.config.bits
+            )
+            if joiner not in self.protocol:
+                break
+        self.protocol.add_node(joiner)
+        self.service.register_nodes()
+        return joiner
+
+    def _take_down(self, recover_at: int, kind: str) -> Optional[int]:
+        """Take one random live node down until query ``recover_at``.
+
+        The victim stays in the overlay and registered -- lookups still
+        resolve to it -- but the transport refuses delivery until it
+        recovers, so retries and replica failover must carry the load.
+        This alone is a *crash* event (the node comes back with its
+        stored state intact); :meth:`_restart_event` builds on it.
+        Returns the victim, or None when every node is already down.
+        """
+        candidates = [
+            node for node in self.protocol.node_ids if node not in self._down
+        ]
+        if not candidates:
+            return None
+        victim = candidates[self._chaos_rng.randrange(len(candidates))]
+        self.protocol.fail_node(victim)
+        self.transport.fail_node(self.service.endpoint_name(victim))
+        self._down[victim] = (recover_at, kind)
+        return victim
+
+    def _bring_up(self, node: int) -> None:
+        """Mark a downed node live again in the overlay and the transport."""
+        self.protocol.recover_node(node)
+        self.transport.recover_node(self.service.endpoint_name(node))
+
     def _churn_event(self) -> None:
         """One membership change: a random leave, a fresh join, repair.
 
@@ -931,24 +885,13 @@ class Experiment:
         victim = victims[self._chaos_rng.randrange(len(victims))]
         self.protocol.remove_node(victim)
         self.service.unregister_node(victim)
-        self._crashed_until.pop(victim, None)
         # A churned-away node departs for good: cancel any pending
-        # restart recovery (drop_node below also deletes its journal).
-        self._restarting_until.pop(victim, None)
+        # recovery (drop_node below also deletes its journal).
+        self._down.pop(victim, None)
         self.index_store.drop_node(victim)
         self.file_store.drop_node(victim)
-        while True:
-            self._join_counter += 1
-            joiner = hash_key(f"node-{self._join_counter}", self.config.bits)
-            if joiner not in self.protocol:
-                break
-        self.protocol.add_node(joiner)
-        self.service.register_nodes()
-        for store in (self.index_store, self.file_store):
-            report = store.repair()
-            self.churn_keys_moved += report.keys_repaired
-            self.repair_keys += report.keys_repaired
-            self.repair_bytes += report.bytes_copied
+        self._join_fresh_node("node")
+        self.churn_keys_moved += self._repair_stores()
 
     def _sybil_join_event(self) -> None:
         """One Sybil-flood step: an adversary-controlled node joins.
@@ -960,42 +903,13 @@ class Experiment:
         makes a Sybil worse than a crash: the overlay believes the keys
         are well-replicated.
         """
-        while True:
-            self._sybil_counter += 1
-            joiner = hash_key(f"sybil-{self._sybil_counter}", self.config.bits)
-            if joiner not in self.protocol:
-                break
-        self.protocol.add_node(joiner)
-        self.service.register_nodes()
+        joiner = self._join_fresh_node("sybil")
         assert isinstance(self.transport, AdversarialTransport)
         self.transport.mark(self.service.endpoint_name(joiner), ROLE_SYBIL)
         perf.counters.sec_sybil_joins += 1
-        for store in (self.index_store, self.file_store):
-            report = store.repair()
-            self.repair_keys += report.keys_repaired
-            self.repair_bytes += report.bytes_copied
+        self._repair_stores()
 
-    def _crash_event(self, position: int) -> None:
-        """Crash one random live node for a fixed window of queries.
-
-        The node stays in the overlay and registered -- lookups still
-        resolve to it -- but the transport refuses delivery until it
-        recovers, so retries and replica failover must carry the load.
-        """
-        candidates = [
-            node
-            for node in self.protocol.node_ids
-            if node not in self._crashed_until
-            and node not in self._restarting_until
-        ]
-        if not candidates:
-            return
-        victim = candidates[self._chaos_rng.randrange(len(candidates))]
-        self.protocol.fail_node(victim)
-        self.transport.fail_node(self.service.endpoint_name(victim))
-        self._crashed_until[victim] = position + self.config.crash_downtime_queries
-
-    def _restart_event(self, position: int, power_loss: bool) -> None:
+    def _restart_event(self, recover_at: int, power_loss: bool) -> None:
         """Kill one random live node outright (SIGKILL semantics).
 
         Like a crash, the victim stays in the overlay and registered but
@@ -1006,31 +920,20 @@ class Experiment:
         brings the node back empty, the baseline the matrix compares
         against.
         """
-        candidates = [
-            node
-            for node in self.protocol.node_ids
-            if node not in self._crashed_until
-            and node not in self._restarting_until
-        ]
-        if not candidates:
+        victim = self._take_down(recover_at, _POWER_LOSS if power_loss else _KILL)
+        if victim is None:
             return
-        victim = candidates[self._chaos_rng.randrange(len(candidates))]
-        self.protocol.fail_node(victim)
-        self.transport.fail_node(self.service.endpoint_name(victim))
+        result = self._result
         perf.counters.fault_restarts += 1
-        self._restarts += 1
+        result.restarts += 1
         if power_loss:
             perf.counters.fault_power_losses += 1
-            self._power_losses += 1
+            result.power_losses += 1
         if self.walset is not None:
             if power_loss:
-                self._wal_torn_bytes += self.walset.power_loss(victim)
+                result.wal_torn_bytes += self.walset.power_loss(victim)
             else:
                 self.walset.kill(victim)
-        self._restarting_until[victim] = (
-            position + self.config.restart_downtime_queries,
-            power_loss,
-        )
 
     def _recover_restarted(self, node: int, power_loss: bool) -> None:
         """Restart a killed node: wipe RAM, replay the journal, repair.
@@ -1047,84 +950,58 @@ class Experiment:
         cache = self.service.caches.get(node)
         if cache is not None:
             cache.clear()
+        entries = cache_entries = wal_records = torn_bytes = 0
+        replay_ms = 0.0
         if self.walset is not None:
             started = time.perf_counter()
             durable = self.walset.recover(node)
-            state = durable.state
-            recovered = 0
-            recovered_cache = 0
-            durable.replaying = True
-            try:
-                recovered += self.index_store.replay_entries(
-                    node, state.entries("index")
-                )
-                recovered += self.file_store.replay_entries(
-                    node, state.entries("file")
-                )
-                if cache is not None:
-                    for query_key, msd_keys in sorted(state.cache.items()):
-                        for msd_key in msd_keys:
-                            recovered_cache += int(
-                                cache.insert(query_key, msd_key)
-                            )
-            finally:
-                durable.replaying = False
+            entries, cache_entries = replay_durable_state(
+                durable, node, self.index_store, self.file_store, cache
+            )
             replay_ms = (time.perf_counter() - started) * 1000.0
-            self._recovered_entries += recovered
-            self._recovered_cache_entries += recovered_cache
-            self._wal_records_replayed += durable.report.wal_records
-            self._recovery_replay_ms += replay_ms
-            if self.tracer is not None:
-                self.tracer.node_recovery(
-                    node=node,
-                    power_loss=power_loss,
-                    entries=recovered,
-                    cache_entries=recovered_cache,
-                    wal_records=durable.report.wal_records,
-                    torn_bytes=durable.report.truncated_bytes,
-                    replay_ms=replay_ms,
-                )
-        elif self.tracer is not None:
+            wal_records = durable.report.wal_records
+            torn_bytes = durable.report.truncated_bytes
+            result = self._result
+            result.recovered_entries += entries
+            result.recovered_cache_entries += cache_entries
+            result.wal_records_replayed += wal_records
+            result.recovery_replay_ms += replay_ms
+        if self.tracer is not None:
             self.tracer.node_recovery(
                 node=node,
                 power_loss=power_loss,
-                entries=0,
-                cache_entries=0,
-                wal_records=0,
-                torn_bytes=0,
-                replay_ms=0.0,
+                entries=entries,
+                cache_entries=cache_entries,
+                wal_records=wal_records,
+                torn_bytes=torn_bytes,
+                replay_ms=replay_ms,
             )
-        if node in self.protocol:
-            self.protocol.recover_node(node)
-        self.transport.recover_node(self.service.endpoint_name(node))
-        for store in (self.index_store, self.file_store):
-            report = store.repair()
-            self.repair_keys += report.keys_repaired
-            self.repair_bytes += report.bytes_copied
+        self._bring_up(node)
+        self._repair_stores()
         self._any_recovery = True
 
     def _process_recoveries(self, position: int) -> None:
-        """Bring back crashed nodes whose downtime has elapsed; their
-        stored state survived the crash, and a repair pass restores any
-        replicas created elsewhere in the meantime to consistency."""
+        """Bring back every node whose downtime has elapsed.
+
+        The recovery rule: crashed nodes first (their stored state
+        survived, there is nothing to replay), then restarted ones, each
+        group in the order its nodes went down -- so a restarted node's
+        closing repair pass sees every replica that is due back.
+        """
+        if not self._down:
+            return
         due = [
-            node
-            for node, recover_at in self._crashed_until.items()
+            (node, kind)
+            for node, (recover_at, kind) in self._down.items()
             if recover_at <= position
         ]
-        for node in due:
-            del self._crashed_until[node]
-            if node in self.protocol:
-                self.protocol.recover_node(node)
-            self.transport.recover_node(self.service.endpoint_name(node))
-        due_restarts = [
-            node
-            for node, (recover_at, _) in self._restarting_until.items()
-            if recover_at <= position
-        ]
-        for node in due_restarts:
-            _, power_loss = self._restarting_until.pop(node)
-            self._recover_restarted(node, power_loss)
+        due.sort(key=lambda item: item[1] != _CRASH)
+        for node, kind in due:
+            del self._down[node]
+            if kind == _CRASH:
+                self._bring_up(node)
+            else:
+                self._recover_restarted(node, kind == _POWER_LOSS)
 
     def _average_dht_hops(self) -> float:
         """Mean substrate hops to resolve an index key, sampled post-hoc.

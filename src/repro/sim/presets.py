@@ -122,12 +122,11 @@ CONCURRENT_CONFIG = register_preset(
 
 #: The web-scale stress cell: 10^5 nodes and 10^6 queries -- two orders
 #: of magnitude past the paper -- driven closed-loop by 10,000 users on
-#: the virtual clock.  "auto" resolves to the timing-wheel scheduler and
-#: the constant-memory quantile sketch at this query count, which is
-#: what makes the run finish in minutes with bounded memory.  Fewer
-#: authors per article and a fatter corpus keep the index realistic at
-#: scale; replication stays 1 (the routing and indexing layers are the
-#: subject, not durability).
+#: the virtual clock.  The timing-wheel scheduler (the kernel every run
+#: uses) is what makes it finish in minutes; the feed is streamed, so
+#: memory stays bounded.  Fewer authors per article and a fatter corpus
+#: keep the index realistic at scale; replication stays 1 (the routing
+#: and indexing layers are the subject, not durability).
 WEB_SCALE_CONFIG = register_preset(
     "web-scale",
     ExperimentConfig(
@@ -141,10 +140,8 @@ WEB_SCALE_CONFIG = register_preset(
 )
 
 #: A proportionally reduced web-scale cell for CI: same machinery
-#: (wheel scheduler, sketch metrics, 100 concurrent users) at a size
-#: that finishes in seconds.  scheduler/metrics are forced because the
-#: reduced query count would resolve "auto" back to the paper-scale
-#: machinery.
+#: (100 concurrent users on the virtual clock) at a size that finishes
+#: in seconds.
 WEB_SCALE_SMOKE_CONFIG = register_preset(
     "web-scale-smoke",
     ExperimentConfig(
@@ -154,8 +151,6 @@ WEB_SCALE_SMOKE_CONFIG = register_preset(
         num_authors=400,
         concurrency=100,
         latency_model="uniform:10:100",
-        scheduler="wheel",
-        metrics="sketch",
     ),
 )
 

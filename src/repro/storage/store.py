@@ -32,6 +32,7 @@ from repro.dht.idspace import hash_key
 from repro.perf import counters
 
 if TYPE_CHECKING:
+    from repro.core.cache import NodeCache
     from repro.obs.tracer import Tracer
     from repro.storage.durable import DurableNodeState, NodeWalSet
 
@@ -536,3 +537,38 @@ class DHTStorage:
                 for value in stored_values:
                     total += key_bytes + len(value.encode("utf-8"))
         return total
+
+
+def replay_durable_state(
+    durable: "DurableNodeState",
+    node: NodeId,
+    index_store: DHTStorage,
+    file_store: DHTStorage,
+    cache: Optional["NodeCache"],
+) -> tuple[int, int]:
+    """Re-apply one node's recovered journal to its fresh in-memory state.
+
+    The one restart recovery, run by the simulator's restart chaos and
+    by a restarting daemon alike.  The entries come *from* the journal,
+    so journaling is suppressed for the duration -- replaying must not
+    re-log (the seq watermark plus idempotent application is what keeps
+    repeated restarts from growing the WAL or the stores).  Index
+    entries, then file entries, then cache shortcuts **in journal
+    order**: a bounded (``lruK``) cache that overflowed before the kill
+    comes back holding the most recently written shortcuts, as it did
+    when the process died.  Returns ``(entries, cache_entries)``
+    actually (re)added.
+    """
+    state = durable.state
+    cache_entries = 0
+    durable.replaying = True
+    try:
+        entries = index_store.replay_entries(node, state.entries("index"))
+        entries += file_store.replay_entries(node, state.entries("file"))
+        if cache is not None:
+            for query_key, msd_keys in state.cache.items():
+                for msd_key in msd_keys:
+                    cache_entries += int(cache.insert(query_key, msd_key))
+    finally:
+        durable.replaying = False
+    return entries, cache_entries

@@ -1,83 +1,113 @@
-"""Unit tests for prefix (substring) index classes -- Section IV-C."""
+"""Prefix (substring) index classes -- Section IV-C -- through the trie.
+
+"One can create an index with all the files of an author that start with
+the letter 'A', the letter 'B', etc."  There is one mechanism for that:
+the scheme declares prefix levels for the field, :class:`TrieIndex`
+materializes them as ordinary index entries, and a prefix lookup is an
+ordinary :class:`FieldQuery` whose constraint is a :class:`Prefix`
+predicate.  These cases pin it at one-letter and four-letter author
+levels, the shape the paper's example uses.
+"""
 
 import pytest
 
+from conftest_helpers import build_engine_stack
 from repro.core.cache import CachePolicy
-from repro.core.engine import LookupEngine
-from repro.core.fields import ARTICLE_SCHEMA, SchemaError
+from repro.core.engine import LookupError_
+from repro.core.fields import ARTICLE_SCHEMA, Record, SchemaError
+from repro.core.predicates import Prefix
 from repro.core.query import FieldQuery
-from repro.core.substring import PrefixIndex, PrefixQuery
+from repro.core.scheme import FieldPredicates, SchemeValidationError, simple_scheme
+from repro.core.trie import TrieIndex
+
+
+def prefix_query(prefix, field="author"):
+    return FieldQuery(ARTICLE_SCHEMA, {field: Prefix(prefix)})
+
+
+def prefix_scheme(levels=(1, 4)):
+    return simple_scheme(
+        predicates={
+            "author": FieldPredicates(kinds=("prefix",), trie_levels=levels)
+        }
+    )
+
+
+def build_stack(paper_records, levels=(1, 4), **service_options):
+    service, engine = build_engine_stack(
+        prefix_scheme(levels), **service_options
+    )
+    for record in paper_records:
+        service.insert_record(record)
+    trie = TrieIndex(service)
+    trie.insert_all(paper_records)
+    return service, trie, engine
 
 
 @pytest.fixture
-def stack(paper_records, service_factory):
-    service = service_factory()
-    for record in paper_records:
-        service.insert_record(record)
-    prefix_index = PrefixIndex(service, {"author": [1, 4]})
-    prefix_index.insert_all(paper_records)
-    engine = LookupEngine(service, user="user:px")
-    return service, prefix_index, engine
+def stack(paper_records):
+    return build_stack(paper_records)
 
 
 class TestPrefixQuery:
     def test_key_is_canonical_and_stable(self):
-        query = PrefixQuery(ARTICLE_SCHEMA, "author", "Jo")
+        query = prefix_query("Jo")
         assert query.key() == "/article[author[name[prefix:Jo]]]"
-        assert query.key() == query.key()
+        assert FieldQuery.parse(ARTICLE_SCHEMA, query.key()) == query
 
     def test_covers_field_query(self, paper_records):
-        query = PrefixQuery(ARTICLE_SCHEMA, "author", "John")
+        query = prefix_query("John")
         smith = FieldQuery.of_record(paper_records[0], ["author"])
         doe = FieldQuery.of_record(paper_records[2], ["author"])
         assert query.covers(smith)
         assert not query.covers(doe)
 
     def test_covers_record(self, paper_records):
-        assert PrefixQuery(ARTICLE_SCHEMA, "author", "J").covers_record(
-            paper_records[0]
-        )
-        assert not PrefixQuery(ARTICLE_SCHEMA, "author", "J").covers_record(
-            paper_records[2]
-        )
+        assert prefix_query("J").covers_record(paper_records[0])
+        assert not prefix_query("J").covers_record(paper_records[2])
 
-    def test_does_not_cover_other_fields(self, paper_records):
-        query = PrefixQuery(ARTICLE_SCHEMA, "author", "J")
+    def test_does_not_cover_other_fields(self):
         title_only = FieldQuery(ARTICLE_SCHEMA, {"title": "Jaws"})
-        assert not query.covers(title_only)
+        assert not prefix_query("J").covers(title_only)
 
     def test_equality(self):
-        a = PrefixQuery(ARTICLE_SCHEMA, "author", "J")
-        b = PrefixQuery(ARTICLE_SCHEMA, "author", "J")
-        c = PrefixQuery(ARTICLE_SCHEMA, "author", "Jo")
+        a, b, c = prefix_query("J"), prefix_query("J"), prefix_query("Jo")
         assert a == b and hash(a) == hash(b) and a != c
 
     def test_validation(self):
         with pytest.raises(SchemaError):
-            PrefixQuery(ARTICLE_SCHEMA, "author", "")
+            prefix_query("")
         with pytest.raises(SchemaError):
-            PrefixQuery(ARTICLE_SCHEMA, "publisher", "X")
+            prefix_query("X", field="publisher")
 
 
 class TestPrefixIndexConstruction:
-    def test_levels_validated(self, small_service):
+    def test_levels_validated(self):
+        service, _ = build_engine_stack(simple_scheme())
         with pytest.raises(SchemaError):
-            PrefixIndex(small_service, {})
-        with pytest.raises(SchemaError):
-            PrefixIndex(small_service, {"author": [0]})
-        with pytest.raises(SchemaError):
-            PrefixIndex(small_service, {"publisher": [1]})
+            TrieIndex(service)  # nothing declares a level
+        with pytest.raises(SchemeValidationError):
+            prefix_scheme(levels=(0,))
+        with pytest.raises(SchemeValidationError):
+            simple_scheme(
+                predicates={
+                    "publisher": FieldPredicates(
+                        kinds=("prefix",), trie_levels=(1,)
+                    )
+                }
+            )
 
     def test_queries_for_record(self, stack, paper_records):
-        _, prefix_index, _ = stack
-        queries = prefix_index.queries_for(paper_records[0])
-        prefixes = {query.prefix for query in queries}
-        assert prefixes == {"J", "John"}
+        _, trie, _ = stack
+        chain = [query.key() for query in trie.chain_for(paper_records[0], "author")]
+        assert chain[1:-1] == [
+            prefix_query("J").key(),
+            prefix_query("John").key(),
+        ]
 
     def test_chain_short_to_long_prefix(self, stack, paper_records):
         service, _, _ = stack
-        one = PrefixQuery(ARTICLE_SCHEMA, "author", "J")
-        four = PrefixQuery(ARTICLE_SCHEMA, "author", "John")
+        one, four = prefix_query("J"), prefix_query("John")
         assert four.key() in service.index_store.values(one.key())
         exact = FieldQuery.of_record(paper_records[0], ["author"])
         assert exact.key() in service.index_store.values(four.key())
@@ -86,55 +116,51 @@ class TestPrefixIndexConstruction:
         """John_Smith and Alan_Doe differ at letter one; Smith's two
         records share every prefix entry."""
         service, _, _ = stack
-        one = PrefixQuery(ARTICLE_SCHEMA, "author", "J")
-        values = service.index_store.values(one.key())
+        values = service.index_store.values(prefix_query("J").key())
         assert len(values) == len(set(values)) == 1
 
 
 class TestPrefixSearch:
     def test_explore_prefix_level(self, stack):
-        _, prefix_index, _ = stack
-        entries = prefix_index.explore("author", "A")
-        assert entries == ["/article[author[name[prefix:Alan]]]"]
+        service, _, _ = stack
+        answer = service.query_key(prefix_query("A").key(), "user:px")
+        assert answer.entries == ["/article[author[name[prefix:Alan]]]"]
 
     def test_search_from_one_letter(self, stack, paper_records):
-        _, prefix_index, engine = stack
-        trace = prefix_index.search(engine, "author", "J", paper_records[0])
+        _, _, engine = stack
+        trace = engine.search(prefix_query("J"), paper_records[0])
         assert trace.found
         # prefix:J -> prefix:John -> author -> author+title -> file.
         assert trace.interactions == 5
 
     def test_search_from_longer_prefix(self, stack, paper_records):
-        _, prefix_index, engine = stack
-        trace = prefix_index.search(engine, "author", "John", paper_records[1])
+        _, _, engine = stack
+        trace = engine.search(prefix_query("John"), paper_records[1])
         assert trace.found
         assert trace.interactions == 4
 
     def test_search_requires_covering(self, stack, paper_records):
-        _, prefix_index, engine = stack
-        with pytest.raises(SchemaError):
-            prefix_index.search(engine, "author", "J", paper_records[2])
+        _, _, engine = stack
+        with pytest.raises(LookupError_):
+            engine.search(prefix_query("J"), paper_records[2])
 
-    def test_unindexed_prefix_not_found(self, stack, paper_records):
-        service, prefix_index, engine = stack
-        from repro.core.fields import Record
-
+    def test_unindexed_prefix_not_found(self, stack):
+        _, _, engine = stack
         ghost = Record(
             ARTICLE_SCHEMA,
             {"author": "Zoe_Zed", "title": "Zzz", "conf": "X", "year": "2000"},
         )
-        trace = prefix_index.search(engine, "author", "Z", ghost)
+        trace = engine.search(prefix_query("Z"), ghost)
         assert not trace.found
-        assert trace.errors == 1
+        # prefix:Z is empty, and so is its generalization: the field
+        # root lists no child covering a 'Z' author.
+        assert trace.errors == 2
 
-    def test_search_with_cache_enabled(self, paper_records, service_factory):
-        service = service_factory(cache_policy=CachePolicy.SINGLE)
-        for record in paper_records:
-            service.insert_record(record)
-        prefix_index = PrefixIndex(service, {"author": [1]})
-        prefix_index.insert_all(paper_records)
-        engine = LookupEngine(service, user="user:pxc")
-        first = prefix_index.search(engine, "author", "J", paper_records[0])
-        second = prefix_index.search(engine, "author", "J", paper_records[0])
+    def test_search_with_cache_enabled(self, paper_records):
+        _, _, engine = build_stack(
+            paper_records, levels=(1,), cache_policy=CachePolicy.SINGLE
+        )
+        first = engine.search(prefix_query("J"), paper_records[0])
+        second = engine.search(prefix_query("J"), paper_records[0])
         assert first.found and second.found
         assert second.interactions <= first.interactions

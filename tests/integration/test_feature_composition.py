@@ -11,11 +11,12 @@ from repro.baselines.twine import TwineResolver
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine
 from repro.core.fields import ARTICLE_SCHEMA
+from repro.core.predicates import Prefix
 from repro.core.query import FieldQuery
-from repro.core.scheme import complex_scheme, simple_scheme
+from repro.core.scheme import FieldPredicates, complex_scheme, simple_scheme
 from repro.core.service import IndexService
 from repro.core.session import InteractiveSession
-from repro.core.substring import PrefixIndex
+from repro.core.trie import TrieIndex
 from repro.dht.chord import ChordNetwork
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
@@ -23,12 +24,14 @@ from repro.net.transport import SimulatedTransport
 from repro.storage.store import DHTStorage
 
 
-def chord_service(paper_records, policy=CachePolicy.NONE, replication=1):
+def chord_service(
+    paper_records, policy=CachePolicy.NONE, replication=1, predicates=None
+):
     node_ids = sorted(hash_key(f"peer-{i}", 32) for i in range(20))
     network = ChordNetwork.bulk_build(node_ids, bits=32)
     service = IndexService(
         ARTICLE_SCHEMA,
-        simple_scheme(),
+        simple_scheme(predicates=predicates),
         DHTStorage(network, replication=replication),
         DHTStorage(network, replication=replication),
         SimulatedTransport(),
@@ -39,19 +42,27 @@ def chord_service(paper_records, policy=CachePolicy.NONE, replication=1):
     return service
 
 
+#: One- and four-letter author prefix levels (Section IV-C).
+AUTHOR_PREFIXES = {
+    "author": FieldPredicates(kinds=("prefix",), trie_levels=(1, 4))
+}
+
+
+def author_prefix(prefix):
+    return FieldQuery(ARTICLE_SCHEMA, {"author": Prefix(prefix)})
+
+
 class TestPrefixOverChord:
     def test_prefix_search_over_real_dht(self, paper_records):
-        service = chord_service(paper_records)
-        prefix_index = PrefixIndex(service, {"author": [1]})
-        prefix_index.insert_all(paper_records)
+        service = chord_service(paper_records, predicates=AUTHOR_PREFIXES)
+        TrieIndex(service).insert_all(paper_records)
         engine = LookupEngine(service, user="user:fc1")
-        trace = prefix_index.search(engine, "author", "J", paper_records[0])
+        trace = engine.search(author_prefix("J"), paper_records[0])
         assert trace.found
 
     def test_prefix_entries_survive_rebalance(self, paper_records):
-        service = chord_service(paper_records)
-        prefix_index = PrefixIndex(service, {"author": [1]})
-        prefix_index.insert_all(paper_records)
+        service = chord_service(paper_records, predicates=AUTHOR_PREFIXES)
+        TrieIndex(service).insert_all(paper_records)
         protocol = service.index_store.protocol
         fresh = next(
             hash_key(f"late-{i}", 32)
@@ -63,7 +74,7 @@ class TestPrefixOverChord:
         service.index_store.rebalance()
         service.file_store.rebalance()
         engine = LookupEngine(service, user="user:fc2")
-        trace = prefix_index.search(engine, "author", "A", paper_records[2])
+        trace = engine.search(author_prefix("A"), paper_records[2])
         assert trace.found
 
 

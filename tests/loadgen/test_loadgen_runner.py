@@ -63,7 +63,7 @@ class TestRunLoadTest:
         )
 
         from repro.core.fields import ARTICLE_SCHEMA
-        from repro.rpc.daemon import build_scheme
+        from repro.core.scheme import build_scheme
 
         config = small_config()
         entry_classes = len(

@@ -5,12 +5,7 @@ import random
 import pytest
 
 from repro import perf
-from repro.net.faults import (
-    NO_FAULTS,
-    CrashEvent,
-    FaultPlan,
-    FaultyTransport,
-)
+from repro.net.faults import NO_FAULTS, FaultPlan, FaultyTransport
 from repro.net.message import Message, MessageKind
 from repro.net.transport import (
     DeliveryError,
@@ -48,7 +43,6 @@ class TestFaultPlan:
     def test_zero_plan_is_zero(self):
         assert NO_FAULTS.is_zero
         assert FaultPlan(drop_probability=0.1).is_zero is False
-        assert FaultPlan(crash_schedule=(CrashEvent(0, 5),)).is_zero is False
 
     def test_probabilities_validated(self):
         with pytest.raises(ValueError):
@@ -57,8 +51,6 @@ class TestFaultPlan:
             FaultPlan(duplicate_probability=-0.1)
         with pytest.raises(ValueError):
             FaultPlan(max_latency_ms=-1.0)
-        with pytest.raises(ValueError):
-            CrashEvent(at_send=-1, downtime_sends=3)
 
 
 class TestZeroPlanTransparency:
@@ -178,34 +170,6 @@ class TestCrashes:
         assert faulty.send(request()) is not None
         assert len(received) == 1
 
-    def test_scheduled_crash_and_rejoin(self, wired):
-        plan = FaultPlan(
-            crash_schedule=(CrashEvent(at_send=2, downtime_sends=3),)
-        )
-        faulty, _ = wired(plan)
-        outcomes = []
-        for _ in range(8):
-            try:
-                faulty.send(request())
-                outcomes.append("ok")
-            except DeliveryError:
-                outcomes.append("down")
-        assert outcomes == ["ok", "ok", "down", "down", "down", "ok", "ok", "ok"]
-
-    def test_explicit_victim(self):
-        inner = SimulatedTransport()
-        inner.register("node:1", lambda m: None)
-        inner.register("node:2", lambda m: None)
-        plan = FaultPlan(
-            crash_schedule=(
-                CrashEvent(at_send=0, downtime_sends=10, victim="node:2"),
-            )
-        )
-        faulty = FaultyTransport(inner, plan)
-        faulty.send(request("node:1"))  # fires the schedule
-        assert faulty.is_crashed("node:2")
-        assert not faulty.is_crashed("node:1")
-
     def test_unregister_clears_crash_state(self, wired):
         faulty, _ = wired(NO_FAULTS)
         faulty.fail_node("node:1")
@@ -319,16 +283,16 @@ class TestUnboundClockMisuse:
     def test_send_async_without_clock_raises_before_any_state_changes(
         self, wired
     ):
-        # A plan that would crash the destination, drop, delay and
+        # A downed destination and a plan that would drop, delay and
         # duplicate on this very send -- were it ever started.
         plan = FaultPlan(
             drop_probability=1.0,
             duplicate_probability=1.0,
             max_latency_ms=50.0,
-            crash_schedule=(CrashEvent(at_send=0, downtime_sends=5),),
         )
         rng = random.Random(9)
         faulty, received = wired(plan, rng=rng)
+        faulty.fail_node("node:1")
         state = rng.getstate()
         before = perf.snapshot()
         with pytest.raises(TransportError) as excinfo:
@@ -336,7 +300,7 @@ class TestUnboundClockMisuse:
         assert not isinstance(excinfo.value, DeliveryError)
         assert faulty.sends == 0
         assert faulty.latency_ms == 0.0
-        assert faulty.crashed_endpoints == set()
+        assert faulty.crashed_endpoints == {"node:1"}
         assert faulty.meter.total_bytes == 0
         assert rng.getstate() == state
         assert not any(perf.delta(before, perf.snapshot()).values())

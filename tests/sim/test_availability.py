@@ -137,26 +137,32 @@ class TestChurnPreset:
         )
 
 
+def churn_positions(config):
+    """Query positions of the churn events on a config's chaos timeline."""
+    experiment = Experiment(config)
+    return {
+        position
+        for position, events in experiment._chaos_timeline().items()
+        for handler, *_ in events
+        if handler == experiment._churn_event
+    }
+
+
 class TestPoissonChurn:
     def test_poisson_schedule_seeded(self):
-        first = Experiment(CHAOS)._chaos_schedule()
-        second = Experiment(CHAOS)._chaos_schedule()
-        assert first == second
+        assert churn_positions(CHAOS) == churn_positions(CHAOS)
 
     def test_poisson_schedule_varies_with_seed(self):
-        first, _ = Experiment(CHAOS)._chaos_schedule()
-        second, _ = Experiment(
+        assert churn_positions(CHAOS) != churn_positions(
             replace(CHAOS, churn_seed=4242)
-        )._chaos_schedule()
-        assert first != second
+        )
 
     def test_poisson_event_count_near_rate(self):
         config = replace(
             CHAOS, num_queries=5_000, churn_events=50, crash_events=0
         )
-        churn_positions, _ = Experiment(config)._chaos_schedule()
         # Binomial(5000, 0.01): within 5 sigma of the mean of 50.
-        assert 15 <= len(churn_positions) <= 90
+        assert 15 <= len(churn_positions(config)) <= 90
 
     def test_invalid_churn_mode_rejected(self):
         with pytest.raises(ValueError):

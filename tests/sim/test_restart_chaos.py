@@ -1,9 +1,9 @@
 """Restart/power-loss chaos in the simulator, and WAL-backed recovery.
 
-Covers the restart axis of the chaos matrix end to end: the transport's
-restart schedule, the experiment's restart events (kill -> downtime ->
-recover-from-WAL -> repair), determinism of the whole pipeline, and the
-durability comparison -- a WAL run recovers entries locally where a
+Covers the restart axis of the chaos matrix end to end: the
+experiment's restart events (kill -> downtime -> recover-from-WAL ->
+repair), determinism of the whole pipeline, and the durability
+comparison -- a WAL run recovers entries locally where a
 ``durability=none`` run must re-replicate everything over the network.
 """
 
@@ -11,13 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.net.faults import (
-    FaultPlan,
-    FaultyTransport,
-    RestartEvent,
-)
-from repro.net.message import Message, MessageKind
-from repro.net.transport import DeliveryError, SimulatedTransport
 from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.sim.presets import RESTART_CHAOS_SMOKE_CONFIG
 
@@ -65,6 +58,8 @@ class TestRestartEvents:
         result, _ = tiny_result
         assert result.restarts == 3
         assert result.power_losses == 1
+        assert result.perf_counters["fault_restarts"] == 3
+        assert result.perf_counters["fault_power_losses"] == 1
 
     def test_recovery_replayed_from_the_wal(self, tiny_result):
         result, _ = tiny_result
@@ -131,13 +126,20 @@ class TestRestartDeterminism:
         assert result.restart_rows() == []
 
     def test_restart_schedule_is_seeded(self):
+        def restarts(experiment):
+            """position -> power-loss flag of the scheduled kills."""
+            return {
+                position: args[-1]
+                for position, events in experiment._chaos_timeline().items()
+                for handler, *args in events
+                if handler == experiment._restart_event
+            }
+
         first = Experiment(TINY_RESTART)
-        first._chaos_schedule()
         second = Experiment(TINY_RESTART)
-        second._chaos_schedule()
-        assert first._restart_positions == second._restart_positions
-        assert len(first._restart_positions) == 3
-        assert sum(first._restart_positions.values()) == 1  # one power loss
+        assert restarts(first) == restarts(second)
+        assert len(restarts(first)) == 3
+        assert sum(restarts(first).values()) == 1  # one power loss
         first.close()
         second.close()
 
@@ -184,87 +186,36 @@ class TestSmokePreset:
         assert smoke_result.wal_records_replayed > 0
 
 
-class TestTransportRestartSchedule:
-    """The net-layer restart schedule: kill, downtime, rejoin hooks."""
-
-    def request(self, destination="node:1"):
-        return Message(MessageKind.QUERY_REQUEST, "user:t", destination, ("q",))
-
-    def build(self, plan):
-        inner = SimulatedTransport()
-        inner.register(
-            "node:1",
-            lambda m: m.reply(MessageKind.QUERY_RESPONSE, ("ok",)),
+class TestBoundedCacheRecovery:
+    def test_restarted_node_recovers_the_tail_of_its_journal(self):
+        """``cache="lru10"``: a node whose cache overflowed before the
+        kill comes back holding the shortcuts its journal wrote last --
+        the order a restarting daemon replays them in too."""
+        experiment = Experiment(
+            replace(RESTART_CHAOS_SMOKE_CONFIG, cache="lru10")
         )
-        return FaultyTransport(inner, plan)
+        journals = {}
+        recover = experiment.walset.recover
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RestartEvent(at_send=-1, downtime_sends=3)
-        with pytest.raises(ValueError):
-            RestartEvent(at_send=0, downtime_sends=0)
-        assert FaultPlan(
-            restart_schedule=(RestartEvent(0, 5),)
-        ).is_zero is False
+        def recording_recover(node):
+            durable = recover(node)
+            journals[node] = list(durable.state.cache)
+            return durable
 
-    def test_kill_downtime_rejoin(self):
-        plan = FaultPlan(
-            restart_schedule=(
-                RestartEvent(at_send=2, downtime_sends=3, victim="node:1"),
-            )
-        )
-        faulty = self.build(plan)
-        outcomes = []
-        for _ in range(8):
-            try:
-                faulty.send(self.request())
-                outcomes.append("ok")
-            except DeliveryError:
-                outcomes.append("down")
-        assert outcomes == ["ok", "ok", "down", "down", "down", "ok", "ok", "ok"]
+        experiment.walset.recover = recording_recover
+        recover_restarted = experiment._recover_restarted
+        overflowed = 0
 
-    def test_hooks_fire_with_power_loss_flag(self):
-        plan = FaultPlan(
-            restart_schedule=(
-                RestartEvent(
-                    at_send=1, downtime_sends=2, victim="node:1", power_loss=True
-                ),
-            )
-        )
-        faulty = self.build(plan)
-        events = []
-        faulty.on_kill = lambda name, power: events.append(("kill", name, power))
-        faulty.on_restart = lambda name, power: events.append(
-            ("restart", name, power)
-        )
-        for _ in range(6):
-            try:
-                faulty.send(self.request())
-            except DeliveryError:
-                pass
-        assert events == [
-            ("kill", "node:1", True),
-            ("restart", "node:1", True),
-        ]
+        def checking_recover_restarted(node, power_loss):
+            nonlocal overflowed
+            recover_restarted(node, power_loss)
+            cache = experiment.service.caches[node]
+            journaled = journals[node]
+            overflowed += len(journaled) > cache.capacity
+            assert len(cache) == min(len(journaled), cache.capacity)
+            assert all(key in cache for key in journaled[-cache.capacity:])
 
-    def test_counters(self):
-        from repro import perf
-
-        plan = FaultPlan(
-            restart_schedule=(
-                RestartEvent(at_send=0, downtime_sends=1, victim="node:1"),
-                RestartEvent(
-                    at_send=3, downtime_sends=1, victim="node:1", power_loss=True
-                ),
-            )
-        )
-        faulty = self.build(plan)
-        before = perf.snapshot()
-        for _ in range(6):
-            try:
-                faulty.send(self.request())
-            except DeliveryError:
-                pass
-        delta = perf.delta(before, perf.snapshot())
-        assert delta["fault_restarts"] == 2
-        assert delta["fault_power_losses"] == 1
+        experiment._recover_restarted = checking_recover_restarted
+        result = experiment.run()
+        assert result.restarts == 3
+        assert overflowed  # some journal was longer than the cache

@@ -11,6 +11,7 @@ import struct
 
 import pytest
 
+from repro.core.cache import NodeCache
 from repro.dht.ring import IdealRing
 from repro.storage.durable import (
     OP_CACHE_INSERT,
@@ -35,7 +36,7 @@ from repro.storage.durable import (
     tear_wal,
     write_snapshot,
 )
-from repro.storage.store import DHTStorage
+from repro.storage.store import DHTStorage, replay_durable_state
 
 BITS = 32
 
@@ -383,4 +384,43 @@ def test_power_loss_loses_only_the_unsynced_tail(tmp_path):
     report = store.repair()  # the replicas restore the lost tail
     assert report.keys_repaired > 0
     assert len(store.items_at(victim)) == before
+    walset.close()
+
+
+def test_shared_recovery_replays_cache_shortcuts_in_journal_order(tmp_path):
+    """The one restart recovery (simulator and daemon both call it): a
+    bounded cache that overflowed before the kill comes back holding the
+    *last-written* shortcuts, not the alphabetically-last ones -- and
+    replaying journals nothing."""
+    walset = NodeWalSet(str(tmp_path), fsync="never")
+    protocol = IdealRing.bulk_build([100, 200, 300, 400], bits=BITS)
+    index_store = DHTStorage(protocol, replication=2)
+    file_store = DHTStorage(protocol, replication=2)
+    index_store.attach_journal(walset, "index")
+    file_store.attach_journal(walset, "file")
+    victim = 200
+    index_store.put_local(victim, "index-key", "index-value")
+    file_store.put_local(victim, "file-key", "file-value")
+    # Written in descending key order, so "most recent" and "sorts last"
+    # pick opposite ends of the journal.
+    written = [f"query-{serial:02d}" for serial in range(11, -1, -1)]
+    for query_key in written:
+        walset.record_cache_insert(victim, query_key, f"msd-of-{query_key}")
+    walset.kill(victim)
+    index_store.forget_node(victim)
+    file_store.forget_node(victim)
+    cache = NodeCache(capacity=4)
+    durable = walset.recover(victim)
+    size_before = durable.wal.size
+    entries, cache_entries = replay_durable_state(
+        durable, victim, index_store, file_store, cache
+    )
+    assert entries == 2
+    assert cache_entries == len(written)  # every insert changed state
+    assert len(cache) == 4
+    assert all(query_key in cache for query_key in written[-4:])
+    assert index_store.values_at(victim, "index-key") == ("index-value",)
+    assert file_store.values_at(victim, "file-key") == ("file-value",)
+    assert durable.wal.size == size_before  # replay did not re-log
+    assert durable.replaying is False
     walset.close()
