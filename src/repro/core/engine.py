@@ -149,11 +149,11 @@ class LookupEngine:
     #: deterministic stand-in for exponential backoff in a simulation
     #: with no wall clock (waiting longer = burning more of the lookup's
     #: interaction budget).
-    DEFAULT_RETRY_BACKOFF = (1, 2, 4)
+    RETRY_BACKOFF = (1, 2, 4)
 
     #: Virtual milliseconds one backoff budget unit costs in async mode,
     #: so the deterministic budget backoff doubles as a real timer.
-    DEFAULT_BACKOFF_UNIT_MS = 10.0
+    BACKOFF_UNIT_MS = 10.0
 
     def __init__(
         self,
@@ -161,8 +161,6 @@ class LookupEngine:
         user: str = "user:0",
         max_interactions: int = 64,
         max_retries: int = 3,
-        retry_backoff: tuple[int, ...] = DEFAULT_RETRY_BACKOFF,
-        backoff_unit_ms: float = DEFAULT_BACKOFF_UNIT_MS,
         tracer: Optional["Tracer"] = None,
     ) -> None:
         self.service = service
@@ -170,10 +168,6 @@ class LookupEngine:
         self.tracer = tracer
         self.max_interactions = max_interactions
         self.max_retries = max_retries
-        self.backoff_unit_ms = backoff_unit_ms
-        self.retry_backoff = tuple(retry_backoff)
-        if not self.retry_backoff:
-            raise ValueError("retry_backoff cannot be empty")
         # Generalization candidates depend only on the scheme and schema,
         # so the priority order is computed once here instead of on every
         # _generalize call: larger keysets first (retain as much
@@ -239,56 +233,51 @@ class LookupEngine:
         virtual clock -- other lookups' events interleave freely in
         between -- and ``on_complete(trace)`` fires at the search's
         virtual completion time.  Retry backoff waits
-        ``units * backoff_unit_ms`` on the clock (besides burning the
+        ``units * BACKOFF_UNIT_MS`` on the clock (besides burning the
         usual interaction budget).
         """
         trace = self._begin_search(query, target)
         steps = self.search_steps(trace, target)
-        meter = self.service.transport.meter
-        touched: set[str] = set()
-
-        def advance(send: bool, value: object) -> None:
-            # Overlapping lookups share one meter: whatever runs on this
-            # lookup's behalf credits its own Figure 15 node set, which
-            # the caller flushes with ``meter.end_query()`` on completion.
-            meter.current_query_nodes = touched
-            try:
-                if send:
-                    step = steps.send(value)
-                else:
-                    step = steps.throw(value)
-            except StopIteration:
-                self._end_lookup(trace)
-                on_complete(trace)
-                return
-            dispatch(step)
-
-        def dispatch(step: SearchStep) -> None:
-            on_done = lambda result: advance(True, result)  # noqa: E731
-            on_error = lambda error: advance(False, error)  # noqa: E731
-            if isinstance(step, QueryStep):
-                self.service.query_async(
-                    step.query, self.user, on_done, on_error
-                )
-            elif isinstance(step, FetchStep):
-                self.service.fetch_file_async(
-                    step.msd, self.user, on_done, on_error
-                )
-            elif isinstance(step, ShortcutStep):
-                # Best-effort, no response expected: the search moves on
-                # without waiting for the insert to land.
-                self.service.insert_shortcut_async(
-                    step.node, step.query_key, step.msd_key, self.user
-                )
-                advance(True, None)
-            else:  # BackoffStep
-                wait_ms = step.units * self.backoff_unit_ms
-                if self.tracer is not None and self.tracer.current is not None:
-                    self.tracer.backoff(*self.tracer.current, wait_ms=wait_ms)
-                kernel.post(wait_ms, lambda: advance(True, None))
-
-        advance(True, None)
+        self._advance((steps, trace, set(), kernel, on_complete), steps.send, None)
         return trace
+
+    def _advance(self, lookup: tuple, resume: Callable, value: object) -> None:
+        """One resume of a kernel-driven lookup, and the step it asks for.
+
+        A method handed its state plus a fresh lambda per continuation,
+        not closures naming each other: those would be one reference
+        cycle per concurrent lookup, kept alive until the garbage
+        collector runs.
+        """
+        steps, trace, touched, kernel, on_complete = lookup
+        # Overlapping lookups share one meter: whatever runs on this
+        # lookup's behalf credits its own Figure 15 node set, which
+        # the caller flushes with ``meter.end_query()`` on completion.
+        self.service.transport.meter.current_query_nodes = touched
+        try:
+            step = resume(value)
+        except StopIteration:
+            self._end_lookup(trace)
+            on_complete(trace)
+            return
+        on_done = lambda result: self._advance(lookup, steps.send, result)  # noqa: E731
+        on_error = lambda error: self._advance(lookup, steps.throw, error)  # noqa: E731
+        if isinstance(step, QueryStep):
+            self.service.query_async(step.query, self.user, on_done, on_error)
+        elif isinstance(step, FetchStep):
+            self.service.fetch_file_async(step.msd, self.user, on_done, on_error)
+        elif isinstance(step, ShortcutStep):
+            # Best-effort, no response expected: the search moves on
+            # without waiting for the insert to land.
+            self.service.insert_shortcut_async(
+                step.node, step.query_key, step.msd_key, self.user
+            )
+            on_done(None)
+        else:  # BackoffStep
+            wait_ms = step.units * self.BACKOFF_UNIT_MS
+            if self.tracer is not None and self.tracer.current is not None:
+                self.tracer.backoff(*self.tracer.current, wait_ms=wait_ms)
+            kernel.post(wait_ms, lambda: self._advance(lookup, steps.send, None))
 
     def _begin_search(self, query: FieldQuery, target: Record) -> SearchTrace:
         """Validate the request and open the trace (shared by drivers)."""
@@ -518,8 +507,8 @@ class LookupEngine:
                     )
                 if attempt >= self.max_retries or budget <= 0:
                     break
-                backoff = self.retry_backoff[
-                    min(attempt, len(self.retry_backoff) - 1)
+                backoff = self.RETRY_BACKOFF[
+                    min(attempt, len(self.RETRY_BACKOFF) - 1)
                 ]
                 budget -= backoff
                 attempt += 1

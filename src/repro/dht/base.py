@@ -111,6 +111,11 @@ class DHTProtocol(abc.ABC):
 
     def _bump_membership(self) -> None:
         self.__dict__["_membership_version"] = self.membership_version + 1
+        # A crashed node that departs is gone, not crashed: left in the
+        # set, a later join under the same id would come back dead.
+        crashed = self._crashed_nodes
+        if crashed:
+            crashed -= {node for node in crashed if node not in self}
 
     # -- common helpers ------------------------------------------------------
 

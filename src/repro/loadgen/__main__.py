@@ -99,14 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grace after the last stage before in-flight ops count lost",
     )
     parser.add_argument(
-        "--no-pipeline",
-        action="store_true",
-        help=(
-            "disable rpc pipelining (batched inserts, async shortcuts) "
-            "for A/B capacity comparison"
-        ),
-    )
-    parser.add_argument(
         "--threads",
         action="store_true",
         help="run workers on threads in-process instead of spawned processes",
@@ -159,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         num_base_records=options.base_records,
         request_timeout_ms=options.request_timeout_ms,
         drain_timeout_s=options.drain_seconds,
-        pipelined=not options.no_pipeline,
         processes=not options.threads,
         extra_meta=extra_meta,
     )

@@ -31,7 +31,6 @@ from repro.dht import DEFAULT_BITS
 from repro.loadgen.report import (
     CapacityReport,
     StageSummary,
-    bench_record,
     detect_knee,
 )
 from repro.loadgen.schedule import combine_digests
@@ -64,7 +63,6 @@ class LoadTestConfig:
     store_pool_size: int = 200
     request_timeout_ms: float = 250.0
     max_retries: int = 3
-    pipelined: bool = True
     #: Grace between worker setup and the common start instant.
     start_grace_s: float = 2.0
     drain_timeout_s: float = 15.0
@@ -73,9 +71,6 @@ class LoadTestConfig:
     processes: bool = True
     #: Attach to an existing daemon instead of booting a LocalCluster.
     bootstrap: Optional[tuple[str, int]] = None
-    knee_gain_floor: float = 0.5
-    knee_latency_inflection: float = 2.0
-    knee_error_ceiling: float = 0.05
     extra_meta: dict = field(default_factory=dict)
 
     def describe(self) -> dict:
@@ -93,7 +88,6 @@ class LoadTestConfig:
             "replication": self.replication,
             "num_base_records": self.num_base_records,
             "store_pool_size": self.store_pool_size,
-            "pipelined": self.pipelined,
             **self.extra_meta,
         }
 
@@ -140,7 +134,6 @@ def worker_configs(
             start_at=start_at,
             request_timeout_ms=config.request_timeout_ms,
             max_retries=config.max_retries,
-            pipelined=config.pipelined,
             gamma=config.gamma,
             drain_timeout_s=config.drain_timeout_s,
         )
@@ -205,16 +198,10 @@ def merge_results(
             )
         )
         sketches.append(sketch)
-    knee = detect_knee(
-        stages,
-        gain_floor=config.knee_gain_floor,
-        latency_inflection=config.knee_latency_inflection,
-        error_ceiling=config.knee_error_ceiling,
-    )
     return CapacityReport(
         config=config.describe(),
         stages=stages,
-        knee=knee,
+        knee=detect_knee(stages),
         digest=combine_digests(run_digests),
         sketches=sketches,
     )
@@ -236,7 +223,7 @@ def seed_base_records(
             seed=config.seed * 1_000_003 + 17,
         )
     )
-    client = cluster_or_bootstrap.client(pipelined=config.pipelined)
+    client = cluster_or_bootstrap.client()
     try:
         for record in corpus.records[: config.num_base_records]:
             client.insert_record(record)
@@ -278,8 +265,3 @@ def run_load_test(config: LoadTestConfig) -> CapacityReport:
     finally:
         if cluster is not None:
             cluster.stop()
-
-
-def capacity_bench_record(report: CapacityReport) -> dict:
-    """Alias of :func:`repro.loadgen.report.bench_record` (re-export)."""
-    return bench_record(report)

@@ -14,10 +14,9 @@ thread; arrivals are ``loop.call_at`` timers; retrieves drive the
 lookup engine's continuation-passing state machine
 (:meth:`LookupEngine.start_async`) with a shim that maps retry-backoff
 timers onto the loop, and stores fan their replica placements out
-through :meth:`AsyncioTransport.request_many` (or strict lockstep when
-pipelining is disabled, for A/B runs).  Thousands of logical clients
-therefore fit in one process; multiple worker processes scale past one
-interpreter.
+through :meth:`AsyncioTransport.request_many`.  Thousands of logical
+clients therefore fit in one process; multiple worker processes scale
+past one interpreter.
 
 Latency is measured from the *scheduled* arrival to completion, so
 dispatch slip under overload counts -- that is the open-loop contract.
@@ -79,7 +78,6 @@ class WorkerConfig:
     start_at: float = 0.0
     request_timeout_ms: float = 250.0
     max_retries: int = 3
-    pipelined: bool = True
     gamma: float = 1.02
     drain_timeout_s: float = 15.0
 
@@ -207,7 +205,6 @@ def run_worker(config: WorkerConfig) -> WorkerResult:
         user=f"loadgen:{config.worker}",
         request_timeout_ms=config.request_timeout_ms,
         max_retries=config.max_retries,
-        pipelined=config.pipelined,
     )
     entry_classes = sorted(
         tuple(sorted(keyset)) for keyset in client.scheme.entry_classes()
@@ -251,19 +248,13 @@ def run_worker(config: WorkerConfig) -> WorkerResult:
             messages = client.insert_messages(record)
 
             async def run_store() -> None:
-                failed = False
-                try:
-                    if config.pipelined:
-                        results = await client.transport.request_many(messages)
-                        failed = any(
-                            isinstance(item, DeliveryError) for item in results
-                        )
-                    else:
-                        for message in messages:
-                            await client.transport.request(message)
-                except DeliveryError:
-                    failed = True
-                finish(delivery_error=failed)
+                # A failed exchange comes back as a per-item DeliveryError.
+                results = await client.transport.request_many(messages)
+                finish(
+                    delivery_error=any(
+                        isinstance(item, DeliveryError) for item in results
+                    )
+                )
 
             loop.create_task(run_store())
         else:

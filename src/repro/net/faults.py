@@ -18,7 +18,12 @@ unchanged over it -- driven by a seeded :class:`FaultPlan`:
   replica failover and lookup retries must carry the load.  The
   transport owns no schedule -- who goes down when, and what state
   survives a restart, is the experiment's business (the chaos timeline
-  of :mod:`repro.sim.experiment`).
+  of :mod:`repro.sim.experiment`),
+- the *adversarial* population of an
+  :class:`repro.net.adversary.AdversaryPlan`: lookup traffic to an
+  eclipsed endpoint is lost before it leaves, and the answer of a
+  compromised endpoint is replaced by its role's forgery (or, with
+  ``verify=True``, rejected as ``VERIFY_FAILED``) once it is back.
 
 Every injected fault raises the typed
 :class:`repro.net.transport.DeliveryError` (never the hard
@@ -28,16 +33,27 @@ chaos runs are measured, not estimated.  All randomness flows through one
 the simulation -- making every chaos run bit-reproducible.
 
 A zero :class:`FaultPlan` is guaranteed transparent: no random draws, no
-counter increments, byte-identical metering to the bare transport.
+counter increments, byte-identical metering to the bare transport; a
+zero ``AdversaryPlan`` adds two falsy checks per send and no draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.net.adversary import (
+    LOOKUP_KINDS,
+    NO_ADVERSARY,
+    ROLE_LIAR,
+    ROLE_POISONER,
+    ROLES,
+    AdversaryPlan,
+    corrupt,
+)
 from repro.net.message import Message
 from repro.net.traffic import TrafficMeter
 from repro.net.transport import (
@@ -103,6 +119,15 @@ class FaultyTransport:
     Implements the same endpoint protocol (register / unregister /
     is_registered / endpoint_names / send / meter), so services and
     engines built for the plain transport run over it unchanged.
+
+    ``adversary`` adds a malicious population (see
+    :mod:`repro.net.adversary`).  ``verify`` models content
+    authentication being switched on (publisher-signed entries and
+    content-addressed descriptors): *fabricated* responses raise
+    ``DeliveryError(VERIFY_FAILED)`` instead of being delivered, and
+    the index service's failover loop turns those into trust-ledger
+    penalties and replica failovers.  Withheld (empty) answers pass --
+    no signature scheme catches a node that refuses to speak.
     """
 
     def __init__(
@@ -110,11 +135,20 @@ class FaultyTransport:
         inner: SimulatedTransport,
         plan: FaultPlan = NO_FAULTS,
         rng: Optional[random.Random] = None,
+        adversary: AdversaryPlan = NO_ADVERSARY,
+        verify: bool = False,
     ) -> None:
         self.inner = inner
         self.plan = plan
+        self.adversary = adversary
+        self.verify = verify
         self._rng = rng if rng is not None else random.Random(plan.seed)
         self._crashed: set[str] = set()
+        #: endpoint name -> adversary role, for every compromised node.
+        self.roles: dict[str, str] = {}
+        #: endpoint names whose lookup traffic the eclipse set blocks.
+        self.eclipsed: set[str] = set()
+        self._forge_serials = itertools.count(1)
         self.sends = 0
         #: Total injected latency, in virtual-clock milliseconds.
         self.latency_ms = 0.0
@@ -168,6 +202,42 @@ class FaultyTransport:
     def crashed_endpoints(self) -> set[str]:
         return set(self._crashed)
 
+    # -- adversarial population --------------------------------------------
+
+    def mark(self, name: str, role: str) -> None:
+        """Put ``name`` under adversary control with the given role."""
+        if role not in ROLES:
+            raise ValueError(f"unknown adversary role: {role!r}")
+        self.roles[name] = role
+
+    def eclipse(self, name: str) -> None:
+        """Add ``name`` to the eclipse set (its lookups get dropped)."""
+        self.eclipsed.add(name)
+
+    def recruit(self, candidates: list[str]) -> None:
+        """Draw the planned poisoners/liars/eclipse victims from
+        ``candidates`` with the chaos RNG.
+
+        Selection is disjoint (a node holds one role; an eclipse victim
+        is honest -- eclipsing a node the adversary controls would help
+        the defenders).  Deterministic: same candidates + same RNG state
+        -> same population.
+        """
+        pool = list(candidates)
+        plan = self.adversary
+        wanted = plan.poisoners + plan.liars + plan.eclipse_victims
+        if wanted > len(pool):
+            raise ValueError(
+                f"cannot recruit {wanted} adversarial roles from "
+                f"{len(pool)} candidates"
+            )
+        chosen = self._rng.sample(pool, wanted)
+        for name in chosen[: plan.poisoners]:
+            self.mark(name, ROLE_POISONER)
+        for name in chosen[plan.poisoners : plan.poisoners + plan.liars]:
+            self.mark(name, ROLE_LIAR)
+        self.eclipsed.update(chosen[plan.poisoners + plan.liars :])
+
     # -- delivery -----------------------------------------------------------
 
     def send(self, message: Message) -> Optional[Message]:
@@ -217,16 +287,26 @@ class FaultyTransport:
         self.inner._schedule(self._delivery(message, True), on_result, on_error)
 
     def _delivery(self, message: Message, timed: bool) -> _Delivery:
-        """One exchange under the plan -- the only place faults are drawn.
+        """One exchange under both plans -- the only place faults are
+        drawn and answers forged.
 
-        The draw order is the same for both drivers: request drop, added
-        latency, duplicate (all at send time), then the response drop
-        once the response has arrived -- so a timed fault sequence is a
+        The order is the same for both drivers: eclipse (a draw only
+        when ``eclipse_drop`` < 1), refusal by a marked-down endpoint,
+        request drop, added latency, duplicate (all at send time), then
+        the response drop and the destination's forgery once the
+        response has arrived -- so a timed fault sequence is a
         deterministic function of the kernel's event order.
         """
         self.sends += 1
         plan = self.plan
         deliver = self.inner._delivery
+        if self.eclipsed and self._eclipse_blocks(message):
+            counters.sec_eclipse_drops += 1
+            # The sender spent the request bytes; the victim never saw
+            # them.  To the caller this is an ordinary transient drop --
+            # an eclipse is indistinguishable from loss, which is what
+            # makes it insidious.
+            return (yield from deliver(message, timed, lost=DeliveryError.DROPPED))
         if message.destination in self._crashed:
             counters.fault_crashed_sends += 1
             return (yield from deliver(message, timed, lost=DeliveryError.CRASHED))
@@ -264,4 +344,18 @@ class FaultyTransport:
         ):
             counters.fault_drops += 1
             raise DeliveryError(DeliveryError.DROPPED, message.destination)
-        return response
+        role = self.roles.get(message.destination) if self.roles else None
+        if response is None or role is None or message.kind not in LOOKUP_KINDS:
+            return response
+        return corrupt(
+            message, response, role, self.verify, self._forge_serials,
+            self.inner.tracer,
+        )
+
+    def _eclipse_blocks(self, message: Message) -> bool:
+        drop = self.adversary.eclipse_drop
+        return (
+            message.destination in self.eclipsed
+            and message.kind in LOOKUP_KINDS
+            and (drop >= 1.0 or self._rng.random() < drop)
+        )

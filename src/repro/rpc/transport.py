@@ -145,6 +145,9 @@ class _DatagramEndpoint(asyncio.DatagramProtocol):
 class AsyncioTransport:
     """UDP+TCP message transport with the simulated-transport surface."""
 
+    #: Ceiling of the per-attempt deadline as retries double it.
+    BACKOFF_CAP_MS = 2000.0
+
     def __init__(
         self,
         *,
@@ -152,7 +155,6 @@ class AsyncioTransport:
         clock: Optional[WallClock] = None,
         request_timeout_ms: float = 250.0,
         max_retries: int = 3,
-        backoff_cap_ms: float = 2000.0,
         udp_max_bytes: int = 1400,
         dedupe_cap: int = 1024,
         dedupe_ttl_s: float = 60.0,
@@ -162,7 +164,7 @@ class AsyncioTransport:
         peer_keys: Optional[dict[str, bytes]] = None,
     ) -> None:
         """``request_timeout_ms`` is the first attempt's deadline; each
-        retry doubles it up to ``backoff_cap_ms`` (capped exponential
+        retry doubles it up to ``BACKOFF_CAP_MS`` (capped exponential
         backoff).  Frames larger than ``udp_max_bytes`` travel over TCP.
         ``dedupe_cap`` / ``dedupe_ttl_s`` bound the server-side reply
         cache that absorbs UDP retransmissions: at most ``dedupe_cap``
@@ -193,7 +195,7 @@ class AsyncioTransport:
         """
         if require_signed and identity is None:
             raise ValueError("require_signed needs an identity to sign with")
-        if request_timeout_ms <= 0 or backoff_cap_ms <= 0:
+        if request_timeout_ms <= 0:
             raise ValueError("timeouts must be positive milliseconds")
         if max_retries < 0:
             raise ValueError("max_retries cannot be negative")
@@ -205,7 +207,6 @@ class AsyncioTransport:
         self.clock = clock if clock is not None else WallClock()
         self.request_timeout_ms = request_timeout_ms
         self.max_retries = max_retries
-        self.backoff_cap_ms = backoff_cap_ms
         self.udp_max_bytes = udp_max_bytes
         self.identity = identity
         self.require_signed = require_signed
@@ -559,13 +560,13 @@ class AsyncioTransport:
                 )
             except asyncio.TimeoutError:
                 counters.rpc_timeouts += 1
-                timeout_ms = min(timeout_ms * 2.0, self.backoff_cap_ms)
+                timeout_ms = min(timeout_ms * 2.0, self.BACKOFF_CAP_MS)
             except ConnectionRefusedError:
                 # The daemon's TCP port is gone: the node departed.
                 raise DeliveryError(DeliveryError.UNREGISTERED, destination)
             except OSError:
                 counters.rpc_timeouts += 1
-                timeout_ms = min(timeout_ms * 2.0, self.backoff_cap_ms)
+                timeout_ms = min(timeout_ms * 2.0, self.BACKOFF_CAP_MS)
             finally:
                 self._pending.pop(request_id, None)
         raise DeliveryError(DeliveryError.TIMEOUT, destination)

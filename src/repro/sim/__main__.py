@@ -38,15 +38,101 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Callable
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Optional, get_args, get_type_hints
 
 from repro.analysis.tables import format_table
-from repro.core.scheme import SCHEMES
-from repro.dht import SUBSTRATES
 from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.sim.metrics import ExperimentResult
 from repro.sim.presets import get_preset, preset_names
+
+
+#: The one declaration of the CLI: per argparse group (None = the
+#: ungrouped options), one row per settable ``ExperimentConfig`` field --
+#: (field, flag, help[, metavar]).  Everything else follows from the
+#: dataclass: ``dest`` is the field name, ``type`` its annotation,
+#: ``choices`` come from ``ExperimentConfig.CHOICES`` (what
+#: ``__post_init__`` validates against), a ``bool`` field is a
+#: ``store_const True`` switch, and every default is None so that an
+#: unset flag leaves the preset's value alone.
+_FLAGS: tuple[tuple[Optional[str], tuple[tuple[str, ...], ...]], ...] = (
+    (None, (
+        ("scheme", "--scheme", None),
+        ("cache", "--cache", "none | multi | single | lruK (e.g. lru30)"),
+        ("substrate", "--substrate", None),
+        ("num_nodes", "--nodes", None),
+        ("num_articles", "--articles", None),
+        ("num_queries", "--queries", None),
+        ("num_authors", "--authors", None),
+        ("bits", "--bits", None),
+        ("replication", "--replication", None),
+        ("corpus_seed", "--corpus-seed", None),
+        ("query_seed", "--query-seed", None),
+        ("shortcut_top_n", "--shortcut-top-n",
+         "add permanent deep links for the N most popular articles"),
+    )),
+    ("virtual-time kernel", (
+        ("concurrency", "--concurrency",
+         "number of concurrent users (>1 runs on the event kernel)"),
+        ("latency_model", "--latency-model",
+         "zero | constant[:MS] | uniform[:LOW:HIGH] (virtual ms)"),
+        ("arrival_interval_ms", "--arrival-interval-ms",
+         "open-loop Poisson mean inter-arrival gap (0 = closed loop)"),
+    )),
+    ("failure model", (
+        ("fault_drop_probability", "--drop-probability",
+         "per-message loss probability (seeded, deterministic)"),
+        ("fault_duplicate_probability", "--duplicate-probability",
+         "per-exchange duplicate-delivery probability"),
+        ("fault_latency_ms", "--latency-ms",
+         "max added latency per delivered message, in virtual ms"),
+        ("churn_events", "--churn-events",
+         "join/leave events over the feed (with incremental repair)"),
+        ("churn_mode", "--churn-mode",
+         "how churn events are placed over the feed"),
+        ("crash_events", "--crash-events",
+         "transient node crashes over the feed"),
+        ("crash_downtime_queries", "--crash-downtime",
+         "crash window length, in queries"),
+        ("churn_seed", "--churn-seed",
+         "seed of the single RNG driving churn, crashes, and faults"),
+    )),
+    ("durability / restart chaos", (
+        ("restart_events", "--restart-events",
+         "process kills (SIGKILL semantics) over the feed"),
+        ("restart_downtime_queries", "--restart-downtime",
+         "restart outage window length, in queries"),
+        ("power_loss_events", "--power-loss-events",
+         "additional kills that also tear the un-fsynced WAL tail"),
+        ("durability", "--durability",
+         "node-state persistence: in-memory only, or WAL + snapshot"),
+        ("fsync", "--fsync",
+         "WAL sync policy: always | interval[:N] | never", "POLICY"),
+        ("data_dir", "--data-dir",
+         "root for the per-node journals (default: temporary dir)", "PATH"),
+    )),
+    ("predicate queries", (
+        ("predicate_mix", "--predicate-mix",
+         "fraction of queries loosened into prefix/wildcard/range"),
+        ("index_structure", "--index-structure",
+         "how predicate queries resolve: covering chains or trie"),
+    )),
+    ("adversarial model", (
+        ("adversary_poisoners", "--poisoners",
+         "nodes answering lookups with fabricated index entries"),
+        ("adversary_liars", "--liars",
+         "nodes forging shortcut referrals to nonexistent keys"),
+        ("adversary_sybil_joins", "--sybil-joins",
+         "adversary-controlled joins flooded in over the feed"),
+        ("adversary_eclipse_victims", "--eclipse-victims",
+         "honest nodes whose lookup traffic the adversary drops"),
+        ("adversary_eclipse_drop", "--eclipse-drop",
+         "drop probability for lookups to eclipsed nodes (default 1.0)"),
+        ("verify_signatures", "--verify-signatures",
+         "switch the repro.sec defence on: forged responses are rejected "
+         "and the trust ledger deprioritizes misbehaving replicas"),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,212 +142,45 @@ def build_parser() -> argparse.ArgumentParser:
             "Run one cell of the ICDCS'04 data-indexing evaluation grid."
         ),
     )
-    parser.add_argument("--scheme", choices=tuple(SCHEMES), default=None)
+    hints = get_type_hints(ExperimentConfig)
+    groups: dict[Optional[str], Any] = {}
+    for title, rows in _FLAGS:
+        groups[title] = parser.add_argument_group(title) if title else parser
+        for name, flag, help_text, *metavar in rows:
+            if hints[name] is bool:
+                options: dict = {"action": "store_const", "const": True}
+            else:
+                choices = ExperimentConfig.CHOICES.get(name)
+                # Help shows the flag's own name (--nodes NODES), or the
+                # choices where there are any.
+                shown = metavar[0] if metavar else flag[2:].replace("-", "_")
+                options = {
+                    # Optional[str] parses as its first member, str.
+                    "type": (get_args(hints[name]) or (hints[name],))[0],
+                    "choices": choices,
+                    "metavar": None if choices else shown.upper(),
+                }
+            groups[title].add_argument(
+                flag, dest=name, help=help_text, **options
+            )
+    # The four options that are not config fields.
     parser.add_argument(
-        "--cache",
-        default=None,
-        help="none | multi | single | lruK (e.g. lru30)",
-    )
-    parser.add_argument("--substrate", choices=tuple(SUBSTRATES), default=None)
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--articles", type=int, default=None)
-    parser.add_argument("--queries", type=int, default=None)
-    parser.add_argument("--authors", type=int, default=None)
-    parser.add_argument("--bits", type=int, default=None)
-    parser.add_argument("--replication", type=int, default=None)
-    parser.add_argument("--corpus-seed", type=int, default=None)
-    parser.add_argument("--query-seed", type=int, default=None)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
+        "--scale", type=float,
         help="shrink/grow the paper setup proportionally (e.g. 0.1)",
     )
     parser.add_argument(
-        "--shortcut-top-n",
-        type=int,
-        default=None,
-        help="add permanent deep links for the N most popular articles",
-    )
-    parser.add_argument(
-        "--preset",
-        choices=preset_names(),
-        default=None,
+        "--preset", choices=preset_names(),
         help="start from a named configuration (flags still override)",
     )
-    kernel = parser.add_argument_group("virtual-time kernel")
-    kernel.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
-        help="number of concurrent users (>1 runs on the event kernel)",
-    )
-    kernel.add_argument(
-        "--latency-model",
-        default=None,
-        help="zero | constant[:MS] | uniform[:LOW:HIGH] (virtual ms)",
-    )
-    kernel.add_argument(
-        "--arrival-interval-ms",
-        type=float,
-        default=None,
-        help="open-loop Poisson mean inter-arrival gap (0 = closed loop)",
-    )
-    chaos = parser.add_argument_group("failure model")
-    chaos.add_argument(
-        "--drop-probability",
-        type=float,
-        default=None,
-        help="per-message loss probability (seeded, deterministic)",
-    )
-    chaos.add_argument(
-        "--duplicate-probability",
-        type=float,
-        default=None,
-        help="per-exchange duplicate-delivery probability",
-    )
-    chaos.add_argument(
-        "--latency-ms",
-        type=float,
-        default=None,
-        help="max added latency per delivered message, in virtual ms",
-    )
-    chaos.add_argument(
-        "--churn-events",
-        type=int,
-        default=None,
-        help="join/leave events over the feed (with incremental repair)",
-    )
-    chaos.add_argument(
-        "--churn-mode",
-        choices=("uniform", "poisson"),
-        default=None,
-        help="how churn events are placed over the feed",
-    )
-    chaos.add_argument(
-        "--crash-events",
-        type=int,
-        default=None,
-        help="transient node crashes over the feed",
-    )
-    chaos.add_argument(
-        "--crash-downtime",
-        type=int,
-        default=None,
-        help="crash window length, in queries",
-    )
-    chaos.add_argument(
-        "--churn-seed",
-        type=int,
-        default=None,
-        help="seed of the single RNG driving churn, crashes, and faults",
-    )
-    durability = parser.add_argument_group("durability / restart chaos")
-    durability.add_argument(
-        "--restart-events",
-        type=int,
-        default=None,
-        help="process kills (SIGKILL semantics) over the feed",
-    )
-    durability.add_argument(
-        "--restart-downtime",
-        type=int,
-        default=None,
-        help="restart outage window length, in queries",
-    )
-    durability.add_argument(
-        "--power-loss-events",
-        type=int,
-        default=None,
-        help="additional kills that also tear the un-fsynced WAL tail",
-    )
-    durability.add_argument(
-        "--durability",
-        choices=("none", "wal"),
-        default=None,
-        help="node-state persistence: in-memory only, or WAL + snapshot",
-    )
-    durability.add_argument(
-        "--fsync",
-        default=None,
-        metavar="POLICY",
-        help="WAL sync policy: always | interval[:N] | never",
-    )
-    durability.add_argument(
-        "--data-dir",
-        default=None,
-        metavar="PATH",
-        help="root for the per-node journals (default: temporary dir)",
-    )
-    predicates = parser.add_argument_group("predicate queries")
-    predicates.add_argument(
-        "--predicate-mix",
-        type=float,
-        default=None,
-        help="fraction of queries loosened into prefix/wildcard/range",
-    )
-    predicates.add_argument(
-        "--index-structure",
-        choices=("chains", "trie"),
-        default=None,
-        help="how predicate queries resolve: covering chains or trie",
-    )
-    predicates.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
+    groups["predicate queries"].add_argument(
+        "--bench-out", metavar="PATH",
         help=(
             "append the range-queries comparison record to a "
             "BENCH_query.json trajectory file"
         ),
     )
-    adversary = parser.add_argument_group("adversarial model")
-    adversary.add_argument(
-        "--poisoners",
-        type=int,
-        default=None,
-        help="nodes answering lookups with fabricated index entries",
-    )
-    adversary.add_argument(
-        "--liars",
-        type=int,
-        default=None,
-        help="nodes forging shortcut referrals to nonexistent keys",
-    )
-    adversary.add_argument(
-        "--sybil-joins",
-        type=int,
-        default=None,
-        help="adversary-controlled joins flooded in over the feed",
-    )
-    adversary.add_argument(
-        "--eclipse-victims",
-        type=int,
-        default=None,
-        help="honest nodes whose lookup traffic the adversary drops",
-    )
-    adversary.add_argument(
-        "--eclipse-drop",
-        type=float,
-        default=None,
-        help="drop probability for lookups to eclipsed nodes (default 1.0)",
-    )
-    adversary.add_argument(
-        "--verify-signatures",
-        action="store_const",
-        const=True,
-        default=None,
-        help=(
-            "switch the repro.sec defence on: forged responses are "
-            "rejected and the trust ledger deprioritizes misbehaving "
-            "replicas"
-        ),
-    )
-    observability = parser.add_argument_group("observability")
-    observability.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        default=None,
+    parser.add_argument_group("observability").add_argument(
+        "--trace-out", metavar="PATH",
         help=(
             "record a per-lookup trace and export it as JSONL to PATH "
             "(analyze with `python -m repro.obs summarize PATH`)"
@@ -276,51 +195,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if args.scale <= 0:
             raise SystemExit("--scale must be positive")
         config = config.scaled(args.scale)
-    overrides = {
-        "scheme": args.scheme,
-        "cache": args.cache,
-        "substrate": args.substrate,
-        "num_nodes": args.nodes,
-        "num_articles": args.articles,
-        "num_queries": args.queries,
-        "num_authors": args.authors,
-        "bits": args.bits,
-        "replication": args.replication,
-        "corpus_seed": args.corpus_seed,
-        "query_seed": args.query_seed,
-        "shortcut_top_n": args.shortcut_top_n,
-        "concurrency": args.concurrency,
-        "latency_model": args.latency_model,
-        "arrival_interval_ms": args.arrival_interval_ms,
-        "fault_drop_probability": args.drop_probability,
-        "fault_duplicate_probability": args.duplicate_probability,
-        "fault_latency_ms": args.latency_ms,
-        "churn_events": args.churn_events,
-        "churn_mode": args.churn_mode,
-        "crash_events": args.crash_events,
-        "crash_downtime_queries": args.crash_downtime,
-        "churn_seed": args.churn_seed,
-        "restart_events": args.restart_events,
-        "restart_downtime_queries": args.restart_downtime,
-        "power_loss_events": args.power_loss_events,
-        "durability": args.durability,
-        "fsync": args.fsync,
-        "data_dir": args.data_dir,
-        "predicate_mix": args.predicate_mix,
-        "index_structure": args.index_structure,
-        "adversary_poisoners": args.poisoners,
-        "adversary_liars": args.liars,
-        "adversary_sybil_joins": args.sybil_joins,
-        "adversary_eclipse_victims": args.eclipse_victims,
-        "adversary_eclipse_drop": args.eclipse_drop,
-        "verify_signatures": args.verify_signatures,
-        "trace": True if args.trace_out else None,
+    given = {
+        spec.name: getattr(args, spec.name)
+        for spec in fields(ExperimentConfig)
+        if getattr(args, spec.name, None) is not None
     }
-    set_overrides = {key: value for key, value in overrides.items()
-                     if value is not None}
-    if set_overrides:
-        config = replace(config, **set_overrides)
-    return config
+    if args.trace_out:
+        given["trace"] = True
+    return replace(config, **given)
 
 
 def _cell_metrics(result: ExperimentResult) -> dict:
@@ -361,6 +243,11 @@ def _sec_cell_metrics(result: ExperimentResult) -> dict:
         "service_failovers": result.service_failovers,
         "retries_per_lookup": round(result.retries_per_lookup, 4),
     }
+
+
+def _section(config: ExperimentConfig, *names: str, strip: str = "") -> dict:
+    """The named config fields as one section of a benchmark record."""
+    return {name.removeprefix(strip): getattr(config, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -412,15 +299,10 @@ _QUERY_COMPARISON = _Comparison(
         ("runtime", lambda r: f"{r.runtime_seconds:.1f} s"),
     ),
     record=lambda config: {
-        "workload": {
-            "num_nodes": config.num_nodes,
-            "num_articles": config.num_articles,
-            "num_queries": config.num_queries,
-            "num_authors": config.num_authors,
-            "predicate_mix": config.predicate_mix,
-            "corpus_seed": config.corpus_seed,
-            "query_seed": config.query_seed,
-        },
+        "workload": _section(
+            config, "num_nodes", "num_articles", "num_queries",
+            "num_authors", "predicate_mix", "corpus_seed", "query_seed",
+        ),
     },
     metrics=_cell_metrics,
 )
@@ -464,24 +346,16 @@ _SEC_COMPARISON = _Comparison(
         ("runtime", lambda r: f"{r.runtime_seconds:.1f} s"),
     ),
     record=lambda config: {
-        "workload": {
-            "num_nodes": config.num_nodes,
-            "num_articles": config.num_articles,
-            "num_queries": config.num_queries,
-            "num_authors": config.num_authors,
-            "replication": config.replication,
-            "fault_drop_probability": config.fault_drop_probability,
-            "corpus_seed": config.corpus_seed,
-            "query_seed": config.query_seed,
-            "churn_seed": config.churn_seed,
-        },
-        "adversary": {
-            "poisoners": config.adversary_poisoners,
-            "liars": config.adversary_liars,
-            "sybil_joins": config.adversary_sybil_joins,
-            "eclipse_victims": config.adversary_eclipse_victims,
-            "eclipse_drop": config.adversary_eclipse_drop,
-        },
+        "workload": _section(
+            config, "num_nodes", "num_articles", "num_queries",
+            "num_authors", "replication", "fault_drop_probability",
+            "corpus_seed", "query_seed", "churn_seed",
+        ),
+        "adversary": _section(
+            config, "adversary_poisoners", "adversary_liars",
+            "adversary_sybil_joins", "adversary_eclipse_victims",
+            "adversary_eclipse_drop", strip="adversary_",
+        ),
     },
     metrics=_sec_cell_metrics,
 )

@@ -26,7 +26,7 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, ClassVar, Iterable, Optional
 
 from repro import perf
 from repro.analysis.stats import ExactQuantiles
@@ -42,7 +42,7 @@ from repro.core.scheme import (
 from repro.core.trie import TrieIndex
 from repro.core.service import IndexService
 from repro.dht import SUBSTRATES, build_substrate, hash_key
-from repro.net.adversary import ROLE_SYBIL, AdversarialTransport, AdversaryPlan
+from repro.net.adversary import ROLE_SYBIL, AdversaryPlan
 from repro.net.faults import FaultPlan, FaultyTransport
 from repro.net.latency import parse_latency_model
 from repro.net.transport import SimulatedTransport
@@ -187,11 +187,22 @@ class ExperimentConfig:
     #: comparison measures against.
     verify_signatures: bool = False
 
+    #: The enumerated fields and their allowed values: validated below,
+    #: and offered as ``choices`` by the command line.
+    CHOICES: ClassVar[dict[str, tuple[str, ...]]] = {
+        "scheme": tuple(SCHEMES),
+        "substrate": tuple(SUBSTRATES),
+        "churn_mode": ("uniform", "poisson"),
+        "durability": ("none", "wal"),
+        "index_structure": ("chains", "trie"),
+    }
+
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.substrate not in SUBSTRATES:
-            raise ValueError(f"unknown substrate {self.substrate!r}")
+        for name, allowed in self.CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(
+                    f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}"
+                )
         CachePolicy.parse(self.cache)  # validates
         if self.num_nodes < 1 or self.num_articles < 1 or self.num_queries < 0:
             raise ValueError("sizes must be positive")
@@ -200,21 +211,15 @@ class ExperimentConfig:
         if self.arrival_interval_ms < 0:
             raise ValueError("arrival interval must be non-negative")
         parse_latency_model(self.latency_model)  # validates the spec
-        if self.churn_mode not in ("uniform", "poisson"):
-            raise ValueError(f"unknown churn mode {self.churn_mode!r}")
         if self.crash_events < 0 or self.crash_downtime_queries < 1:
             raise ValueError("crash schedule must be non-negative")
         if self.restart_events < 0 or self.power_loss_events < 0:
             raise ValueError("restart schedule must be non-negative")
         if self.restart_downtime_queries < 1:
             raise ValueError("restart downtime must be >= 1 query")
-        if self.durability not in ("none", "wal"):
-            raise ValueError(f"unknown durability {self.durability!r}")
         FsyncPolicy.parse(self.fsync)  # validates
         if not 0.0 <= self.predicate_mix <= 1.0:
             raise ValueError(f"predicate_mix must be in [0, 1]: {self.predicate_mix}")
-        if self.index_structure not in ("chains", "trie"):
-            raise ValueError(f"unknown index structure {self.index_structure!r}")
         # Delegates range checks on the probabilities / latency.
         self.fault_plan()
         # Delegates range checks on the adversary counts / drop rate.
@@ -330,21 +335,13 @@ class Experiment:
         # and message-fault draws: chaos runs are bit-reproducible, and a
         # zero fault plan makes the wrapper draw-free and transparent.
         self._chaos_rng = random.Random(config.churn_seed)
-        if config.has_adversary or config.verify_signatures:
-            # The adversarial wrapper is only constructed when someone
-            # misbehaves (or verification is measured), so every benign
-            # cell keeps the exact seed transport object.
-            self.transport: FaultyTransport = AdversarialTransport(
-                SimulatedTransport(),
-                config.fault_plan(),
-                adversary=config.adversary_plan(),
-                rng=self._chaos_rng,
-                verify=config.verify_signatures,
-            )
-        else:
-            self.transport = FaultyTransport(
-                SimulatedTransport(), config.fault_plan(), rng=self._chaos_rng
-            )
+        self.transport = FaultyTransport(
+            SimulatedTransport(),
+            config.fault_plan(),
+            rng=self._chaos_rng,
+            adversary=config.adversary_plan(),
+            verify=config.verify_signatures,
+        )
         #: Per-peer trust ledger (the repro.sec defence), or None when
         #: ``config.verify_signatures`` is off -- the service then pays
         #: zero trust overhead, like an untraced run pays no tracer.
@@ -540,7 +537,7 @@ class Experiment:
         ) + counts.get("sec_forged_referrals", 0)
         result.eclipse_drops = counts.get("sec_eclipse_drops", 0)
         result.sybil_joins = counts.get("sec_sybil_joins", 0)
-        if isinstance(self.transport, AdversarialTransport):
+        if self.config.has_adversary:
             result.adversarial_nodes = len(self.transport.roles)
             result.eclipsed_nodes = len(self.transport.eclipsed)
         if self.trust is not None:
@@ -878,8 +875,8 @@ class Experiment:
 
         The departed node's physical copies leave with it; the
         incremental :meth:`DHTStorage.repair` pass then re-replicates the
-        keys it was responsible for and seeds the joiner -- churn-
-        triggered maintenance instead of the full rebalance.
+        keys it was responsible for and seeds the joiner (churn-
+        triggered maintenance).
         """
         victims = self.protocol.node_ids
         victim = victims[self._chaos_rng.randrange(len(victims))]
@@ -904,7 +901,6 @@ class Experiment:
         are well-replicated.
         """
         joiner = self._join_fresh_node("sybil")
-        assert isinstance(self.transport, AdversarialTransport)
         self.transport.mark(self.service.endpoint_name(joiner), ROLE_SYBIL)
         perf.counters.sec_sybil_joins += 1
         self._repair_stores()

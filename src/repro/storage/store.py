@@ -11,11 +11,11 @@ The layer supports:
   which the paper's index model requires;
 - deletion of single values or whole keys, with replica cleanup
   (read/write semantics of Section IV-C);
-- membership changes: after nodes join or leave, :meth:`rebalance`
-  re-places every key on its current responsible nodes (the block
-  transfer CFS performs on join), while the cheaper incremental
-  :meth:`repair` pass only re-replicates under-replicated keys and
-  purges stale copies (churn-triggered maintenance);
+- membership changes: after nodes join or leave, the incremental
+  :meth:`repair` pass copies every key to the responsible nodes that
+  lack it (the block transfer CFS performs on join) and purges the
+  copies held by departed or no-longer-responsible nodes
+  (churn-triggered maintenance, Section III-A);
 - transient failures: reads fail over past crashed replicas
   (``protocol.is_alive``), counting the wasted probes;
 - per-node occupancy statistics (keys per node), which Section V-F
@@ -319,8 +319,8 @@ class DHTStorage:
 
         Returns the number of keys the node was holding.  Call on node
         departure so no stale replica survives outside the ring --
-        :meth:`repair` and :meth:`rebalance` also purge departed holders,
-        but between the departure and the next repair pass the orphaned
+        :meth:`repair` also purges departed holders, but between the
+        departure and the next repair pass the orphaned
         entries would otherwise still count toward storage statistics.
         """
         if self._journal is not None and node in self._node_stores:
@@ -365,10 +365,9 @@ class DHTStorage:
     def repair(self) -> RepairReport:
         """Incrementally re-replicate under-replicated keys after churn.
 
-        Unlike the full :meth:`rebalance` (which rewrites every node's
-        store from the catalog), repair only touches the delta: it purges
-        copies held by departed or no-longer-responsible nodes, then
-        copies each key to the live responsible nodes that lack it.
+        Repair only touches the delta: it purges copies held by
+        departed or no-longer-responsible nodes, then copies each key to
+        the live responsible nodes that lack it.
         Crashed nodes cannot receive repair traffic; their copies are
         restored once they recover and a later pass runs.  The bytes
         shipped are counted (``storage_repair_bytes``) so the repair
@@ -420,7 +419,7 @@ class DHTStorage:
                 keys_repaired += 1
         # Prune copies on live nodes that are no longer responsible for a
         # key (responsibility shifted to a joiner), so occupancy stays
-        # truthful without a full rebalance.
+        # truthful.
         for node, store in self._node_stores.items():
             stale = [
                 key for key in store if node not in placements.get(key, ())
@@ -459,46 +458,6 @@ class DHTStorage:
             if holders < required:
                 missing.append(key)
         return missing
-
-    def rebalance(self) -> int:
-        """Re-place every key on its current responsible nodes.
-
-        Run after membership changes.  Returns the number of keys moved to
-        at least one new node.
-        """
-        new_stores: dict[NodeId, dict[str, list[str]]] = {}
-        moved = 0
-        for key, stored_values in self._catalog.items():
-            nodes = self.responsible_nodes(key)
-            previously = {
-                node
-                for node, store in self._node_stores.items()
-                if key in store
-            }
-            if set(nodes) != previously:
-                moved += 1
-            for node in nodes:
-                new_stores.setdefault(node, {})[key] = list(stored_values)
-        if self._journal is not None:
-            # Journal the delta: keys leaving a node, values arriving.
-            for node, store in self._node_stores.items():
-                new_store = new_stores.get(node, {})
-                for key, held in store.items():
-                    if key not in new_store:
-                        self._journal.record_remove_key(
-                            node, self._journal_store, key
-                        )
-            for node, new_store in new_stores.items():
-                old_store = self._node_stores.get(node, {})
-                for key, values in new_store.items():
-                    held = old_store.get(key, ())
-                    for value in values:
-                        if value not in held:
-                            self._journal.record_put(
-                                node, self._journal_store, key, value
-                            )
-        self._node_stores = new_stores
-        return moved
 
     # -- statistics -------------------------------------------------------------
 

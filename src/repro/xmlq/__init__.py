@@ -32,7 +32,6 @@ from repro.xmlq.pattern import (
     TreePattern,
     clear_pattern_caches,
     covers,
-    covers_uncached,
     descriptor_to_pattern,
     pattern_from_xpath,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "TreePattern",
     "clear_pattern_caches",
     "covers",
-    "covers_uncached",
     "descriptor_to_pattern",
     "pattern_from_xpath",
     "clear_normalize_cache",

@@ -20,8 +20,9 @@ Performance characteristics (the seed recomputed everything per call):
   query only inserts its own reduction edges and deletes the existing
   edges it short-circuits -- so ``hasse_edges``/``chains_to`` read a
   standing structure instead of recomputing the transitive reduction
-  (the seed algorithm survives as :meth:`_recompute_hasse_edges`, the
-  oracle the property tests compare against);
+  (the seed algorithm survives as ``recompute_hasse_edges`` in
+  ``tests/xmlq/oracles.py``, the oracle the property tests compare
+  against);
 - ``more_general``/``more_specific`` return live frozen views instead of
   copies, and skip normalization when the argument is already a known
   canonical text.
@@ -234,28 +235,6 @@ class PartialOrderGraph:
                 for general in generals
             )
         return list(self._hasse_sorted)
-
-    def _recompute_hasse_edges(self) -> list[tuple[str, str]]:
-        """The seed's from-scratch transitive reduction (reference oracle).
-
-        Kept verbatim so property tests can assert the incremental
-        maintenance of :meth:`hasse_edges` never diverges from it.
-        """
-        edges: list[tuple[str, str]] = []
-        for query, generals in self._more_general.items():
-            for general in generals:
-                if general == query:
-                    continue
-                intermediate = any(
-                    middle != query
-                    and middle != general
-                    and middle in self._more_general[query]
-                    and general in self._more_general[middle]
-                    for middle in generals
-                )
-                if not intermediate:
-                    edges.append((query, general))
-        return sorted(edges)
 
     def chains_to(self, target: str) -> list[list[str]]:
         """All maximal covering chains ending at ``target``.

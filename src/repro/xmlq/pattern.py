@@ -296,8 +296,9 @@ def covers(
     Verdicts are memoized on pattern identity (string inputs share
     interned patterns, so repeated text-level checks hit), and a
     fingerprint subset test rejects most negative pairs without running
-    the homomorphism search.  Behavior is identical to
-    :func:`covers_uncached`, which property tests enforce.
+    the homomorphism search.  Behavior is identical to the bare
+    homomorphism search, which property tests enforce against the seed
+    implementation (``tests/xmlq/oracles.py``).
     """
     counters.covers_calls += 1
     general_pattern = _as_pattern(general)
@@ -330,23 +331,6 @@ def covers(
     return result
 
 
-def covers_uncached(
-    general: Union[str, LocationPath, TreePattern],
-    specific: Union[str, LocationPath, TreePattern, Element],
-) -> bool:
-    """Reference covering check: no interning, memo, or prefilter.
-
-    This is the seed implementation, kept as the oracle that property
-    tests compare the optimized :func:`covers` against.
-    """
-    general_pattern = _fresh_pattern(general)
-    if isinstance(specific, Element):
-        specific_pattern = descriptor_to_pattern(specific)
-    else:
-        specific_pattern = _fresh_pattern(specific)
-    return _Homomorphism(general_pattern, specific_pattern).exists()
-
-
 def clear_pattern_caches() -> None:
     """Drop interned patterns and covering verdicts (tests/benchmarks)."""
     _PATTERN_CACHE.clear()
@@ -357,14 +341,6 @@ def _as_pattern(query: Union[str, LocationPath, TreePattern]) -> TreePattern:
     if isinstance(query, TreePattern):
         return query
     return pattern_from_xpath(query)
-
-
-def _fresh_pattern(query: Union[str, LocationPath, TreePattern]) -> TreePattern:
-    if isinstance(query, TreePattern):
-        return query
-    if isinstance(query, str):
-        return _build_pattern(parse_xpath(query))
-    return _build_pattern(query)
 
 
 class _Homomorphism:

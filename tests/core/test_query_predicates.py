@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.fields import ARTICLE_SCHEMA, Record, SchemaError
 from repro.core.predicates import Exact, Prefix, Range, Wildcard
 from repro.core.query import FieldQuery, QueryParseError
-from repro.xmlq.pattern import covers_uncached
+from tests.xmlq.oracles import covers_uncached
 
 AUTHORS = ["John_Smith", "Alan_Doe", "Wei_Chen", "Maria_Garcia"]
 TITLES = ["TCP", "IPv6", "Wavelets", "Routing", "Caching"]

@@ -21,12 +21,8 @@ from repro.core.scheme import simple_scheme
 from repro.core.service import IndexService
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
-from repro.net.adversary import (
-    ROLE_POISONER,
-    ROLE_SYBIL,
-    AdversarialTransport,
-)
-from repro.net.faults import FaultPlan
+from repro.net.adversary import ROLE_POISONER, ROLE_SYBIL
+from repro.net.faults import FaultPlan, FaultyTransport
 from repro.net.latency import ZeroLatency
 from repro.net.message import TrafficCategory
 from repro.net.transport import DeliveryError, SimulatedTransport
@@ -51,13 +47,13 @@ USER = "user:t"
 
 
 def build(trusted):
-    """A 12-node ring, replication 3, one record, adversarial transport
+    """A 12-node ring, replication 3, one record, fault-injecting transport
     with verification on (so a poisoner's answer fails verification)."""
     ring = IdealRing(64)
     for index in range(12):
         ring.add_node(hash_key(f"node-{index}", 64))
     rng = random.Random(5)
-    transport = AdversarialTransport(
+    transport = FaultyTransport(
         SimulatedTransport(),
         # A drop probability that never fires keeps the fault draws on
         # the path, so the RNG comparison sees every exchange.

@@ -183,6 +183,17 @@ class TestContract:
         assert not network.is_alive(fresh)
         assert fresh not in network.failed_nodes
 
+    def test_crashed_node_that_departs_rejoins_alive(self, substrate):
+        """A crashed node that departs is gone, not crashed: the same id
+        joining again is alive (storage reads it, repair copies to it)."""
+        network, node_ids = substrate
+        victim = node_ids[5]
+        network.fail_node(victim)
+        network.remove_node(victim)
+        network.add_node(victim)
+        assert network.is_alive(victim)
+        assert network.failed_nodes == set()
+
     def test_single_node_network_owns_everything(self, substrate):
         network, _ = substrate
         # Build a one-node instance of the same class.

@@ -151,8 +151,8 @@ class TestChurn:
             service.insert_record(record)
         protocol.add_node(hash_key("late-joiner", 64))
         service.register_nodes()  # new node gets an endpoint + cache
-        service.index_store.rebalance()
-        service.file_store.rebalance()
+        service.index_store.repair()
+        service.file_store.repair()
         for record in paper_records:
             trace = engine.search(
                 FieldQuery.of_record(record, ["author"]), record
@@ -166,8 +166,8 @@ class TestChurn:
             service.insert_record(record)
         victim = protocol.node_ids[3]
         protocol.remove_node(victim)
-        service.index_store.rebalance()
-        service.file_store.rebalance()
+        service.index_store.repair()
+        service.file_store.repair()
         for record in paper_records:
             trace = engine.search(
                 FieldQuery.of_record(record, ["title"]), record

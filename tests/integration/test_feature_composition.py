@@ -71,8 +71,8 @@ class TestPrefixOverChord:
         )
         protocol.add_node(fresh)
         service.register_nodes()
-        service.index_store.rebalance()
-        service.file_store.rebalance()
+        service.index_store.repair()
+        service.file_store.repair()
         engine = LookupEngine(service, user="user:fc2")
         trace = engine.search(author_prefix("A"), paper_records[2])
         assert trace.found

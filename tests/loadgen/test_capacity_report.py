@@ -141,5 +141,4 @@ class TestConfigDescribe:
         config = LoadTestConfig(extra_meta={"label": "ab-test"})
         echo = config.describe()
         assert echo["label"] == "ab-test"
-        assert echo["pipelined"] is True
         assert echo["ramp_hz"] == [50.0, 100.0, 200.0]

@@ -12,7 +12,6 @@ from repro.net.adversary import (
     ROLE_LIAR,
     ROLE_POISONER,
     ROLE_SYBIL,
-    AdversarialTransport,
     AdversaryPlan,
 )
 from repro.net.faults import NO_FAULTS, FaultyTransport
@@ -51,7 +50,7 @@ def wired():
         received = []
         for i in range(1, nodes + 1):
             inner.register(f"node:{i}", echo_endpoint(received))
-        transport = AdversarialTransport(
+        transport = FaultyTransport(
             inner, NO_FAULTS, adversary=adversary, rng=rng, verify=verify
         )
         return transport, received
@@ -87,18 +86,6 @@ class TestZeroPlanTransparency:
         for _ in range(10):
             transport.send(query())
         assert rng.getstate() == state
-
-    def test_same_results_as_faulty_transport(self, wired):
-        transport, received = wired(NO_ADVERSARY)
-        bare_inner = SimulatedTransport()
-        bare_received = []
-        bare_inner.register("node:1", echo_endpoint(bare_received))
-        bare = FaultyTransport(bare_inner, NO_FAULTS)
-        for _ in range(10):
-            assert transport.send(query()).payload == bare.send(
-                query()
-            ).payload
-        assert transport.meter.normal_bytes == bare.meter.normal_bytes
 
 
 class TestRecruitment:

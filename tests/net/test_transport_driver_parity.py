@@ -18,7 +18,6 @@ from repro.net.adversary import (
     ROLE_LIAR,
     ROLE_POISONER,
     ROLE_SYBIL,
-    AdversarialTransport,
 )
 from repro.net.faults import NO_FAULTS, FaultPlan, FaultyTransport
 from repro.net.latency import ZeroLatency
@@ -46,12 +45,8 @@ RESPONSE_DROP_SEED = next(
 )
 
 
-def build(plan=NO_FAULTS, seed=3, verify=None):
-    """(transport, inner, received, rng) over one answering endpoint.
-
-    ``verify`` selects the adversarial wrapper (with that verification
-    mode); ``None`` the plain fault wrapper.
-    """
+def build(plan=NO_FAULTS, seed=3, verify=False):
+    """(transport, inner, received, rng) over one answering endpoint."""
     inner = SimulatedTransport()
     received = []
 
@@ -66,10 +61,7 @@ def build(plan=NO_FAULTS, seed=3, verify=None):
     inner.register("node:1", handle)
     inner.register("user:t", lambda message: None)
     rng = random.Random(seed)
-    if verify is None:
-        transport = FaultyTransport(inner, plan, rng=rng)
-    else:
-        transport = AdversarialTransport(inner, plan, rng=rng, verify=verify)
+    transport = FaultyTransport(inner, plan, rng=rng, verify=verify)
     return transport, inner, received, rng
 
 
@@ -117,9 +109,9 @@ SCENARIOS = {
         QUERY, {"plan": FaultPlan(max_latency_ms=40.0)}, None,
         ("honest-entry",),
     ),
-    "eclipse": (QUERY, {"verify": False}, eclipsed, DeliveryError.DROPPED),
+    "eclipse": (QUERY, {}, eclipsed, DeliveryError.DROPPED),
     "poisoner": (
-        QUERY, {"verify": False}, compromised(ROLE_POISONER),
+        QUERY, {}, compromised(ROLE_POISONER),
         ("poison=1", "poison=1000001"),
     ),
     "poisoner-verified": (
@@ -127,16 +119,16 @@ SCENARIOS = {
         DeliveryError.VERIFY_FAILED,
     ),
     "liar": (
-        QUERY, {"verify": False}, compromised(ROLE_LIAR), ("~forged:1",)
+        QUERY, {}, compromised(ROLE_LIAR), ("~forged:1",)
     ),
     "liar-verified": (
         QUERY, {"verify": True}, compromised(ROLE_LIAR),
         DeliveryError.VERIFY_FAILED,
     ),
-    "sybil": (QUERY, {"verify": False}, compromised(ROLE_SYBIL), ()),
+    "sybil": (QUERY, {}, compromised(ROLE_SYBIL), ()),
     "sybil-verified": (QUERY, {"verify": True}, compromised(ROLE_SYBIL), ()),
     "forged-file": (
-        FETCH, {"verify": False}, compromised(ROLE_SYBIL), ("k1",)
+        FETCH, {}, compromised(ROLE_SYBIL), ("k1",)
     ),
     "forged-file-verified": (
         FETCH, {"verify": True}, compromised(ROLE_SYBIL),

@@ -1,9 +1,9 @@
 """Property-based tests for the storage layer.
 
 Invariants: the catalog view always equals the union of node-local
-stores' authoritative copies; rebalance restores primary placement after
+stores' authoritative copies; repair() restores primary placement after
 arbitrary churn; values are never lost while at least one replica node
-survives between rebalances.
+survives between repair passes.
 """
 
 from hypothesis import given, settings
@@ -55,7 +55,7 @@ def test_rebalance_restores_placement_after_churn(num_nodes, ops, removals):
     victims = ring.node_ids[: min(removals, len(ring.node_ids) - 1)]
     for node in victims:
         ring.remove_node(node)
-    store.rebalance()
+    store.repair()
     for key in {k for _, k, _ in ops if k in store}:
         result = store.get(key)
         assert result.found

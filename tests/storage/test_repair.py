@@ -145,7 +145,7 @@ class TestNoOrphanedReplicas:
         for name in ("node-1", "node-4"):
             ring.remove_node(hash_key(name, BITS))
         ring.add_node(hash_key("fresh-a", BITS))
-        store.rebalance()
+        store.repair()
         self.assert_no_departed_holders(ring, store, keys)
 
     def test_repair_purges_departed_holders(self):

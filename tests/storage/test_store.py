@@ -4,7 +4,7 @@ import pytest
 
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
-from repro.storage.store import DHTStorage, StorageError
+from repro.storage.store import DHTStorage, RepairReport, StorageError
 
 
 def make_ring(count=8, bits=32):
@@ -124,14 +124,17 @@ class TestReplication:
 
 
 class TestRebalance:
+    """Placement follows membership: the one maintenance pass,
+    ``repair()``, re-places keys after a join or a leave."""
+
     def test_rebalance_after_join(self):
         ring = make_ring(4)
         store = DHTStorage(ring)
         for index in range(50):
             store.put(f"key-{index}", "v")
         ring.add_node(hash_key("late-joiner", 32))
-        moved = store.rebalance()
-        assert moved > 0
+        report = store.repair()
+        assert report.keys_repaired > 0
         for index in range(50):
             result = store.get(f"key-{index}")
             assert result.found
@@ -143,14 +146,14 @@ class TestRebalance:
         for index in range(50):
             store.put(f"key-{index}", "v")
         ring.remove_node(ring.node_ids[0])
-        store.rebalance()
+        store.repair()
         for index in range(50):
             assert store.get(f"key-{index}").found
 
     def test_rebalance_idempotent(self, store):
         store.put("k", "v")
-        store.rebalance()
-        assert store.rebalance() == 0
+        store.repair()
+        assert store.repair() == RepairReport()
 
 
 class TestStatistics:
