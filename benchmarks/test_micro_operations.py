@@ -23,7 +23,7 @@ import pytest
 from repro import perf
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine
-from repro.core.fields import ARTICLE_SCHEMA
+from repro.core.fields import ARTICLE_SCHEMA, Record
 from repro.core.predicates import Prefix, Range, Wildcard
 from repro.core.query import FieldQuery
 from repro.core.scheme import simple_scheme
@@ -32,11 +32,14 @@ from repro.dht.chord import ChordNetwork
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
+from repro.sim.experiment import Experiment
+from repro.sim.presets import get_preset
 from repro.storage.store import DHTStorage
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 from repro.workload.querygen import QueryGenerator
 from repro.xmlq.partial_order import PartialOrderGraph
 from repro.xmlq.pattern import covers
+from tests.core.select_oracle import select_entry_per_entry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -238,6 +241,64 @@ def test_micro_cold_decode(benchmark):
         return FieldQuery.parse(schema, next(keys))
 
     benchmark(decode)
+
+
+@pytest.mark.parametrize("select", ["covering", "per-entry"])
+@pytest.mark.parametrize("target", ["hit", "miss"])
+def test_micro_select_entry(benchmark, target, select):
+    """The user's choice in one 74-entry answer of the simple scheme: an
+    author's articles, the target's MSD among them (``hit``) or only its
+    author/title pair (``miss``).  ``per-entry`` is the loop the engine
+    ran before ``FieldQuery.select_covering``."""
+    schema = dataclasses.replace(ARTICLE_SCHEMA)
+    records = [
+        Record(
+            schema,
+            {
+                "author": "John_Smith",
+                "title": f"TCP_congestion_control_{index}",
+                "conf": ("SIGCOMM", "INFOCOM", "ICDCS")[index % 3],
+                "year": str(1989 + index % 12),
+                "size": str(300_000 + index),
+            },
+        )
+        for index in range(74)
+    ]
+    if target == "hit":
+        entries = [FieldQuery.msd_of(record).key() for record in records]
+    else:
+        entries = [
+            FieldQuery.of_record(record, ["author", "title"]).key()
+            for record in records
+        ]
+    wanted = records[40]
+    wanted_msd = FieldQuery.msd_of(wanted)  # the engine's, once per lookup
+    if select == "covering":
+        chosen = benchmark(
+            lambda: FieldQuery.select_covering(entries, wanted, wanted_msd)
+        )
+    else:
+        chosen = benchmark(lambda: select_entry_per_entry(schema, entries, wanted))
+    assert chosen.key() == entries[40]
+
+
+def test_micro_repair_pass(benchmark):
+    """One ``repair()`` pass over the smoke preset's index catalog at
+    replication 3, a node having joined or left since the last pass."""
+    config = dataclasses.replace(get_preset("smoke"), replication=3)
+    experiment = Experiment(config)
+    experiment.populate()
+    protocol, store = experiment.protocol, experiment.index_store
+    joiner = hash_key("micro-joiner", config.bits)
+
+    def churn():
+        if joiner in protocol:
+            protocol.remove_node(joiner)
+        else:
+            protocol.add_node(joiner)
+
+    benchmark.pedantic(store.repair, setup=churn, rounds=40)
+    assert store.under_replicated_keys() == []
 
 
 def test_micro_chord_lookup(benchmark):

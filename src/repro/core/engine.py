@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 
 from repro.core.fields import Record
-from repro.core.query import FieldQuery, QueryParseError
+from repro.core.query import FieldQuery
 from repro.core.service import IndexService, QueryAnswer
 from repro.net.transport import DeliveryError
 from repro.perf import counters
@@ -410,7 +410,7 @@ class LookupEngine:
                 referrer = answer.node
                 continue
 
-            chosen = self._select_entry(answer.entries, target)
+            chosen = FieldQuery.select_covering(answer.entries, target, target_msd)
             if chosen is not None:
                 current = chosen
                 referrer = answer.node
@@ -529,28 +529,6 @@ class LookupEngine:
         trace.gave_up = True
         counters.engine_gave_up += 1
         return None, budget, exchange
-
-    def _select_entry(
-        self, entries: list[str], target: Record
-    ) -> Optional[FieldQuery]:
-        """Pick the returned entry that matches the target record."""
-        best: Optional[FieldQuery] = None
-        best_rank: tuple[int, int] = (0, 0)
-        for entry_key in entries:
-            try:
-                entry = FieldQuery.parse(self.service.schema, entry_key)
-            except QueryParseError:
-                continue
-            if not entry.covers_record(target):
-                continue
-            # Prefer the most specific matching entry (an MSD if
-            # present): more constrained fields first, then higher
-            # predicate rank.  On exact-only entries this reduces to the
-            # old field-count rule.
-            rank = entry.specificity()
-            if best is None or rank > best_rank:
-                best, best_rank = entry, rank
-        return best
 
     def _generalize(
         self, query: FieldQuery, attempted: set[frozenset[str]]

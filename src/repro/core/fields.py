@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from repro.xmlq.element import Element
-from repro.xmlq.normalize import normalize_xpath
 
 
 class SchemaError(ValueError):
@@ -116,17 +115,6 @@ class Schema:
                     predicates.append(f"{chain}[{constraint}]{closing}")
         predicates.sort()
         return f"/{self.root}" + "".join(predicates)
-
-    def xpath_for_normalized(self, constraints: Mapping[str, str]) -> str:
-        """Reference implementation of :meth:`xpath_for` via the general
-        normalizer; kept for equivalence testing."""
-        predicates = []
-        for field_name in self.all_field_names:
-            if field_name in constraints:
-                path = self.path_of(field_name)
-                value = constraints[field_name]
-                predicates.append(f"[{path}/{value}]")
-        return normalize_xpath(f"/{self.root}" + "".join(predicates))
 
     # -- descriptors ------------------------------------------------------------
 

@@ -49,7 +49,7 @@ class QueryParseError(ValueError):
 class FieldQuery:
     """An immutable conjunction of field predicates over a schema."""
 
-    __slots__ = ("schema", "_items", "_key", "_hash")
+    __slots__ = ("schema", "_items", "_key", "_hash", "_chains")
 
     def __init__(
         self, schema: Schema, constraints: Mapping[str, object]
@@ -69,6 +69,8 @@ class FieldQuery:
         )
         self._key: Optional[str] = None
         self._hash: Optional[int] = None
+        #: Chain texts of an exact-only key, which only ``_decode`` knows.
+        self._chains: Optional[frozenset[str]] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -86,13 +88,15 @@ class FieldQuery:
         return cls(record.schema, constraints)
 
     # Parsing canonical text is on the simulation's hot path (a node's
-    # response entries are parsed by the user at every step) and the same
+    # response entries are read by the user at every step) and the same
     # texts recur constantly, so results are memoized per schema.  The
-    # cache dict hangs off the schema instance itself -- not off
+    # cache dict hangs off the schema instance itself (its ``__dict__``,
+    # which a frozen dataclass leaves writable) -- not off
     # ``id(schema)``, whose value can be recycled after a schema is
     # garbage-collected and would then serve queries bound to a dead
     # schema -- and evicts least-recently-used entries instead of
-    # discarding everything at the limit.
+    # discarding everything at the limit.  :meth:`select_covering` probes
+    # it without the LRU touch: recency only matters past the limit.
     _PARSE_CACHE_ATTR = "_fieldquery_parse_cache"
     _PARSE_CACHE_LIMIT = 200_000
 
@@ -106,13 +110,7 @@ class FieldQuery:
         :func:`repro.xmlq.normalize.normalize_xpath` first.
         """
         counters.field_parse_calls += 1
-        cache: Optional[OrderedDict[str, "FieldQuery"]]
-        cache = schema.__dict__.get(cls._PARSE_CACHE_ATTR)
-        if cache is None:
-            cache = OrderedDict()
-            # Schema is a frozen dataclass; attach the cache via
-            # object.__setattr__ so it lives and dies with the instance.
-            object.__setattr__(schema, cls._PARSE_CACHE_ATTR, cache)
+        cache = schema.__dict__.setdefault(cls._PARSE_CACHE_ATTR, OrderedDict())
         cached = cache.get(text)
         if cached is not None:
             counters.field_parse_cache_hits += 1
@@ -145,14 +143,15 @@ class FieldQuery:
             raise QueryParseError(
                 f"not a predicate query rooted at {schema.root!r}: {text!r}"
             )
-        chains = schema.key_fields
+        fields = schema.key_fields
         constraints: dict[str, FieldPredicate] = {}
         bounds: dict[str, dict[str, int]] = {}
+        chains = text[len(opening):-1].split("][")
         try:
-            for chain in text[len(opening):-1].split("]["):
+            for chain in chains:
                 tags, _, tail = chain.rpartition("[")
                 leaf = tail.rstrip("]")
-                field_name = chains.get(tags)
+                field_name = fields.get(tags)
                 if field_name is not None:
                     constraints[field_name] = (
                         Prefix(leaf[len(PREFIX_TAG):])
@@ -161,7 +160,7 @@ class FieldQuery:
                     )
                     continue
                 tag, op, value = _COMPARISON_RE.fullmatch(leaf).groups()
-                field_name = chains.get(f"{tags}[{tag}" if tags else tag)
+                field_name = fields.get(f"{tags}[{tag}" if tags else tag)
                 if field_name is None or not op:
                     raise SchemaError(f"no schema field at {chain!r}")
                 if op == "=":
@@ -185,7 +184,52 @@ class FieldQuery:
             )
         # The caller's string, which the memo holds anyway, not the copy.
         query._key = text
+        if query.is_exact():  # here, not in __init__: only a decoder has them free
+            query._chains = frozenset(chains)
         return query
+
+    @classmethod
+    def select_covering(
+        cls, entries: list[str], target: Record, target_msd: "FieldQuery"
+    ) -> Optional["FieldQuery"]:
+        """The returned entry a user after ``target`` follows, or None.
+
+        That is the most specific entry covering the target: more
+        constrained fields first, then higher predicate rank, the first
+        of equals; texts that are no canonical keys are skipped.  An
+        exact-only entry covers exactly when its chain texts are among
+        those of ``target_msd`` (``msd_of(target)``, held by the caller
+        for the whole lookup), so only other entries are matched field
+        by field.  Nothing outranks the MSD itself.
+        """
+        schema = target_msd.schema
+        target_chains = None
+        if target_msd.is_exact():
+            if target_msd.key() in entries:
+                return target_msd
+            # As ``_decode`` splits a key, so that equal chains are equal texts.
+            opening = len(schema.root) + 2
+            target_chains = frozenset(target_msd.key()[opening:-1].split("]["))
+        memo = schema.__dict__.setdefault(cls._PARSE_CACHE_ATTR, OrderedDict())
+        best: Optional[FieldQuery] = None
+        best_rank = (0, 0)  # below every query's: each constrains a field
+        for text in entries:
+            entry = memo.get(text)
+            if entry is None:
+                try:
+                    entry = cls.parse(schema, text)
+                except QueryParseError:
+                    continue
+            chains = entry._chains
+            if chains is None or target_chains is None:
+                if not entry.covers_record(target):
+                    continue
+            elif not chains <= target_chains:
+                continue
+            rank = entry.specificity()
+            if rank > best_rank:
+                best, best_rank = entry, rank
+        return best
 
     # -- accessors ----------------------------------------------------------------
 

@@ -481,37 +481,40 @@ class IndexService:
         entries are cache *hints* -- the engine verifies them by
         following them -- and pass unauthenticated.
         """
-        entries: list[str] = []
+        entries = list(response.payload)
         shortcuts: list[str] = []
-        file_found = False
-        rejected = 0
-        verify_entry = None
+        # Most answers hold no shortcut, and then no item holds the mark.
+        if SHORTCUT_MARK in "".join(entries):
+            shortcuts = [
+                item[len(SHORTCUT_MARK):]
+                for item in entries
+                if item.startswith(SHORTCUT_MARK)
+            ]
+            entries = [
+                item for item in entries if not item.startswith(SHORTCUT_MARK)
+            ]
+        file_found = IndexService.FILE_FOUND_MARK in entries
+        while IndexService.FILE_FOUND_MARK in entries:
+            entries.remove(IndexService.FILE_FOUND_MARK)
         if self._trusted_publishers is not None:
             from repro.sec.entries import verify_entry
-        for item in response.payload:
-            if item == IndexService.FILE_FOUND_MARK:
-                file_found = True
-            elif item.startswith(SHORTCUT_MARK):
-                shortcuts.append(item[len(SHORTCUT_MARK):])
-            elif verify_entry is not None:
-                entry = verify_entry(key, item, self._trusted_publishers)
-                if entry is None:
-                    rejected += 1
-                else:
-                    entries.append(entry)
-            else:
-                entries.append(item)
-        if rejected:
-            name = self.endpoint_name(node)
-            tracer = self.transport.tracer
-            if tracer is not None:
-                tracer.sec_verify_fail(destination=name, role="entry")
-            if self.trust is not None:
-                self._trust_updated(
-                    name,
-                    self.trust.record_verify_failure(name),
-                    "verify_failure",
-                )
+
+            verified = [
+                verify_entry(key, item, self._trusted_publishers)
+                for item in entries
+            ]
+            entries = [entry for entry in verified if entry is not None]
+            if len(entries) < len(verified):
+                name = self.endpoint_name(node)
+                tracer = self.transport.tracer
+                if tracer is not None:
+                    tracer.sec_verify_fail(destination=name, role="entry")
+                if self.trust is not None:
+                    self._trust_updated(
+                        name,
+                        self.trust.record_verify_failure(name),
+                        "verify_failure",
+                    )
         return QueryAnswer(
             node=node, entries=entries, shortcuts=shortcuts,
             file_found=file_found,

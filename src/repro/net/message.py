@@ -112,9 +112,11 @@ class Message:
         if self.explicit_size is not None:
             size = self.explicit_size
         else:
-            size = HEADER_BYTES + sum(
-                len(entry.encode("utf-8")) + PER_ENTRY_BYTES
-                for entry in self.payload
+            payload = self.payload
+            size = (
+                HEADER_BYTES
+                + len("".join(payload).encode("utf-8"))
+                + PER_ENTRY_BYTES * len(payload)
             )
         object.__setattr__(self, "_size_bytes", size)
         return size

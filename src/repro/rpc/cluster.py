@@ -284,18 +284,6 @@ class ClusterClient:
             )
         )
 
-    def repair_node(self, node_id: int) -> bool:
-        """Ask one daemon to re-sync its data slice with its peers."""
-        response = self.transport.send(
-            Message(
-                kind=MessageKind.CONTROL,
-                source=self.engine.user,
-                destination=self._daemon_name(node_id),
-                payload=("repair",),
-            )
-        )
-        return response is not None and response.payload[0] == "repairing"
-
     def refresh_members(self, bootstrap: Address) -> None:
         """Re-discover membership and re-point the routes.
 

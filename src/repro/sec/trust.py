@@ -15,7 +15,7 @@ adversarial experiment cells bit-reproducible under a fixed seed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 VERIFY_FAILURE_FACTOR = 0.25
 CONTRADICTION_FACTOR = 0.5
@@ -86,9 +86,6 @@ class TrustLedger:
     def flagged(self) -> List[str]:
         """Peers currently below the trust threshold, sorted by name."""
         return sorted(p for p, s in self._scores.items() if s < self.threshold)
-
-    def known_peers(self) -> Iterable[str]:
-        return self._scores.keys()
 
     def __len__(self) -> int:
         return len(self._scores)

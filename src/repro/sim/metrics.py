@@ -167,30 +167,6 @@ class ExperimentResult:
         """Compact scheme/cache/substrate identifier of the cell."""
         return f"{self.scheme}/{self.cache}/{self.substrate}"
 
-    def summary_row(self) -> list[object]:
-        """Compact row for multi-cell comparison tables."""
-        return [
-            self.scheme,
-            self.cache,
-            round(self.avg_interactions, 3),
-            int(self.normal_bytes_per_query),
-            int(self.cache_bytes_per_query),
-            round(self.hit_ratio * 100, 1),
-            round(self.avg_cached_keys_per_node, 1),
-            self.nonindexed_queries,
-        ]
-
-    SUMMARY_HEADERS = [
-        "scheme",
-        "cache",
-        "interactions",
-        "normal B/q",
-        "cache B/q",
-        "hit %",
-        "cached keys/node",
-        "errors",
-    ]
-
     def response_time_rows(self) -> list[list[object]]:
         """The latency report of a virtual-time run (label/value rows)."""
         return [

@@ -117,8 +117,10 @@ class DHTStorage:
         self._journal_store = "index"
         # Node-local stores: what each peer physically holds.
         self._node_stores: dict[NodeId, dict[str, list[str]]] = {}
-        # Authoritative catalog used for rebalancing after churn.
+        # Authoritative catalog used for rebalancing after churn, and
+        # h(key) of its keys (hashed once: by put, or by the first repair).
         self._catalog: dict[str, list[str]] = {}
+        self._numeric: dict[str, int] = {}
         # Replica-placement cache: the sorted ring and node -> position
         # map only change on membership events, so they are rebuilt at
         # most once per protocol.membership_version instead of per key.
@@ -147,12 +149,15 @@ class DHTStorage:
 
     def numeric_key(self, key: str) -> int:
         """The m-bit numeric key ``h(key)`` used by the substrate."""
-        return self._hash(key)
+        numeric = self._numeric.get(key)
+        return self._hash(key) if numeric is None else numeric
 
     def responsible_nodes(self, key: str) -> list[NodeId]:
         """The ``replication`` nodes that should hold ``key`` right now."""
-        numeric = self.numeric_key(key)
-        primary = self.protocol.lookup(numeric).node
+        return self._replicas_of(self.protocol.lookup(self.numeric_key(key)).node)
+
+    def _replicas_of(self, primary: NodeId) -> list[NodeId]:
+        """The replica set of every key whose primary is ``primary``."""
         if self.replication == 1:
             return [primary]
         # Take the next closest nodes in identifier order after the
@@ -181,7 +186,7 @@ class DHTStorage:
         """
         numeric = self.numeric_key(key)
         result = self.protocol.lookup(numeric)
-        nodes = self.responsible_nodes(key)
+        nodes = self._replicas_of(result.node)
         for node in nodes:
             bucket = self._node_stores.setdefault(node, {}).setdefault(key, [])
             if allow_duplicate or value not in bucket:
@@ -190,6 +195,7 @@ class DHTStorage:
                     self._journal.record_put(
                         node, self._journal_store, key, value
                     )
+        self._numeric[key] = numeric
         catalog_bucket = self._catalog.setdefault(key, [])
         if allow_duplicate or value not in catalog_bucket:
             catalog_bucket.append(value)
@@ -223,7 +229,7 @@ class DHTStorage:
 
         Tries the primary responsible node first, then the replicas, so
         reads survive the loss of up to ``replication - 1`` nodes (until
-        the next :meth:`rebalance` or :meth:`repair`).  A crashed replica
+        the next :meth:`repair`).  A crashed replica
         (``protocol.is_alive`` false) cannot serve: it is skipped -- the
         failover still costs a wasted probe hop and is counted in
         ``storage_failovers`` -- and the read proceeds to the next copy.
@@ -232,7 +238,7 @@ class DHTStorage:
         result = self.protocol.lookup(numeric)
         hops = result.hops
         failovers = 0
-        for node in self.responsible_nodes(key):
+        for node in self._replicas_of(result.node):
             if not self.protocol.is_alive(node):
                 counters.storage_failovers += 1
                 failovers += 1
@@ -264,6 +270,7 @@ class DHTStorage:
         self._catalog[key].remove(value)
         if not self._catalog[key]:
             del self._catalog[key]
+            self._numeric.pop(key, None)
         for node, store in self._node_stores.items():
             bucket = store.get(key)
             if bucket and value in bucket:
@@ -280,6 +287,7 @@ class DHTStorage:
         if key not in self._catalog:
             raise StorageError(f"key not stored: {key!r}")
         del self._catalog[key]
+        self._numeric.pop(key, None)
         for node, store in self._node_stores.items():
             if store.pop(key, None) is not None and self._journal is not None:
                 self._journal.record_remove_key(node, self._journal_store, key)
@@ -379,42 +387,50 @@ class DHTStorage:
             if node not in live:
                 keys_pruned += self.drop_node(node)
         keys_repaired = copies_created = bytes_copied = 0
+        # Per primary met on this pass: its replica set, and the live
+        # replicas with their stores.  A key only picks its primary.
+        placed: dict[NodeId, tuple[set[NodeId], list]] = {}
         placements: dict[str, set[NodeId]] = {}
         for key, stored_values in self._catalog.items():
-            targets = self.responsible_nodes(key)
-            placements[key] = set(targets)
-            key_bytes = len(key.encode("utf-8"))
+            numeric = self._numeric.get(key)
+            if numeric is None:  # stored by put_local alone: hashed here, once
+                numeric = self._numeric[key] = self._hash(key)
+            primary = self.protocol.lookup(numeric).node
+            placement = placed.get(primary)
+            if placement is None:
+                targets = self._replicas_of(primary)
+                placement = placed[primary] = (
+                    set(targets),
+                    [
+                        (node, self._node_stores.setdefault(node, {}))
+                        for node in targets
+                        if self.protocol.is_alive(node)
+                    ],
+                )
+            placements[key], live_stores = placement
             repaired_here = False
-            for node in targets:
-                if not self.protocol.is_alive(node):
-                    continue
-                store = self._node_stores.setdefault(node, {})
+            for node, store in live_stores:
                 held = store.get(key)
                 if held is None:
                     store[key] = list(stored_values)
                     copies_created += 1
-                    repaired_here = True
-                    bytes_copied += sum(
-                        key_bytes + len(value.encode("utf-8"))
-                        for value in stored_values
-                    )
-                    if self._journal is not None:
-                        for value in stored_values:
-                            self._journal.record_put(
-                                node, self._journal_store, key, value
-                            )
+                    shipped = stored_values
                 elif len(held) < len(stored_values):
+                    shipped = []
                     for value in stored_values:
                         if value not in held:
                             held.append(value)
-                            bytes_copied += key_bytes + len(
-                                value.encode("utf-8")
-                            )
-                            if self._journal is not None:
-                                self._journal.record_put(
-                                    node, self._journal_store, key, value
-                                )
-                    repaired_here = True
+                            shipped.append(value)
+                else:
+                    continue
+                repaired_here = True
+                key_bytes = len(key.encode("utf-8"))
+                for value in shipped:
+                    bytes_copied += key_bytes + len(value.encode("utf-8"))
+                    if self._journal is not None:
+                        self._journal.record_put(
+                            node, self._journal_store, key, value
+                        )
             if repaired_here:
                 keys_repaired += 1
         # Prune copies on live nodes that are no longer responsible for a
@@ -447,6 +463,7 @@ class DHTStorage:
         all responsible nodes alive) this must be empty.
         """
         missing: list[str] = []
+        required = min(self.replication, len(self.protocol.node_ids))
         for key in self._catalog:
             holders = sum(
                 1
@@ -454,7 +471,6 @@ class DHTStorage:
                 if self.protocol.is_alive(node)
                 and key in self._node_stores.get(node, {})
             )
-            required = min(self.replication, len(self.protocol.node_ids))
             if holders < required:
                 missing.append(key)
         return missing

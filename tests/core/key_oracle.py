@@ -26,7 +26,20 @@ from repro.core.predicates import (
 )
 from repro.core.query import FieldQuery, QueryParseError
 from repro.xmlq.astnodes import LocationStep, Predicate
+from repro.xmlq.normalize import normalize_xpath
 from repro.xmlq.xpparser import parse_xpath
+
+
+def xpath_for_normalized(schema: Schema, constraints: dict[str, str]) -> str:
+    """Reference implementation of ``Schema.xpath_for`` via the general
+    normalizer (a method of ``Schema`` until only tests called it)."""
+    predicates = []
+    for field_name in schema.all_field_names:
+        if field_name in constraints:
+            path = schema.path_of(field_name)
+            value = constraints[field_name]
+            predicates.append(f"[{path}/{value}]")
+    return normalize_xpath(f"/{schema.root}" + "".join(predicates))
 
 
 def parse_via_xmlq(schema: Schema, text: str) -> FieldQuery:

@@ -23,24 +23,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest_helpers import PERSON_SCHEMA
 from key_oracle import parse_via_xmlq
 from repro import perf
-from repro.core.fields import ARTICLE_SCHEMA, Schema
+from repro.core.fields import ARTICLE_SCHEMA
 from repro.core.predicates import Exact, PredicateError, Prefix, Range, Wildcard
 from repro.core.query import FieldQuery, QueryParseError
-
-#: Sibling leaves under shared parents, three tags deep: the decoder must
-#: tell ``author[name[first`` from ``author[name[last`` from ``author[id``.
-PERSON_SCHEMA = Schema(
-    root="person",
-    fields={
-        "first": "author/name/first",
-        "last": "author/name/last",
-        "id": "author/id",
-        "city": "city",
-    },
-    admin={"born": "born"},
-)
 
 
 def _constructible(kind, *args):

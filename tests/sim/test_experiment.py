@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.query import FieldQuery
 from repro.sim.experiment import Experiment, ExperimentConfig
+from repro.sim.presets import get_preset
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
 TINY = ExperimentConfig(
@@ -108,6 +109,18 @@ class TestRun:
         assert counts["field_parse_calls"] == (
             counts["field_parse_cache_hits"] + counts["field_parse_cache_misses"]
         )
+
+    def test_selection_decodes_an_entry_once_not_once_per_answer(self):
+        """The paper's cell returns ~74 entries per answer.  Selection
+        reads a known entry from the memo without calling ``parse``, so
+        parse calls are first sights only (148 per lookup before)."""
+        experiment = Experiment(replace(get_preset("paper"), num_queries=500))
+        experiment.populate()
+        experiment.service.schema.__dict__.pop(FieldQuery._PARSE_CACHE_ATTR, None)
+        counts = experiment.run().perf_counters
+        assert counts["engine_searches"] == 500
+        assert 0 < counts["field_parse_calls"] <= 20 * counts["engine_searches"]
+        assert counts["xpath_parses"] == 0
 
     def test_shared_corpus_must_match(self, tiny_corpus):
         with pytest.raises(ValueError):

@@ -35,9 +35,6 @@ class TestDerived:
     def test_label(self):
         assert make().label() == "simple/none/ideal"
 
-    def test_summary_row_matches_headers(self):
-        assert len(make().summary_row()) == len(ExperimentResult.SUMMARY_HEADERS)
-
 
 class TestResponseTimeRows:
     def test_rows_report_kernel_fields(self):
