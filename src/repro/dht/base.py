@@ -1,18 +1,27 @@
-"""Abstract interface shared by all DHT substrates.
+"""The membership base shared by all DHT substrates.
 
 The indexing layer needs exactly one operation from the substrate
 (Section III-A of the paper): given a key, find the live node responsible
-for it.  Every substrate also supports membership changes and reports the
-routing cost (hop count and path) of each lookup, which the storage layer
-aggregates and the substrate ablation benchmarks.
+for it.  That operation -- :meth:`DHTProtocol.lookup`, with the routing
+cost (hop count and path) the storage layer aggregates and the substrate
+ablation benchmarks -- is all a substrate writes, plus three hooks that
+keep its routing state in step with the membership.  Everything else
+(the identifier space, the member table, the ascending ring, liveness,
+the membership version, the join / leave / bulk-build checks) is the
+same for every overlay and lives here, once.
 """
 
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Any, Optional, TypeVar
+
+from repro.dht.idspace import DEFAULT_BITS, IdSpace
 
 NodeId = int
+_Substrate = TypeVar("_Substrate", bound="DHTProtocol")
 
 
 @dataclass(frozen=True)
@@ -31,104 +40,169 @@ class LookupResult:
 
 
 class DHTProtocol(abc.ABC):
-    """A key-to-node resolution service over a dynamic node population."""
+    """A key-to-node resolution service over a dynamic node population.
 
-    @property
-    @abc.abstractmethod
-    def bits(self) -> int:
-        """Width of the identifier space in bits."""
+    A substrate supplies :meth:`lookup` and the hooks :meth:`_join`,
+    :meth:`_leave` and (optionally) :meth:`_converge`; the hooks alone
+    write ``_nodes``.
+    """
 
-    @property
-    @abc.abstractmethod
-    def node_ids(self) -> list[NodeId]:
-        """Identifiers of all live nodes."""
+    def __init__(self, bits: int = DEFAULT_BITS) -> None:
+        self.space = IdSpace(bits)
+        #: Width of the identifier space in bits.
+        self.bits = bits
+        #: Counter incremented by every accepted join, leave or bulk build:
+        #: what a layer above keys a cached view of the membership on
+        #: instead of re-deriving O(N) state per operation.
+        self.membership_version = 0
+        #: Member table: node id -> the substrate's per-node routing state.
+        self._nodes: dict[NodeId, Any] = {}
+        #: The members in ascending order, built on demand (see ``_ordered``).
+        self._ring: Optional[list[NodeId]] = None
+        # A *crashed* node differs from a *removed* one: it stays in the
+        # overlay's routing state (lookups still resolve to it) but cannot
+        # serve requests until it recovers (Section IV-C).  This is the
+        # window in which the storage layer's replica failover and the
+        # engine's retries must carry the load.
+        self._crashed: set[NodeId] = set()
+
+    # -- what a substrate supplies -------------------------------------------
 
     @abc.abstractmethod
     def lookup(self, key: int) -> LookupResult:
         """Resolve a numeric key to the responsible live node."""
 
     @abc.abstractmethod
-    def add_node(self, node: NodeId) -> None:
-        """Add a node with the given identifier to the overlay."""
+    def _join(self, node: NodeId) -> None:
+        """Enter ``node`` (checked: in the space, not a member) into
+        ``_nodes`` and bring the routing state up to date."""
 
     @abc.abstractmethod
+    def _leave(self, node: NodeId) -> None:
+        """Drop ``node`` (checked: a member) from ``_nodes`` and repair
+        the routing state of the survivors."""
+
+    def _converge(self, ordered: list[NodeId]) -> None:
+        """Fill an empty overlay with ``ordered`` (checked: ascending,
+        distinct, in the space), to the state joins would converge to.
+        Substrates that can compute that state directly override this."""
+        for node in ordered:
+            self._join(node)
+            self._ring = None  # this join may have read it before entering
+
+    # -- membership changes: check, hook, bump --------------------------------
+
+    @classmethod
+    def bulk_build(
+        cls: type[_Substrate],
+        node_ids: list[NodeId],
+        bits: int = DEFAULT_BITS,
+        **parameters: Any,
+    ) -> _Substrate:
+        """One converged overlay over ``node_ids`` (``parameters`` are the
+        substrate's own constructor arguments)."""
+        network = cls(bits=bits, **parameters)
+        ordered = sorted(set(node_ids))
+        if len(ordered) != len(node_ids):
+            raise ValueError("duplicate node ids")
+        for node in ordered:
+            if not network.space.contains(node):
+                raise ValueError(f"node id {node} outside the identifier space")
+        network._change(network._converge, ordered)
+        return network
+
+    def add_node(self, node: NodeId) -> None:
+        """Add a node with the given identifier to the overlay."""
+        if not self.space.contains(node):
+            raise ValueError(f"node id {node} outside the identifier space")
+        if node in self._nodes:
+            raise ValueError(f"node id {node} already present")
+        self._change(self._join, node)
+
     def remove_node(self, node: NodeId) -> None:
         """Remove a node from the overlay."""
-
-    # -- crash state (transient failures, Section IV-C) ----------------------
-    #
-    # A *crashed* node differs from a *removed* one: it stays in the
-    # overlay's routing state (lookups still resolve to it) but cannot
-    # serve requests until it recovers.  This is the window in which the
-    # storage layer's replica failover and the engine's retries must
-    # carry the load.  The state lives here so every substrate exposes
-    # ``fail_node`` / ``recover_node`` / ``is_alive`` consistently.
-
-    @property
-    def _crashed_nodes(self) -> set[NodeId]:
-        crashed = self.__dict__.get("_crashed_node_set")
-        if crashed is None:
-            crashed = self.__dict__["_crashed_node_set"] = set()
-        return crashed
-
-    def fail_node(self, node: NodeId) -> None:
-        """Mark a member node crashed (it stays in the overlay)."""
-        if node not in self:
-            raise KeyError(f"node id {node} not in the overlay")
-        self._crashed_nodes.add(node)
-
-    def recover_node(self, node: NodeId) -> None:
-        """Bring a crashed node back up (no-op when it is not crashed)."""
-        self._crashed_nodes.discard(node)
-
-    def is_alive(self, node: NodeId) -> bool:
-        """True for overlay members that are not currently crashed."""
-        if node in self._crashed_nodes:
-            return False
-        return node in self
-
-    @property
-    def failed_nodes(self) -> set[NodeId]:
-        """Crashed nodes that are still overlay members."""
-        crashed = self._crashed_nodes
-        if not crashed:
-            return set()
-        return crashed & set(self.node_ids)
-
-    # -- membership versioning ----------------------------------------------
-    #
-    # Layers above the substrate (storage replica placement, service
-    # registration) cache derived views of the membership -- the sorted
-    # ring, node -> position maps -- that are only invalidated by joins
-    # and leaves, never by lookups.  Every substrate bumps this counter
-    # from ``add_node``/``remove_node`` so those caches can key on it
-    # instead of re-deriving O(N) state per operation.
-
-    @property
-    def membership_version(self) -> int:
-        """Counter incremented by every join or leave."""
-        return self.__dict__.get("_membership_version", 0)
-
-    def _bump_membership(self) -> None:
-        self.__dict__["_membership_version"] = self.membership_version + 1
+        if node not in self._nodes:
+            raise KeyError(f"node id {node} not present")
+        self._change(self._leave, node)
         # A crashed node that departs is gone, not crashed: left in the
         # set, a later join under the same id would come back dead.
-        crashed = self._crashed_nodes
-        if crashed:
-            crashed -= {node for node in crashed if node not in self}
+        self._crashed.discard(node)
 
-    # -- common helpers ------------------------------------------------------
+    def _change(self, hook, argument) -> None:
+        # Dropped on both sides: before, so a hook that reads the ring
+        # after touching ``_nodes`` (Pastry's leave) gets the new one;
+        # after, because one that reads it first (Kademlia picking its
+        # bootstrap) rebuilt it from the old membership.
+        self._ring = None
+        hook(argument)
+        self._ring = None
+        self.membership_version += 1
+
+    # -- membership views ----------------------------------------------------
+
+    def _ordered(self) -> list[NodeId]:
+        """The cached ascending ring itself (callers must not mutate it)."""
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = sorted(self._nodes)
+        return ring
+
+    @property
+    def node_ids(self) -> list[NodeId]:
+        """Identifiers of all member nodes, ascending (a fresh list)."""
+        return list(self._ordered())
 
     def __len__(self) -> int:
-        return len(self.node_ids)
+        return len(self._nodes)
 
     def __contains__(self, node: NodeId) -> bool:
-        # Fallback only: every substrate overrides this with an O(1) or
-        # O(log N) check against its own membership structure (this copy
-        # plus set build is O(N) per call and sits under ``is_alive``,
-        # which storage reads invoke per replica probe).
-        return node in set(self.node_ids)
+        return node in self._nodes
+
+    def node(self, node_id: NodeId) -> Any:
+        """A member's routing state: the substrate's peer object."""
+        return self._nodes[node_id]
+
+    def successors(self, node: NodeId, count: int) -> list[NodeId]:
+        """``node`` and the members after it in identifier order, wrapping:
+        ``count`` of them, or every member when there are fewer
+        (successor-list replica placement, as in DHash/PAST)."""
+        ring = self._ordered()
+        start = bisect_left(ring, node)
+        if start == len(ring) or ring[start] != node:
+            raise KeyError(f"node id {node} not in the overlay")
+        head = ring[start : start + count]
+        return head + ring[: min(count - len(head), start)]
+
+    def _lookup_start(self, key: int, start: Optional[NodeId]) -> NodeId:
+        """The checks every routed lookup opens with; returns the node the
+        resolution starts from (default: the lowest id)."""
+        if not self._nodes:
+            raise RuntimeError("network has no nodes")
+        if not self.space.contains(key):
+            raise ValueError(f"key {key} outside the identifier space")
+        return self._ordered()[0] if start is None else start
 
     def lookup_many(self, keys: list[int]) -> list[LookupResult]:
         """Resolve a batch of keys (convenience for bulk placement)."""
         return [self.lookup(key) for key in keys]
+
+    # -- crash state (transient failures, Section IV-C) ----------------------
+
+    def fail_node(self, node: NodeId) -> None:
+        """Mark a member node crashed (it stays in the overlay)."""
+        if node not in self._nodes:
+            raise KeyError(f"node id {node} not in the overlay")
+        self._crashed.add(node)
+
+    def recover_node(self, node: NodeId) -> None:
+        """Bring a crashed node back up (no-op when it is not crashed)."""
+        self._crashed.discard(node)
+
+    def is_alive(self, node: NodeId) -> bool:
+        """True for overlay members that are not currently crashed."""
+        return node in self._nodes and node not in self._crashed
+
+    @property
+    def failed_nodes(self) -> set[NodeId]:
+        """Crashed nodes that are still overlay members."""
+        return set(self._crashed)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.dht.base import DHTProtocol, LookupResult, NodeId
-from repro.dht.idspace import DEFAULT_BITS, IdSpace
+from repro.dht.idspace import DEFAULT_BITS
 
 
 @dataclass
@@ -98,39 +98,22 @@ def _torus_distance(a: tuple[float, ...], b: tuple[float, ...]) -> float:
 
 
 class CANNetwork(DHTProtocol):
-    """A simulated d-dimensional CAN."""
+    """A simulated d-dimensional CAN (the member table maps node -> zone)."""
+
+    _nodes: dict[NodeId, Zone]
 
     def __init__(
         self, bits: int = DEFAULT_BITS, dimensions: int = 2, seed: int = 0
     ) -> None:
         if dimensions < 1:
             raise ValueError("dimensions must be >= 1")
-        self.space = IdSpace(bits)
+        super().__init__(bits)
         self.dimensions = dimensions
         self._rng = random.Random(seed)
-        self._zones: dict[NodeId, Zone] = {}
         self._neighbors: dict[NodeId, set[NodeId]] = {}
         # Split genealogy: node -> (parent node it split from, dimension).
         self._split_of: dict[NodeId, tuple[NodeId, int]] = {}
         self._next_split_dimension: dict[NodeId, int] = {}
-        #: Memoized sorted membership (invalidated on join/leave).
-        self._ids_cache: Optional[list[NodeId]] = None
-
-    @classmethod
-    def bulk_build(
-        cls,
-        node_ids: list[NodeId],
-        bits: int = DEFAULT_BITS,
-        dimensions: int = 2,
-        seed: int = 0,
-    ) -> "CANNetwork":
-        network = cls(bits=bits, dimensions=dimensions, seed=seed)
-        unique = sorted(set(node_ids))
-        if len(unique) != len(node_ids):
-            raise ValueError("duplicate node ids")
-        for node_id in unique:
-            network.add_node(node_id)
-        return network
 
     # -- key geometry ------------------------------------------------------------
 
@@ -150,116 +133,81 @@ class CANNetwork(DHTProtocol):
             value >>= slice_bits
         return tuple(coordinates)
 
-    # -- DHTProtocol surface --------------------------------------------------------
-
-    @property
-    def bits(self) -> int:
-        return self.space.bits
-
-    @property
-    def node_ids(self) -> list[NodeId]:
-        if self._ids_cache is None:
-            self._ids_cache = sorted(self._zones)
-        return list(self._ids_cache)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._zones
-
-    def _note_membership_change(self) -> None:
-        self._ids_cache = None
-        self._bump_membership()
+    # -- zones and the membership hooks ---------------------------------------------
 
     def zone_of(self, node: NodeId) -> Zone:
         """The zone currently owned by a node."""
-        return self._zones[node]
+        return self._nodes[node]
 
     def neighbors_of(self, node: NodeId) -> set[NodeId]:
         """Nodes whose zones abut this node's zone."""
         return set(self._neighbors[node])
 
-    def add_node(self, node: NodeId) -> None:
+    def _join(self, node: NodeId) -> None:
         """Join a node: route to a random point's zone and split it."""
-        if not self.space.contains(node):
-            raise ValueError(f"node id {node} outside the identifier space")
-        if node in self._zones:
-            raise ValueError(f"node id {node} already present")
-        if not self._zones:
-            self._zones[node] = Zone(
+        if not self._nodes:
+            self._nodes[node] = Zone(
                 (0.0,) * self.dimensions, (1.0,) * self.dimensions
             )
             self._neighbors[node] = set()
             self._next_split_dimension[node] = 0
-            self._note_membership_change()
             return
         # Join: random point -> owning zone -> split it in half.
         point = tuple(self._rng.random() for _ in range(self.dimensions))
         owner = self._owner_of_point(point)
         dimension = self._next_split_dimension[owner]
-        first, second = self._zones[owner].split(dimension)
-        self._zones[owner] = first
-        self._zones[node] = second
+        first, second = self._nodes[owner].split(dimension)
+        self._nodes[owner] = first
+        self._nodes[node] = second
         self._split_of[node] = (owner, dimension)
         self._next_split_dimension[owner] = (dimension + 1) % self.dimensions
         self._next_split_dimension[node] = (dimension + 1) % self.dimensions
-        self._note_membership_change()
         self._rewire_neighbors_around(node, owner)
 
-    def remove_node(self, node: NodeId) -> None:
+    def _leave(self, node: NodeId) -> None:
         """Depart a node; survivors take over its zone (partition repair)."""
-        if node not in self._zones:
-            raise KeyError(f"node id {node} not present")
-        if len(self._zones) == 1:
-            del self._zones[node]
+        if len(self._nodes) == 1:
+            del self._nodes[node]
             del self._neighbors[node]
-            self._note_membership_change()
             return
         # Takeover: rebuild the partition without the departed node by
         # replaying the split history (equivalent to the zone-merge
         # protocol's converged outcome).
-        survivors = [n for n in self._zones if n != node]
         rebuilt = CANNetwork(
             bits=self.bits, dimensions=self.dimensions, seed=self._rng.randint(0, 2**31)
         )
-        for survivor in survivors:
-            rebuilt.add_node(survivor)
-        self._zones = rebuilt._zones
+        for survivor in self._nodes:
+            if survivor != node:
+                rebuilt._join(survivor)
+        self._nodes = rebuilt._nodes
         self._neighbors = rebuilt._neighbors
         self._split_of = rebuilt._split_of
         self._next_split_dimension = rebuilt._next_split_dimension
-        self._note_membership_change()
-
-    def responsible_node(self, key: int) -> NodeId:
-        """Ground truth: the node whose zone contains the key's point."""
-        return self._owner_of_point(self.key_point(key))
 
     def lookup(self, key: int, start: Optional[NodeId] = None) -> LookupResult:
         """Greedy torus routing to the zone containing the key's point."""
-        if not self._zones:
-            raise RuntimeError("network has no nodes")
+        current = self._lookup_start(key, start)
         point = self.key_point(key)
-        if start is None:
-            start = min(self._zones)
-        current = start
         path = [current]
-        for _ in range(4 * len(self._zones) + 8):
-            if self._zones[current].contains(point):
+        for _ in range(4 * len(self._nodes) + 8):
+            if self._nodes[current].contains(point):
                 return LookupResult(
                     key=key, node=current, hops=len(path), path=tuple(path)
                 )
             candidates = [
                 neighbor
                 for neighbor in self._neighbors[current]
-                if neighbor in self._zones
+                if neighbor in self._nodes
             ]
             if not candidates:
                 break
             best = min(
                 candidates,
-                key=lambda n: _torus_distance(self._zones[n].center(), point),
+                key=lambda n: _torus_distance(self._nodes[n].center(), point),
             )
             if _torus_distance(
-                self._zones[best].center(), point
-            ) >= _torus_distance(self._zones[current].center(), point):
+                self._nodes[best].center(), point
+            ) >= _torus_distance(self._nodes[current].center(), point):
                 # Greedy stuck (possible on coarse partitions): step to
                 # the best neighbour anyway, but only once per node.
                 if best in path:
@@ -276,7 +224,7 @@ class CANNetwork(DHTProtocol):
     # -- internals --------------------------------------------------------------------
 
     def _owner_of_point(self, point: tuple[float, ...]) -> NodeId:
-        for node, zone in self._zones.items():
+        for node, zone in self._nodes.items():
             if zone.contains(point):
                 return node
         raise RuntimeError(f"no zone contains {point}; partition broken")
@@ -288,20 +236,10 @@ class CANNetwork(DHTProtocol):
         )
         self._neighbors[new_node] = set()
         for node in affected:
-            if node not in self._zones:
+            if node not in self._nodes:
                 continue
             self._neighbors[node] = {
                 other
-                for other in self._zones
-                if other != node and self._zones[node].touches(self._zones[other])
+                for other in self._nodes
+                if other != node and self._nodes[node].touches(self._nodes[other])
             }
-
-    def partition_is_valid(self) -> bool:
-        """Invariant check: zones tile the torus exactly (used by tests)."""
-        total = 0.0
-        for zone in self._zones.values():
-            volume = 1.0
-            for low, high in zip(zone.low, zone.high):
-                volume *= high - low
-            total += volume
-        return abs(total - 1.0) < 1e-9

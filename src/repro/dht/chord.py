@@ -20,10 +20,11 @@ predecessor), so hop counts are faithful to the real protocol.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from repro.dht.base import DHTProtocol, LookupResult, NodeId
-from repro.dht.idspace import DEFAULT_BITS, IdSpace, in_interval
+from repro.dht.idspace import DEFAULT_BITS, in_interval
 
 
 class ChordNode:
@@ -68,26 +69,19 @@ class ChordNode:
 class ChordNetwork(DHTProtocol):
     """A simulated Chord overlay with correct-by-convergence maintenance."""
 
+    _nodes: dict[NodeId, ChordNode]
+
     def __init__(
         self,
         bits: int = DEFAULT_BITS,
         successor_list_size: int = 8,
         max_stabilize_rounds: int = 64,
     ) -> None:
-        self.space = IdSpace(bits)
+        super().__init__(bits)
         self.successor_list_size = successor_list_size
         self.max_stabilize_rounds = max_stabilize_rounds
-        self._nodes: dict[NodeId, ChordNode] = {}
-        #: Memoized sorted membership (invalidated on join/leave).
-        self._ids_cache: Optional[list[NodeId]] = None
 
-    @classmethod
-    def bulk_build(
-        cls,
-        node_ids: list[NodeId],
-        bits: int = DEFAULT_BITS,
-        successor_list_size: int = 8,
-    ) -> "ChordNetwork":
+    def _converge(self, ordered: list[NodeId]) -> None:
         """Construct a converged overlay directly from global knowledge.
 
         Produces exactly the state incremental join+stabilization would
@@ -96,81 +90,36 @@ class ChordNetwork(DHTProtocol):
         the sorted ring.  Used to stand up large simulated networks; the
         incremental protocol remains available for churn experiments.
         """
-        network = cls(bits=bits, successor_list_size=successor_list_size)
-        ordered = sorted(set(node_ids))
-        if len(ordered) != len(node_ids):
-            raise ValueError("duplicate node ids")
         count = len(ordered)
-        for node_id in ordered:
-            if not network.space.contains(node_id):
-                raise ValueError(f"node id {node_id} outside the identifier space")
-            network._nodes[node_id] = ChordNode(node_id, bits, successor_list_size)
-        import bisect
-
         for position, node_id in enumerate(ordered):
-            peer = network._nodes[node_id]
+            peer = ChordNode(node_id, self.bits, self.successor_list_size)
             peer.predecessor = ordered[(position - 1) % count]
             peer.successor_list = [
                 ordered[(position + offset + 1) % count]
-                for offset in range(min(successor_list_size, count))
+                for offset in range(min(self.successor_list_size, count))
             ]
-            for index in range(bits):
-                start = network.space.finger_start(node_id, index)
-                at = bisect.bisect_left(ordered, start)
-                peer.fingers[index] = ordered[at % count]
-        network._note_membership_change()
-        return network
+            for index in range(self.bits):
+                start = self.space.finger_start(node_id, index)
+                peer.fingers[index] = ordered[bisect_left(ordered, start) % count]
+            self._nodes[node_id] = peer
 
-    # -- DHTProtocol surface -------------------------------------------------
-
-    @property
-    def bits(self) -> int:
-        return self.space.bits
-
-    @property
-    def node_ids(self) -> list[NodeId]:
-        if self._ids_cache is None:
-            self._ids_cache = sorted(self._nodes)
-        return list(self._ids_cache)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._nodes
-
-    def _note_membership_change(self) -> None:
-        self._ids_cache = None
-        self._bump_membership()
-
-    def node(self, node_id: NodeId) -> ChordNode:
-        """The peer object for a node id."""
-        return self._nodes[node_id]
-
-    def add_node(self, node: NodeId) -> None:
+    def _join(self, node: NodeId) -> None:
         """Textbook join: find the successor, then stabilize to quiescence."""
-        if not self.space.contains(node):
-            raise ValueError(f"node id {node} outside the identifier space")
-        if node in self._nodes:
-            raise ValueError(f"node id {node} already present")
         peer = ChordNode(node, self.bits, self.successor_list_size)
         if not self._nodes:
             peer.set_successor(node)
             peer.predecessor = node
             self._nodes[node] = peer
-            self._note_membership_change()
             self._refresh_fingers(peer)
             return
         bootstrap = next(iter(self._nodes.values()))
-        successor = self._find_successor_internal(bootstrap, node)
-        peer.set_successor(successor)
+        peer.set_successor(self._find_successor_internal(bootstrap, node))
         self._nodes[node] = peer
-        self._note_membership_change()
         self.stabilize_until_quiescent()
 
-    def remove_node(self, node: NodeId) -> None:
+    def _leave(self, node: NodeId) -> None:
         """Depart a node and repair successors/fingers via stabilization."""
-        if node not in self._nodes:
-            raise KeyError(f"node id {node} not present")
         del self._nodes[node]
-        self._note_membership_change()
         if not self._nodes:
             return
         for peer in self._nodes.values():
@@ -186,13 +135,7 @@ class ChordNetwork(DHTProtocol):
 
     def lookup(self, key: int, start: Optional[NodeId] = None) -> LookupResult:
         """Iteratively resolve a key from ``start`` (default: lowest id)."""
-        if not self._nodes:
-            raise RuntimeError("network has no nodes")
-        if not self.space.contains(key):
-            raise ValueError(f"key {key} outside the identifier space")
-        if start is None:
-            start = min(self._nodes)
-        current = self._nodes[start]
+        current = self._nodes[self._lookup_start(key, start)]
         path: list[NodeId] = [current.id]
         for _ in range(2 * len(self._nodes) + self.bits):
             successor = current.successor
@@ -314,19 +257,3 @@ class ChordNetwork(DHTProtocol):
             if candidate != node_id:
                 return candidate
         return node_id
-
-    # -- invariant checks (used by tests) -------------------------------------
-
-    def ring_is_consistent(self) -> bool:
-        """True when following successors from any node tours all nodes."""
-        if not self._nodes:
-            return True
-        start = min(self._nodes)
-        seen = []
-        current = start
-        for _ in range(len(self._nodes) + 1):
-            seen.append(current)
-            current = self._nodes[current].successor
-            if current == start:
-                break
-        return len(seen) == len(self._nodes) and set(seen) == set(self._nodes)

@@ -15,10 +15,11 @@ protocol, nodes opportunistically learn about peers that contact them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from repro.dht.base import DHTProtocol, LookupResult, NodeId
-from repro.dht.idspace import DEFAULT_BITS, IdSpace
+from repro.dht.idspace import DEFAULT_BITS
 
 
 class KademliaNode:
@@ -74,17 +75,13 @@ class KademliaNode:
 class KademliaNetwork(DHTProtocol):
     """A simulated Kademlia overlay with iterative lookups."""
 
-    def __init__(self, bits: int = DEFAULT_BITS, k: int = 8) -> None:
-        self.space = IdSpace(bits)
-        self.k = k
-        self._nodes: dict[NodeId, KademliaNode] = {}
-        #: Memoized sorted membership (invalidated on join/leave).
-        self._ids_cache: Optional[list[NodeId]] = None
+    _nodes: dict[NodeId, KademliaNode]
 
-    @classmethod
-    def bulk_build(
-        cls, node_ids: list[NodeId], bits: int = DEFAULT_BITS, k: int = 8
-    ) -> "KademliaNetwork":
+    def __init__(self, bits: int = DEFAULT_BITS, k: int = 8) -> None:
+        super().__init__(bits)
+        self.k = k
+
+    def _converge(self, ordered: list[NodeId]) -> None:
         """Construct a converged overlay directly from global knowledge.
 
         Each node's buckets are filled with up to ``k`` contacts per
@@ -101,64 +98,26 @@ class KademliaNetwork(DHTProtocol):
         scan-all-pairs fill -- which appended candidates in ascending id
         order -- in O(N * bits * log N) instead of O(N^2).
         """
-        import bisect
-
-        network = cls(bits=bits, k=k)
-        unique = sorted(set(node_ids))
-        if len(unique) != len(node_ids):
-            raise ValueError("duplicate node ids")
-        for node_id in unique:
-            if not network.space.contains(node_id):
-                raise ValueError(f"node id {node_id} outside the identifier space")
-            network._nodes[node_id] = KademliaNode(node_id, bits, k)
-        bisect_left = bisect.bisect_left
-        for node_id, peer in network._nodes.items():
+        k = self.k
+        for node_id in ordered:
+            peer = self._nodes[node_id] = KademliaNode(node_id, self.bits, k)
             buckets = peer.buckets
-            for index in range(bits):
+            for index in range(self.bits):
                 width = 1 << index
                 base = (node_id ^ width) & ~(width - 1)
-                low = bisect_left(unique, base)
-                high = bisect_left(unique, base + width, low)
-                contacts = unique[low : min(low + k, high)]
+                low = bisect_left(ordered, base)
+                high = bisect_left(ordered, base + width, low)
+                contacts = ordered[low : min(low + k, high)]
                 if contacts:
                     buckets[index] = contacts
-        network._note_membership_change()
-        return network
 
-    @property
-    def bits(self) -> int:
-        return self.space.bits
-
-    @property
-    def node_ids(self) -> list[NodeId]:
-        if self._ids_cache is None:
-            self._ids_cache = sorted(self._nodes)
-        return list(self._ids_cache)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._nodes
-
-    def _note_membership_change(self) -> None:
-        self._ids_cache = None
-        self._bump_membership()
-
-    def node(self, node_id: NodeId) -> KademliaNode:
-        """The peer object for a node id."""
-        return self._nodes[node_id]
-
-    def add_node(self, node: NodeId) -> None:
+    def _join(self, node: NodeId) -> None:
         """Join: bootstrap contact, self-lookup, bucket refresh."""
-        if not self.space.contains(node):
-            raise ValueError(f"node id {node} outside the identifier space")
-        if node in self._nodes:
-            raise ValueError(f"node id {node} already present")
-        peer = KademliaNode(node, self.bits, self.k)
-        self._nodes[node] = peer
-        self._note_membership_change()
-        others = [n for n in self._nodes if n != node]
-        if not others:
+        # The lowest id already present, read before the joiner goes in.
+        bootstrap = self._ordered()[0] if self._nodes else None
+        peer = self._nodes[node] = KademliaNode(node, self.bits, self.k)
+        if bootstrap is None:
             return
-        bootstrap = min(others)
         peer.observe(bootstrap)
         self._nodes[bootstrap].observe(node)
         # Join procedure of the original paper: a self-lookup populates
@@ -171,25 +130,20 @@ class KademliaNetwork(DHTProtocol):
             if contact != node:
                 self._nodes[contact].observe(node)
 
-    def remove_node(self, node: NodeId) -> None:
+    def _leave(self, node: NodeId) -> None:
         """Depart a node; affected peers re-probe the emptied range."""
-        if node not in self._nodes:
-            raise KeyError(f"node id {node} not present")
         del self._nodes[node]
-        self._note_membership_change()
         affected = []
         for peer in self._nodes.values():
             bucket = peer.buckets[peer.bucket_index(node)]
             if node in bucket:
                 bucket.remove(node)
-                affected.append(peer.id)
+                affected.append(peer)
         # Repair: peers that lost a contact re-probe that bucket's range so
         # routing tables keep one contact per populated subtree (the role
         # of Kademlia's periodic bucket refresh).
-        for peer_id in affected:
-            if peer_id in self._nodes:
-                peer = self._nodes[peer_id]
-                self._iterative_find(peer, node)
+        for peer in affected:
+            self._iterative_find(peer, node)
 
     def refresh_node(self, node: NodeId) -> None:
         """Refresh every bucket range of one node (periodic maintenance)."""
@@ -200,19 +154,9 @@ class KademliaNetwork(DHTProtocol):
 
     def lookup(self, key: int, start: Optional[NodeId] = None) -> LookupResult:
         """Iterative FIND_NODE toward the XOR-closest node."""
-        if not self._nodes:
-            raise RuntimeError("network has no nodes")
-        if not self.space.contains(key):
-            raise ValueError(f"key {key} outside the identifier space")
-        if start is None:
-            start = min(self._nodes)
-        initiator = self._nodes[start]
+        initiator = self._nodes[self._lookup_start(key, start)]
         closest, path = self._iterative_find(initiator, key)
         return LookupResult(key=key, node=closest, hops=len(path), path=tuple(path))
-
-    def responsible_node(self, key: int) -> NodeId:
-        """Ground truth: the globally XOR-closest node (for tests)."""
-        return min(self._nodes, key=lambda n: n ^ key)
 
     def _iterative_find(
         self, initiator: KademliaNode, key: int

@@ -22,10 +22,11 @@ routing consults strictly node-local state, so hop counts are faithful.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
 from repro.dht.base import DHTProtocol, LookupResult, NodeId
-from repro.dht.idspace import DEFAULT_BITS, IdSpace
+from repro.dht.idspace import DEFAULT_BITS
 
 
 class PastryNode:
@@ -99,26 +100,18 @@ def _numeric_distance(a: int, b: int) -> int:
 class PastryNetwork(DHTProtocol):
     """A simulated Pastry overlay."""
 
+    _nodes: dict[NodeId, PastryNode]
+
     def __init__(
         self, bits: int = DEFAULT_BITS, digit_bits: int = 4, leaf_size: int = 8
     ) -> None:
         if bits % digit_bits != 0:
             raise ValueError("bits must be a multiple of digit_bits")
-        self.space = IdSpace(bits)
+        super().__init__(bits)
         self.digit_bits = digit_bits
         self.leaf_size = leaf_size
-        self._nodes: dict[NodeId, PastryNode] = {}
-        #: Memoized sorted membership (invalidated on join/leave).
-        self._ids_cache: Optional[list[NodeId]] = None
 
-    @classmethod
-    def bulk_build(
-        cls,
-        node_ids: list[NodeId],
-        bits: int = DEFAULT_BITS,
-        digit_bits: int = 4,
-        leaf_size: int = 8,
-    ) -> "PastryNetwork":
+    def _converge(self, ordered: list[NodeId]) -> None:
         """Construct a converged overlay directly from global knowledge.
 
         Routing entry (row ``r``, column ``c``) of a node must point at
@@ -130,26 +123,13 @@ class PastryNetwork(DHTProtocol):
         one bisect per slot finds that same smallest id directly, in
         O(N * rows * 2^digit_bits * log N).
         """
-        import bisect
-
-        network = cls(bits=bits, digit_bits=digit_bits, leaf_size=leaf_size)
-        unique = sorted(set(node_ids))
-        if len(unique) != len(node_ids):
-            raise ValueError("duplicate node ids")
-        for node_id in unique:
-            if not network.space.contains(node_id):
-                raise ValueError(f"node id {node_id} outside the identifier space")
-            network._nodes[node_id] = PastryNode(
-                node_id, bits, digit_bits, leaf_size
-            )
-        bisect_left = bisect.bisect_left
-        count = len(unique)
+        bits, digit_bits = self.bits, self.digit_bits
+        count = len(ordered)
         columns = 1 << digit_bits
-        half = leaf_size // 2
-        for position, node_id in enumerate(unique):
-            peer = network._nodes[node_id]
-            peer.leaf_below = unique[max(0, position - half) : position]
-            peer.leaf_above = unique[position + 1 : position + 1 + half]
+        for position, node_id in enumerate(ordered):
+            peer = PastryNode(node_id, bits, digit_bits, self.leaf_size)
+            self._nodes[node_id] = peer
+            self._fill_leaf_sets(peer, ordered, position)
             for row in range(peer.rows):
                 shift = bits - (row + 1) * digit_bits
                 own_digit = (node_id >> shift) & (columns - 1)
@@ -159,89 +139,39 @@ class PastryNetwork(DHTProtocol):
                     if column == own_digit:
                         continue  # a longer shared prefix: deeper row's slot
                     base = prefix | (column << shift)
-                    low = bisect_left(unique, base)
-                    if low < count and unique[low] < base + (1 << shift):
-                        table_row[column] = unique[low]
-        network._note_membership_change()
-        return network
+                    low = bisect_left(ordered, base)
+                    if low < count and ordered[low] < base + (1 << shift):
+                        table_row[column] = ordered[low]
 
-    # -- DHTProtocol surface ---------------------------------------------------
+    @staticmethod
+    def _fill_leaf_sets(peer: PastryNode, ordered: list[NodeId], position: int) -> None:
+        half = peer.leaf_size // 2
+        peer.leaf_below = ordered[max(0, position - half) : position]
+        peer.leaf_above = ordered[position + 1 : position + 1 + half]
 
-    @property
-    def bits(self) -> int:
-        return self.space.bits
-
-    @property
-    def node_ids(self) -> list[NodeId]:
-        if self._ids_cache is None:
-            self._ids_cache = sorted(self._nodes)
-        return list(self._ids_cache)
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._nodes
-
-    def _note_membership_change(self) -> None:
-        self._ids_cache = None
-        self._bump_membership()
-
-    def node(self, node_id: NodeId) -> PastryNode:
-        """The peer object for a node id."""
-        return self._nodes[node_id]
-
-    def add_node(self, node: NodeId) -> None:
+    def _join(self, node: NodeId) -> None:
         """Join a node (converges to the same state as a routed JOIN)."""
-        if not self.space.contains(node):
-            raise ValueError(f"node id {node} outside the identifier space")
-        if node in self._nodes:
-            raise ValueError(f"node id {node} already present")
         # Join: rebuild from the (small) global membership.  Incremental
         # Pastry join routes a JOIN message and copies table rows; the
         # converged state is identical, so we rebuild directly -- churn
-        # behaviour is exercised through remove_node's local repair.
-        members = list(self._nodes) + [node]
-        rebuilt = PastryNetwork.bulk_build(
-            sorted(members),
-            bits=self.bits,
-            digit_bits=self.digit_bits,
-            leaf_size=self.leaf_size,
-        )
-        self._nodes = rebuilt._nodes
-        self._note_membership_change()
+        # behaviour is exercised through the leave hook's local repair.
+        members = sorted([*self._nodes, node])
+        self._nodes = {}
+        self._converge(members)
 
-    def remove_node(self, node: NodeId) -> None:
+    def _leave(self, node: NodeId) -> None:
         """Depart a node; peers repair routing entries and leaf sets."""
-        if node not in self._nodes:
-            raise KeyError(f"node id {node} not present")
         del self._nodes[node]
-        self._note_membership_change()
-        ordered = self.node_ids
-        import bisect
-
+        ordered = self._ordered()
         for peer in self._nodes.values():
             peer.forget(node)
             # Leaf-set repair: refill from the live membership around us
             # (real Pastry asks the farthest leaf for its leaf set).
-            position = bisect.bisect_left(ordered, peer.id)
-            half = peer.leaf_size // 2
-            peer.leaf_below = ordered[max(0, position - half) : position]
-            peer.leaf_above = ordered[position + 1 : position + 1 + half]
-
-    def responsible_node(self, key: int) -> NodeId:
-        """Ground truth: numerically closest node (ties downward)."""
-        return min(
-            self._nodes,
-            key=lambda n: (_numeric_distance(n, key), n > key),
-        )
+            self._fill_leaf_sets(peer, ordered, bisect_left(ordered, peer.id))
 
     def lookup(self, key: int, start: Optional[NodeId] = None) -> LookupResult:
         """Prefix-route toward the key; the leaf set decides ownership."""
-        if not self._nodes:
-            raise RuntimeError("network has no nodes")
-        if not self.space.contains(key):
-            raise ValueError(f"key {key} outside the identifier space")
-        if start is None:
-            start = min(self._nodes)
-        current = self._nodes[start]
+        current = self._nodes[self._lookup_start(key, start)]
         path: list[NodeId] = [current.id]
         for _ in range(2 * len(self._nodes) + current.rows):
             # Leaf set covers the key: deliver to the numerically closest

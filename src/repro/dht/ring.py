@@ -10,77 +10,34 @@ claim in the ablation.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 
 from repro.dht.base import DHTProtocol, LookupResult, NodeId
-from repro.dht.idspace import DEFAULT_BITS, IdSpace
 
 
 class IdealRing(DHTProtocol):
-    """Consistent hashing with global knowledge (one-hop resolution)."""
+    """Consistent hashing with global knowledge (one-hop resolution).
 
-    def __init__(self, bits: int = DEFAULT_BITS) -> None:
-        self.space = IdSpace(bits)
-        self._nodes: list[NodeId] = []  # kept sorted
+    There is no routing state to keep: the member table maps every node
+    to ``None`` and the base's ascending ring *is* the overlay, so a bulk
+    build is one sort however many nodes there are.
+    """
 
-    @classmethod
-    def bulk_build(cls, node_ids: list[NodeId], bits: int = DEFAULT_BITS) -> "IdealRing":
-        """Construct a ring from a full membership in one O(N log N) pass.
+    def _join(self, node: NodeId) -> None:
+        self._nodes[node] = None
 
-        Identical to N ``add_node`` calls, without the O(N^2) pointer
-        shuffling of inserting into a sorted list at random positions --
-        the difference between instant and several seconds at 10^5 nodes.
-        """
-        ring = cls(bits)
-        ordered = sorted(set(node_ids))
-        if len(ordered) != len(node_ids):
-            raise ValueError("duplicate node ids")
-        for node_id in ordered:
-            if not ring.space.contains(node_id):
-                raise ValueError(f"node id {node_id} outside the identifier space")
-        ring._nodes = ordered
-        ring._bump_membership()
-        return ring
-
-    @property
-    def bits(self) -> int:
-        return self.space.bits
-
-    @property
-    def node_ids(self) -> list[NodeId]:
-        return list(self._nodes)
-
-    def __contains__(self, node: NodeId) -> bool:
-        nodes = self._nodes
-        index = bisect.bisect_left(nodes, node)
-        return index < len(nodes) and nodes[index] == node
-
-    def add_node(self, node: NodeId) -> None:
-        """Insert a node into the sorted ring."""
-        if not self.space.contains(node):
-            raise ValueError(f"node id {node} outside the identifier space")
-        index = bisect.bisect_left(self._nodes, node)
-        if index < len(self._nodes) and self._nodes[index] == node:
-            raise ValueError(f"node id {node} already present")
-        self._nodes.insert(index, node)
-        self._bump_membership()
-
-    def remove_node(self, node: NodeId) -> None:
-        """Remove a node from the ring."""
-        index = bisect.bisect_left(self._nodes, node)
-        if index >= len(self._nodes) or self._nodes[index] != node:
-            raise KeyError(f"node id {node} not present")
-        self._nodes.pop(index)
-        self._bump_membership()
+    def _leave(self, node: NodeId) -> None:
+        del self._nodes[node]
 
     def successor(self, key: int) -> NodeId:
         """The first node at or clockwise after ``key``."""
-        if not self._nodes:
+        ring = self._ring or self._ordered()
+        if not ring:
             raise RuntimeError("ring has no nodes")
-        index = bisect.bisect_left(self._nodes, key)
-        if index == len(self._nodes):
+        index = bisect_left(ring, key)
+        if index == len(ring):
             index = 0
-        return self._nodes[index]
+        return ring[index]
 
     def lookup(self, key: int) -> LookupResult:
         """Resolve a key to its clockwise successor in one hop."""

@@ -29,7 +29,6 @@ Each daemon exposes two endpoints:
   CONTROL (joined,id,addr)  peer notification of an admission
   CONTROL (stats,)          index/file entry counts and peer count
   CONTROL (pull,id)         entries held here that node ``id`` should hold
-  CONTROL (repair,)         re-sync local entries with the peers
   CONTROL (shutdown,)       replies (bye,) and stops the daemon
   ========================  =============================================
 
@@ -51,8 +50,8 @@ write-ahead log before it is acknowledged, and a restart recovers the
 node -- same identity, same entries, same warmed cache, same membership
 view -- by replaying snapshot + log tail.  After recovery the daemon
 rejoins via its remembered peers and re-synchronizes its slice of the
-data (``pull``/``repair``), so entries written to its keys while it was
-down arrive as well.
+data (a ``pull`` exchange with every peer), so entries written to its
+keys while it was down arrive as well.
 """
 
 from __future__ import annotations
@@ -390,7 +389,7 @@ class NodeDaemon:
     # -- re-replication -----------------------------------------------------
 
     #: Upper bound on entries one ``pull`` response carries; a node with
-    #: more outstanding entries syncs the rest on the next repair pass.
+    #: more outstanding entries syncs the rest the next time it starts.
     PULL_LIMIT = 30_000
 
     def _pull_payload(self, requester: int) -> tuple[str, ...]:
@@ -524,12 +523,6 @@ class NodeDaemon:
             return message.reply(
                 MessageKind.CONTROL, self._pull_payload(int(rest[0], 16))
             )
-        if verb == "repair":
-            # The sync needs the loop (it awaits peer exchanges), so it
-            # runs as a task; callers poll `stats` or just look up --
-            # both converge once the task lands.
-            asyncio.get_running_loop().create_task(self._sync_with_peers())
-            return message.reply(MessageKind.CONTROL, ("repairing",))
         if verb == "shutdown":
             loop = asyncio.get_running_loop()
             loop.call_soon(self.stop)

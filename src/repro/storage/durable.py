@@ -749,15 +749,10 @@ class DurableNodeState:
         *,
         fsync: str | FsyncPolicy = "interval",
         snapshot_every: int = 8192,
-        node_scope: Optional[int] = None,
     ) -> None:
         """``snapshot_every`` bounds the log: after that many appended
-        records a compacting snapshot runs and resets it.  ``node_scope``
-        restricts the journal to one node's operations (a daemon owns
-        exactly one node; the storage layer passes the writing node with
-        every journal call)."""
+        records a compacting snapshot runs and resets it."""
         self.data_dir = data_dir
-        self.node_scope = node_scope
         if snapshot_every < 1:
             raise WalError("snapshot_every must be >= 1")
         self.snapshot_every = snapshot_every
@@ -800,21 +795,11 @@ class DurableNodeState:
             self.wal_path, policy, start_seq=max(self.state.wal_seq, replay.last_seq)
         )
         self._records_since_snapshot = 0
-        #: True while recovered state is being re-applied to the stores:
-        #: journal calls are ignored (the records are already on disk).
-        self.replaying = False
 
     # -- journal protocol ----------------------------------------------------
-
-    def _scoped(self, node: Optional[int]) -> bool:
-        """Whether an operation on ``node`` belongs in this journal."""
-        if self.replaying:
-            return False
-        return (
-            self.node_scope is None
-            or node is None
-            or node == self.node_scope
-        )
+    #
+    # One journal serves one node (a daemon owns exactly one; the
+    # simulator's ``NodeWalSet`` routes by the ``node`` every call names).
 
     def _append(self, op: int, fields: tuple) -> None:
         self.wal.append(op, fields)
@@ -827,36 +812,32 @@ class DurableNodeState:
 
     def record_put(self, node: int, store: str, key: str, value: str) -> None:
         """Journal one replica placement on ``node``."""
-        if self._scoped(node):
-            self._append(OP_PUT, (store, key, value))
+        self._append(OP_PUT, (store, key, value))
 
     def record_remove_value(
         self, node: int, store: str, key: str, value: str
     ) -> None:
         """Journal one value removed from ``key`` on ``node``."""
-        if self._scoped(node):
-            self._append(OP_REMOVE_VALUE, (store, key, value))
+        self._append(OP_REMOVE_VALUE, (store, key, value))
 
     def record_remove_key(self, node: int, store: str, key: str) -> None:
         """Journal a whole key dropped from ``node``."""
-        if self._scoped(node):
-            self._append(OP_REMOVE_KEY, (store, key))
+        self._append(OP_REMOVE_KEY, (store, key))
 
     def record_cache_insert(
         self, node: int, query_key: str, msd_key: str
     ) -> None:
         """Journal one cache shortcut created on ``node``."""
-        if self._scoped(node):
-            self._append(OP_CACHE_INSERT, (query_key, msd_key))
+        self._append(OP_CACHE_INSERT, (query_key, msd_key))
 
     def record_member(self, node_id: int, host: str, port: int) -> None:
         """Journal one membership entry (deduplicated against state)."""
-        if not self.replaying and self.state.peers.get(node_id) != (host, port):
+        if self.state.peers.get(node_id) != (host, port):
             self._append(OP_MEMBER, (node_id, host, port))
 
     def record_identity(self, node_id: int) -> None:
         """Journal this node's own ring identity (written once)."""
-        if not self.replaying and self.state.node_id != node_id:
+        if self.state.node_id != node_id:
             self._append(OP_IDENTITY, (node_id,))
 
     def record_drop_node(self, node: int) -> None:
@@ -926,9 +907,7 @@ class NodeWalSet:
             return None
         state = self._states.get(node)
         if state is None:
-            state = DurableNodeState(
-                self.node_dir(node), fsync=self.fsync, node_scope=node
-            )
+            state = DurableNodeState(self.node_dir(node), fsync=self.fsync)
             self._states[node] = state
         return state
 
@@ -963,14 +942,17 @@ class NodeWalSet:
             state.record_cache_insert(node, query_key, msd_key)
 
     def record_drop_node(self, node: int) -> None:
-        """A node departed for good: its durable state goes with it."""
+        """A node departed for good: its durable state goes with it --
+        also when its journal is down (killed, not yet recovered), or a
+        later ``recover`` of the id would replay the departed node."""
         state = self._states.pop(node, None)
         if state is not None:
             state.abandon()
-            for name in (DurableNodeState.WAL_NAME, DurableNodeState.SNAPSHOT_NAME):
-                path = os.path.join(self.node_dir(node), name)
-                if os.path.exists(path):
-                    os.remove(path)
+        self._down.discard(node)
+        for name in (DurableNodeState.WAL_NAME, DurableNodeState.SNAPSHOT_NAME):
+            path = os.path.join(self.node_dir(node), name)
+            if os.path.exists(path):
+                os.remove(path)
 
     # -- restart chaos -------------------------------------------------------
 
@@ -997,9 +979,7 @@ class NodeWalSet:
     def recover(self, node: int) -> DurableNodeState:
         """Bring a killed node's journal back: replay and reopen."""
         self._down.discard(node)
-        state = DurableNodeState(
-            self.node_dir(node), fsync=self.fsync, node_scope=node
-        )
+        state = DurableNodeState(self.node_dir(node), fsync=self.fsync)
         self._states[node] = state
         return state
 

@@ -121,12 +121,6 @@ class DHTStorage:
         # h(key) of its keys (hashed once: by put, or by the first repair).
         self._catalog: dict[str, list[str]] = {}
         self._numeric: dict[str, int] = {}
-        # Replica-placement cache: the sorted ring and node -> position
-        # map only change on membership events, so they are rebuilt at
-        # most once per protocol.membership_version instead of per key.
-        self._ring_version = -1
-        self._ring: list[NodeId] = []
-        self._ring_index: dict[NodeId, int] = {}
 
     def attach_journal(
         self, journal: "StorageJournal", store_label: str = "index"
@@ -162,19 +156,7 @@ class DHTStorage:
             return [primary]
         # Take the next closest nodes in identifier order after the
         # primary (successor-list placement, as in DHash/PAST).
-        version = self.protocol.membership_version
-        if version != self._ring_version:
-            self._ring = sorted(self.protocol.node_ids)
-            self._ring_index = {
-                node: position for position, node in enumerate(self._ring)
-            }
-            self._ring_version = version
-        ordered = self._ring
-        if not ordered:
-            return [primary]
-        start = self._ring_index[primary]
-        count = min(self.replication, len(ordered))
-        return [ordered[(start + offset) % len(ordered)] for offset in range(count)]
+        return self.protocol.successors(primary, self.replication)
 
     # -- operations ------------------------------------------------------------
 
@@ -381,10 +363,9 @@ class DHTStorage:
         shipped are counted (``storage_repair_bytes``) so the repair
         overhead of a chaos run is measured, not estimated.
         """
-        live = set(self.protocol.node_ids)
         keys_pruned = 0
         for node in list(self._node_stores):
-            if node not in live:
+            if node not in self.protocol:
                 keys_pruned += self.drop_node(node)
         keys_repaired = copies_created = bytes_copied = 0
         # Per primary met on this pass: its replica set, and the live
@@ -463,7 +444,7 @@ class DHTStorage:
         all responsible nodes alive) this must be empty.
         """
         missing: list[str] = []
-        required = min(self.replication, len(self.protocol.node_ids))
+        required = min(self.replication, len(self.protocol))
         for key in self._catalog:
             holders = sum(
                 1
@@ -524,26 +505,23 @@ def replay_durable_state(
     """Re-apply one node's recovered journal to its fresh in-memory state.
 
     The one restart recovery, run by the simulator's restart chaos and
-    by a restarting daemon alike.  The entries come *from* the journal,
-    so journaling is suppressed for the duration -- replaying must not
-    re-log (the seq watermark plus idempotent application is what keeps
-    repeated restarts from growing the WAL or the stores).  Index
-    entries, then file entries, then cache shortcuts **in journal
-    order**: a bounded (``lruK``) cache that overflowed before the kill
-    comes back holding the most recently written shortcuts, as it did
-    when the process died.  Returns ``(entries, cache_entries)``
-    actually (re)added.
+    by a restarting daemon alike.  The entries come *from* the journal
+    and must not be re-logged: ``replay_entries`` detaches the stores'
+    journal for the replay and the cache below is filled directly, not
+    through the journaling service (the seq watermark plus idempotent
+    application is what keeps repeated restarts from growing the WAL or
+    the stores).  Index entries, then file entries, then cache
+    shortcuts **in journal order**: a bounded (``lruK``) cache that
+    overflowed before the kill comes back holding the most recently
+    written shortcuts, as it did when the process died.  Returns
+    ``(entries, cache_entries)`` actually (re)added.
     """
     state = durable.state
     cache_entries = 0
-    durable.replaying = True
-    try:
-        entries = index_store.replay_entries(node, state.entries("index"))
-        entries += file_store.replay_entries(node, state.entries("file"))
-        if cache is not None:
-            for query_key, msd_keys in state.cache.items():
-                for msd_key in msd_keys:
-                    cache_entries += int(cache.insert(query_key, msd_key))
-    finally:
-        durable.replaying = False
+    entries = index_store.replay_entries(node, state.entries("index"))
+    entries += file_store.replay_entries(node, state.entries("file"))
+    if cache is not None:
+        for query_key, msd_keys in state.cache.items():
+            for msd_key in msd_keys:
+                cache_entries += int(cache.insert(query_key, msd_key))
     return entries, cache_entries

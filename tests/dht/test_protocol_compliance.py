@@ -46,6 +46,15 @@ def substrate(request):
     return build(request.param, node_ids), node_ids
 
 
+def fresh_id(node_ids: list[int], seed: int) -> int:
+    rng = random.Random(seed)
+    return next(
+        candidate
+        for candidate in iter(lambda: rng.randrange(SPACE), None)
+        if candidate not in set(node_ids)
+    )
+
+
 class TestContract:
     def test_node_ids_sorted_and_complete(self, substrate):
         network, node_ids = substrate
@@ -110,11 +119,7 @@ class TestContract:
     def test_join_then_leave_is_consistent(self, substrate):
         network, node_ids = substrate
         rng = random.Random(21)
-        fresh = next(
-            candidate
-            for candidate in iter(lambda: rng.randrange(SPACE), None)
-            if candidate not in set(node_ids)
-        )
+        fresh = fresh_id(node_ids, 22)
         network.add_node(fresh)
         assert fresh in network
         # All lookups resolve to live nodes with the newcomer present.
@@ -170,12 +175,7 @@ class TestContract:
 
     def test_departed_node_not_alive(self, substrate):
         network, node_ids = substrate
-        rng = random.Random(23)
-        fresh = next(
-            candidate
-            for candidate in iter(lambda: rng.randrange(SPACE), None)
-            if candidate not in set(node_ids)
-        )
+        fresh = fresh_id(node_ids, 23)
         network.add_node(fresh)
         network.fail_node(fresh)
         network.remove_node(fresh)
@@ -205,3 +205,83 @@ class TestContract:
         )
         for key in (0, 1, SPACE // 2, SPACE - 1):
             assert one.lookup(key).node == 42
+
+
+class TestMembershipContract:
+    """What the shared base owns: version, ring, checks, O(1) views."""
+
+    def test_version_rises_by_one_per_change(self, substrate):
+        network, node_ids = substrate
+        built = type(network).bulk_build(node_ids, bits=BITS)
+        assert built.membership_version == 1  # however many nodes went in
+        joiner = fresh_id(node_ids, 31)
+        before = network.membership_version
+        network.add_node(joiner)
+        assert network.membership_version == before + 1
+        network.remove_node(node_ids[4])
+        assert network.membership_version == before + 2
+        network.fail_node(joiner)  # liveness is not membership
+        network.recover_node(joiner)
+        network.lookup(12345)
+        assert network.membership_version == before + 2
+
+    def test_rejected_changes_leave_version_and_members_alone(self, substrate):
+        network, node_ids = substrate
+        before = network.membership_version
+        with pytest.raises(ValueError):
+            network.add_node(node_ids[0])  # duplicate
+        with pytest.raises(ValueError):
+            network.add_node(SPACE)  # outside the space
+        with pytest.raises(ValueError):
+            network.add_node(-1)
+        with pytest.raises(KeyError):
+            network.remove_node(fresh_id(node_ids, 32))  # unknown leaver
+        assert network.membership_version == before
+        assert network.node_ids == node_ids
+
+    def test_bulk_build_rejects_bad_memberships(self, substrate):
+        network, node_ids = substrate
+        with pytest.raises(ValueError, match="duplicate"):
+            type(network).bulk_build(node_ids + node_ids[:1], bits=BITS)
+        with pytest.raises(ValueError, match="outside"):
+            type(network).bulk_build(node_ids + [SPACE], bits=BITS)
+
+    def test_node_ids_is_ascending_and_fresh(self, substrate):
+        network, node_ids = substrate
+        network.add_node(fresh_id(node_ids, 33))
+        network.remove_node(node_ids[0])
+        listed = network.node_ids
+        assert listed == sorted(listed)
+        assert len(listed) == len(set(listed)) == len(node_ids)
+        listed.clear()  # the caller's copy, not the overlay's ring
+        assert len(network.node_ids) == len(node_ids)
+
+    def test_size_membership_and_liveness_never_list_the_members(
+        self, substrate, monkeypatch
+    ):
+        network, node_ids = substrate
+        network.fail_node(node_ids[1])
+
+        def listed(self):
+            raise AssertionError("node_ids built on an O(1) path")
+
+        monkeypatch.setattr(DHTProtocol, "node_ids", property(listed))
+        monkeypatch.setattr(DHTProtocol, "_ordered", listed)
+        assert len(network) == len(node_ids)
+        assert node_ids[0] in network
+        assert network.is_alive(node_ids[0])
+        assert not network.is_alive(node_ids[1])
+        assert not network.is_alive(fresh_id(node_ids, 34))
+
+    def test_successors_wrap_and_truncate(self, substrate):
+        network, _ = substrate
+        small = type(network).bulk_build([10, 20, 30], bits=BITS)
+        assert small.successors(10, 2) == [10, 20]
+        assert small.successors(30, 2) == [30, 10]  # wraps past the top
+        assert small.successors(20, 3) == [20, 30, 10]
+        assert small.successors(20, 7) == [20, 30, 10]  # only three members
+        assert small.successors(20, 1) == [20]
+        small.remove_node(30)
+        assert small.successors(20, 3) == [20, 10]
+        with pytest.raises(KeyError):
+            small.successors(30, 2)

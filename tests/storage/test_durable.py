@@ -255,15 +255,14 @@ def test_empty_data_dir_recovers_to_nothing(tmp_path):
 
 def test_journal_then_recover(tmp_path):
     data_dir = str(tmp_path / "node")
-    durable = DurableNodeState(data_dir, fsync="never", node_scope=7)
+    durable = DurableNodeState(data_dir, fsync="never")
     durable.record_identity(7)
     durable.record_member(7, "127.0.0.1", 7000)
     durable.record_put(7, "index", "author=morris", "msd:5")
     durable.record_cache_insert(7, "title=dht", "msd:5")
-    durable.record_put(99, "index", "other-node", "msd:9")  # out of scope
     durable.abandon()
 
-    recovered = DurableNodeState(data_dir, node_scope=7)
+    recovered = DurableNodeState(data_dir)
     assert recovered.report.recovered
     assert recovered.state.node_id == 7
     assert recovered.state.peers[7] == ("127.0.0.1", 7000)
@@ -422,5 +421,24 @@ def test_shared_recovery_replays_cache_shortcuts_in_journal_order(tmp_path):
     assert index_store.values_at(victim, "index-key") == ("index-value",)
     assert file_store.values_at(victim, "file-key") == ("file-value",)
     assert durable.wal.size == size_before  # replay did not re-log
-    assert durable.replaying is False
+    walset.close()
+
+
+def test_dropping_a_killed_node_deletes_its_journal(tmp_path):
+    """Churn can remove a node whose journal a restart event took down:
+    the departure still deletes the files and clears the outage, so a
+    later node under the same id recovers nothing of the departed one."""
+    walset = NodeWalSet(str(tmp_path), fsync="never")
+    walset.record_put(7, "index", "author=morris", "msd:5")
+    walset.kill(7)
+    walset.record_drop_node(7)
+    assert os.listdir(walset.node_dir(7)) == []
+    # Not down any more: the id journals again at once ...
+    walset.record_put(7, "index", "title=dht", "msd:6")
+    walset.kill(7)
+    # ... and recovers only what its new life wrote.
+    recovered = walset.recover(7)
+    assert recovered.state.entries("index") == [("title=dht", "msd:6")]
+    walset.record_drop_node(7)
+    assert walset.recover(7).state.total_entries() == 0
     walset.close()
