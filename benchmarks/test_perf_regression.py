@@ -28,6 +28,7 @@ from repro.core.service import IndexService
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
+from repro.rpc.cluster import LocalCluster
 from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.sim.kernel import EventKernel
 from repro.sim.presets import get_preset
@@ -337,3 +338,36 @@ class TestTracingOverhead:
             f"tracing overhead regressed: traced/untraced = {ratio:.2f} "
             f"({traced * 1000:.0f}ms vs {untraced * 1000:.0f}ms)"
         )
+
+
+class TestWireThreadCrossings:
+    """A blocking wire lookup crosses onto the loop thread once.
+
+    The wire path's cost is thread hand-offs and loop iterations, both
+    too noisy to time in CI; ``rpc_thread_crossings`` counts the calls
+    marshalled onto a transport's loop from another thread.  One per
+    ``ClusterClient.search`` -- not one per message, as when every
+    exchange was a blocking ``send`` -- whatever the chain's length.
+    """
+
+    def test_one_crossing_per_search_not_per_exchange(self):
+        corpus = SyntheticCorpus(
+            CorpusConfig(num_articles=30, num_authors=8, seed=7)
+        )
+        feed = list(QueryGenerator(corpus, seed=3).generate(120))
+        with LocalCluster(5, cache="single") as cluster:
+            client = cluster.client()
+            for record in corpus.records:
+                client.insert_record(record)
+
+            def lookups():
+                for item in feed:
+                    assert client.search(item.query, item.target).found
+
+            increments = _delta(lookups)
+            client.close()
+        assert increments["engine_searches"] == len(feed)
+        assert increments["rpc_thread_crossings"] == len(feed)
+        # The exchanges are still there -- they stay on the loop.
+        assert increments["rpc_requests"] > 2 * len(feed)
+        assert increments["rpc_timeouts"] == increments["rpc_retries"] == 0

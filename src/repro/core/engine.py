@@ -314,9 +314,7 @@ class LookupEngine:
         if isinstance(step, FetchStep):
             return self.service.fetch_file(step.msd, self.user)
         if isinstance(step, ShortcutStep):
-            # Fire-and-forget under every driver: over the simulated
-            # transport the insert completes inline, and the wire
-            # client's service sends it without awaiting the reply.
+            # Best-effort: a failed insert is swallowed by the service.
             self.service.insert_shortcut(
                 step.node, step.query_key, step.msd_key, self.user
             )

@@ -12,8 +12,8 @@ silently deflating when the server saturates, as a closed loop would.
 Concurrency model: the worker's asyncio loop runs in a background
 thread; arrivals are ``loop.call_at`` timers; retrieves drive the
 lookup engine's continuation-passing state machine
-(:meth:`LookupEngine.start_async`) with a shim that maps retry-backoff
-timers onto the loop, and stores fan their replica placements out
+(:meth:`LookupEngine.start_async`) with the client's transport as its
+timer source, and stores fan their replica placements out
 through :meth:`AsyncioTransport.request_many`.  Thousands of logical
 clients therefore fit in one process; multiple worker processes scale
 past one interpreter.
@@ -109,23 +109,6 @@ class WorkerResult:
     stages: list[StageOutcome]
 
 
-class _LoopTimers:
-    """The event-kernel ``post`` surface over a real asyncio loop.
-
-    :meth:`LookupEngine.start_async` schedules retry backoff through
-    ``kernel.post(delay_ms, fn)``; here a backoff is simply a real
-    timer on the worker's loop.
-    """
-
-    __slots__ = ("_loop",)
-
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-
-    def post(self, delay_ms: float, fn) -> None:
-        self._loop.call_later(delay_ms / 1000.0, fn)
-
-
 class _StageTracker:
     """Exactly-once completion accounting for one stage's operations."""
 
@@ -209,7 +192,6 @@ def run_worker(config: WorkerConfig) -> WorkerResult:
     entry_classes = sorted(
         tuple(sorted(keyset)) for keyset in client.scheme.entry_classes()
     )
-    timers = _LoopTimers(loop)
 
     trackers: list[_StageTracker] = []
     for plan in config.stages:
@@ -269,7 +251,9 @@ def run_worker(config: WorkerConfig) -> WorkerResult:
                     gave_up=trace.gave_up,
                 )
 
-            client.engine.start_async(query, record, timers, on_complete)
+            client.engine.start_async(
+                query, record, client.transport, on_complete
+            )
 
     # Anchor the loop clock to the shared wall-clock start instant, so
     # every worker's schedule counts offsets from the same origin.
@@ -318,27 +302,11 @@ def run_worker(config: WorkerConfig) -> WorkerResult:
     loop.call_soon_threadsafe(collect)
     snapshot_done.wait(timeout=10.0)
 
+    # close() fails every exchange the drain deadline left in flight, so
+    # the stragglers' tasks end by themselves: let the loop run them out,
+    # or closing it reports them as destroyed-while-pending.
     client.close()
-
-    # Cancel whatever the drain deadline left in flight before taking
-    # the loop down, so stragglers cannot leak "pending task" noise.
-    cancelled = threading.Event()
-
-    def cancel_pending() -> None:
-        for task in asyncio.all_tasks(loop):
-            task.cancel()
-        cancelled.set()
-
-    loop.call_soon_threadsafe(cancel_pending)
-    cancelled.wait(timeout=5.0)
-    try:
-        # Let the cancellations actually unwind before the loop stops,
-        # or closing the loop reports them as destroyed-while-pending.
-        asyncio.run_coroutine_threadsafe(
-            asyncio.sleep(0.2), loop
-        ).result(timeout=5.0)
-    except Exception:
-        pass
+    asyncio.run_coroutine_threadsafe(asyncio.sleep(0.2), loop).result(timeout=5.0)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(timeout=10.0)
     loop.close()

@@ -27,7 +27,7 @@ from repro.net.traffic import TrafficMeter
 
 if TYPE_CHECKING:  # import cycle guard: sim.kernel is typing-only here
     from repro.net.latency import LatencyModel
-    from repro.obs.tracer import SpanRef, Tracer
+    from repro.obs.tracer import Tracer
     from repro.sim.kernel import EventKernel
 
 
@@ -162,25 +162,6 @@ class SimulatedTransport:
         """
         self.tracer = tracer
 
-    def _trace_hop(
-        self,
-        message: Message,
-        leg: str,
-        latency_ms: float,
-        ref: Optional["SpanRef"],
-    ) -> None:
-        """Record one route-hop event for a metered message."""
-        assert self.tracer is not None
-        self.tracer.route_hop(
-            src=message.source,
-            dst=message.destination,
-            message=message.kind.value,
-            legs=max(1, message.route_hops),
-            latency_ms=latency_ms,
-            leg=leg,
-            ref=ref,
-        )
-
     def _hop_delay(self, message: Message) -> float:
         """One-way delay of a message: per-hop latency times route legs.
 
@@ -248,7 +229,7 @@ class SimulatedTransport:
         if tracer is not None and (
             timed or (handler is not None and lost is None)
         ):
-            self._trace_hop(message, "request", delay, span)
+            tracer.message_hop(message, "request", delay, span)
         if timed:
             yield delay
             # Resolved again at arrival: a node that departed while the
@@ -264,7 +245,7 @@ class SimulatedTransport:
             self.meter.record(response)
             delay = self._hop_delay(response) if timed else 0.0
             if tracer is not None:
-                self._trace_hop(response, "response", delay, span)
+                tracer.message_hop(response, "response", delay, span)
             if timed:
                 yield delay
         return response

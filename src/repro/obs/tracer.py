@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:
+    from repro.net.message import Message
     from repro.sim.kernel import EventKernel
 
 #: Reference to the span an event belongs to: ``(lookup id, exchange id)``
@@ -222,18 +223,14 @@ class Tracer:
         latency_ms: float,
         leg: str,
         ref: Optional[SpanRef] = None,
-        use_current: bool = False,
     ) -> None:
         """One transport traversal: a request, response, or error leg.
 
         ``legs`` is the number of overlay hops charged (requests pay the
         substrate's routing path, responses return direct);
-        ``latency_ms`` is the virtual delay charged for the whole leg.
-        Attribution comes from ``ref``, or from :attr:`current` when
-        ``use_current`` is set (the transport's synchronous send path).
+        ``latency_ms`` is the delay charged for the whole leg (virtual,
+        or the measured round trip on a socket's response leg).
         """
-        if use_current:
-            ref = self.current
         lookup, exchange = ref if ref is not None else (None, None)
         if lookup is not None and lookup in self._live:
             self._live[lookup].hop_events += 1
@@ -249,6 +246,24 @@ class Tracer:
                 "latency_ms": latency_ms,
                 "leg": leg,
             },
+        )
+
+    def message_hop(
+        self,
+        message: "Message",
+        leg: str,
+        latency_ms: float,
+        ref: Optional[SpanRef],
+    ) -> None:
+        """:meth:`route_hop` of one metered message, for either transport."""
+        self.route_hop(
+            src=message.source,
+            dst=message.destination,
+            message=message.kind.value,
+            legs=max(1, message.route_hops),
+            latency_ms=latency_ms,
+            leg=leg,
+            ref=ref,
         )
 
     def delivery_error(

@@ -113,6 +113,7 @@ class PerfCounters:
         "rpc_bytes_received",
         "rpc_batches",
         "rpc_batched_messages",
+        "rpc_thread_crossings",
         # security layer (repro.sec + repro.net.adversary)
         "sec_sign_calls",
         "sec_verify_calls",

@@ -54,15 +54,6 @@ if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
 
 
-class _WireIndexService(IndexService):
-    """The client's service.  Over sockets nobody waits for a best-effort
-    shortcut to land (the lookup's result does not depend on it, and the
-    transport runs the inserts concurrently on its loop), so the blocking
-    name is the fire-and-forget one."""
-
-    insert_shortcut = IndexService.insert_shortcut_async
-
-
 class ClusterClient:
     """A lookup client speaking to a daemon overlay over real sockets."""
 
@@ -97,7 +88,7 @@ class ClusterClient:
         to trust-on-first-use pinning inside the transport.
 
         Must be called from a thread *other than* the loop's -- the
-        client surface is blocking (it drives the sequential engine).
+        client surface is blocking (each call waits for the loop's work).
 
         ``discover_timeout_ms`` / ``discover_retries`` bound every
         membership discovery: a dead bootstrap raises
@@ -158,7 +149,7 @@ class ClusterClient:
         # mirror answers placement only, data lives in the daemons.
         # The cache policy matters client-side too: it decides whether
         # successful lookups send CACHE_INSERT shortcuts to the daemons.
-        self.service = _WireIndexService(
+        self.service = IndexService(
             self.schema,
             self.scheme,
             self.index_store,
@@ -258,8 +249,18 @@ class ClusterClient:
         return FieldQuery.msd_of(record)
 
     def search(self, query: FieldQuery, target: Record) -> SearchTrace:
-        """Covering-chain lookup over the wire (see LookupEngine.search)."""
-        return self.engine.search(query, target)
+        """Covering-chain lookup over the wire (see LookupEngine.search).
+
+        The lookup runs on the loop thread, each exchange chained to the
+        last one's reply (:meth:`LookupEngine.start_async`, as in
+        ``repro.loadgen``); this thread crosses over once to start it
+        and is woken once, with the trace or with what was raised there.
+        """
+        return self.transport.run_blocking(
+            lambda done: self.engine.start_async(
+                query, target, self.transport, done.set_result
+            )
+        )
 
     def ping(self, node_id: int) -> bool:
         """Probe one daemon's control endpoint."""

@@ -35,21 +35,24 @@ Every frame movement is counted in :mod:`repro.perf`
 events the simulated transport emits, with the measured round-trip time
 on the response leg.
 
-Threading model: the transport lives on one asyncio event loop.
-:meth:`send` is the blocking surface for code running on *another*
-thread (the sequential lookup engine, tests, the cluster harness); it
-marshals onto the loop and waits.  Calling it from the loop thread is
-refused -- use :meth:`send_async` (continuation-passing, callbacks fire
-on the loop thread) or the native :meth:`request` coroutine there.
+Threading model: the transport lives on one asyncio event loop, and one
+callback-driven core (:meth:`AsyncioTransport.send_async`) carries every
+exchange there: a UDP request is a datagram, a deadline timer and two
+continuations -- no Task, no ``wait_for``, no Future.  :meth:`request` is
+the Future adapter for coroutines on the loop.  Another thread's
+:meth:`send` / :meth:`send_many` / :meth:`run_blocking` cross onto the
+loop once, wait, and are refused on the loop thread itself.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
 import time
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.message import Message
 from repro.net.traffic import TrafficMeter
@@ -84,7 +87,7 @@ from repro.rpc.codec import (
 from repro.sec import PUBLIC_KEY_BYTES, NodeIdentity, verify_signature
 
 if TYPE_CHECKING:
-    from repro.obs.tracer import Tracer
+    from repro.obs.tracer import SpanRef, Tracer
 
 #: Address of one peer daemon.
 Address = tuple[str, int]
@@ -128,18 +131,33 @@ class WallClock:
         return (time.monotonic() - self._t0) * 1000.0
 
 
+@dataclass(slots=True)
+class _Exchange:
+    """One request in flight: what to (re)send, where, and who waits.
+    ``handle`` ends the running attempt when cancelled: the deadline's
+    ``TimerHandle`` on UDP, the stream ``Task`` on TCP."""
+
+    message: Message
+    body: bytes
+    address: Address
+    on_result: ResponseCallback
+    on_error: ErrorCallback
+    span: Optional["SpanRef"]
+    started: float
+    request_id: int = 0
+    attempt: int = 0
+    timeout_ms: float = 0.0
+    tcp: bool = False
+    handle: Optional["asyncio.Handle | asyncio.Task"] = None
+
+
 class _DatagramEndpoint(asyncio.DatagramProtocol):
-    """Glue between asyncio's datagram callbacks and the transport."""
+    """asyncio's datagram callback, bound straight to the transport.
+    (``error_received`` -- ICMP unreachable etc. -- stays the base
+    class's no-op: the request deadline handles the loss.)"""
 
     def __init__(self, owner: "AsyncioTransport") -> None:
-        self._owner = owner
-
-    def datagram_received(self, data: bytes, addr: Address) -> None:
-        self._owner._on_datagram(data, addr)
-
-    def error_received(self, exc: Exception) -> None:
-        # ICMP unreachable etc.; the request timeout handles the loss.
-        pass
+        self.datagram_received = owner._on_datagram
 
 
 class AsyncioTransport:
@@ -209,6 +227,10 @@ class AsyncioTransport:
         self.max_retries = max_retries
         self.udp_max_bytes = udp_max_bytes
         self.identity = identity
+        #: Frame bytes beyond the body: envelope, plus the signed trailer.
+        self._frame_overhead = ENVELOPE_BYTES + (
+            SIGNED_TRAILER_BYTES if identity is not None else 0
+        )
         self.require_signed = require_signed
         #: Endpoint name -> pinned ed25519 public key (see pin_peer).
         self._pinned_keys: dict[str, bytes] = {}
@@ -216,13 +238,15 @@ class AsyncioTransport:
             self.pin_peer(name, key)
         self.tracer: Optional["Tracer"] = None
         self._endpoints: dict[str, Endpoint] = {}
-        self._ever_registered: set[str] = set()
         self._routes: dict[str, Address] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[int] = None
         self._udp: Optional[asyncio.DatagramTransport] = None
         self._tcp_server: Optional[asyncio.base_events.Server] = None
-        self._pending: dict[int, asyncio.Future] = {}
+        #: Request id -> the exchange in flight under it.
+        self._pending: dict[int, _Exchange] = {}
+        #: Callers blocked in run_blocking (see _finish).
+        self._blocked: set[concurrent.futures.Future] = set()
         self._next_request_id = 1
         #: (peer address, request id) -> (expiry deadline ms, reply
         #: frame), so a UDP retransmission of an already-served request
@@ -284,6 +308,9 @@ class AsyncioTransport:
         if self._udp is not None:
             self._udp.close()
             self._udp = None
+        for exchange in list(self._pending.values()):
+            exchange.handle.cancel()
+            self._fail(exchange, DeliveryError.TIMEOUT)
         if self._tcp_server is not None:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
@@ -295,10 +322,6 @@ class AsyncioTransport:
         for writer in list(self._server_conns):
             writer.close()
         self._server_conns.clear()
-        for future in self._pending.values():
-            if not future.done():
-                future.cancel()
-        self._pending.clear()
 
     # -- endpoint protocol (parity with SimulatedTransport) -----------------
 
@@ -307,7 +330,6 @@ class AsyncioTransport:
         if name in self._endpoints:
             raise TransportError(f"endpoint already registered: {name!r}")
         self._endpoints[name] = endpoint
-        self._ever_registered.add(name)
 
     def unregister(self, name: str) -> None:
         """Detach a local endpoint."""
@@ -366,59 +388,154 @@ class AsyncioTransport:
             raise TransportError(f"no route to endpoint: {name!r}")
         return address
 
-    # -- request path (coroutine core) --------------------------------------
+    # -- request path (the one exchange core) --------------------------------
 
-    async def request(self, message: Message) -> Optional[Message]:
-        """Send one message and await its reply (None for an ACK).
+    def send_async(
+        self,
+        message: Message,
+        on_result: ResponseCallback,
+        on_error: ErrorCallback,
+    ) -> Optional[_Exchange]:
+        """Start one request, on the loop thread; every surface ends here.
 
-        Retries timeouts with capped exponential backoff; raises
-        :class:`DeliveryError` (``timeout`` after retry exhaustion, or
-        the peer-reported reason) for runtime failures and
-        :class:`TransportError` for misuse (unroutable name, transport
-        not started).
+        Exactly one continuation fires, later and on the loop thread:
+        ``on_result`` with the reply (``None`` for an ACK), or
+        ``on_error`` with the :class:`DeliveryError` (``timeout`` after
+        retry exhaustion, or the peer-reported reason).  Misuse (wrong
+        thread, unroutable name, not running) raises here.  Returns the
+        exchange in flight (``None`` for a local destination).
         """
-        if self._loop is None:
-            raise TransportError("transport not started")
+        if threading.get_ident() != self._loop_thread or self._udp is None:
+            raise TransportError("send_async off the open transport's loop thread")
         handler = self._endpoints.get(message.destination)
         if handler is not None:
-            return self._deliver_local(handler, message)
+            response = self._deliver_local(handler, message)
+            self._loop.call_soon(self._finish, on_result, response)
+            return None
         address = self._resolve(message.destination)
-        signing = self.identity is not None
-        body = encode_message(message, signed=signing)
+        body = encode_message(message, signed=self.identity is not None)
         self.meter.record(message)
         counters.rpc_requests += 1
-        request_id = self._next_request_id
+        span, started = None, 0.0
+        if self.tracer is not None:
+            span, started = self.tracer.current, self.clock.now
+            self.tracer.message_hop(message, "request", 0.0, span)
+        exchange = _Exchange(message, body, address, on_result, on_error, span, started)
+        self._launch(exchange, self._frame_overhead + len(body) > self.udp_max_bytes)
+        return exchange
+
+    def _launch(self, exchange: _Exchange, tcp: bool) -> None:
+        """The first attempt of ``exchange``, under a fresh request id."""
+        exchange.request_id = self._next_request_id
         self._next_request_id += 1
-        use_tcp = self._frame_overhead + len(body) > self.udp_max_bytes
-        frame_type, reply_body, envelope = await self._exchange(
-            request_id, body, address, message.destination, use_tcp
+        exchange.attempt, exchange.tcp = 0, tcp
+        exchange.timeout_ms = self.request_timeout_ms
+        self._pending[exchange.request_id] = exchange
+        self._attempt(exchange)
+
+    def _attempt(self, exchange: _Exchange) -> None:
+        """One attempt: the frame out, its deadline armed."""
+        frame = self._frame(FRAME_REQUEST, exchange.request_id, exchange.body)
+        if exchange.tcp:
+            exchange.handle = self._loop.create_task(self._stream(exchange, frame))
+            return
+        self._udp.sendto(frame, exchange.address)
+        counters.rpc_udp_frames += 1
+        counters.rpc_bytes_sent += len(frame)
+        exchange.handle = self._loop.call_later(
+            exchange.timeout_ms / 1000.0, self._unanswered, exchange
         )
-        self._verify_reply(envelope, message.destination)
-        if frame_type == FRAME_ERROR:
-            reason = decode_error(reply_body)
-            if reason == OVERSIZED_REASON:
+
+    def _unanswered(self, exchange: _Exchange) -> None:
+        """An attempt's deadline passed: give up, or repeat the request
+        under the same ``request_id`` (the peer's reply cache answers
+        what it already served) and a doubled deadline, capped at
+        ``BACKOFF_CAP_MS``."""
+        counters.rpc_timeouts += 1
+        if exchange.attempt >= self.max_retries:
+            return self._fail(exchange, DeliveryError.TIMEOUT)
+        exchange.attempt += 1
+        counters.rpc_retries += 1
+        exchange.timeout_ms = min(exchange.timeout_ms * 2.0, self.BACKOFF_CAP_MS)
+        self._attempt(exchange)
+
+    def _fail(self, exchange: _Exchange, reason: str) -> None:
+        """End ``exchange``, its attempt over, with a delivery failure."""
+        self._pending.pop(exchange.request_id, None)
+        error = DeliveryError(reason, exchange.message.destination)
+        self._finish(exchange.on_error, error)
+
+    async def _stream(self, exchange: _Exchange, frame: bytes) -> None:
+        """One TCP attempt, for frames no datagram can carry."""
+        try:
+            reply = await asyncio.wait_for(
+                self._exchange_tcp(exchange.request_id, frame, exchange.address),
+                exchange.timeout_ms / 1000.0,
+            )
+        except ConnectionRefusedError:
+            # The daemon's TCP port is gone: the node departed.
+            self._fail(exchange, DeliveryError.UNREGISTERED)
+        except (asyncio.TimeoutError, OSError):
+            self._unanswered(exchange)
+        except Exception as error:
+            # E.g. a garbled stream: for the waiter to judge.
+            self._pending.pop(exchange.request_id, None)
+            self._finish(exchange.on_error, error)
+        else:
+            self._pending.pop(exchange.request_id, None)
+            self._on_reply(exchange, reply)
+
+    def _on_reply(
+        self, exchange: _Exchange, reply: tuple[int, bytes, Optional[SignedEnvelope]]
+    ) -> None:
+        """The outcome of ``exchange`` from its reply frame -- the one
+        place a reply is verified and decoded, whichever socket carried
+        it and whichever surface waits for it."""
+        frame_type, body, envelope = reply
+        destination = exchange.message.destination
+        try:
+            self._verify_reply(envelope, destination)
+            if frame_type == FRAME_ERROR:
+                reason = decode_error(body)
+                if reason != OVERSIZED_REASON or exchange.tcp:
+                    raise DeliveryError(reason, destination)
                 # The response did not fit a datagram: repeat the request
                 # over TCP (fresh id -- the reply cache must not replay
                 # the oversized error) and take the streamed reply.
                 counters.rpc_oversized_fallbacks += 1
-                retry_id = self._next_request_id
-                self._next_request_id += 1
-                frame_type, reply_body, envelope = await self._exchange(
-                    retry_id, body, address, message.destination, True
+                return self._launch(exchange, True)
+            response = None
+            if frame_type != FRAME_ACK:
+                response = decode_message(body, signed=envelope is not None)
+                self.meter.record(response)
+                counters.rpc_responses += 1
+        except (DeliveryError, CodecError) as error:
+            return self._finish(exchange.on_error, error)
+        if response is not None and self.tracer is not None:
+            rtt_ms = self.clock.now - exchange.started
+            self.tracer.message_hop(response, "response", rtt_ms, exchange.span)
+        self._finish(exchange.on_result, response)
+
+    def _finish(self, callback: Callable[..., None], *args: object) -> None:
+        """Run a continuation.  Nothing above it can handle what it
+        raises, and a thread in :meth:`run_blocking` would wait for ever
+        for an outcome that can no longer come: every blocked caller gets
+        the exception instead.  Without one it is the loop's to report."""
+        try:
+            callback(*args)
+        except Exception as error:
+            blocked = [done for done in list(self._blocked) if not done.done()]
+            for done in blocked:
+                done.set_exception(error)
+            if not blocked:
+                self._loop.call_exception_handler(
+                    {"message": "transport continuation raised", "exception": error}
                 )
-                self._verify_reply(envelope, message.destination)
-                if frame_type == FRAME_ERROR:
-                    raise DeliveryError(
-                        decode_error(reply_body), message.destination
-                    )
-            else:
-                raise DeliveryError(reason, message.destination)
-        if frame_type == FRAME_ACK:
-            return None
-        response = decode_message(reply_body, signed=envelope is not None)
-        self.meter.record(response)
-        counters.rpc_responses += 1
-        return response
+
+    def post(self, delay_ms: float, fn: Callable[[], None]) -> None:
+        """The event kernel's ``post`` on the transport's loop: the retry
+        backoff of :meth:`LookupEngine.start_async` is a real timer here."""
+        self._loop.call_later(delay_ms / 1000.0, self._finish, fn)
 
     def _verify_reply(
         self, envelope: Optional[SignedEnvelope], destination: str
@@ -464,127 +581,14 @@ class AsyncioTransport:
                 )
             raise DeliveryError(DeliveryError.VERIFY_FAILED, destination)
 
-    @property
-    def _frame_overhead(self) -> int:
-        """Frame bytes beyond the body: envelope, plus the signed trailer."""
-        if self.identity is not None:
-            return ENVELOPE_BYTES + SIGNED_TRAILER_BYTES
-        return ENVELOPE_BYTES
-
-    def _request_frame(self, request_id: int, body: bytes) -> bytes:
-        """An outgoing REQUEST frame, signed when an identity is set."""
-        if self.identity is not None:
-            return sign_frame(FRAME_REQUEST, request_id, body, self.identity)
-        return encode_frame(FRAME_REQUEST, request_id, body)
-
-    def _reply_frame(
-        self, frame_type: int, request_id: int, body: bytes = b""
-    ) -> bytes:
-        """An outgoing reply frame, signed when an identity is set."""
+    def _frame(self, frame_type: int, request_id: int, body: bytes = b"") -> bytes:
+        """An outgoing frame, signed when an identity is set."""
         if self.identity is not None:
             return sign_frame(frame_type, request_id, body, self.identity)
         return encode_frame(frame_type, request_id, body)
 
-    async def request_many(
-        self, messages: list[Message]
-    ) -> list[object]:
-        """Issue several requests concurrently -- the pipelined path.
-
-        Every message's exchange starts immediately (no request/response
-        lockstep); the returned list is aligned with ``messages``, each
-        item the response :class:`Message`, ``None`` for an ACK, or the
-        :class:`DeliveryError` that exchange raised (runtime failures
-        are per-item data, so one dead replica cannot abort the batch).
-        Misuse (unroutable name, transport not started) still raises.
-        """
-        counters.rpc_batches += 1
-        counters.rpc_batched_messages += len(messages)
-
-        async def one(message: Message) -> object:
-            try:
-                return await self.request(message)
-            except DeliveryError as error:
-                return error
-
-        return list(await asyncio.gather(*(one(m) for m in messages)))
-
-    def send_many(self, messages: list[Message]) -> list[object]:
-        """Blocking batched request from a non-loop thread.
-
-        The batch is marshalled onto the loop as one unit and every
-        exchange runs concurrently; after all of them settle, the first
-        :class:`DeliveryError` (if any) is raised -- matching the
-        sequential path's failure surface while still attempting every
-        message.  Returns the aligned response list otherwise.
-        """
-        if self._loop is None:
-            raise TransportError("transport not started")
-        if threading.get_ident() == self._loop_thread:
-            raise TransportError(
-                "blocking send_many from the event-loop thread; "
-                "use request_many"
-            )
-        if not messages:
-            return []
-        handle = asyncio.run_coroutine_threadsafe(
-            self.request_many(list(messages)), self._loop
-        )
-        results = handle.result()
-        for result in results:
-            if isinstance(result, DeliveryError):
-                raise result
-        return results
-
-    async def _exchange(
-        self,
-        request_id: int,
-        body: bytes,
-        address: Address,
-        destination: str,
-        use_tcp: bool,
-    ) -> tuple[int, bytes, Optional[SignedEnvelope]]:
-        """One request with its timeout/retry loop; returns the reply."""
-        timeout_ms = self.request_timeout_ms
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                counters.rpc_retries += 1
-            try:
-                if use_tcp:
-                    return await asyncio.wait_for(
-                        self._exchange_tcp(request_id, body, address),
-                        timeout_ms / 1000.0,
-                    )
-                return await asyncio.wait_for(
-                    self._exchange_udp(request_id, body, address),
-                    timeout_ms / 1000.0,
-                )
-            except asyncio.TimeoutError:
-                counters.rpc_timeouts += 1
-                timeout_ms = min(timeout_ms * 2.0, self.BACKOFF_CAP_MS)
-            except ConnectionRefusedError:
-                # The daemon's TCP port is gone: the node departed.
-                raise DeliveryError(DeliveryError.UNREGISTERED, destination)
-            except OSError:
-                counters.rpc_timeouts += 1
-                timeout_ms = min(timeout_ms * 2.0, self.BACKOFF_CAP_MS)
-            finally:
-                self._pending.pop(request_id, None)
-        raise DeliveryError(DeliveryError.TIMEOUT, destination)
-
-    async def _exchange_udp(
-        self, request_id: int, body: bytes, address: Address
-    ) -> tuple[int, bytes, Optional[SignedEnvelope]]:
-        assert self._loop is not None and self._udp is not None
-        future: asyncio.Future = self._loop.create_future()
-        self._pending[request_id] = future
-        frame = self._request_frame(request_id, body)
-        self._udp.sendto(frame, address)
-        counters.rpc_udp_frames += 1
-        counters.rpc_bytes_sent += len(frame)
-        return await future
-
     async def _exchange_tcp(
-        self, request_id: int, body: bytes, address: Address
+        self, request_id: int, frame: bytes, address: Address
     ) -> tuple[int, bytes, Optional[SignedEnvelope]]:
         """One TCP exchange over a pooled (kept-alive) connection.
 
@@ -596,7 +600,6 @@ class AsyncioTransport:
         (timeout cancellation, codec error) is closed, never reused --
         the stream position would be ambiguous.
         """
-        frame = self._request_frame(request_id, body)
         payload = encode_stream(frame)
         conn = self._checkout_tcp(address)
         reused = conn is not None
@@ -694,68 +697,98 @@ class AsyncioTransport:
         self.meter.record(returned)
         return returned
 
-    # -- blocking / continuation surfaces ------------------------------------
+    # -- surfaces over the core: Future, blocking -----------------------------
+
+    async def request(self, message: Message) -> Optional[Message]:
+        """Send one message and await its reply (None for an ACK): the
+        Future adapter over :meth:`send_async`, raising what the core
+        hands ``on_error``.  Cancelling the awaiter ends the exchange."""
+        future = asyncio.get_running_loop().create_future()
+        exchange = self.send_async(message, future.set_result, future.set_exception)
+        try:
+            return await future
+        finally:
+            if exchange is not None and future.cancelled():
+                if self._pending.pop(exchange.request_id, None) is exchange:
+                    exchange.handle.cancel()
+
+    async def request_many(
+        self, messages: list[Message]
+    ) -> list[object]:
+        """Issue several requests concurrently -- the pipelined path.
+
+        Every message's exchange starts immediately (no request/response
+        lockstep); the returned list is aligned with ``messages``, each
+        item the response :class:`Message`, ``None`` for an ACK, or the
+        :class:`DeliveryError` that exchange raised (runtime failures
+        are per-item data, so one dead replica cannot abort the batch).
+        Misuse (unroutable name, transport not started) still raises.
+        """
+        counters.rpc_batches += 1
+        counters.rpc_batched_messages += len(messages)
+
+        async def one(message: Message) -> object:
+            try:
+                return await self.request(message)
+            except DeliveryError as error:
+                return error
+
+        return list(await asyncio.gather(*(one(m) for m in messages)))
+
+    def _cross(self) -> asyncio.AbstractEventLoop:
+        """The loop, for one call about to be marshalled onto it (counted)."""
+        if self._loop is None or threading.get_ident() == self._loop_thread:
+            raise TransportError("blocking call on the event-loop thread, or unstarted")
+        counters.rpc_thread_crossings += 1
+        return self._loop
+
+    def run_blocking(
+        self, start: Callable[[concurrent.futures.Future], None]
+    ) -> object:
+        """Run ``start(done)`` on the loop; block this thread on ``done``.
+
+        One crossing in, one out, however many exchanges the started
+        work chains on the loop; what ``start`` or a continuation raises
+        there reaches this caller (see :meth:`_finish`).
+        """
+        loop = self._cross()
+        done: concurrent.futures.Future = concurrent.futures.Future()
+        self._blocked.add(done)
+        try:
+            loop.call_soon_threadsafe(self._finish, start, done)
+            return done.result()
+        finally:
+            self._blocked.discard(done)
 
     def send(self, message: Message) -> Optional[Message]:
-        """Blocking request from a non-loop thread (engine surface).
-
-        Semantics match ``SimulatedTransport.send``: the response
-        message or ``None``, with :class:`DeliveryError` for runtime
-        failures.  When a tracer is bound, the request and response legs
-        are recorded as ``dht_route_hop`` events -- the response leg
-        carries the measured round-trip in ``latency_ms``.
-        """
-        if self._loop is None:
-            raise TransportError("transport not started")
-        if threading.get_ident() == self._loop_thread:
-            raise TransportError(
-                "blocking send from the event-loop thread; use send_async"
+        """Blocking request from a non-loop thread, with the semantics of
+        ``SimulatedTransport.send``: the response message or ``None``,
+        :class:`DeliveryError` for runtime failures."""
+        return self.run_blocking(
+            lambda done: self.send_async(
+                message, done.set_result, done.set_exception
             )
-        started = self.clock.now
-        if self.tracer is not None:
-            self._trace_hop(message, "request", 0.0)
-        handle = asyncio.run_coroutine_threadsafe(
-            self.request(message), self._loop
         )
-        response = handle.result()
-        if response is not None and self.tracer is not None:
-            self._trace_hop(response, "response", self.clock.now - started)
-        return response
 
-    def send_async(
-        self,
-        message: Message,
-        on_result: ResponseCallback,
-        on_error: ErrorCallback,
-    ) -> None:
-        """Continuation-passing request (callbacks on the loop thread)."""
-        if self._loop is None:
-            raise TransportError("transport not started")
+    def send_many(self, messages: list[Message]) -> list[object]:
+        """Blocking batched request from a non-loop thread.
 
-        async def run() -> None:
-            try:
-                result = await self.request(message)
-            except DeliveryError as error:
-                on_error(error)
-            else:
-                on_result(result)
-
-        if threading.get_ident() == self._loop_thread:
-            self._loop.create_task(run())
-        else:
-            asyncio.run_coroutine_threadsafe(run(), self._loop)
-
-    def _trace_hop(self, message: Message, leg: str, latency_ms: float) -> None:
-        assert self.tracer is not None
-        self.tracer.route_hop(
-            src=message.source,
-            dst=message.destination,
-            message=message.kind.value,
-            legs=max(1, message.route_hops),
-            latency_ms=latency_ms,
-            leg=leg,
-            use_current=True,
-        )
+        The batch is marshalled onto the loop as one unit and every
+        exchange runs concurrently; after all of them settle, the first
+        :class:`DeliveryError` (if any) is raised -- matching the
+        sequential path's failure surface while still attempting every
+        message.  Returns the aligned response list otherwise.
+        """
+        if not messages:
+            return []
+        loop = self._cross()
+        results = asyncio.run_coroutine_threadsafe(
+            self.request_many(list(messages)), loop
+        ).result()
+        for result in results:
+            if isinstance(result, DeliveryError):
+                raise result
+        return results
 
     # -- serving ------------------------------------------------------------
 
@@ -775,9 +808,10 @@ class AsyncioTransport:
                 counters.rpc_udp_frames += 1
                 counters.rpc_bytes_sent += len(reply)
             return
-        future = self._pending.pop(request_id, None)
-        if future is not None and not future.done():
-            future.set_result((frame_type, bytes(body), envelope))
+        exchange = self._pending.pop(request_id, None)
+        if exchange is not None:  # else late (ladder exhausted) or unknown
+            exchange.handle.cancel()
+            self._on_reply(exchange, (frame_type, bytes(body), envelope))
 
     def _serve_request(
         self,
@@ -799,7 +833,7 @@ class AsyncioTransport:
             # reply is NOT cached (the honest sender may retransmit the
             # authentic frame under the same id).
             counters.sec_verify_failures += 1
-            return self._reply_frame(
+            return self._frame(
                 FRAME_ERROR,
                 request_id,
                 encode_error(DeliveryError.VERIFY_FAILED),
@@ -811,7 +845,7 @@ class AsyncioTransport:
             # ``(addr, request_id)`` would let a spoofer pre-poison the
             # reply slot of an honest peer's next (guessably sequential)
             # request id.
-            return self._reply_frame(
+            return self._frame(
                 FRAME_ERROR,
                 request_id,
                 encode_error(DeliveryError.VERIFY_FAILED),
@@ -820,7 +854,7 @@ class AsyncioTransport:
             message = decode_message(body, signed=envelope is not None)
         except CodecError:
             counters.rpc_codec_errors += 1
-            return self._reply_frame(
+            return self._frame(
                 FRAME_ERROR, request_id, encode_error("codec")
             )
         handler = self._endpoints.get(message.destination)
@@ -828,7 +862,7 @@ class AsyncioTransport:
             # Over the wire every unknown name is a runtime condition
             # (the peer cannot distinguish "never existed" from
             # "departed"), so it maps to the departed reason.
-            reply = self._reply_frame(
+            reply = self._frame(
                 FRAME_ERROR,
                 request_id,
                 encode_error(DeliveryError.UNREGISTERED),
@@ -838,7 +872,7 @@ class AsyncioTransport:
         self.meter.record(message)
         response = handler(message)
         if response is None:
-            reply = self._reply_frame(FRAME_ACK, request_id)
+            reply = self._frame(FRAME_ACK, request_id)
         else:
             self.meter.record(response)
             response_body = encode_message(
@@ -851,10 +885,10 @@ class AsyncioTransport:
             ):
                 # Do not cache: the sender repeats over TCP with a fresh
                 # id and must get the real response there.
-                return self._reply_frame(
+                return self._frame(
                     FRAME_ERROR, request_id, encode_error(OVERSIZED_REASON)
                 )
-            reply = self._reply_frame(FRAME_RESPONSE, request_id, response_body)
+            reply = self._frame(FRAME_RESPONSE, request_id, response_body)
         self._remember_reply(cache_key, reply)
         return reply
 

@@ -29,11 +29,11 @@ def make_span(tracer: Tracer) -> int:
     tracer.set_context(lookup, exchange)
     tracer.route_hop(
         src="user:0", dst="node:a", message="query_request",
-        legs=2, latency_ms=10.0, leg="request", use_current=True,
+        legs=2, latency_ms=10.0, leg="request", ref=tracer.current,
     )
     tracer.route_hop(
         src="node:a", dst="user:0", message="query_response",
-        legs=1, latency_ms=5.0, leg="response", use_current=True,
+        legs=1, latency_ms=5.0, leg="response", ref=tracer.current,
     )
     tracer.index_step(
         lookup, exchange, node=17, query="/article/title/TCP",

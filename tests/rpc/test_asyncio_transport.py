@@ -86,13 +86,17 @@ class TestRequestResponse:
         client.add_route("node:1", server.listen_address)
         done = threading.Event()
         results = []
-        client.send_async(
+        loop.call_soon_threadsafe(
+            client.send_async,
             request_to("node:1"),
             lambda response: (results.append(response), done.set()),
             lambda error: (results.append(error), done.set()),
         )
         assert done.wait(timeout=5)
         assert isinstance(results[0], Message)
+        # The continuation surface is the loop thread's alone.
+        with pytest.raises(TransportError, match="loop thread"):
+            client.send_async(request_to("node:1"), results.append, results.append)
 
     def test_daemon_names_self_resolve(self, server, client):
         host, port = server.listen_address

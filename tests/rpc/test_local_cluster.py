@@ -98,6 +98,19 @@ def test_fifty_lookups_all_succeed_over_the_wire(
     finished = [span for span in trace_file.lookups if span.end is not None]
     assert len(finished) >= NUM_LOOKUPS
     assert all(span.found for span in finished)
+    # Loop-driven lookups record their route hops, under their own span:
+    # a request and a response leg per interaction (plus shortcut legs),
+    # the response leg carrying the measured round trip -- and the span
+    # grammar of tests/obs/test_trace_properties.py holds on the wire.
+    for span in finished:
+        kinds = [event.kind for event in span.events]
+        assert kinds[0] == "lookup_start" and kinds[-1] == "lookup_end"
+        assert span.end.data["hops"] == span.hops
+        assert span.hops >= 2 * span.end.data["interactions"] > 0
+        hops = span.of_kind("dht_route_hop")
+        responses = [hop for hop in hops if hop.data["leg"] == "response"]
+        assert len(responses) == span.end.data["interactions"]
+        assert all(hop.data["latency_ms"] > 0.0 for hop in responses)
 
 
 def test_search_is_reproducible_across_clients(cluster, corpus):
