@@ -371,3 +371,38 @@ class TestWireThreadCrossings:
         # The exchanges are still there -- they stay on the loop.
         assert increments["rpc_requests"] > 2 * len(feed)
         assert increments["rpc_timeouts"] == increments["rpc_retries"] == 0
+
+
+class TestRepairWalksWhatChurnMoved:
+    """``DHTStorage.repair`` routes the keys a membership change can have
+    moved, not the catalogue.
+
+    Counted from here, around ``IdealRing.lookup`` -- nothing in ``src/``
+    knows.  ``bench/run.py --workload sim_churn``'s shape: the
+    ``concurrent`` preset, 1,600 queries, two churn events, one crash.
+    When every pass routed every catalogued key (32,669 of them, two
+    stores) the run made 108,421 lookups; the lookups themselves need
+    about 9,000.
+    """
+
+    def test_sim_churn_shaped_run_stays_under_20k_lookups(self, monkeypatch):
+        calls = [0]
+        lookup = IdealRing.lookup
+
+        def counted(ring, key):
+            calls[0] += 1
+            return lookup(ring, key)
+
+        experiment = Experiment(
+            replace(
+                get_preset("concurrent"),
+                num_queries=1_600,
+                churn_events=2,
+                crash_events=1,
+            )
+        )
+        experiment.populate()
+        monkeypatch.setattr(IdealRing, "lookup", counted)
+        result = experiment.run()
+        assert result.repair_keys > 0 and result.found >= 1_590
+        assert calls[0] <= 20_000, f"{calls[0]} protocol.lookup calls"

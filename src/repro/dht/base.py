@@ -7,8 +7,8 @@ cost (hop count and path) the storage layer aggregates and the substrate
 ablation benchmarks -- is all a substrate writes, plus three hooks that
 keep its routing state in step with the membership.  Everything else
 (the identifier space, the member table, the ascending ring, liveness,
-the membership version, the join / leave / bulk-build checks) is the
-same for every overlay and lives here, once.
+the change log, the join / leave / bulk-build checks) is the same for
+every overlay and lives here, once.
 """
 
 from __future__ import annotations
@@ -47,14 +47,18 @@ class DHTProtocol(abc.ABC):
     write ``_nodes``.
     """
 
+    #: True where a key's primary is always one of the two members next
+    #: to ``h(key)`` in identifier order: what lets ``moved_by`` name arcs.
+    primary_is_ring_neighbour = False
+
     def __init__(self, bits: int = DEFAULT_BITS) -> None:
         self.space = IdSpace(bits)
         #: Width of the identifier space in bits.
         self.bits = bits
-        #: Counter incremented by every accepted join, leave or bulk build:
-        #: what a layer above keys a cached view of the membership on
-        #: instead of re-deriving O(N) state per operation.
-        self.membership_version = 0
+        #: Append-only change log: the node each accepted join or leave
+        #: moved, ``None`` for a bulk build.  A layer above remembers how
+        #: far it has read and revisits only what the tail can have moved.
+        self.membership_log: list[Optional[NodeId]] = []
         #: Member table: node id -> the substrate's per-node routing state.
         self._nodes: dict[NodeId, Any] = {}
         #: The members in ascending order, built on demand (see ``_ordered``).
@@ -136,9 +140,43 @@ class DHTProtocol(abc.ABC):
         self._ring = None
         hook(argument)
         self._ring = None
-        self.membership_version += 1
+        self.membership_log.append(None if hook == self._converge else argument)
 
     # -- membership views ----------------------------------------------------
+
+    @property
+    def membership_version(self) -> int:
+        """Accepted membership changes so far: the change log's length."""
+        return len(self.membership_log)
+
+    def moved_by(self, changed: list[Optional[NodeId]], reach: int):
+        """Where the joins and leaves of ``changed`` can have moved a
+        placement on a primary and the ``reach - 1`` members after it:
+        each node ``c`` marks the arc ``(pred_reach(c), succ(c)]`` of the
+        current ring.  Returns ``(bounds, near)``: ``h(key)`` is in an arc
+        iff ``bisect_left(bounds, h(key))`` is odd, and ``near`` holds the
+        members within ``reach + 1`` positions of a ``c``.  Everything and
+        everyone when there is no neighbour rule, a bulk build among the
+        changes, or nothing of the ring left outside the arcs."""
+        ring, gaps, near = self._ordered(), set(), set()
+        count = len(ring)
+        everything = [-1, self.space.size], self._nodes.keys()
+        if not (self.primary_is_ring_neighbour and ring) or None in changed:
+            return everything
+        for node in changed:
+            at = bisect_left(ring, node)
+            end = at + (ring[at % count] == node)  # a member: (c, succ(c)] too
+            # Gap g holds the keys in (ring[g - 1], ring[g]]; gap 0 wraps.
+            gaps.update(g % count for g in range(at - reach + 1, end + 1))
+            near.update(ring[p % count] for p in range(at - reach - 1, at + reach + 2))
+        if len(gaps) >= count:
+            return everything
+        bounds: list[int] = []
+        for gap in sorted(gaps):
+            bounds += (ring[gap - 1] if gap else -1, ring[gap])
+        if 0 in gaps:
+            bounds += (ring[-1], self.space.size)
+        return bounds, near
 
     def _ordered(self) -> list[NodeId]:
         """The cached ascending ring itself (callers must not mutate it)."""
@@ -182,10 +220,6 @@ class DHTProtocol(abc.ABC):
             raise ValueError(f"key {key} outside the identifier space")
         return self._ordered()[0] if start is None else start
 
-    def lookup_many(self, keys: list[int]) -> list[LookupResult]:
-        """Resolve a batch of keys (convenience for bulk placement)."""
-        return [self.lookup(key) for key in keys]
-
     # -- crash state (transient failures, Section IV-C) ----------------------
 
     def fail_node(self, node: NodeId) -> None:
@@ -201,8 +235,3 @@ class DHTProtocol(abc.ABC):
     def is_alive(self, node: NodeId) -> bool:
         """True for overlay members that are not currently crashed."""
         return node in self._nodes and node not in self._crashed
-
-    @property
-    def failed_nodes(self) -> set[NodeId]:
-        """Crashed nodes that are still overlay members."""
-        return set(self._crashed)

@@ -111,8 +111,6 @@ class CANNetwork(DHTProtocol):
         self.dimensions = dimensions
         self._rng = random.Random(seed)
         self._neighbors: dict[NodeId, set[NodeId]] = {}
-        # Split genealogy: node -> (parent node it split from, dimension).
-        self._split_of: dict[NodeId, tuple[NodeId, int]] = {}
         self._next_split_dimension: dict[NodeId, int] = {}
 
     # -- key geometry ------------------------------------------------------------
@@ -135,14 +133,6 @@ class CANNetwork(DHTProtocol):
 
     # -- zones and the membership hooks ---------------------------------------------
 
-    def zone_of(self, node: NodeId) -> Zone:
-        """The zone currently owned by a node."""
-        return self._nodes[node]
-
-    def neighbors_of(self, node: NodeId) -> set[NodeId]:
-        """Nodes whose zones abut this node's zone."""
-        return set(self._neighbors[node])
-
     def _join(self, node: NodeId) -> None:
         """Join a node: route to a random point's zone and split it."""
         if not self._nodes:
@@ -159,7 +149,6 @@ class CANNetwork(DHTProtocol):
         first, second = self._nodes[owner].split(dimension)
         self._nodes[owner] = first
         self._nodes[node] = second
-        self._split_of[node] = (owner, dimension)
         self._next_split_dimension[owner] = (dimension + 1) % self.dimensions
         self._next_split_dimension[node] = (dimension + 1) % self.dimensions
         self._rewire_neighbors_around(node, owner)
@@ -181,7 +170,6 @@ class CANNetwork(DHTProtocol):
                 rebuilt._join(survivor)
         self._nodes = rebuilt._nodes
         self._neighbors = rebuilt._neighbors
-        self._split_of = rebuilt._split_of
         self._next_split_dimension = rebuilt._next_split_dimension
 
     def lookup(self, key: int, start: Optional[NodeId] = None) -> LookupResult:

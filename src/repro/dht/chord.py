@@ -62,14 +62,12 @@ class ChordNode:
                 return candidate
         return self.id
 
-    def __repr__(self) -> str:
-        return f"ChordNode(id={self.id}, successor={self.successor})"
-
 
 class ChordNetwork(DHTProtocol):
     """A simulated Chord overlay with correct-by-convergence maintenance."""
 
     _nodes: dict[NodeId, ChordNode]
+    primary_is_ring_neighbour = True  # the clockwise successor
 
     def __init__(
         self,

@@ -59,17 +59,9 @@ class IdSpace:
         self.bits = bits
         self.size = 1 << bits
 
-    def hash(self, text: str) -> int:
-        """Hash text into this space's identifier range."""
-        return hash_key(text, self.bits)
-
     def contains(self, value: int) -> bool:
         """True when the value is a valid identifier of this space."""
         return 0 <= value < self.size
-
-    def add(self, value: int, delta: int) -> int:
-        """Modular addition on the ring."""
-        return (value + delta) % self.size
 
     def finger_start(self, node: int, index: int) -> int:
         """Start of Chord finger ``index`` (0-based): node + 2^index."""
@@ -82,6 +74,3 @@ class IdSpace:
     def distance_xor(self, left: int, right: int) -> int:
         """Kademlia's symmetric XOR distance."""
         return left ^ right
-
-    def __repr__(self) -> str:
-        return f"IdSpace(bits={self.bits})"

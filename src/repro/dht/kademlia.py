@@ -54,11 +54,13 @@ class KademliaNode:
         # else: bucket full; the original protocol pings the oldest contact
         # and keeps it if alive -- all our contacts are alive, so drop.
 
-    def forget(self, other: NodeId) -> None:
-        """Remove a (departed) contact from its bucket."""
+    def forget(self, other: NodeId) -> bool:
+        """Remove a (departed) contact from its bucket; true if it was there."""
         bucket = self.buckets[self.bucket_index(other)]
         if other in bucket:
             bucket.remove(other)
+            return True
+        return False
 
     def closest_contacts(self, key: int, count: int) -> list[NodeId]:
         """The node's ``count`` known contacts closest to ``key`` (XOR)."""
@@ -66,10 +68,6 @@ class KademliaNode:
         contacts.append(self.id)
         contacts.sort(key=lambda c: c ^ key)
         return contacts[:count]
-
-    def __repr__(self) -> str:
-        populated = sum(1 for bucket in self.buckets if bucket)
-        return f"KademliaNode(id={self.id}, buckets={populated})"
 
 
 class KademliaNetwork(DHTProtocol):
@@ -133,12 +131,7 @@ class KademliaNetwork(DHTProtocol):
     def _leave(self, node: NodeId) -> None:
         """Depart a node; affected peers re-probe the emptied range."""
         del self._nodes[node]
-        affected = []
-        for peer in self._nodes.values():
-            bucket = peer.buckets[peer.bucket_index(node)]
-            if node in bucket:
-                bucket.remove(node)
-                affected.append(peer)
+        affected = [peer for peer in self._nodes.values() if peer.forget(node)]
         # Repair: peers that lost a contact re-probe that bucket's range so
         # routing tables keep one contact per populated subtree (the role
         # of Kademlia's periodic bucket refresh).

@@ -93,14 +93,11 @@ class PastryNode:
         )
 
 
-def _numeric_distance(a: int, b: int) -> int:
-    return abs(a - b)
-
-
 class PastryNetwork(DHTProtocol):
     """A simulated Pastry overlay."""
 
     _nodes: dict[NodeId, PastryNode]
+    primary_is_ring_neighbour = True  # the numerically closest leaf
 
     def __init__(
         self, bits: int = DEFAULT_BITS, digit_bits: int = 4, leaf_size: int = 8
@@ -179,7 +176,7 @@ class PastryNetwork(DHTProtocol):
             if current.covers_key(key):
                 owner = min(
                     (leaf for leaf in current.leaf_set() if leaf in self._nodes),
-                    key=lambda n: (_numeric_distance(n, key), n > key),
+                    key=lambda n: (abs(n - key), n > key),
                 )
                 if owner != current.id:
                     path.append(owner)
@@ -205,14 +202,13 @@ class PastryNetwork(DHTProtocol):
                 closer = [
                     contact
                     for contact in known
-                    if _numeric_distance(contact, key)
-                    < _numeric_distance(current.id, key)
+                    if abs(contact - key) < abs(current.id - key)
                 ]
                 if not closer:
                     return LookupResult(
                         key=key, node=current.id, hops=len(path), path=tuple(path)
                     )
-                next_id = min(closer, key=lambda n: _numeric_distance(n, key))
+                next_id = min(closer, key=lambda n: abs(n - key))
             current = self._nodes[next_id]
             path.append(current.id)
         raise RuntimeError(f"lookup for key {key} did not converge")

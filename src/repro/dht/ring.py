@@ -23,6 +23,8 @@ class IdealRing(DHTProtocol):
     build is one sort however many nodes there are.
     """
 
+    primary_is_ring_neighbour = True  # the clockwise successor
+
     def _join(self, node: NodeId) -> None:
         self._nodes[node] = None
 

@@ -560,14 +560,6 @@ class SnapshotState:
             for value in values
         ]
 
-    def total_entries(self) -> int:
-        """Count of stored (key, value) entries across both stores."""
-        return sum(
-            len(values)
-            for store in self.stores.values()
-            for values in store.values()
-        )
-
 
 def _encode_snapshot_body(state: SnapshotState) -> bytes:
     parts = [struct.pack(">Q", state.wal_seq)]

@@ -12,10 +12,10 @@ The layer supports:
 - deletion of single values or whole keys, with replica cleanup
   (read/write semantics of Section IV-C);
 - membership changes: after nodes join or leave, the incremental
-  :meth:`repair` pass copies every key to the responsible nodes that
-  lack it (the block transfer CFS performs on join) and purges the
-  copies held by departed or no-longer-responsible nodes
-  (churn-triggered maintenance, Section III-A);
+  :meth:`repair` pass walks the arcs of the ring those changes moved,
+  copies each key there to the responsible nodes that lack it (the block
+  transfer CFS performs on join) and purges the copies held by departed
+  or no-longer-responsible nodes (Section III-A); it is free otherwise;
 - transient failures: reads fail over past crashed replicas
   (``protocol.is_alive``), counting the wasted probes;
 - per-node occupancy statistics (keys per node), which Section V-F
@@ -24,6 +24,7 @@ The layer supports:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -84,14 +85,6 @@ class RepairReport:
     bytes_copied: int = 0
     keys_pruned: int = 0
 
-    def __add__(self, other: "RepairReport") -> "RepairReport":
-        return RepairReport(
-            self.keys_repaired + other.keys_repaired,
-            self.copies_created + other.copies_created,
-            self.bytes_copied + other.bytes_copied,
-            self.keys_pruned + other.keys_pruned,
-        )
-
 
 class DHTStorage:
     """Key -> list-of-values storage with replication over a substrate."""
@@ -121,6 +114,11 @@ class DHTStorage:
         # h(key) of its keys (hashed once: by put, or by the first repair).
         self._catalog: dict[str, list[str]] = {}
         self._numeric: dict[str, int] = {}
+        # What marks work for the next pass (see ``repair``): the change log
+        # from here on, out-of-step nodes, keys to revisit wherever they hash.
+        self._log_read = protocol.membership_version
+        self._unsettled: set[NodeId] = set()
+        self._loose: set[str] = set()
 
     def attach_journal(
         self, journal: "StorageJournal", store_label: str = "index"
@@ -197,6 +195,7 @@ class DHTStorage:
         so local reads (``values``, ``__contains__``) and statistics stay
         truthful for the daemon's slice of the data.
         """
+        self._unsettled.add(node)  # written outside placement: repair looks
         bucket = self._node_stores.setdefault(node, {}).setdefault(key, [])
         if allow_duplicate or value not in bucket:
             bucket.append(value)
@@ -308,24 +307,25 @@ class DHTStorage:
         """Discard a departed node's physical store (its copies are gone).
 
         Returns the number of keys the node was holding.  Call on node
-        departure so no stale replica survives outside the ring --
-        :meth:`repair` also purges departed holders, but between the
-        departure and the next repair pass the orphaned
-        entries would otherwise still count toward storage statistics.
+        departure: :meth:`repair` also purges departed holders, but until
+        then the orphaned entries would count toward storage statistics.
         """
         if self._journal is not None and node in self._node_stores:
             self._journal.record_drop_node(node)
-        return len(self._node_stores.pop(node, {}))
+        return self.forget_node(node)
 
     def forget_node(self, node: NodeId) -> int:
         """Wipe a node's in-memory store WITHOUT touching its journal.
 
-        Power-cycle semantics: when a durable node is killed, its RAM is
-        gone but its write-ahead log survives for replay on restart.
-        :meth:`drop_node`, by contrast, is a *departure* -- copies and
-        journal both go.  Returns the number of keys wiped.
+        Power-cycle semantics: a killed durable node loses its RAM, its
+        write-ahead log survives for replay (:meth:`drop_node` is a
+        *departure*: copies and journal both go).  Returns the number of
+        keys wiped; the next :meth:`repair` revisits the node and them.
         """
-        return len(self._node_stores.pop(node, {}))
+        store = self._node_stores.pop(node, {})
+        self._unsettled.add(node)
+        self._loose.update(store)
+        return len(store)
 
     def replay_entries(
         self, node: NodeId, entries: list[tuple[str, str]]
@@ -342,11 +342,7 @@ class DHTStorage:
         added = 0
         try:
             for key, value in entries:
-                bucket = self._node_stores.setdefault(node, {}).setdefault(
-                    key, []
-                )
-                if value not in bucket:
-                    added += 1
+                added += value not in self.values_at(node, key)
                 self.put_local(node, key, value)
         finally:
             self._journal = journal
@@ -355,38 +351,63 @@ class DHTStorage:
     def repair(self) -> RepairReport:
         """Incrementally re-replicate under-replicated keys after churn.
 
-        Repair only touches the delta: it purges copies held by
-        departed or no-longer-responsible nodes, then copies each key to
-        the live responsible nodes that lack it.
+        Repair only touches the delta.  What marks a key: a join or leave
+        in the unread tail of the protocol's change log, or an *unsettled*
+        node (a replica a pass met crashed, a wiped store, a ``put_local``
+        target), whose arc of the ring it hashes into
+        (``DHTProtocol.moved_by``), or a wiped or unsettled store that held
+        it.  Nothing marked: the pass returns without touching the
+        catalogue.  Else one walk: purge departed holders, copy each
+        marked key to the live responsible nodes that lack it, prune the
+        copies nodes near a change are no longer responsible for.
         Crashed nodes cannot receive repair traffic; their copies are
         restored once they recover and a later pass runs.  The bytes
         shipped are counted (``storage_repair_bytes``) so the repair
         overhead of a chaos run is measured, not estimated.
         """
+        protocol, read = self.protocol, self._log_read
+        if not (read < protocol.membership_version or self._unsettled or self._loose):
+            return RepairReport()
         keys_pruned = 0
         for node in list(self._node_stores):
-            if node not in self.protocol:
+            if node not in protocol:
                 keys_pruned += self.drop_node(node)
+        loose, self._loose = self._loose, set()
+        for node in self._unsettled:
+            loose.update(self._node_stores.get(node, ()))
+        changed = [*protocol.membership_log[read:], *self._unsettled]
+        self._log_read, self._unsettled = protocol.membership_version, set()
+        hashed = self._numeric
+        if len(hashed) < len(self._catalog):
+            # Stored by put_local alone: hashed here, once.
+            for key in self._catalog.keys() - hashed.keys():
+                hashed[key] = self._hash(key)
+        # The walk's two inputs: the candidates, in catalogue order, and
+        # the nodes whose stores are scanned for stale copies.
+        bounds, scan = protocol.moved_by(changed, self.replication)
+        candidates = [
+            key
+            for key in self._catalog
+            if bisect_left(bounds, hashed[key]) & 1 or key in loose
+        ]
         keys_repaired = copies_created = bytes_copied = 0
         # Per primary met on this pass: its replica set, and the live
         # replicas with their stores.  A key only picks its primary.
         placed: dict[NodeId, tuple[set[NodeId], list]] = {}
         placements: dict[str, set[NodeId]] = {}
-        for key, stored_values in self._catalog.items():
-            numeric = self._numeric.get(key)
-            if numeric is None:  # stored by put_local alone: hashed here, once
-                numeric = self._numeric[key] = self._hash(key)
-            primary = self.protocol.lookup(numeric).node
+        for key in candidates:
+            stored_values = self._catalog[key]
+            primary = protocol.lookup(hashed[key]).node
             placement = placed.get(primary)
             if placement is None:
                 targets = self._replicas_of(primary)
+                live = [node for node in targets if protocol.is_alive(node)]
+                # A crashed replica that missed a copy is owed it: the
+                # store remembers the node, the next pass pays.
+                self._unsettled.update(set(targets).difference(live))
                 placement = placed[primary] = (
                     set(targets),
-                    [
-                        (node, self._node_stores.setdefault(node, {}))
-                        for node in targets
-                        if self.protocol.is_alive(node)
-                    ],
+                    [(node, self._node_stores.setdefault(node, {})) for node in live],
                 )
             placements[key], live_stores = placement
             repaired_here = False
@@ -402,6 +423,9 @@ class DHTStorage:
                         if value not in held:
                             held.append(value)
                             shipped.append(value)
+                    if len(held) < len(stored_values):
+                        # Duplicates no shipping supplies: revisited every pass.
+                        self._loose.add(key)
                 else:
                     continue
                 repaired_here = True
@@ -416,10 +440,12 @@ class DHTStorage:
                 keys_repaired += 1
         # Prune copies on live nodes that are no longer responsible for a
         # key (responsibility shifted to a joiner), so occupancy stays
-        # truthful.
+        # truthful.  A key that was no candidate stays where it is.
         for node, store in self._node_stores.items():
+            if node not in scan:
+                continue
             stale = [
-                key for key in store if node not in placements.get(key, ())
+                key for key in store if node not in placements.get(key, (node,))
             ]
             for key in stale:
                 del store[key]
@@ -430,12 +456,7 @@ class DHTStorage:
             keys_pruned += len(stale)
         counters.storage_repair_keys += keys_repaired
         counters.storage_repair_bytes += bytes_copied
-        return RepairReport(
-            keys_repaired=keys_repaired,
-            copies_created=copies_created,
-            bytes_copied=bytes_copied,
-            keys_pruned=keys_pruned,
-        )
+        return RepairReport(keys_repaired, copies_created, bytes_copied, keys_pruned)
 
     def under_replicated_keys(self) -> list[str]:
         """Keys currently held by fewer live nodes than required.
@@ -458,10 +479,6 @@ class DHTStorage:
 
     # -- statistics -------------------------------------------------------------
 
-    def keys_on_node(self, node: NodeId) -> int:
-        """Number of distinct keys physically held by ``node``."""
-        return len(self._node_stores.get(node, {}))
-
     def entries_on_node(self, node: NodeId) -> int:
         """Number of (key, value) entries physically held by ``node``."""
         return sum(len(values) for values in self._node_stores.get(node, {}).values())
@@ -471,10 +488,6 @@ class DHTStorage:
         return {
             node: len(store) for node, store in self._node_stores.items() if store
         }
-
-    def total_keys(self) -> int:
-        """Number of distinct keys in the catalog."""
-        return len(self._catalog)
 
     def total_entries(self) -> int:
         """Number of (key, value) entries in the catalog."""

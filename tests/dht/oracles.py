@@ -26,7 +26,7 @@ def can_responsible_node(network: CANNetwork, key: int) -> int:
     """The member whose zone contains the key's point."""
     point = network.key_point(key)
     for node in network.node_ids:
-        if network.zone_of(node).contains(point):
+        if network.node(node).contains(point):
             return node
     raise AssertionError(f"no zone contains {point}; partition broken")
 
@@ -50,7 +50,7 @@ def can_partition_is_valid(network: CANNetwork) -> bool:
     """Invariant: the zones' volumes add up to the whole torus."""
     total = 0.0
     for node in network.node_ids:
-        zone = network.zone_of(node)
+        zone = network.node(node)
         volume = 1.0
         for low, high in zip(zone.low, zone.high):
             volume *= high - low

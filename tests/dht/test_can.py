@@ -57,7 +57,7 @@ class TestNetwork:
             owners = [
                 node
                 for node in network.node_ids
-                if network.zone_of(node).contains(point)
+                if network.node(node).contains(point)
             ]
             assert len(owners) == 1
 
@@ -85,10 +85,10 @@ class TestNetwork:
     def test_join_splits_a_zone(self):
         network = CANNetwork(bits=16, dimensions=2, seed=4)
         network.add_node(1)
-        assert network.zone_of(1) == Zone((0.0, 0.0), (1.0, 1.0))
+        assert network.node(1) == Zone((0.0, 0.0), (1.0, 1.0))
         network.add_node(2)
         assert can_partition_is_valid(network)
-        assert network.neighbors_of(1) == {2}
+        assert network._neighbors[1] == {2}
 
     def test_leave_restores_valid_partition(self, network):
         rng = random.Random(12)
@@ -107,8 +107,8 @@ class TestNetwork:
 
     def test_neighbors_symmetric(self, network):
         for node in network.node_ids:
-            for neighbor in network.neighbors_of(node):
-                assert node in network.neighbors_of(neighbor)
+            for neighbor in network._neighbors[node]:
+                assert node in network._neighbors[neighbor]
 
     def test_duplicate_rejected(self, network):
         with pytest.raises(ValueError):

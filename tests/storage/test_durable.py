@@ -249,7 +249,7 @@ def test_empty_data_dir_recovers_to_nothing(tmp_path):
     durable = DurableNodeState(str(tmp_path / "node"))
     assert durable.report.recovered is False
     assert durable.report.index_entries == 0
-    assert durable.state.total_entries() == 0
+    assert durable.state.entries("index") == durable.state.entries("file") == []
     durable.close()
 
 
@@ -303,7 +303,8 @@ def test_compaction_resets_the_log_and_survives_restart(tmp_path):
 
     recovered = DurableNodeState(data_dir)
     assert recovered.report.snapshot_loaded
-    assert recovered.state.total_entries() == 10
+    state = recovered.state
+    assert len(state.entries("index")) + len(state.entries("file")) == 10
     recovered.close()
 
 
@@ -440,5 +441,6 @@ def test_dropping_a_killed_node_deletes_its_journal(tmp_path):
     recovered = walset.recover(7)
     assert recovered.state.entries("index") == [("title=dht", "msd:6")]
     walset.record_drop_node(7)
-    assert walset.recover(7).state.total_entries() == 0
+    state = walset.recover(7).state
+    assert state.entries("index") == state.entries("file") == []
     walset.close()

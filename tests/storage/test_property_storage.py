@@ -71,6 +71,6 @@ def test_total_entries_consistent(num_nodes, key_list):
     assert store.total_entries() == sum(
         len(store.values(key)) for key in set(key_list)
     )
-    assert store.total_keys() == len(set(key_list))
+    assert len(store._catalog) == len(set(key_list))
     # With replication=1 node stores partition the catalog.
-    assert sum(store.keys_per_node().values()) == store.total_keys()
+    assert sum(store.keys_per_node().values()) == len(store._catalog)
