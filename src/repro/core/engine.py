@@ -29,29 +29,23 @@ The engine models the *automated* search mode of the paper -- the target
 record plays the role of the user's selection criterion at each step --
 which is exactly the behaviour simulated in Section V.
 
-Since the virtual-time refactor, one search is a **resumable state
-machine**: :meth:`LookupEngine.search_steps` is a generator that yields
-one :class:`SearchStep` per message exchange and receives the exchange's
-result (or has the :class:`DeliveryError` thrown into it).  Two drivers
-consume it:
-
-- :meth:`LookupEngine.search` executes every step inline against the
-  synchronous service API -- operation for operation the pre-refactor
-  call stack, so sequential-mode results are bit-identical;
-- :meth:`LookupEngine.start_async` executes steps through the service's
-  continuation-passing API over an event kernel, so N users' searches
-  interleave by virtual time and retry backoff becomes a scheduled
-  timer instead of pure budget burn.
+One search is **one generator stack**: the engine's generator does each
+exchange as a ``yield from`` into the service's operation generators and
+yields its retry backoffs.  :meth:`LookupEngine.search` runs the stack
+under the service's blocking driver, :meth:`LookupEngine.start_async`
+under its continuation driver, where N users' searches interleave by
+virtual time and a backoff is a timer as well as budget burn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.fields import Record
 from repro.core.query import FieldQuery
 from repro.core.service import IndexService, QueryAnswer
+from repro.net.message import MessageKind
 from repro.net.transport import DeliveryError
 from repro.perf import counters
 
@@ -97,49 +91,9 @@ class SearchTrace:
         return self.cache_hit and self.hit_interaction == 1
 
 
-# -- search steps -----------------------------------------------------------
-#
-# The vocabulary of the search state machine: search_steps() yields one of
-# these per externally visible action and is resumed with the action's
-# result.  QueryStep/FetchStep expect a result (or a DeliveryError thrown
-# in); ShortcutStep is fire-and-forget; BackoffStep asks the driver to let
-# the retry backoff elapse (a no-op for the synchronous driver, whose
-# backoff is pure budget burn; a timer for the event-kernel driver).
-
-
-@dataclass(frozen=True)
-class QueryStep:
-    """Resolve a query at the node responsible for it."""
-
-    query: FieldQuery
-
-
-@dataclass(frozen=True)
-class FetchStep:
-    """Fetch the file stored under a most specific descriptor."""
-
-    msd: FieldQuery
-
-
-@dataclass(frozen=True)
-class ShortcutStep:
-    """Create one cache shortcut on a traversed node (best-effort)."""
-
-    node: int
-    query_key: str
-    msd_key: str
-
-
-@dataclass(frozen=True)
-class BackoffStep:
-    """Wait out a retry backoff of ``units`` budget units."""
-
-    units: int
-
-
-SearchStep = Union[QueryStep, FetchStep, ShortcutStep, BackoffStep]
-#: The generator type of one resumable search.
-SearchSteps = Generator[SearchStep, object, None]
+def _raise(error: DeliveryError) -> None:
+    """No DeliveryError leaves a lookup's stack; one that does is a bug."""
+    raise error
 
 
 class LookupEngine:
@@ -151,6 +105,14 @@ class LookupEngine:
     #: interaction budget).
     RETRY_BACKOFF = (1, 2, 4)
 
+    #: The per-lookup budget, in interaction units: every exchange --
+    #: successful or failed -- and every backoff unit drains it, under
+    #: either driver (in async mode backoff also takes virtual time).
+    MAX_INTERACTIONS = 64
+
+    #: Retries of one exchange before the lookup gives up on it.
+    MAX_RETRIES = 3
+
     #: Virtual milliseconds one backoff budget unit costs in async mode,
     #: so the deterministic budget backoff doubles as a real timer.
     BACKOFF_UNIT_MS = 10.0
@@ -159,15 +121,11 @@ class LookupEngine:
         self,
         service: IndexService,
         user: str = "user:0",
-        max_interactions: int = 64,
-        max_retries: int = 3,
         tracer: Optional["Tracer"] = None,
     ) -> None:
         self.service = service
         self.user = user
         self.tracer = tracer
-        self.max_interactions = max_interactions
-        self.max_retries = max_retries
         # Generalization candidates depend only on the scheme and schema,
         # so the priority order is computed once here instead of on every
         # _generalize call: larger keysets first (retain as much
@@ -199,26 +157,9 @@ class LookupEngine:
         ``query`` must cover the target record (the user knows what it is
         looking for).  Returns the full trace; raises nothing on a failed
         search (the trace reports ``found=False``).
-
-        This synchronous driver executes the search state machine inline,
-        one service call per step, in exactly the order the pre-kernel
-        call stack used -- sequential-mode results are bit-identical.
         """
         trace = self._begin_search(query, target)
-        steps = self.search_steps(trace, target)
-        try:
-            step = next(steps)
-            while True:
-                try:
-                    result = self._perform_step(step)
-                except DeliveryError as error:
-                    step = steps.throw(error)
-                else:
-                    step = steps.send(result)
-        except StopIteration:
-            pass
-        self._end_lookup(trace)
-        return trace
+        return self.service._drive(self._search_steps(trace, target, False))
 
     def start_async(
         self,
@@ -234,50 +175,15 @@ class LookupEngine:
         between -- and ``on_complete(trace)`` fires at the search's
         virtual completion time.  Retry backoff waits
         ``units * BACKOFF_UNIT_MS`` on the clock (besides burning the
-        usual interaction budget).
+        usual interaction budget).  The lookup credits a Figure 15 node
+        set of its own, which ``on_complete`` flushes with
+        ``meter.end_query()``.
         """
         trace = self._begin_search(query, target)
-        steps = self.search_steps(trace, target)
-        self._advance((steps, trace, set(), kernel, on_complete), steps.send, None)
+        self.service.transport.meter.current_query_nodes = set()
+        steps = self._search_steps(trace, target, True)
+        self.service._drive_async(steps, on_complete, _raise, kernel)
         return trace
-
-    def _advance(self, lookup: tuple, resume: Callable, value: object) -> None:
-        """One resume of a kernel-driven lookup, and the step it asks for.
-
-        A method handed its state plus a fresh lambda per continuation,
-        not closures naming each other: those would be one reference
-        cycle per concurrent lookup, kept alive until the garbage
-        collector runs.
-        """
-        steps, trace, touched, kernel, on_complete = lookup
-        # Overlapping lookups share one meter: whatever runs on this
-        # lookup's behalf credits its own Figure 15 node set, which
-        # the caller flushes with ``meter.end_query()`` on completion.
-        self.service.transport.meter.current_query_nodes = touched
-        try:
-            step = resume(value)
-        except StopIteration:
-            self._end_lookup(trace)
-            on_complete(trace)
-            return
-        on_done = lambda result: self._advance(lookup, steps.send, result)  # noqa: E731
-        on_error = lambda error: self._advance(lookup, steps.throw, error)  # noqa: E731
-        if isinstance(step, QueryStep):
-            self.service.query_async(step.query, self.user, on_done, on_error)
-        elif isinstance(step, FetchStep):
-            self.service.fetch_file_async(step.msd, self.user, on_done, on_error)
-        elif isinstance(step, ShortcutStep):
-            # Best-effort, no response expected: the search moves on
-            # without waiting for the insert to land.
-            self.service.insert_shortcut_async(
-                step.node, step.query_key, step.msd_key, self.user
-            )
-            on_done(None)
-        else:  # BackoffStep
-            wait_ms = step.units * self.BACKOFF_UNIT_MS
-            if self.tracer is not None and self.tracer.current is not None:
-                self.tracer.backoff(*self.tracer.current, wait_ms=wait_ms)
-            kernel.post(wait_ms, lambda: self._advance(lookup, steps.send, None))
 
     def _begin_search(self, query: FieldQuery, target: Record) -> SearchTrace:
         """Validate the request and open the trace (shared by drivers)."""
@@ -291,47 +197,12 @@ class LookupEngine:
             trace.span_id = self.tracer.begin_lookup(query.key(), self.user)
         return trace
 
-    def _end_lookup(self, trace: SearchTrace) -> None:
-        """Close the lookup's trace span with its outcome (if traced)."""
-        if self.tracer is None or trace.span_id is None:
-            return
-        self.tracer.end_lookup(
-            trace.span_id,
-            found=trace.found,
-            gave_up=trace.gave_up,
-            cache_hit=trace.cache_hit,
-            generalized=trace.generalized,
-            interactions=trace.interactions,
-            retries=trace.retries,
-            failed_sends=trace.failed_sends,
-            errors=trace.errors,
-        )
+    def _search_steps(self, trace: SearchTrace, target: Record, routed: bool):
+        """One search as a generator stack; returns the closed ``trace``.
 
-    def _perform_step(self, step: SearchStep) -> object:
-        """Execute one step against the synchronous service API."""
-        if isinstance(step, QueryStep):
-            return self.service.query(step.query, self.user)
-        if isinstance(step, FetchStep):
-            return self.service.fetch_file(step.msd, self.user)
-        if isinstance(step, ShortcutStep):
-            # Best-effort: a failed insert is swallowed by the service.
-            self.service.insert_shortcut(
-                step.node, step.query_key, step.msd_key, self.user
-            )
-            return None
-        # BackoffStep: sequential mode has no clock; the budget units the
-        # generator already burned *are* the backoff.
-        if self.tracer is not None and self.tracer.current is not None:
-            self.tracer.backoff(*self.tracer.current, wait_ms=0.0)
-        return None
-
-    def search_steps(self, trace: SearchTrace, target: Record) -> SearchSteps:
-        """The search state machine: one yielded step per external action.
-
-        The driver resumes each ``yield`` with the step's result, or
-        throws the :class:`DeliveryError` a failed exchange produced.
-        All trace bookkeeping happens in here, identically for every
-        driver.
+        All trace bookkeeping happens in here, identically for both
+        drivers; ``routed`` is the driver's (continuation requests carry
+        their overlay path length).
         """
         target_msd = FieldQuery.msd_of(target)
         target_msd_key = target_msd.key()
@@ -351,15 +222,11 @@ class LookupEngine:
         # contradicted, which the trust ledger (when attached) holds
         # against the referrer.
         referrer: Optional[int] = None
-        # The per-lookup timeout budget, in interaction units: every
-        # exchange -- successful or failed -- and every backoff period
-        # drains it.  (In async mode, backoff additionally takes virtual
-        # time; the budget arithmetic is driver-independent.)
-        budget = self.max_interactions
+        budget = self.MAX_INTERACTIONS
         while budget > 0:
             if current.is_msd():
                 fetched, budget, exchange = yield from self._exchange_steps(
-                    FetchStep(current), trace, budget
+                    MessageKind.FILE_REQUEST, current.key(), trace, budget, routed
                 )
                 if fetched is None:
                     break
@@ -381,7 +248,7 @@ class LookupEngine:
                 break
 
             answer, budget, exchange = yield from self._exchange_steps(
-                QueryStep(current), trace, budget
+                MessageKind.QUERY_REQUEST, current.key(), trace, budget, routed
             )
             if answer is None:
                 break
@@ -440,19 +307,27 @@ class LookupEngine:
 
         if trace.found:
             yield from self._shortcut_steps(trace, target_msd_key)
+        if self.tracer is not None and trace.span_id is not None:
+            self.tracer.end_lookup(
+                trace.span_id,
+                found=trace.found,
+                gave_up=trace.gave_up,
+                cache_hit=trace.cache_hit,
+                generalized=trace.generalized,
+                interactions=trace.interactions,
+                retries=trace.retries,
+                failed_sends=trace.failed_sends,
+                errors=trace.errors,
+            )
+        return trace
 
     def _record_contradiction(self, referrer: int) -> None:
         """Penalize the node whose answer a later fetch contradicted."""
-        trust = self.service.trust
-        if trust is None:
-            return
-        peer = self.service.endpoint_name(referrer)
-        score = trust.record_contradiction(peer)
-        counters.sec_trust_updates += 1
-        if self.tracer is not None:
-            self.tracer.trust_update(
-                peer=peer, score=score, cause="contradiction"
-            )
+        service = self.service
+        if service.trust is not None:
+            peer = service.endpoint_name(referrer)
+            score = service.trust.record_contradiction(peer)
+            service._trust_updated(peer, score, "contradiction")
 
     def explore(self, query: FieldQuery) -> list[str]:
         """One interactive step: the raw result set for a query.
@@ -467,31 +342,35 @@ class LookupEngine:
 
     # -- internals -----------------------------------------------------------------
 
-    def _exchange_steps(self, step: SearchStep, trace: SearchTrace, budget: int):
-        """Yield one message exchange until it succeeds, under the budget.
+    def _exchange_steps(
+        self, kind: MessageKind, key: str, trace: SearchTrace, budget: int, routed: bool
+    ):
+        """Run one service operation on ``key`` until it succeeds, under
+        the budget.
 
-        On a :class:`DeliveryError` thrown in by the driver (message
-        lost, or every replica of the destination key down) the exchange
-        is retried up to ``max_retries`` times; each retry first burns
-        its deterministic backoff from the budget (and yields a
-        :class:`BackoffStep` so time-aware drivers let it elapse).
-        Returns ``(result, budget_left, exchange_id)`` -- ``result`` is
-        ``None`` when the exchange was abandoned, in which case the trace
-        is marked ``gave_up``; ``exchange_id`` is the trace child-span id
-        of the exchange (``None`` when untraced), covering the original
-        transmission and every retry of it.
+        A :class:`DeliveryError` out of the replica loop (message lost,
+        or every replica of the key down) is retried up to
+        ``MAX_RETRIES`` times, each retry first burning its backoff from
+        the budget and yielding it, in virtual ms, for the driver to let
+        elapse.  Returns ``(result, budget_left, exchange_id)``:
+        ``result`` is ``None`` when the exchange was abandoned (the trace
+        is marked ``gave_up``); ``exchange_id`` is the exchange's trace
+        child span (``None`` untraced), covering every retry of it.
         """
         attempt = 0
         tracer = self.tracer
         exchange = None
         if tracer is not None and trace.span_id is not None:
             exchange = tracer.open_exchange(trace.span_id)
+            # A continuation driver re-activates this span around every
+            # resume until the stack yields under another one.
+            tracer.set_context(trace.span_id, exchange)
         while budget > 0:
             budget -= 1  # the exchange itself consumes one budget unit
-            if exchange is not None:
-                tracer.set_context(trace.span_id, exchange)
             try:
-                result = yield step
+                result = yield from self.service._replica_steps(
+                    kind, key, self.user, routed
+                )
                 return result, budget, exchange
             except DeliveryError as error:
                 trace.failed_sends += 1
@@ -503,7 +382,7 @@ class LookupEngine:
                         reason=error.reason,
                         destination=error.destination,
                     )
-                if attempt >= self.max_retries or budget <= 0:
+                if attempt >= self.MAX_RETRIES or budget <= 0:
                     break
                 backoff = self.RETRY_BACKOFF[
                     min(attempt, len(self.RETRY_BACKOFF) - 1)
@@ -519,11 +398,7 @@ class LookupEngine:
                         attempt=attempt,
                         backoff_units=backoff,
                     )
-                    # The DeliveryError arrived via a kernel continuation,
-                    # so the current-span pointer is stale: re-point it at
-                    # this exchange before handing the driver the backoff.
-                    tracer.set_context(trace.span_id, exchange)
-                yield BackoffStep(backoff)
+                yield backoff * self.BACKOFF_UNIT_MS
         trace.gave_up = True
         counters.engine_gave_up += 1
         return None, budget, exchange
@@ -555,12 +430,7 @@ class LookupEngine:
         index_steps = [
             (node, key) for node, key in trace.visited if key != target_msd_key
         ]
-        if not index_steps:
-            return
-        if policy.all_path_nodes:
-            steps = index_steps
-        else:
-            steps = index_steps[:1]
+        steps = index_steps if policy.all_path_nodes else index_steps[:1]
         for node, query_key in steps:
             if self.tracer is not None and trace.span_id is not None:
                 # Shortcut legs are lookup-level (no exchange child span):
@@ -569,4 +439,6 @@ class LookupEngine:
                 self.tracer.cache_insert(
                     node=node, query=query_key, msd=target_msd_key
                 )
-            yield ShortcutStep(node, query_key, target_msd_key)
+            yield from self.service._shortcut_steps(
+                node, query_key, target_msd_key, self.user
+            )

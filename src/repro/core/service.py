@@ -14,24 +14,29 @@ The service glues the pieces of Section IV together:
 All user-visible operations travel as messages through the simulated
 transport so that byte counts (Figure 12) and per-node load (Figure 15)
 are measured, not estimated.
+
+Each operation is written once, as a generator that the lookup engine
+also runs inside its own stack; one blocking driver (``_drive``) and one
+continuation driver (``_drive_async``) run every such stack.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Optional, Union
 
 if TYPE_CHECKING:
     from repro.sec.identity import NodeIdentity
     from repro.sec.trust import TrustLedger
+    from repro.sim.kernel import EventKernel
 
 from repro.core.cache import CachePolicy, NodeCache
 from repro.core.fields import Record, Schema
 from repro.core.query import FieldQuery
 from repro.core.scheme import IndexScheme
 from repro.net.message import Message, MessageKind
-from repro.net.transport import DeliveryError, SimulatedTransport
+from repro.net.transport import DeliveryError, SimulatedTransport, _discard
 from repro.perf import counters
 from repro.storage.store import DHTStorage
 
@@ -41,9 +46,10 @@ SHORTCUT_MARK = "~"
 #: Value stored in the file store to represent the article content.
 FILE_MARK = "file"
 
-#: One service operation in flight: yields each request, is resumed with
-#: its response (or has the DeliveryError thrown in), returns the result.
-_Steps = Generator[Message, Optional[Message], object]
+#: One operation stack in flight: it yields a request (resumed with the
+#: response, or the DeliveryError thrown in), a one-way ``CACHE_INSERT``
+#: or a retry backoff in virtual ms; it returns the operation's result.
+_Steps = Generator[Union[Message, float], Optional[Message], object]
 
 
 class IndexServiceError(RuntimeError):
@@ -318,11 +324,11 @@ class IndexService:
         losses (dropped messages) are re-raised for the caller's retry
         logic, since the same node will answer a retransmission.
         """
-        counters.service_queries += 1
-        return self._run(self._replica_steps(MessageKind.QUERY_REQUEST, key, user))
+        steps = self._replica_steps(MessageKind.QUERY_REQUEST, key, user, False)
+        return self._drive(steps)
 
     def _replica_steps(
-        self, kind: MessageKind, key: str, user: str, routed: bool = False
+        self, kind: MessageKind, key: str, user: str, routed: bool
     ) -> _Steps:
         """Ask the replicas of ``key`` in turn -- the one failover loop.
 
@@ -335,12 +341,16 @@ class IndexService:
         only a clocked transport charges for.
         """
         fetch = kind is MessageKind.FILE_REQUEST
+        if fetch:
+            counters.service_file_fetches += 1
+        else:
+            counters.service_queries += 1
         store = self.file_store if fetch else self.index_store
         tracer = self.transport.tracer
         trust = self.trust
         # Figure 15 credits every replica that answered, to the query
-        # that was current when the operation began (overlapping
-        # lookups re-point the meter's set between our resumes).
+        # that was current when the operation began (the continuation
+        # driver re-points the meter at it before every resume).
         touched = self.transport.meter.current_query_nodes
         order = self._replica_order(store, key)
         route_hops = self._route_hops(store, key) if routed else 1
@@ -405,67 +415,95 @@ class IndexService:
         assert last_error is not None
         raise last_error
 
-    def _run(self, steps: _Steps):
-        """The blocking driver: each request the steps yield is sent
-        inline and its outcome handed straight back."""
+    def _drive(self, steps: _Steps):
+        """The blocking driver: runs one stack inline; returns its result.
+
+        A one-way ``CACHE_INSERT``'s failure is dropped; a backoff takes
+        no time -- the budget units the engine burned *are* the backoff.
+        """
         send = self.transport.send
-        resume = steps.send
+        tracer = self.transport.tracer
+        resume, value = steps.send, None
         try:
-            request = resume(None)
             while True:
+                request = resume(value)
+                resume, value = steps.send, None
+                if request.__class__ is float:
+                    if tracer is not None and tracer.current is not None:
+                        tracer.backoff(*tracer.current, wait_ms=0.0)
+                    continue
                 try:
-                    response = send(request)
+                    value = send(request)
                 except DeliveryError as error:
-                    request = steps.throw(error)
-                else:
-                    request = resume(response)
+                    if request.kind is not MessageKind.CACHE_INSERT:
+                        resume, value = steps.throw, error
         except StopIteration as done:
             return done.value
 
-    def _run_async(
+    def _drive_async(
         self,
         steps: _Steps,
         on_done: Callable[[object], None],
         on_error: Callable[[DeliveryError], None],
+        kernel: Optional["EventKernel"] = None,
     ) -> None:
-        """The continuation driver: requests travel the virtual clock,
-        and the outcome reaches ``on_done`` / ``on_error``.
+        """The continuation driver: the outcome reaches ``on_done`` /
+        ``on_error``.  A one-way ``CACHE_INSERT`` is not waited for; a
+        backoff is ``kernel.post``-ed.
 
-        Resumes fire from kernel continuations, long after other lookups
-        moved the tracer's current-span pointer: the requesting span is
-        captured now and re-activated around every resume, so failover
-        and trust events -- and the next request's hops -- stay
-        attributed to this lookup.
+        Before every resume the meter's Figure 15 set current now is
+        pointed at again, and the span current when the stack last
+        yielded is re-activated around it (``on_done`` / ``on_error`` run
+        outside it): resumes fire after other operations moved both.
         """
         tracer = self.transport.tracer
-        span = tracer.current if tracer is not None else None
-        self._step(steps, steps.send, None, span, on_done, on_error)
+        span = None if tracer is None else tracer.current
+        touched = self.transport.meter.current_query_nodes
+        self._resume((steps, on_done, on_error, kernel, touched), span, steps.send)
 
-    def _step(self, steps: _Steps, resume, value, span, on_done, on_error):
-        """One resume of the continuation driver, and the send it asks for.
+    def _resume(self, operation: tuple, span, resume, value=None) -> None:
+        """One resume of the continuation driver, and what it waits on.
 
-        A method handed its state, not closures naming each other: those
-        would be one reference cycle per operation, kept alive until the
-        garbage collector runs.
+        A method handed its state plus a fresh lambda per continuation,
+        not closures naming each other: those would be one reference
+        cycle per operation, kept alive until the garbage collector runs.
         """
-        tracer = self.transport.tracer
+        steps, on_done, on_error, kernel, touched = operation
+        transport = self.transport
+        transport.meter.current_query_nodes = touched
+        tracer = transport.tracer
         with nullcontext() if tracer is None else tracer.activated(span):
             try:
                 request = resume(value)
+                while (
+                    request.__class__ is not float
+                    and request.kind is MessageKind.CACHE_INSERT
+                ):
+                    transport.send_async(request, _discard, _discard)
+                    request = steps.send(None)
             except StopIteration as done:
                 finish, outcome = on_done, done.value
             except DeliveryError as error:
                 finish, outcome = on_error, error
             else:
-                self.transport.send_async(
-                    request,
-                    lambda response: self._step(
-                        steps, steps.send, response, span, on_done, on_error
-                    ),
-                    lambda error: self._step(
-                        steps, steps.throw, error, span, on_done, on_error
-                    ),
-                )
+                if tracer is not None:
+                    span = tracer.current
+                if request.__class__ is float:
+                    if span is not None:
+                        tracer.backoff(*span, wait_ms=request)
+                    kernel.post(
+                        request, lambda: self._resume(operation, span, steps.send)
+                    )
+                else:
+                    transport.send_async(
+                        request,
+                        lambda response: self._resume(
+                            operation, span, steps.send, response
+                        ),
+                        lambda error: self._resume(
+                            operation, span, steps.throw, error
+                        ),
+                    )
                 return
         finish(outcome)
 
@@ -588,9 +626,8 @@ class IndexService:
         Fails over across the MSD's replicas exactly like
         :meth:`query_key`; transient drops propagate for retry.
         """
-        counters.service_file_fetches += 1
-        steps = self._replica_steps(MessageKind.FILE_REQUEST, msd.key(), user)
-        return self._run(steps)
+        steps = self._replica_steps(MessageKind.FILE_REQUEST, msd.key(), user, False)
+        return self._drive(steps)
 
     def insert_shortcut(self, node: int, query_key: str, msd_key: str, user: str) -> None:
         """Create a cache shortcut on a node (counted as cache traffic).
@@ -599,35 +636,21 @@ class IndexService:
         failure (node crashed, message lost) is swallowed -- the lookup
         already succeeded, and a later lookup will re-seed the cache.
         """
-        self._run(self._shortcut_steps(node, query_key, msd_key, user))
+        self._drive(self._shortcut_steps(node, query_key, msd_key, user))
 
     def _shortcut_steps(
         self, node: int, query_key: str, msd_key: str, user: str
     ) -> _Steps:
-        """The one request of a shortcut creation, failure swallowed."""
-        if not self.cache_policy.caches_enabled:
-            return
-        try:
+        """The one-way request of a shortcut creation."""
+        if self.cache_policy.caches_enabled:
             yield Message(
                 kind=MessageKind.CACHE_INSERT,
                 source=user,
                 destination=self.endpoint_name(node),
                 payload=(query_key, msd_key),
             )
-        except DeliveryError:
-            pass
 
     # -- user-facing operations (event-kernel, continuation-passing) --------------------
-
-    def query_async(
-        self,
-        query: FieldQuery,
-        user: str,
-        on_done: Callable[[QueryAnswer], None],
-        on_error: Callable[[DeliveryError], None],
-    ) -> None:
-        """Resolve ``q`` over the virtual clock; see :meth:`query`."""
-        self.query_key_async(query.key(), user, on_done, on_error)
 
     def query_key_async(
         self,
@@ -643,9 +666,8 @@ class IndexService:
         leg later, at which point the next replica is tried; transient
         drops propagate to ``on_error`` for the caller's retry logic.
         """
-        counters.service_queries += 1
         steps = self._replica_steps(MessageKind.QUERY_REQUEST, key, user, True)
-        self._run_async(steps, on_done, on_error)
+        self._drive_async(steps, on_done, on_error)
 
     def fetch_file_async(
         self,
@@ -655,9 +677,8 @@ class IndexService:
         on_error: Callable[[DeliveryError], None],
     ) -> None:
         """Scheduled variant of :meth:`fetch_file`; yields (node, found)."""
-        counters.service_file_fetches += 1
         steps = self._replica_steps(MessageKind.FILE_REQUEST, msd.key(), user, True)
-        self._run_async(steps, on_done, on_error)
+        self._drive_async(steps, on_done, on_error)
 
     def insert_shortcut_async(
         self, node: int, query_key: str, msd_key: str, user: str
@@ -669,7 +690,7 @@ class IndexService:
         later lookup re-seeds the cache).
         """
         steps = self._shortcut_steps(node, query_key, msd_key, user)
-        self._run_async(steps, lambda result: None, lambda error: None)
+        self._drive_async(steps, _discard, _discard)
 
     def _route_hops(self, store: DHTStorage, key: str) -> int:
         """Overlay legs a request for ``key`` traverses (>= 1).

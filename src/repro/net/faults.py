@@ -64,6 +64,7 @@ from repro.net.transport import (
     SimulatedTransport,
     _complete,
     _Delivery,
+    _discard,
 )
 from repro.perf import counters
 
@@ -107,10 +108,6 @@ class FaultPlan:
 #: The transparent plan: wrapping with it is behaviourally identical to
 #: the bare transport (asserted by tests).
 NO_FAULTS = FaultPlan()
-
-
-def _discard(outcome: object) -> None:
-    """Continuation of a delivery whose outcome nobody awaits."""
 
 
 class FaultyTransport:

@@ -20,6 +20,7 @@ answered first.  Byte metering is identical in both modes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.net.message import Message
@@ -264,22 +265,36 @@ class SimulatedTransport:
         """
         if self.kernel is None or self.latency is None:
             raise TransportError("send_async requires bind_clock() first")
-        try:
-            delay = next(delivery)
-        except StopIteration as done:
-            on_result(done.value)
-        except DeliveryError as error:
-            on_error(error)
-        else:
-            # post, not schedule: nothing cancels an in-flight message,
-            # so the cancellable handle would be a dead allocation per
-            # send.  A fresh lambda per leg rather than one closure
-            # re-posting itself: a self-referencing closure is a
-            # reference cycle, and every send would wait for the
-            # garbage collector.
-            self.kernel.post(
-                delay, lambda: self._schedule(delivery, on_result, on_error)
-            )
+        span = None if self.tracer is None else self.tracer.current
+        self._leg(delivery, on_result, on_error, span)
+
+    def _leg(self, delivery: _Delivery, on_result, on_error, span) -> None:
+        """One resume of ``delivery``, under the span current when it was
+        booked: the fault layer traces forgeries on the response leg."""
+        tracer = self.tracer
+        with nullcontext() if tracer is None else tracer.activated(span):
+            try:
+                delay = next(delivery)
+            except StopIteration as done:
+                finish, outcome = on_result, done.value
+            except DeliveryError as error:
+                finish, outcome = on_error, error
+            else:
+                # post, not schedule: nothing cancels an in-flight
+                # message, so the cancellable handle would be a dead
+                # allocation per send.  A fresh lambda per leg rather
+                # than one closure re-posting itself: a self-referencing
+                # closure is a reference cycle, and every send would wait
+                # for the garbage collector.
+                self.kernel.post(
+                    delay, lambda: self._leg(delivery, on_result, on_error, span)
+                )
+                return
+        finish(outcome)
+
+
+def _discard(outcome: object) -> None:
+    """Continuation of an outcome nobody awaits."""
 
 
 def _complete(delivery: _Delivery) -> Optional[Message]:

@@ -28,13 +28,12 @@ Events carry both ids, so a reader can reconstruct the nesting without
 separate exchange start/end markers.
 
 Attribution across layers uses :attr:`Tracer.current`, the span
-reference of the lookup being advanced *right now*: the engine's state
-machine sets it before every externally visible action, so the transport
--- which knows nothing about lookups -- can attribute its
-``dht_route_hop`` events to the correct span even while many lookups are
-in flight.  Continuations that fire later on the kernel (response legs,
-replica failover) capture the reference when created and re-activate it
-via :meth:`Tracer.activated`.
+reference of the lookup being advanced *right now*: the engine sets it
+when it opens an exchange, so the transport -- which knows nothing about
+lookups -- can attribute its events to the correct span even while many
+lookups are in flight.  Work that resumes later on the kernel re-activates
+a captured reference via :meth:`Tracer.activated`: a lookup's stack the
+span it last yielded under, a delivery's legs the span of its send.
 """
 
 from __future__ import annotations

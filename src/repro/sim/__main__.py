@@ -201,6 +201,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if getattr(args, spec.name, None) is not None
     }
     if args.trace_out:
+        if args.preset in _COMPARISONS:
+            raise ValueError(f"--trace-out: the {args.preset} preset records no trace")
         given["trace"] = True
     return replace(config, **given)
 

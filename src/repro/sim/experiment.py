@@ -606,8 +606,8 @@ class Experiment:
 
         def finish(trace: SearchTrace, started_at: float) -> None:
             response_times.add(kernel.now - started_at)
-            # The engine pointed the meter at this lookup's own touched
-            # nodes (Fig 15) before completing it.
+            # The continuation driver pointed the meter at this lookup's
+            # own touched nodes (Fig 15) before completing it.
             meter.end_query()
             self._record_trace(trace)
 

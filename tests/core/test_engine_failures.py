@@ -56,7 +56,7 @@ class TestRetries:
         assert any(t.failed_sends for t in traces)
         for trace in traces:
             # Interactions count only completed exchanges.
-            assert trace.interactions <= engine.max_interactions
+            assert trace.interactions <= engine.MAX_INTERACTIONS
             assert trace.failed_sends >= trace.retries
 
     def test_gave_up_on_total_loss(self, paper_records):
@@ -67,16 +67,16 @@ class TestRetries:
         assert not trace.found
         assert trace.gave_up
         assert trace.interactions == 0
-        assert trace.retries == engine.max_retries
-        assert trace.failed_sends == engine.max_retries + 1
+        assert trace.retries == engine.MAX_RETRIES
+        assert trace.failed_sends == engine.MAX_RETRIES + 1
 
     def test_budget_bounds_retry_storm(self, paper_records):
         ring, service, _ = build_faulty(FaultPlan(drop_probability=1.0, seed=2))
         for record in paper_records:
             service.insert_record(record)
-        engine = LookupEngine(
-            service, user="user:tight", max_interactions=3, max_retries=99
-        )
+        engine = LookupEngine(service, user="user:tight")
+        engine.MAX_INTERACTIONS = 3
+        engine.MAX_RETRIES = 99
         trace = engine.search(FieldQuery(ARTICLE_SCHEMA, AUTHOR), paper_records[0])
         assert trace.gave_up
         # Budget of 3: first exchange (1) + backoff (1) + retry (1) = spent.

@@ -75,7 +75,8 @@ class TestSearchBudget:
         )
         service.index_store.put(author.key(), pair.key())
         service.index_store.put(pair.key(), pair.key())  # self-loop
-        bounded = LookupEngine(service, user="user:b", max_interactions=8)
+        bounded = LookupEngine(service, user="user:b")
+        bounded.MAX_INTERACTIONS = 8
         trace = bounded.search(author, paper_records[0])
         assert not trace.found
         assert trace.interactions <= 8

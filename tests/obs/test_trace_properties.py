@@ -14,7 +14,12 @@ accounting invariants the observability layer promises:
   exchange;
 - the waited leg latencies plus backoff sum to ``elapsed_ms``, and the
   per-lookup elapsed times reproduce the run's response-time
-  percentiles.
+  percentiles;
+- under attack, the security events of one exchange stay on its span:
+  a ``trust_update`` right after a ``sec_verify_fail`` of the same peer
+  names the same ``(lookup, exchange)``, so does the step right after a
+  ``poisoned_result``, and an engine contradiction names the lookup
+  whose ``fetch_step`` follows it.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import percentile
+from repro.core.query import FieldQuery
 from repro.obs.reader import TraceEvent, group_lookups
 from repro.obs.tracer import TRACE_VERSION
 from repro.sim.experiment import Experiment, ExperimentConfig
@@ -41,6 +47,9 @@ configs = st.fixed_dictionaries(
         "crash_events": st.sampled_from([0, 1]),
         "query_seed": st.integers(min_value=0, max_value=10_000),
         "churn_seed": st.integers(min_value=0, max_value=10_000),
+        "adversary_poisoners": st.sampled_from([0, 2]),
+        "adversary_liars": st.sampled_from([0, 2]),
+        "verify_signatures": st.booleans(),
     }
 ).map(
     lambda draw: ExperimentConfig(
@@ -56,14 +65,52 @@ configs = st.fixed_dictionaries(
 )
 
 
-def run_and_parse(config):
-    experiment = Experiment(config)
+def run_and_parse(experiment):
     result = experiment.run()
     events = [
         TraceEvent.from_line(line)
         for line in experiment.tracer.jsonl_lines()
     ]
     return result, events, group_lookups(events)
+
+
+def attribution_pairs(events):
+    """Adjacent event pairs one exchange produces, as ``(pair kind,
+    first, second)``: a forgery caught on the response leg (or in the
+    answer's entries) and the trust penalty its sender takes; a forgery
+    delivered unverified and the step that consumed it; an engine
+    contradiction and the empty fetch that caused it."""
+    pairs = []
+    for event, after in zip(events, events[1:]):
+        if (
+            event.kind == "sec_verify_fail"
+            and after.kind == "trust_update"
+            and after.data["peer"] == event.data["destination"]
+        ):
+            pairs.append(("verify", event, after))
+        elif event.kind == "poisoned_result" and after.kind in (
+            "index_step", "fetch_step"
+        ):
+            pairs.append(("poisoned", event, after))
+        elif (
+            event.kind == "trust_update"
+            and event.data["cause"] == "contradiction"
+            and after.kind == "fetch_step"
+        ):
+            pairs.append(("contradiction", event, after))
+    return pairs
+
+
+def assert_attributed(events):
+    for kind, first, second in attribution_pairs(events):
+        if kind != "contradiction":
+            assert (second.lookup, second.exchange) == (
+                first.lookup, first.exchange
+            ), f"{second.kind} left the span of its {first.kind}"
+        else:
+            assert first.lookup == second.lookup, (
+                "contradiction names another lookup than its fetch"
+            )
 
 
 @settings(
@@ -73,7 +120,7 @@ def run_and_parse(config):
 )
 @given(config=configs)
 def test_trace_invariants(config):
-    result, events, spans = run_and_parse(config)
+    result, events, spans = run_and_parse(Experiment(config))
 
     # Envelope: a single leading header, dense sequence numbers, globally
     # monotone timestamps.
@@ -145,6 +192,8 @@ def test_trace_invariants(config):
     assert found == result.found
     assert cache_hits == result.cache_hits
 
+    assert_attributed(events)
+
     # Kernel runs: per-lookup elapsed times reproduce the percentiles.
     if config.uses_kernel:
         elapsed = [span.elapsed_ms for span in spans]
@@ -157,3 +206,54 @@ def test_trace_invariants(config):
         assert percentile(elapsed, 0.99) == pytest.approx(
             result.response_time_ms_p99
         )
+
+
+#: Eight users' lookups overlapping on the kernel, traced.
+OVERLAPPING = dict(
+    num_nodes=60,
+    num_articles=120,
+    num_queries=150,
+    num_authors=48,
+    replication=3,
+    cache="single",
+    trace=True,
+    concurrency=8,
+    latency_model="uniform:10:100",
+)
+
+
+@pytest.mark.parametrize(
+    "verify, kind", [(True, "verify"), (False, "poisoned")], ids=["verify", "open"]
+)
+def test_forgery_and_its_consequence_share_a_span(verify, kind):
+    # Forgeries are traced while the response leg resumes on the
+    # kernel, the penalty or the step when the lookup's stack resumes:
+    # both must land on the exchange concerned, not on whichever lookup
+    # moved the current span last.
+    config = ExperimentConfig(
+        adversary_poisoners=6,
+        adversary_liars=3,
+        verify_signatures=verify,
+        **OVERLAPPING,
+    )
+    _, events, _ = run_and_parse(Experiment(config))
+    pairs = [pair for pair in attribution_pairs(events) if pair[0] == kind]
+    assert len(pairs) >= 5
+    assert_attributed(events)
+
+
+def test_engine_contradiction_names_its_own_lookup():
+    # Every other record's file is removed behind the index, so each
+    # lookup for one ends in an empty fetch the engine holds against
+    # the node that referred it there.
+    experiment = Experiment(ExperimentConfig(verify_signatures=True, **OVERLAPPING))
+    experiment.populate()
+    for record in experiment.corpus.records[::2]:
+        msd = FieldQuery.msd_of(record).key()
+        experiment.service.file_store.remove_key(msd)
+    _, events, _ = run_and_parse(experiment)
+    pairs = [
+        pair for pair in attribution_pairs(events) if pair[0] == "contradiction"
+    ]
+    assert len(pairs) >= 10
+    assert_attributed(events)

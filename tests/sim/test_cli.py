@@ -212,6 +212,18 @@ class TestTraceFlag:
         # --trace-out absent must leave a preset's trace field alone.
         assert parse(["--preset", "churn"]).trace is False
 
+    @pytest.mark.parametrize(
+        "preset", ["adversarial-smoke", "range-queries", "range-queries-smoke"]
+    )
+    def test_comparison_preset_refuses_trace_out(self, preset, tmp_path, capsys):
+        # A comparison runs its cells without writing a trace: the flag
+        # is a usage error, not silently dropped.
+        path = tmp_path / "x.jsonl"
+        code = main(["--preset", preset, "--scale", "0.2", "--trace-out", str(path)])
+        assert code == 2
+        assert preset in capsys.readouterr().err
+        assert not path.exists()
+
     def test_main_writes_trace_file(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
         code = main(
