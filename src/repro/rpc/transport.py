@@ -1,57 +1,63 @@
 """Real-socket transport with the `SimulatedTransport` surface.
 
 :class:`AsyncioTransport` carries :class:`repro.net.message.Message`
-frames over UDP datagrams (with a transparent TCP fallback for frames
-too large for a datagram) between named endpoints, exposing the same
-``register`` / ``send`` / ``send_async`` surface the in-process
-:class:`repro.net.transport.SimulatedTransport` gives the index stack --
-so :class:`repro.core.service.IndexService` and
+frames over UDP datagrams (TCP for frames too large for a datagram)
+between named endpoints, exposing the ``register`` / ``send`` /
+``send_async`` surface of :class:`repro.net.transport.SimulatedTransport`
+-- so :class:`repro.core.service.IndexService` and
 :class:`repro.core.engine.LookupEngine` run over real sockets unchanged.
 
 Differences from the simulated transport, all deliberate:
 
-- **Names resolve to addresses.**  Local handlers are registered as
-  usual; every other endpoint name maps to a ``(host, port)`` socket
-  address via :meth:`add_route` (daemon control names of the shape
-  ``daemon@host:port`` self-resolve).  Sending to a name with neither a
-  handler nor a route raises :class:`TransportError`, mirroring the
+- **Names resolve to addresses** via :meth:`add_route` (names of the
+  shape ``daemon@host:port`` self-resolve).  Sending to a name with
+  neither a handler nor a route raises :class:`TransportError`, the
   simulation's "never existed" misuse error.
-- **Failure detection is a timer.**  A request that gets no reply within
-  its deadline is retried with capped exponential backoff; exhausting
-  the retries raises the typed
-  :class:`~repro.net.transport.DeliveryError` with the ``timeout``
-  reason -- transient like ``dropped``, so the engine's retry logic and
-  the service's failover policy apply unchanged.  A peer that answers
-  with an ERROR frame (unknown endpoint, crashed node) surfaces as a
-  ``DeliveryError`` with that reason.
-- **Time is wall-clock behind the kernel's clock protocol.**  The
-  transport owns a :class:`WallClock` exposing ``now`` in milliseconds
-  exactly like :class:`repro.sim.kernel.EventKernel`, so the tracer's
-  ``bind_clock`` works on either and trace timestamps stay in one unit.
+- **Failure detection is a timer.**  A request unanswered within its
+  deadline is retried with capped exponential backoff; exhausting the
+  retries raises :class:`~repro.net.transport.DeliveryError` with the
+  ``timeout`` reason -- transient like ``dropped``, so the engine's
+  retries and the service's failover apply unchanged.  An ERROR frame
+  (unknown endpoint, crashed node) is a ``DeliveryError`` of its reason.
+- **Time is wall-clock** behind the kernel's clock protocol: a
+  :class:`WallClock` whose ``now`` is milliseconds, like
+  :class:`repro.sim.kernel.EventKernel`, so traces stay in one unit.
 
-Every frame movement is counted in :mod:`repro.perf`
-(``rpc_*`` counters, including real byte counts on both directions) and
--- when a tracer is bound -- recorded as the same ``dht_route_hop`` span
-events the simulated transport emits, with the measured round-trip time
-on the response leg.
+Every frame is counted in :mod:`repro.perf` (``rpc_*``, real bytes both
+ways) and, with a tracer bound, traced as the simulated transport's
+``dht_route_hop`` events, the response leg with its measured round trip.
 
 Threading model: the transport lives on one asyncio event loop, and one
 callback-driven core (:meth:`AsyncioTransport.send_async`) carries every
-exchange there: a UDP request is a datagram, a deadline timer and two
-continuations -- no Task, no ``wait_for``, no Future.  :meth:`request` is
-the Future adapter for coroutines on the loop.  Another thread's
-:meth:`send` / :meth:`send_many` / :meth:`run_blocking` cross onto the
-loop once, wait, and are refused on the loop thread itself.
+exchange there: a request is a frame on a channel, a deadline timer and
+two continuations -- no Task, no coroutine, no Future.  :meth:`request`
+and :meth:`request_many` are the Future adapters for coroutines on the
+loop; another thread's :meth:`send` / :meth:`send_many` /
+:meth:`run_blocking` cross onto the loop once (refused on it).
+
+One frame path, two channels: a datagram, or the one TCP connection per
+peer address -- dialled on first use (the only Task: its
+``create_connection``), split by the codec's :class:`StreamUnframer`,
+shared by every exchange to that peer (the request id tells them apart).
+One dispatcher takes every frame: a REQUEST is served and answered on the
+channel it came on; anything else settles the exchange pending under its
+id.  A refused connect fails each exchange waiting on it with
+``DeliveryError(unregistered)``.  A lost connection (reset, EOF, a codec
+error on the stream) leaves the map, each exchange in flight on it takes
+its next ladder step at once, and the next attempt dials again.  The
+accepting side pauses reading while its socket has paused writing.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import itertools
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.net.message import Message
@@ -73,8 +79,10 @@ from repro.rpc.codec import (
     OVERSIZED_REASON,
     SIGNED_TRAILER_BYTES,
     STREAM_PREFIX_BYTES,
+    Buffer,
     CodecError,
     SignedEnvelope,
+    StreamUnframer,
     decode_error,
     decode_frame_signed,
     decode_message,
@@ -133,9 +141,8 @@ class WallClock:
 
 @dataclass(slots=True)
 class _Exchange:
-    """One request in flight: what to (re)send, where, and who waits.
-    ``handle`` ends the running attempt when cancelled: the deadline's
-    ``TimerHandle`` on UDP, the stream ``Task`` on TCP."""
+    """One request in flight: what to (re)send, where, and who waits;
+    ``tcp`` picks the channel, ``handle`` is the attempt's deadline."""
 
     message: Message
     body: bytes
@@ -148,16 +155,80 @@ class _Exchange:
     attempt: int = 0
     timeout_ms: float = 0.0
     tcp: bool = False
-    handle: Optional["asyncio.Handle | asyncio.Task"] = None
+    handle: Optional[asyncio.TimerHandle] = None
 
 
 class _DatagramEndpoint(asyncio.DatagramProtocol):
-    """asyncio's datagram callback, bound straight to the transport.
-    (``error_received`` -- ICMP unreachable etc. -- stays the base
-    class's no-op: the request deadline handles the loss.)"""
+    """asyncio's datagram callback, bound straight to the dispatcher
+    (``error_received`` stays a no-op: the deadline handles a loss)."""
 
     def __init__(self, owner: "AsyncioTransport") -> None:
-        self.datagram_received = owner._on_datagram
+        self.datagram_received = owner._on_frame
+
+
+class _Stream(asyncio.Protocol):
+    """One TCP connection, dialled (``address`` given) or accepted: bytes
+    in go through a :class:`StreamUnframer` to the owner's dispatcher,
+    frames out length-prefixed, held in ``backlog`` while dialling."""
+
+    def __init__(
+        self, owner: "AsyncioTransport", address: Optional[Address] = None
+    ) -> None:
+        self.owner = owner
+        self.address = address
+        self.accepted = address is None
+        self.unframer = StreamUnframer()
+        self.transport: Optional[asyncio.Transport] = None
+        self.backlog: list[bytes] = []
+        self.dial: Optional[asyncio.Task] = None
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        if self.accepted:
+            self.address = tuple(transport.get_extra_info("peername")[:2])
+            self.owner._streams[self.address] = self
+        else:
+            counters.rpc_tcp_connects += 1
+        transport.writelines(self.backlog)
+        self.backlog.clear()
+
+    def send(self, frame: bytes) -> None:
+        payload = encode_stream(frame)
+        if self.transport is None:
+            self.backlog.append(payload)
+        else:
+            self.transport.write(payload)
+        counters.rpc_tcp_frames += 1
+        counters.rpc_bytes_sent += len(payload)
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()
+        elif self.dial is not None:
+            self.dial.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            frames = self.unframer.feed(data)
+        except CodecError:
+            counters.rpc_codec_errors += 1
+            self.transport.close()
+            return
+        for frame in frames:
+            if self.transport.is_closing():
+                return
+            self.owner._on_frame(frame, self.address, self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._lost(self)
+
+    def pause_writing(self) -> None:
+        if self.accepted:
+            self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if self.accepted:
+            self.transport.resume_reading()
 
 
 class AsyncioTransport:
@@ -165,6 +236,10 @@ class AsyncioTransport:
 
     #: Ceiling of the per-attempt deadline as retries double it.
     BACKOFF_CAP_MS = 2000.0
+    #: Bounds of the server-side reply cache: entries, and seconds since
+    #: last replayed (a retransmission only comes within a retry window).
+    DEDUPE_CAP = 1024
+    DEDUPE_TTL_S = 60.0
 
     def __init__(
         self,
@@ -174,9 +249,6 @@ class AsyncioTransport:
         request_timeout_ms: float = 250.0,
         max_retries: int = 3,
         udp_max_bytes: int = 1400,
-        dedupe_cap: int = 1024,
-        dedupe_ttl_s: float = 60.0,
-        tcp_pool_cap: int = 4,
         identity: Optional[NodeIdentity] = None,
         require_signed: bool = False,
         peer_keys: Optional[dict[str, bytes]] = None,
@@ -184,32 +256,14 @@ class AsyncioTransport:
         """``request_timeout_ms`` is the first attempt's deadline; each
         retry doubles it up to ``BACKOFF_CAP_MS`` (capped exponential
         backoff).  Frames larger than ``udp_max_bytes`` travel over TCP.
-        ``dedupe_cap`` / ``dedupe_ttl_s`` bound the server-side reply
-        cache that absorbs UDP retransmissions: at most ``dedupe_cap``
-        entries, each discarded ``dedupe_ttl_s`` seconds after it was
-        last replayed (a retransmission can only arrive within the
-        sender's retry window, so a long-lived daemon need not remember
-        replies forever).  ``tcp_pool_cap`` bounds the idle TCP
-        connections kept open *per peer* for reuse (0 disables reuse and
-        restores one-connection-per-exchange).
 
-        ``identity`` switches on the signed-envelope wire extension
-        (version-2 frames, see :mod:`repro.rpc.codec`): every outgoing
-        frame is ed25519-signed, and every *incoming* signed frame is
-        verified -- a bad signature surfaces as a typed
-        ``DeliveryError(verify_failed)`` on the client side, or a
-        ``verify_failed`` ERROR reply on the serving side.  Unsigned
-        peers still interop (their frames stay version 1) unless
-        ``require_signed`` is set, which rejects unsigned traffic too.
-
-        A valid signature alone only proves the reply came from *some*
-        keypair, so signed replies are additionally checked against a
-        per-endpoint-name **key pin**: ``peer_keys`` seeds the pins from
-        out-of-band knowledge (cluster membership roster), and endpoints
-        without a seed pin on first contact (trust-on-first-use).  A
-        signed reply whose key differs from the pin is rejected like a
-        bad signature -- a keypair-swapping impostor cannot satisfy an
-        established pin.
+        ``identity`` switches on signed (version-2, see
+        :mod:`repro.rpc.codec`) ed25519 frames, and every incoming signed
+        frame is verified: a bad signature is ``verify_failed`` for
+        either side.  Unsigned peers still interop unless
+        ``require_signed`` is set.  Signed replies are also held to a
+        per-endpoint key pin (:meth:`_verify_reply`), seeded from
+        ``peer_keys`` (the cluster roster), else learned on first contact.
         """
         if require_signed and identity is None:
             raise ValueError("require_signed needs an identity to sign with")
@@ -217,10 +271,6 @@ class AsyncioTransport:
             raise ValueError("timeouts must be positive milliseconds")
         if max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if dedupe_cap < 1 or dedupe_ttl_s <= 0:
-            raise ValueError("dedupe cache bounds must be positive")
-        if tcp_pool_cap < 0:
-            raise ValueError("tcp_pool_cap cannot be negative")
         self.meter = meter if meter is not None else TrafficMeter()
         self.clock = clock if clock is not None else WallClock()
         self.request_timeout_ms = request_timeout_ms
@@ -242,30 +292,20 @@ class AsyncioTransport:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[int] = None
         self._udp: Optional[asyncio.DatagramTransport] = None
-        self._tcp_server: Optional[asyncio.base_events.Server] = None
+        self._server: Optional[asyncio.base_events.Server] = None
+        #: Peer address -> its one TCP connection, dialled or accepted.
+        self._streams: dict[Address, _Stream] = {}
         #: Request id -> the exchange in flight under it.
         self._pending: dict[int, _Exchange] = {}
         #: Callers blocked in run_blocking (see _finish).
         self._blocked: set[concurrent.futures.Future] = set()
-        self._next_request_id = 1
+        self._request_ids = itertools.count(1)
         #: (peer address, request id) -> (expiry deadline ms, reply
-        #: frame), so a UDP retransmission of an already-served request
-        #: re-sends the same reply instead of re-running the handler.
-        #: LRU-ordered (recently replayed entries migrate to the tail)
-        #: and bounded by both capacity and TTL.
+        #: frame), so a retransmission of an already-served request gets
+        #: the same reply instead of re-running the handler; LRU-ordered.
         self._served: OrderedDict[
             tuple[Address, int], tuple[float, bytes]
         ] = OrderedDict()
-        self._served_cap = dedupe_cap
-        self._served_ttl_ms = dedupe_ttl_s * 1000.0
-        #: Idle TCP connections kept warm per peer address for reuse.
-        self._tcp_pool: dict[
-            Address, list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = {}
-        self._tcp_pool_cap = tcp_pool_cap
-        #: Live server-side TCP connections (clients hold them open for
-        #: reuse), closed with the transport so their handler tasks end.
-        self._server_conns: set[asyncio.StreamWriter] = set()
         self.listen_address: Optional[Address] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -279,8 +319,7 @@ class AsyncioTransport:
         same port (``port=0`` lets the OS choose; the chosen port is in
         :attr:`listen_address`) -- the daemon mode.  Without a host,
         binds only an ephemeral loopback UDP socket for replies -- the
-        client mode (TCP requests use outgoing connections and need no
-        server).
+        client mode (its TCP connections are all dialled).
         """
         if self._loop is not None:
             raise TransportError("transport already started")
@@ -289,16 +328,15 @@ class AsyncioTransport:
         if host is None:
             await self._bind_udp("127.0.0.1", 0)
             return None
-        self._tcp_server = await asyncio.start_server(
-            self._serve_tcp_connection, host=host, port=port
+        self._server = await self._loop.create_server(
+            lambda: _Stream(self), host=host, port=port
         )
-        bound_port = self._tcp_server.sockets[0].getsockname()[1]
+        bound_port = self._server.sockets[0].getsockname()[1]
         await self._bind_udp(host, bound_port)
         self.listen_address = (host, bound_port)
         return self.listen_address
 
     async def _bind_udp(self, host: str, port: int) -> None:
-        assert self._loop is not None
         self._udp, _ = await self._loop.create_datagram_endpoint(
             lambda: _DatagramEndpoint(self), local_addr=(host, port)
         )
@@ -311,17 +349,12 @@ class AsyncioTransport:
         for exchange in list(self._pending.values()):
             exchange.handle.cancel()
             self._fail(exchange, DeliveryError.TIMEOUT)
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-            self._tcp_server = None
-        for pool in self._tcp_pool.values():
-            for _, writer in pool:
-                writer.close()
-        self._tcp_pool.clear()
-        for writer in list(self._server_conns):
-            writer.close()
-        self._server_conns.clear()
+        for stream in list(self._streams.values()):
+            stream.close()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
 
     # -- endpoint protocol (parity with SimulatedTransport) -----------------
 
@@ -426,25 +459,60 @@ class AsyncioTransport:
 
     def _launch(self, exchange: _Exchange, tcp: bool) -> None:
         """The first attempt of ``exchange``, under a fresh request id."""
-        exchange.request_id = self._next_request_id
-        self._next_request_id += 1
+        exchange.request_id = next(self._request_ids)
         exchange.attempt, exchange.tcp = 0, tcp
         exchange.timeout_ms = self.request_timeout_ms
         self._pending[exchange.request_id] = exchange
         self._attempt(exchange)
 
     def _attempt(self, exchange: _Exchange) -> None:
-        """One attempt: the frame out, its deadline armed."""
+        """One attempt: the frame out on the exchange's channel, its
+        deadline armed."""
         frame = self._frame(FRAME_REQUEST, exchange.request_id, exchange.body)
         if exchange.tcp:
-            exchange.handle = self._loop.create_task(self._stream(exchange, frame))
-            return
-        self._udp.sendto(frame, exchange.address)
-        counters.rpc_udp_frames += 1
-        counters.rpc_bytes_sent += len(frame)
+            self._channel(exchange.address).send(frame)
+        else:
+            self._udp.sendto(frame, exchange.address)
+            counters.rpc_udp_frames += 1
+            counters.rpc_bytes_sent += len(frame)
         exchange.handle = self._loop.call_later(
             exchange.timeout_ms / 1000.0, self._unanswered, exchange
         )
+
+    def _channel(self, address: Address) -> _Stream:
+        """The one TCP connection to ``address``, dialled on first use."""
+        stream = self._streams.get(address)
+        if stream is None:
+            stream = self._streams[address] = _Stream(self, address)
+            stream.dial = self._loop.create_task(
+                self._loop.create_connection(lambda: stream, *address)
+            )
+            stream.dial.add_done_callback(partial(self._dialled, stream))
+        elif stream.transport is not None:
+            counters.rpc_tcp_reuses += 1
+        return stream
+
+    def _dialled(self, stream: _Stream, dial: asyncio.Task) -> None:
+        """A failed dial is a lost connection (a cancelled one, closed)."""
+        if not dial.cancelled() and dial.exception() is not None:
+            refused = isinstance(dial.exception(), ConnectionRefusedError)
+            self._lost(stream, refused)
+
+    def _lost(self, stream: _Stream, refused: bool = False) -> None:
+        """``stream`` is gone: it leaves the map, and each exchange in
+        flight on it takes its next ladder step now -- or, when the dial
+        was refused (the peer's port is gone), fails as ``unregistered``."""
+        address = stream.address
+        if self._streams.get(address) is not stream:
+            return  # already replaced under its address
+        del self._streams[address]
+        lost = [e for e in self._pending.values() if e.tcp and e.address == address]
+        for exchange in lost:
+            exchange.handle.cancel()
+            if refused:
+                self._fail(exchange, DeliveryError.UNREGISTERED)
+            else:
+                self._unanswered(exchange)
 
     def _unanswered(self, exchange: _Exchange) -> None:
         """An attempt's deadline passed: give up, or repeat the request
@@ -464,26 +532,6 @@ class AsyncioTransport:
         self._pending.pop(exchange.request_id, None)
         error = DeliveryError(reason, exchange.message.destination)
         self._finish(exchange.on_error, error)
-
-    async def _stream(self, exchange: _Exchange, frame: bytes) -> None:
-        """One TCP attempt, for frames no datagram can carry."""
-        try:
-            reply = await asyncio.wait_for(
-                self._exchange_tcp(exchange.request_id, frame, exchange.address),
-                exchange.timeout_ms / 1000.0,
-            )
-        except ConnectionRefusedError:
-            # The daemon's TCP port is gone: the node departed.
-            self._fail(exchange, DeliveryError.UNREGISTERED)
-        except (asyncio.TimeoutError, OSError):
-            self._unanswered(exchange)
-        except Exception as error:
-            # E.g. a garbled stream: for the waiter to judge.
-            self._pending.pop(exchange.request_id, None)
-            self._finish(exchange.on_error, error)
-        else:
-            self._pending.pop(exchange.request_id, None)
-            self._on_reply(exchange, reply)
 
     def _on_reply(
         self, exchange: _Exchange, reply: tuple[int, bytes, Optional[SignedEnvelope]]
@@ -541,18 +589,12 @@ class AsyncioTransport:
         self, envelope: Optional[SignedEnvelope], destination: str
     ) -> None:
         """Check a reply's signature (or its absence) before trusting it.
-
-        A bad signature -- or an unsigned reply under ``require_signed``
-        -- surfaces as ``DeliveryError(verify_failed)``: transient and
-        ``retry_elsewhere``, so the service fails over to another
-        replica exactly as the simulated adversary path does.
-
-        A *valid* signature is then bound to the expected peer: the
-        envelope's key must match ``destination``'s pin (seeded via
-        ``peer_keys``/``pin_peer``, or learned on first contact).  The
-        signature alone proves only that some keypair produced the
-        frame; the pin is what stops an impostor substituting its own.
-        """
+        A bad signature, an unsigned reply under ``require_signed``, or a
+        valid signature by a key other than ``destination``'s pin (seeded
+        via ``peer_keys``/``pin_peer``, else learned on first contact) is
+        ``DeliveryError(verify_failed)``: transient and
+        ``retry_elsewhere``, so the service fails over to another replica
+        exactly as the simulated adversary path does."""
         if envelope is None:
             if self.require_signed:
                 counters.sec_verify_failures += 1
@@ -563,9 +605,7 @@ class AsyncioTransport:
         ):
             counters.sec_verify_failures += 1
             if self.tracer is not None:
-                self.tracer.sec_verify_fail(
-                    destination=destination, role="unknown"
-                )
+                self.tracer.sec_verify_fail(destination=destination, role="unknown")
             raise DeliveryError(DeliveryError.VERIFY_FAILED, destination)
         reply_key = bytes(envelope.public_key)
         pinned = self._pinned_keys.get(destination)
@@ -576,9 +616,7 @@ class AsyncioTransport:
         elif reply_key != pinned:
             counters.sec_verify_failures += 1
             if self.tracer is not None:
-                self.tracer.sec_verify_fail(
-                    destination=destination, role="impostor"
-                )
+                self.tracer.sec_verify_fail(destination=destination, role="impostor")
             raise DeliveryError(DeliveryError.VERIFY_FAILED, destination)
 
     def _frame(self, frame_type: int, request_id: int, body: bytes = b"") -> bytes:
@@ -587,102 +625,10 @@ class AsyncioTransport:
             return sign_frame(frame_type, request_id, body, self.identity)
         return encode_frame(frame_type, request_id, body)
 
-    async def _exchange_tcp(
-        self, request_id: int, frame: bytes, address: Address
-    ) -> tuple[int, bytes, Optional[SignedEnvelope]]:
-        """One TCP exchange over a pooled (kept-alive) connection.
+    def _error_frame(self, request_id: int, reason: str) -> bytes:
+        return self._frame(FRAME_ERROR, request_id, encode_error(reason))
 
-        Connections park in a per-address pool between exchanges, so a
-        covering-chain's oversized fetches pay the handshake once, not
-        per request.  A pooled connection the peer closed while idle is
-        detected on the first read/write and retried once on a fresh
-        connection; a connection whose exchange was abandoned mid-flight
-        (timeout cancellation, codec error) is closed, never reused --
-        the stream position would be ambiguous.
-        """
-        payload = encode_stream(frame)
-        conn = self._checkout_tcp(address)
-        reused = conn is not None
-        if conn is None:
-            conn = await asyncio.open_connection(*address)
-            counters.rpc_tcp_connects += 1
-        reply: Optional[bytes] = None
-        while True:
-            reader, writer = conn
-            try:
-                writer.write(payload)
-                await writer.drain()
-                counters.rpc_tcp_frames += 1
-                counters.rpc_bytes_sent += len(frame) + STREAM_PREFIX_BYTES
-                prefix = await reader.readexactly(STREAM_PREFIX_BYTES)
-                reply = await reader.readexactly(
-                    int.from_bytes(prefix, "big")
-                )
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.IncompleteReadError,
-            ):
-                writer.close()
-                if not reused:
-                    raise
-                # The parked connection went stale while idle: one retry
-                # on a demonstrably fresh connection.
-                reused = False
-                conn = await asyncio.open_connection(*address)
-                counters.rpc_tcp_connects += 1
-                continue
-            except BaseException:
-                # Includes the caller's timeout cancellation: the
-                # exchange is mid-flight, the stream cannot be reused.
-                writer.close()
-                raise
-            break
-        counters.rpc_bytes_received += len(reply) + STREAM_PREFIX_BYTES
-        try:
-            frame_type, reply_id, reply_body, envelope = decode_frame_signed(
-                reply
-            )
-            if reply_id != request_id:
-                raise CodecError(
-                    f"reply correlates to {reply_id}, expected {request_id}"
-                )
-        except CodecError:
-            writer.close()
-            raise
-        if reused:
-            counters.rpc_tcp_reuses += 1
-        self._checkin_tcp(address, conn)
-        return frame_type, bytes(reply_body), envelope
-
-    def _checkout_tcp(
-        self, address: Address
-    ) -> Optional[tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
-        """An idle pooled connection to ``address``, if one is alive."""
-        pool = self._tcp_pool.get(address)
-        while pool:
-            conn = pool.pop()
-            if not conn[1].is_closing():
-                return conn
-        return None
-
-    def _checkin_tcp(
-        self,
-        address: Address,
-        conn: tuple[asyncio.StreamReader, asyncio.StreamWriter],
-    ) -> None:
-        """Park a healthy connection for reuse (bounded per address)."""
-        if conn[1].is_closing() or self._tcp_pool_cap == 0:
-            conn[1].close()
-            return
-        pool = self._tcp_pool.setdefault(address, [])
-        pool.append(conn)
-        while len(pool) > self._tcp_pool_cap:
-            pool.pop(0)[1].close()
-
-    def _deliver_local(
-        self, handler: Endpoint, message: Message
-    ) -> Optional[Message]:
+    def _deliver_local(self, handler: Endpoint, message: Message) -> Optional[Message]:
         """Serve a locally hosted destination without touching sockets.
 
         The message still round-trips through the codec, so local and
@@ -708,32 +654,62 @@ class AsyncioTransport:
         try:
             return await future
         finally:
-            if exchange is not None and future.cancelled():
-                if self._pending.pop(exchange.request_id, None) is exchange:
-                    exchange.handle.cancel()
+            if future.cancelled():
+                self._abandon(exchange)
 
-    async def request_many(
-        self, messages: list[Message]
-    ) -> list[object]:
-        """Issue several requests concurrently -- the pipelined path.
+    async def request_many(self, messages: list[Message]) -> list[object]:
+        """Issue several requests concurrently -- the pipelined path, as
+        the Future adapter over :meth:`_fan_out`: a list aligned with
+        ``messages`` (runtime failures are per-item ``DeliveryError``s,
+        so one dead replica cannot abort the batch).  Misuse still
+        raises; cancelling the awaiter ends every exchange."""
+        future = asyncio.get_running_loop().create_future()
+        exchanges = self._fan_out(messages, future.set_result, future.set_exception)
+        try:
+            return await future
+        finally:
+            if future.cancelled():
+                for exchange in exchanges:
+                    self._abandon(exchange)
 
-        Every message's exchange starts immediately (no request/response
-        lockstep); the returned list is aligned with ``messages``, each
-        item the response :class:`Message`, ``None`` for an ACK, or the
-        :class:`DeliveryError` that exchange raised (runtime failures
-        are per-item data, so one dead replica cannot abort the batch).
-        Misuse (unroutable name, transport not started) still raises.
-        """
+    def _fan_out(
+        self,
+        messages: list[Message],
+        on_result: Callable[[list[object]], None],
+        on_error: ErrorCallback,
+    ) -> list[Optional[_Exchange]]:
+        """Start one exchange per message at once; after the last one
+        settles, ``on_result`` gets the aligned outcomes -- response,
+        ``None`` for an ACK, or the :class:`DeliveryError` -- or
+        ``on_error`` the first other error.  Returns the exchanges."""
         counters.rpc_batches += 1
         counters.rpc_batched_messages += len(messages)
+        results: list[object] = [None] * len(messages)
+        left = len(messages)
 
-        async def one(message: Message) -> object:
-            try:
-                return await self.request(message)
-            except DeliveryError as error:
-                return error
+        def settle(index: int, outcome: object) -> None:
+            nonlocal left
+            results[index] = outcome
+            left -= 1
+            if left:
+                return
+            for item in results:
+                if isinstance(item, Exception) and not isinstance(item, DeliveryError):
+                    return on_error(item)
+            on_result(results)
 
-        return list(await asyncio.gather(*(one(m) for m in messages)))
+        if not messages:
+            on_result(results)
+        exchanges = []
+        for index, message in enumerate(messages):
+            settled = partial(settle, index)
+            exchanges.append(self.send_async(message, settled, settled))
+        return exchanges
+
+    def _abandon(self, exchange: Optional[_Exchange]) -> None:
+        """End an exchange nobody waits for (``None``: a local delivery)."""
+        if exchange is not None and self._pending.pop(exchange.request_id, None):
+            exchange.handle.cancel()
 
     def _cross(self) -> asyncio.AbstractEventLoop:
         """The loop, for one call about to be marshalled onto it (counted)."""
@@ -765,26 +741,20 @@ class AsyncioTransport:
         ``SimulatedTransport.send``: the response message or ``None``,
         :class:`DeliveryError` for runtime failures."""
         return self.run_blocking(
-            lambda done: self.send_async(
-                message, done.set_result, done.set_exception
-            )
+            lambda done: self.send_async(message, done.set_result, done.set_exception)
         )
 
     def send_many(self, messages: list[Message]) -> list[object]:
-        """Blocking batched request from a non-loop thread.
-
-        The batch is marshalled onto the loop as one unit and every
-        exchange runs concurrently; after all of them settle, the first
-        :class:`DeliveryError` (if any) is raised -- matching the
-        sequential path's failure surface while still attempting every
-        message.  Returns the aligned response list otherwise.
-        """
+        """Blocking batched request from a non-loop thread: one crossing
+        (:meth:`_fan_out` under :meth:`run_blocking`), every exchange
+        concurrent.  After all of them settle, the first
+        :class:`DeliveryError` (if any) is raised -- the sequential
+        path's failure surface, every message still attempted."""
         if not messages:
             return []
-        loop = self._cross()
-        results = asyncio.run_coroutine_threadsafe(
-            self.request_many(list(messages)), loop
-        ).result()
+        results = self.run_blocking(
+            lambda done: self._fan_out(messages, done.set_result, done.set_exception)
+        )
         for result in results:
             if isinstance(result, DeliveryError):
                 raise result
@@ -792,18 +762,31 @@ class AsyncioTransport:
 
     # -- serving ------------------------------------------------------------
 
-    def _on_datagram(self, data: bytes, addr: Address) -> None:
-        counters.rpc_bytes_received += len(data)
+    def _on_frame(
+        self, data: Buffer, addr: Address, stream: Optional[_Stream] = None
+    ) -> None:
+        """The one dispatcher of incoming frames, from a datagram or from
+        ``stream``: a REQUEST is served and answered on the channel it
+        came on; anything else settles the exchange pending under its
+        request id.  A frame that does not decode is dropped -- and ends
+        its stream, whose position is then unknown."""
+        counters.rpc_bytes_received += len(data) + (
+            0 if stream is None else STREAM_PREFIX_BYTES
+        )
         try:
             frame_type, request_id, body, envelope = decode_frame_signed(data)
         except CodecError:
             counters.rpc_codec_errors += 1
+            if stream is not None:
+                stream.transport.close()
             return
         if frame_type == FRAME_REQUEST:
             reply = self._serve_request(
-                request_id, body, addr, via_udp=True, envelope=envelope
+                request_id, body, addr, via_udp=stream is None, envelope=envelope
             )
-            if self._udp is not None:
+            if stream is not None:
+                stream.send(reply)
+            elif self._udp is not None:
                 self._udp.sendto(reply, addr)
                 counters.rpc_udp_frames += 1
                 counters.rpc_bytes_sent += len(reply)
@@ -833,11 +816,7 @@ class AsyncioTransport:
             # reply is NOT cached (the honest sender may retransmit the
             # authentic frame under the same id).
             counters.sec_verify_failures += 1
-            return self._frame(
-                FRAME_ERROR,
-                request_id,
-                encode_error(DeliveryError.VERIFY_FAILED),
-            )
+            return self._error_frame(request_id, DeliveryError.VERIFY_FAILED)
         if self.require_signed and envelope is None:
             # Refused, and NOT cached -- like the forged-signature path
             # above.  An unsigned datagram's source address is attacker
@@ -845,28 +824,18 @@ class AsyncioTransport:
             # ``(addr, request_id)`` would let a spoofer pre-poison the
             # reply slot of an honest peer's next (guessably sequential)
             # request id.
-            return self._frame(
-                FRAME_ERROR,
-                request_id,
-                encode_error(DeliveryError.VERIFY_FAILED),
-            )
+            return self._error_frame(request_id, DeliveryError.VERIFY_FAILED)
         try:
             message = decode_message(body, signed=envelope is not None)
         except CodecError:
             counters.rpc_codec_errors += 1
-            return self._frame(
-                FRAME_ERROR, request_id, encode_error("codec")
-            )
+            return self._error_frame(request_id, "codec")
         handler = self._endpoints.get(message.destination)
         if handler is None:
             # Over the wire every unknown name is a runtime condition
             # (the peer cannot distinguish "never existed" from
             # "departed"), so it maps to the departed reason.
-            reply = self._frame(
-                FRAME_ERROR,
-                request_id,
-                encode_error(DeliveryError.UNREGISTERED),
-            )
+            reply = self._error_frame(request_id, DeliveryError.UNREGISTERED)
             self._remember_reply(cache_key, reply)
             return reply
         self.meter.record(message)
@@ -875,38 +844,25 @@ class AsyncioTransport:
             reply = self._frame(FRAME_ACK, request_id)
         else:
             self.meter.record(response)
-            response_body = encode_message(
-                response, signed=self.identity is not None
-            )
-            if (
-                via_udp
-                and self._frame_overhead + len(response_body)
-                > self.udp_max_bytes
-            ):
+            response_body = encode_message(response, signed=self.identity is not None)
+            oversized = self._frame_overhead + len(response_body) > self.udp_max_bytes
+            if via_udp and oversized:
                 # Do not cache: the sender repeats over TCP with a fresh
                 # id and must get the real response there.
-                return self._frame(
-                    FRAME_ERROR, request_id, encode_error(OVERSIZED_REASON)
-                )
+                return self._error_frame(request_id, OVERSIZED_REASON)
             reply = self._frame(FRAME_RESPONSE, request_id, response_body)
         self._remember_reply(cache_key, reply)
         return reply
 
     def _cached_reply(self, key: tuple[Address, int]) -> Optional[bytes]:
-        """The remembered reply for a retransmission, if still fresh."""
+        """The remembered reply for a retransmission, if still fresh.
+        Replaying refreshes both recency (LRU order) and the TTL: the
+        peer is evidently still retrying this request."""
         entry = self._served.get(key)
-        if entry is None:
+        if entry is None or entry[0] <= self.clock.now:
             return None
-        deadline, reply = entry
-        now = self.clock.now
-        if now >= deadline:
-            del self._served[key]
-            return None
-        # Replaying refreshes both recency (LRU order) and the TTL: the
-        # peer is evidently still retrying this request.
-        self._served[key] = (now + self._served_ttl_ms, reply)
-        self._served.move_to_end(key)
-        return reply
+        self._remember_reply(key, entry[1])
+        return entry[1]
 
     def _remember_reply(self, key: tuple[Address, int], reply: bytes) -> None:
         now = self.clock.now
@@ -918,47 +874,7 @@ class AsyncioTransport:
             if self._served[head_key][0] > now:
                 break
             del self._served[head_key]
-        self._served[key] = (now + self._served_ttl_ms, reply)
-        while len(self._served) > self._served_cap:
+        self._served.pop(key, None)
+        self._served[key] = (now + self.DEDUPE_TTL_S * 1000.0, reply)
+        while len(self._served) > self.DEDUPE_CAP:
             self._served.popitem(last=False)
-
-    async def _serve_tcp_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peer = writer.get_extra_info("peername") or ("?", 0)
-        addr: Address = (str(peer[0]), int(peer[1]))
-        self._server_conns.add(writer)
-        try:
-            while True:
-                try:
-                    prefix = await reader.readexactly(STREAM_PREFIX_BYTES)
-                except asyncio.IncompleteReadError:
-                    break
-                frame = await reader.readexactly(
-                    int.from_bytes(prefix, "big")
-                )
-                counters.rpc_bytes_received += len(frame) + STREAM_PREFIX_BYTES
-                try:
-                    frame_type, request_id, body, envelope = (
-                        decode_frame_signed(frame)
-                    )
-                except CodecError:
-                    counters.rpc_codec_errors += 1
-                    break
-                if frame_type != FRAME_REQUEST:
-                    break
-                reply = self._serve_request(
-                    request_id, body, addr, via_udp=False, envelope=envelope
-                )
-                writer.write(encode_stream(reply))
-                await writer.drain()
-                counters.rpc_tcp_frames += 1
-                counters.rpc_bytes_sent += len(reply) + STREAM_PREFIX_BYTES
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._server_conns.discard(writer)
-            try:
-                writer.close()
-            except RuntimeError:
-                pass  # loop already closed under a hard teardown

@@ -1,11 +1,11 @@
-"""TCP connection reuse and batched (pipelined) request tests.
+"""The TCP channel (one connection per peer) and batched requests.
 
 The transports here are built with a tiny ``udp_max_bytes`` so every
-exchange takes the TCP fallback path -- the one connection pooling
-accelerates -- without needing megabyte payloads.
+exchange takes the TCP path without needing megabyte payloads.
 """
 
 import asyncio
+import contextlib
 import socket
 import threading
 
@@ -14,7 +14,9 @@ import pytest
 from repro.net.message import Message, MessageKind
 from repro.net.transport import DeliveryError, TransportError
 from repro.perf import snapshot
+from repro.rpc.cluster import LocalCluster
 from repro.rpc.transport import AsyncioTransport
+from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
 
 @pytest.fixture
@@ -70,6 +72,23 @@ def dead_address():
     return address
 
 
+@contextlib.contextmanager
+def tasks_created(loop):
+    """Every ``asyncio.Task`` created on ``loop`` inside the block."""
+    created = []
+
+    def spy(spied_loop, coroutine, **kwargs):
+        task = asyncio.Task(coroutine, loop=spied_loop, **kwargs)
+        created.append(task)
+        return task
+
+    loop.call_soon_threadsafe(loop.set_task_factory, spy)
+    try:
+        yield created
+    finally:
+        loop.call_soon_threadsafe(loop.set_task_factory, None)
+
+
 class TestConnectionReuse:
     def test_sequential_requests_share_one_connection(self, loop):
         server, client = make_server(loop), make_client(loop)
@@ -87,18 +106,22 @@ class TestConnectionReuse:
             run(loop, client.close())
             run(loop, server.close())
 
-    def test_pool_cap_zero_disables_reuse(self, loop):
-        server = make_server(loop)
-        client = make_client(loop, tcp_pool_cap=0)
+    def test_a_tcp_exchange_over_an_open_connection_creates_no_task(self, loop):
+        server, client = make_server(loop), make_client(loop)
         try:
             server.register("node:1", echo_handler)
             client.add_route("node:1", server.listen_address)
+            assert client.send(request_to("node:1")) is not None  # dials
             before = snapshot()
-            for _ in range(3):
-                assert client.send(request_to("node:1")) is not None
+            with tasks_created(loop) as created:
+                for index in range(5):
+                    payload = (f"{index}-" + "z" * 100,)
+                    response = client.send(request_to("node:1", payload))
+                    assert response.payload == payload
             after = snapshot()
-            assert after["rpc_tcp_connects"] == before["rpc_tcp_connects"] + 3
-            assert after["rpc_tcp_reuses"] == before["rpc_tcp_reuses"]
+            assert created == []
+            assert after["rpc_tcp_frames"] == before["rpc_tcp_frames"] + 10
+            assert after["rpc_tcp_reuses"] == before["rpc_tcp_reuses"] + 5
         finally:
             run(loop, client.close())
             run(loop, server.close())
@@ -110,10 +133,10 @@ class TestConnectionReuse:
             client.add_route("node:1", server.listen_address)
             assert client.send(request_to("node:1")) is not None
 
-            # The server drops the idle connection the client pooled.
+            # The server drops the idle connection the client kept open.
             def drop_server_conns():
-                for writer in list(server._server_conns):
-                    writer.close()
+                for stream in list(server._streams.values()):
+                    stream.transport.close()
 
             run(loop, asyncio.sleep(0))
             loop.call_soon_threadsafe(drop_server_conns)
@@ -125,23 +148,67 @@ class TestConnectionReuse:
             assert response is not None
             assert response.payload == payload
             after = snapshot()
-            # The stale checkout burned one fresh connect; no double retry.
+            # The stale connection burned one fresh connect; no double retry.
             assert after["rpc_tcp_connects"] == before["rpc_tcp_connects"] + 1
         finally:
             run(loop, client.close())
             run(loop, server.close())
 
-    def test_pool_stays_bounded_under_concurrency(self, loop):
-        server = make_server(loop)
-        client = make_client(loop, tcp_pool_cap=2)
+    def test_concurrent_exchanges_to_one_peer_open_one_connection(self, loop):
+        server, client = make_server(loop), make_client(loop)
         try:
             server.register("node:1", echo_handler)
             client.add_route("node:1", server.listen_address)
-            messages = [request_to("node:1", (f"m{i}",)) for i in range(8)]
+            before = snapshot()
+            messages = [request_to("node:1", (f"m{i}" + "x" * 100,)) for i in range(8)]
             results = client.send_many(messages)
-            assert len(results) == 8
-            pooled = sum(len(pool) for pool in client._tcp_pool.values())
-            assert pooled <= 2
+            assert [r.payload for r in results] == [m.payload for m in messages]
+            after = snapshot()
+            assert after["rpc_tcp_connects"] == before["rpc_tcp_connects"] + 1
+            assert after["rpc_tcp_frames"] == before["rpc_tcp_frames"] + 16
+        finally:
+            run(loop, client.close())
+            run(loop, server.close())
+
+
+class TestStreamFailures:
+    def test_a_peer_that_hangs_up_mid_exchange_is_a_delivery_error(self, loop):
+        async def hang_up(reader, writer):
+            await reader.readexactly(4)
+            writer.close()
+
+        listener = run(loop, asyncio.start_server(hang_up, "127.0.0.1", 0))
+        client = AsyncioTransport(
+            request_timeout_ms=100.0, max_retries=1, udp_max_bytes=16
+        )
+        run(loop, client.start())
+        try:
+            client.add_route("node:1", listener.sockets[0].getsockname()[:2])
+            before = snapshot()
+            with pytest.raises(DeliveryError) as raised:
+                client.send(request_to("node:1"))
+            after = snapshot()
+            # Each loss is a ladder step: two attempts, two connections.
+            assert raised.value.reason == DeliveryError.TIMEOUT
+            assert after["rpc_tcp_connects"] == before["rpc_tcp_connects"] + 2
+            assert not client._pending
+        finally:
+            run(loop, client.close())
+            listener.close()
+
+    def test_an_oversized_stream_prefix_ends_that_connection_only(self, loop):
+        server, client = make_server(loop), make_client(loop)
+        try:
+            server.register("node:1", echo_handler)
+            client.add_route("node:1", server.listen_address)
+            before = snapshot()
+            with socket.create_connection(server.listen_address, timeout=5) as rogue:
+                # A u32 length above the unframer's 64 MB bound.
+                rogue.sendall((2**32 - 1).to_bytes(4, "big"))
+                assert rogue.recv(1) == b""
+            after = snapshot()
+            assert after["rpc_codec_errors"] == before["rpc_codec_errors"] + 1
+            assert client.send(request_to("node:1")) is not None
         finally:
             run(loop, client.close())
             run(loop, server.close())
@@ -199,6 +266,24 @@ class TestBatchedRequests:
         finally:
             run(loop, client.close())
             run(loop, server.close())
+
+    def test_a_publish_crosses_once_and_creates_no_task(self):
+        corpus = SyntheticCorpus(CorpusConfig(num_articles=4, num_authors=2, seed=3))
+        with LocalCluster(3, replication=2) as cluster:
+            client = cluster.client()
+            try:
+                before = snapshot()
+                with tasks_created(client._loop) as created:
+                    for record in corpus.records:
+                        client.insert_record(record)
+                after = snapshot()
+            finally:
+                client.close()
+        published = len(corpus.records)
+        crossings = after["rpc_thread_crossings"] - before["rpc_thread_crossings"]
+        assert created == []
+        assert crossings == published
+        assert after["rpc_batches"] - before["rpc_batches"] == published
 
     def test_send_many_refuses_loop_thread(self, loop):
         client = make_client(loop)
