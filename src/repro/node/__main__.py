@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--data-dir", default=None, metavar="PATH",
         help=(
-            "persist node state (WAL + snapshot) under PATH and recover "
+            "persist node state (a write-ahead log) under PATH and recover "
             "it on restart (default: in-memory only)"
         ),
     )
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "persist an ed25519 identity under PATH and sign every "
             "frame; the node id derives from the public key unless "
-            "--node-id or a recovered snapshot overrides it"
+            "--node-id or a recovered identity overrides it"
         ),
     )
     parser.add_argument(

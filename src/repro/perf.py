@@ -90,7 +90,7 @@ class PerfCounters:
         "wal_appends",
         "wal_bytes",
         "wal_fsyncs",
-        "wal_snapshots",
+        "wal_compactions",
         "wal_recoveries",
         "wal_records_replayed",
         "wal_torn_tails",

@@ -464,25 +464,19 @@ class LocalCluster:
         daemon = self.daemons[index]
         if index in self._dead:
             raise RuntimeError(f"daemon {index} is already dead")
-        synced = (
-            daemon.durable.wal.synced_size
-            if daemon.durable is not None
-            else 0
-        )
-        wal_path = (
-            daemon.durable.wal_path if daemon.durable is not None else None
-        )
         self._loop.call_soon_threadsafe(daemon.kill)
         self._serving[index].result(timeout=10.0)
-        if power_loss and wal_path is not None:
-            tear_wal(wal_path, synced)
+        # The fsync line is read only now: serve() abandoned the journal
+        # on the loop, so no append can land between this read and the tear.
+        if power_loss and daemon.durable is not None:
+            tear_wal(daemon.durable.wal_path, daemon.durable.wal.synced_size)
         self._dead.add(index)
 
     def restart_node(self, index: int, converge_timeout_s: float = 15.0) -> NodeDaemon:
         """Bring a killed daemon back from its data directory.
 
         The new daemon recovers its identity, entries, cache, and
-        membership from the WAL+snapshot, rejoins through a live peer
+        membership from its write-ahead log, rejoins through a live peer
         (falling back to its remembered peers), re-syncs its data slice,
         and replaces the dead daemon in the harness.  Blocks until the
         recovered daemon is serving and the membership re-converged.

@@ -48,10 +48,10 @@ With ``data_dir`` set, the daemon is *durable*
 shortcut-cache insert, and membership change is journaled to a
 write-ahead log before it is acknowledged, and a restart recovers the
 node -- same identity, same entries, same warmed cache, same membership
-view -- by replaying snapshot + log tail.  After recovery the daemon
-rejoins via its remembered peers and re-synchronizes its slice of the
-data (a ``pull`` exchange with every peer), so entries written to its
-keys while it was down arrive as well.
+view -- by replaying its log.  After recovery the daemon rejoins via
+its remembered peers and re-synchronizes its slice of the data (a
+``pull`` exchange with every peer), so entries written to its keys
+while it was down arrive as well.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class NodeDaemon:
         require_signed: bool = False,
     ) -> None:
         """``data_dir`` switches the daemon to durable mode: node state
-        persists there (WAL + snapshot) and a restart recovers it.
+        persists there (one write-ahead log) and a restart recovers it.
         ``fsync`` is the log's sync policy (``always`` / ``interval[:N]``
         / ``never``; see :class:`repro.storage.durable.FsyncPolicy`).
 

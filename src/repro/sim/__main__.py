@@ -105,7 +105,7 @@ _FLAGS: tuple[tuple[Optional[str], tuple[tuple[str, ...], ...]], ...] = (
         ("power_loss_events", "--power-loss-events",
          "additional kills that also tear the un-fsynced WAL tail"),
         ("durability", "--durability",
-         "node-state persistence: in-memory only, or WAL + snapshot"),
+         "node-state persistence: in-memory only, or a per-node WAL"),
         ("fsync", "--fsync",
          "WAL sync policy: always | interval[:N] | never", "POLICY"),
         ("data_dir", "--data-dir",

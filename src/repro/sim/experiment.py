@@ -137,7 +137,7 @@ class ExperimentConfig:
     power_loss_events: int = 0
     #: Node-state durability: "none" (the seed's in-memory nodes) or
     #: "wal" (every node journals acknowledged entries, cache shortcuts,
-    #: and removals to a per-node WAL + snapshot under ``data_dir`` --
+    #: and removals to a per-node write-ahead log under ``data_dir`` --
     #: see :mod:`repro.storage.durable`).
     durability: str = "none"
     #: WAL sync policy for durable runs: always | interval[:N] | never.
@@ -936,8 +936,8 @@ class Experiment:
 
         The store's in-memory copies are forgotten *without* journaling
         (the WAL is the state that survived the process), the cache
-        starts cold, and -- when durable -- the node replays snapshot +
-        log tail before delivery resumes.  The closing repair pass then
+        starts cold, and -- when durable -- the node replays its log
+        before delivery resumes.  The closing repair pass then
         restores whatever was acknowledged on other replicas while the
         node was down, exactly the rejoin path a real daemon runs.
         """

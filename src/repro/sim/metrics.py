@@ -204,7 +204,7 @@ class ExperimentResult:
         return [
             ["restarts (of which power losses)",
              f"{self.restarts} ({self.power_losses})"],
-            ["entries recovered from WAL+snapshot",
+            ["entries recovered from the WAL",
              f"{self.recovered_entries} "
              f"(+{self.recovered_cache_entries} cached shortcuts)"],
             ["WAL records replayed", self.wal_records_replayed],

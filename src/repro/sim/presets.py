@@ -155,7 +155,7 @@ WEB_SCALE_SMOKE_CONFIG = register_preset(
 )
 
 #: The restart/power-loss chaos experiment (the durability matrix):
-#: durable (WAL + snapshot) nodes under a lossy network and a rolling
+#: durable (write-ahead log) nodes under a lossy network and a rolling
 #: schedule of 6 process kills plus 2 power losses, each node down for
 #: 300 queries before it restarts, replays its journal, and rejoins via
 #: repair.  Replication 3 carries the load during the outage windows;

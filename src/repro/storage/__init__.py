@@ -13,7 +13,6 @@ from repro.storage.durable import (
     FsyncPolicy,
     NodeWalSet,
     RecoveryReport,
-    SnapshotState,
     WalError,
     WriteAheadLog,
     replay_wal,
@@ -33,7 +32,6 @@ __all__ = [
     "NodeWalSet",
     "PutResult",
     "RecoveryReport",
-    "SnapshotState",
     "StorageError",
     "WalError",
     "WriteAheadLog",

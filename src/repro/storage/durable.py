@@ -1,4 +1,4 @@
-"""Durable node state: write-ahead log + snapshot persistence.
+"""Durable node state: one write-ahead log per node.
 
 Every daemon from :mod:`repro.rpc` was fully in-memory: a restart lost
 its index entries, replicas, shortcut cache, and membership view.  This
@@ -18,17 +18,16 @@ node needs:
   unbuffered, so a SIGKILL of the process loses *nothing* under any
   policy -- only losing the machine (power loss) can cost the records
   appended since the last fsync;
-- **compacting snapshots** (``snapshot.bin``): the materialized node
-  state is written to a temporary file, fsynced, and atomically renamed
-  over the previous snapshot, after which the log is reset.  Snapshots
-  carry the sequence number of the last folded-in record, so recovery
-  replays only the log tail -- and a log that is *older* than the
-  snapshot (the crash-between-rename-and-truncate window) replays
-  nothing instead of double-applying;
-- a **recovery path** that loads the snapshot, replays the log tail,
-  truncates torn tails (a record half-written when the power died)
-  instead of crashing, and skips a corrupt-CRC record with a warning
-  while keeping the valid prefix.
+- **compaction**: the materialized node state is written as ordinary
+  records to ``wal.log.tmp``, fsynced, and atomically renamed over the
+  log.  A compacted log is just a log, so a crash at any instant leaves
+  either the old log or the new one under the real name, and recovery
+  reads one file with one reader;
+- a **recovery path** that replays the log, truncates torn tails (a
+  record half-written when the power died) instead of crashing, skips a
+  corrupt-CRC record with a warning while keeping the valid prefix, and
+  sets a log of another format version aside (``wal.log.v<N>``) instead
+  of appending to it.
 
 Layering: :class:`DurableNodeState` is one node's journal (what a
 :class:`repro.rpc.daemon.NodeDaemon` owns); :class:`NodeWalSet` fans the
@@ -45,18 +44,17 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.perf import counters
 
 #: First bytes of a write-ahead log file.
 WAL_MAGIC = b"RPWL"
-#: First bytes of a snapshot file.
-SNAPSHOT_MAGIC = b"RPSN"
-#: On-disk format version stamped into (and required of) both files.
-DURABLE_VERSION = 1
+#: On-disk format version stamped into (and required of) the log.
+DURABLE_VERSION = 2
 #: Fixed WAL file header: magic + version byte.
-WAL_HEADER_BYTES = len(WAL_MAGIC) + 1
+WAL_HEADER = WAL_MAGIC + bytes((DURABLE_VERSION,))
+WAL_HEADER_BYTES = len(WAL_HEADER)
 #: Per-record framing: u32 body length + u32 CRC32 of the body.
 RECORD_PREFIX_BYTES = 8
 #: Upper bound on one record body; a length prefix beyond this is
@@ -120,7 +118,7 @@ class FsyncPolicy:
 
 @dataclass(frozen=True)
 class WalOp:
-    """One decoded log record: a sequence number and a typed operation.
+    """One decoded log record: a typed operation.
 
     ``fields`` is the op-specific tuple:
 
@@ -136,7 +134,6 @@ class WalOp:
     ============== =================================================
     """
 
-    seq: int
     op: int
     fields: tuple
 
@@ -182,17 +179,18 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
     def node_id(self) -> int:
-        return int.from_bytes(self.take(self.u16()), "big")
+        length = int.from_bytes(self.take(2), "big")
+        return int.from_bytes(self.take(length), "big")
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
+    def store(self) -> str:
+        label = _STORES_BY_CODE.get(self.u8())
+        if label is None:
+            raise WalError("unknown store code")
+        return label
 
     def text(self) -> str:
         try:
@@ -205,9 +203,9 @@ class _Reader:
             raise WalError("trailing bytes after record body")
 
 
-def encode_record_body(seq: int, op: int, fields: tuple) -> bytes:
+def encode_record_body(op: int, fields: tuple) -> bytes:
     """Serialize one operation into a record body (no framing)."""
-    parts = [struct.pack(">QB", seq, op)]
+    parts = [struct.pack(">B", op)]
     if op in (OP_PUT, OP_REMOVE_VALUE):
         store, key, value = fields
         parts.append(struct.pack(">B", STORE_CODES[store]))
@@ -237,18 +235,11 @@ def encode_record_body(seq: int, op: int, fields: tuple) -> bytes:
 def decode_record_body(body: bytes) -> WalOp:
     """Parse one record body back into a :class:`WalOp`."""
     reader = _Reader(body)
-    seq = reader.u64()
     op = reader.u8()
     if op in (OP_PUT, OP_REMOVE_VALUE):
-        store = _STORES_BY_CODE.get(reader.u8())
-        if store is None:
-            raise WalError("unknown store code")
-        fields: tuple = (store, reader.text(), reader.text())
+        fields: tuple = (reader.store(), reader.text(), reader.text())
     elif op == OP_REMOVE_KEY:
-        store = _STORES_BY_CODE.get(reader.u8())
-        if store is None:
-            raise WalError("unknown store code")
-        fields = (store, reader.text())
+        fields = (reader.store(), reader.text())
     elif op == OP_CACHE_INSERT:
         fields = (reader.text(), reader.text())
     elif op == OP_MEMBER:
@@ -258,7 +249,7 @@ def decode_record_body(body: bytes) -> WalOp:
     else:
         raise WalError(f"unknown WAL op: {op}")
     reader.done()
-    return WalOp(seq=seq, op=op, fields=fields)
+    return WalOp(op=op, fields=fields)
 
 
 def frame_record(body: bytes) -> bytes:
@@ -276,10 +267,6 @@ class ReplayReport:
     """What one log replay saw (and fixed)."""
 
     records: int = 0
-    last_seq: int = 0
-    #: Records whose seq was at or below the snapshot watermark and were
-    #: therefore skipped (already folded into the snapshot).
-    skipped: int = 0
     #: Records dropped for a CRC mismatch (the valid prefix is kept).
     corrupt_records: int = 0
     #: Bytes cut off the end of the file (torn tail / post-corruption).
@@ -295,25 +282,28 @@ class WriteAheadLog:
     syscall before returning, so an acknowledged append survives process
     death (SIGKILL) under every fsync policy.  ``fsync`` then bounds what
     a *power loss* can take.
+
+    Opening never appends behind a header it does not own: a torn or
+    foreign header is cut and the log starts clean, and a log of another
+    :data:`DURABLE_VERSION` is first moved aside to ``<path>.v<N>`` --
+    records this reader cannot decode stay on disk, untouched.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync: FsyncPolicy = FsyncPolicy(),
-        start_seq: int = 0,
-    ) -> None:
+    def __init__(self, path: str, fsync: FsyncPolicy = FsyncPolicy()) -> None:
         self.path = path
         self.fsync_policy = fsync
-        self.next_seq = start_seq + 1
         self._appends_since_sync = 0
-        existing = os.path.getsize(path) if os.path.exists(path) else 0
+        head = b""
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                head = handle.read(WAL_HEADER_BYTES)
+        if head[:-1] == WAL_MAGIC and head != WAL_HEADER:
+            os.replace(path, f"{path}.v{head[-1]}")  # another version
+            head = b""
         self._file = open(path, "ab", buffering=0)
-        if existing < WAL_HEADER_BYTES:
-            if existing:
-                # A torn header cannot be continued; start clean.
-                self._file.truncate(0)
-            self._file.write(WAL_MAGIC + bytes((DURABLE_VERSION,)))
+        if head != WAL_HEADER:
+            self._file.truncate(0)  # torn or foreign header
+            self._file.write(WAL_HEADER)
             self._sync()
         #: File size at the last fsync: the byte count a power loss is
         #: guaranteed not to touch (used by the power-loss chaos to
@@ -324,15 +314,13 @@ class WriteAheadLog:
     def size(self) -> int:
         return self._file.tell() if not self._file.closed else 0
 
-    def append(self, op: int, fields: tuple) -> int:
-        """Write one record; returns its sequence number.
+    def append(self, op: int, fields: tuple) -> None:
+        """Write one record.
 
         When this returns, the record is in the OS (SIGKILL-safe); it is
         on the platter according to the fsync policy.
         """
-        seq = self.next_seq
-        self.next_seq += 1
-        frame = frame_record(encode_record_body(seq, op, fields))
+        frame = frame_record(encode_record_body(op, fields))
         self._file.write(frame)
         counters.wal_appends += 1
         counters.wal_bytes += len(frame)
@@ -343,7 +331,6 @@ class WriteAheadLog:
             and self._appends_since_sync >= policy.every
         ):
             self._sync()
-        return seq
 
     def flush(self) -> None:
         """Force everything appended so far to stable storage."""
@@ -356,12 +343,41 @@ class WriteAheadLog:
         self._appends_since_sync = 0
         self.synced_size = self._file.tell()
 
-    def reset(self, start_seq: int) -> None:
-        """Empty the log after a snapshot folded its records in."""
-        self._file.truncate(WAL_HEADER_BYTES)
-        self._file.seek(WAL_HEADER_BYTES)
-        self._sync()
-        self.next_seq = start_seq + 1
+    def rewrite(self, records: Iterable[WalOp]) -> int:
+        """Atomically replace the log with ``records``; returns its size.
+
+        The records go to ``<path>.tmp`` behind a fresh header, are
+        fsynced, and only then renamed over the log (and the directory
+        fsynced) -- a crash at any instant leaves either the old log or
+        the new one under the real name, never a half-written file.  A
+        stray ``.tmp`` from an earlier crash is simply overwritten.
+        """
+        tmp = self.path + ".tmp"
+        with open(tmp, "wb") as handle:
+            handle.write(WAL_HEADER)
+            for record in records:
+                handle.write(
+                    frame_record(encode_record_body(record.op, record.fields))
+                )
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.path)
+        directory = os.path.dirname(os.path.abspath(self.path))
+        try:
+            dir_fd = os.open(directory, os.O_RDONLY)
+        except OSError:  # pragma: no cover - platform without dir fds
+            dir_fd = -1
+        if dir_fd >= 0:
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
+        self._file.close()
+        self._file = open(self.path, "ab", buffering=0)
+        self._appends_since_sync = 0
+        self.synced_size = self.size
+        counters.wal_compactions += 1
+        return self.size
 
     def close(self) -> None:
         """Flush and release the file (graceful shutdown)."""
@@ -375,27 +391,27 @@ class WriteAheadLog:
         Used by the cluster harness's ``kill_node`` to model a process
         that never got to say goodbye.  Appended bytes are already in
         the OS (unbuffered writes), so only a simulated *power loss* --
-        :func:`tear_wal` -- additionally rolls back to the fsync line.
+        :func:`tear_wal` -- additionally rolls back to the fsync line,
+        which :attr:`synced_size` keeps after the file is released.
         """
         if not self._file.closed:
             self._file.close()
 
 
-def replay_wal(
-    path: str, min_seq: int = 0, repair: bool = True
-) -> tuple[list[WalOp], ReplayReport]:
+def replay_wal(path: str, repair: bool = True) -> tuple[list[WalOp], ReplayReport]:
     """Read a log back, tolerating every form of tail damage.
 
-    Returns the decoded operations with ``seq > min_seq`` (records at or
-    below the snapshot watermark are skipped) plus a report.  A torn
-    tail -- fewer bytes than the framing promises -- is truncated; a
-    record whose CRC does not match is dropped with a warning and
-    everything *after* it is discarded too (framing downstream of a
-    corrupt length cannot be trusted), keeping the valid prefix.  With
-    ``repair=False`` the file is left untouched (diagnostics).
+    Returns the decoded operations plus a report.  A torn tail -- fewer
+    bytes than the framing promises -- is truncated; a record whose CRC
+    does not match is dropped with a warning and everything *after* it
+    is discarded too (framing downstream of a corrupt length cannot be
+    trusted), keeping the valid prefix.  A log of another format version
+    is ignored (:class:`WriteAheadLog` sets it aside before starting a
+    new one).  With ``repair=False`` the file is left untouched
+    (diagnostics).
     """
     ops: list[WalOp] = []
-    report = ReplayReport(last_seq=min_seq)
+    report = ReplayReport()
     if not os.path.exists(path):
         return ops, report
     with open(path, "rb") as handle:
@@ -423,7 +439,6 @@ def replay_wal(
         )
         return ops, report
     offset = WAL_HEADER_BYTES
-    valid_end = offset
     while True:
         if offset + RECORD_PREFIX_BYTES > len(data):
             break  # torn or clean EOF; handled below
@@ -453,7 +468,7 @@ def replay_wal(
             counters.wal_corrupt_records += 1
             break
         try:
-            record = decode_record_body(body)
+            ops.append(decode_record_body(body))
         except WalError as error:
             warnings.warn(
                 f"WAL {path!r}: undecodable record at offset {offset} "
@@ -464,20 +479,15 @@ def replay_wal(
             report.corrupt_records += 1
             counters.wal_corrupt_records += 1
             break
-        offset = valid_end = body_end
-        if record.seq <= min_seq:
-            report.skipped += 1
-            continue
-        ops.append(record)
-        report.records += 1
-        report.last_seq = max(report.last_seq, record.seq)
-    if valid_end < len(data):
-        report.truncated_bytes = len(data) - valid_end
+        offset = body_end
+    report.records = len(ops)
+    if offset < len(data):
+        report.truncated_bytes = len(data) - offset
         report.repaired = True
         counters.wal_torn_tails += 1
         if repair:
             with open(path, "r+b") as handle:
-                handle.truncate(valid_end)
+                handle.truncate(offset)
     counters.wal_records_replayed += report.records
     return ops, report
 
@@ -499,16 +509,14 @@ def tear_wal(path: str, synced_size: int) -> int:
     return size - keep
 
 
-# -- snapshots --------------------------------------------------------------
+# -- materialized state -----------------------------------------------------
 
 
 @dataclass
-class SnapshotState:
-    """The materialized node state a snapshot (and recovery) carries."""
+class NodeState:
+    """The materialized node state: what replaying a log yields."""
 
     node_id: Optional[int] = None
-    #: Sequence number of the last WAL record folded into this state.
-    wal_seq: int = 0
     #: Membership view: node id -> (host, port).
     peers: dict[int, tuple[str, int]] = field(default_factory=dict)
     #: Physical store contents: label -> key -> values (insertion order).
@@ -525,7 +533,6 @@ class SnapshotState:
         record changes nothing, which is what makes double replay after
         repeated restarts safe.
         """
-        self.wal_seq = max(self.wal_seq, record.seq)
         if record.op == OP_PUT:
             store, key, value = record.fields
             bucket = self.stores[store].setdefault(key, [])
@@ -552,6 +559,25 @@ class SnapshotState:
         elif record.op == OP_IDENTITY:
             (self.node_id,) = record.fields
 
+    def records(self) -> Iterator[WalOp]:
+        """The state as log records -- the inverse of :meth:`apply`.
+
+        Identity, members, index puts, file puts, then cache inserts in
+        :attr:`cache` order: applied to an empty state they rebuild this
+        one, every insertion order included.  Compaction writes exactly
+        these.
+        """
+        if self.node_id is not None:
+            yield WalOp(OP_IDENTITY, (self.node_id,))
+        for node_id, (host, port) in self.peers.items():
+            yield WalOp(OP_MEMBER, (node_id, host, port))
+        for store in self.stores:
+            for key, value in self.entries(store):
+                yield WalOp(OP_PUT, (store, key, value))
+        for query_key, targets in self.cache.items():
+            for msd_key in targets:
+                yield WalOp(OP_CACHE_INSERT, (query_key, msd_key))
+
     def entries(self, store: str) -> list[tuple[str, str]]:
         """Flat (key, value) pairs of one store, in stored order."""
         return [
@@ -559,133 +585,6 @@ class SnapshotState:
             for key, values in self.stores[store].items()
             for value in values
         ]
-
-
-def _encode_snapshot_body(state: SnapshotState) -> bytes:
-    parts = [struct.pack(">Q", state.wal_seq)]
-    parts.append(struct.pack(">B", 1 if state.node_id is not None else 0))
-    if state.node_id is not None:
-        parts.append(_pack_id(state.node_id))
-    parts.append(struct.pack(">I", len(state.peers)))
-    for node_id, (host, port) in sorted(state.peers.items()):
-        parts.append(_pack_id(node_id))
-        parts.append(_pack_text(host))
-        parts.append(struct.pack(">I", port))
-    for label in ("index", "file"):
-        store = state.stores[label]
-        parts.append(struct.pack(">I", len(store)))
-        for key, values in store.items():
-            parts.append(_pack_text(key))
-            parts.append(struct.pack(">I", len(values)))
-            for value in values:
-                parts.append(_pack_text(value))
-    parts.append(struct.pack(">I", len(state.cache)))
-    for query_key, targets in state.cache.items():
-        parts.append(_pack_text(query_key))
-        parts.append(struct.pack(">I", len(targets)))
-        for target in targets:
-            parts.append(_pack_text(target))
-    return b"".join(parts)
-
-
-def _decode_snapshot_body(body: bytes) -> SnapshotState:
-    reader = _Reader(body)
-    state = SnapshotState(wal_seq=reader.u64())
-    if reader.u8():
-        state.node_id = reader.node_id()
-    for _ in range(reader.u32()):
-        node_id = reader.node_id()
-        host = reader.text()
-        port = reader.u32()
-        state.peers[node_id] = (host, port)
-    for label in ("index", "file"):
-        store = state.stores[label]
-        for _ in range(reader.u32()):
-            key = reader.text()
-            store[key] = [reader.text() for _ in range(reader.u32())]
-    for _ in range(reader.u32()):
-        query_key = reader.text()
-        state.cache[query_key] = [
-            reader.text() for _ in range(reader.u32())
-        ]
-    reader.done()
-    return state
-
-
-def write_snapshot(path: str, state: SnapshotState) -> int:
-    """Atomically persist a snapshot; returns the bytes written.
-
-    The bytes go to ``<path>.tmp`` first, are fsynced, and only then
-    renamed over ``path`` -- a crash at any instant leaves either the
-    old snapshot or the new one, never a half-written file under the
-    real name.
-    """
-    body = _encode_snapshot_body(state)
-    blob = (
-        SNAPSHOT_MAGIC
-        + bytes((DURABLE_VERSION,))
-        + struct.pack(">I", zlib.crc32(body))
-        + body
-    )
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir fds
-        dir_fd = -1
-    if dir_fd >= 0:
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    counters.wal_snapshots += 1
-    return len(blob)
-
-
-def load_snapshot(path: str) -> Optional[SnapshotState]:
-    """Read a snapshot back; None (with a warning) when missing/corrupt."""
-    if not os.path.exists(path):
-        return None
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    prefix = len(SNAPSHOT_MAGIC) + 1 + 4
-    if len(blob) < prefix or blob[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-        warnings.warn(
-            f"snapshot {path!r} has a bad header; ignoring it",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    if blob[len(SNAPSHOT_MAGIC)] != DURABLE_VERSION:
-        warnings.warn(
-            f"snapshot {path!r} has an unsupported version; ignoring it",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    (crc,) = struct.unpack_from(">I", blob, len(SNAPSHOT_MAGIC) + 1)
-    body = blob[prefix:]
-    if zlib.crc32(body) != crc:
-        warnings.warn(
-            f"snapshot {path!r} fails its checksum; ignoring it",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    try:
-        return _decode_snapshot_body(body)
-    except WalError as error:
-        warnings.warn(
-            f"snapshot {path!r} is undecodable ({error}); ignoring it",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
 
 
 # -- one node's durable state ----------------------------------------------
@@ -697,7 +596,6 @@ class RecoveryReport:
 
     #: True when any persisted state existed in the data dir.
     recovered: bool = False
-    snapshot_loaded: bool = False
     index_entries: int = 0
     file_entries: int = 0
     cache_entries: int = 0
@@ -709,13 +607,13 @@ class RecoveryReport:
 
 
 class DurableNodeState:
-    """One node's data directory: WAL + snapshot + materialized state.
+    """One node's data directory: one log + the materialized state.
 
-    Construction *is* recovery: the snapshot (if any) is loaded, the log
-    tail replayed (torn tails truncated, corrupt records skipped with a
-    warning), and the log reopened for appending.  The resulting
-    :attr:`state` is what the owner re-applies to its in-memory stores;
-    :attr:`report` says how much came back and how long replay took.
+    Construction *is* recovery: the log is replayed (torn tails
+    truncated, corrupt records skipped with a warning) and reopened for
+    appending.  The resulting :attr:`state` is what the owner re-applies
+    to its in-memory stores; :attr:`report` says how much came back and
+    how long replay took.
 
     The instance then implements the storage-journal protocol
     (``record_put`` / ``record_remove_value`` / ``record_remove_key`` /
@@ -724,50 +622,36 @@ class DurableNodeState:
     :meth:`repro.storage.store.DHTStorage.attach_journal` and the index
     service's cache-journal hook.  Every journaled operation also
     updates the materialized state, which is what periodic compaction
-    snapshots.
+    rewrites the log as.
 
     Layout of ``data_dir``::
 
-        wal.log       append-only record log (this module's framing)
-        snapshot.bin  latest compacting snapshot (atomic rename)
+        wal.log       the record log (this module's framing)
+        wal.log.tmp   a compaction in flight; never read
+        wal.log.v<N>  a log of another format version, set aside unread
     """
 
     WAL_NAME = "wal.log"
-    SNAPSHOT_NAME = "snapshot.bin"
+    #: Appended records after which :meth:`compact` rewrites the log.
+    COMPACT_EVERY = 8192
 
     def __init__(
-        self,
-        data_dir: str,
-        *,
-        fsync: str | FsyncPolicy = "interval",
-        snapshot_every: int = 8192,
+        self, data_dir: str, *, fsync: str | FsyncPolicy = "interval"
     ) -> None:
-        """``snapshot_every`` bounds the log: after that many appended
-        records a compacting snapshot runs and resets it."""
         self.data_dir = data_dir
-        if snapshot_every < 1:
-            raise WalError("snapshot_every must be >= 1")
-        self.snapshot_every = snapshot_every
         policy = (
             fsync if isinstance(fsync, FsyncPolicy) else FsyncPolicy.parse(fsync)
         )
         os.makedirs(data_dir, exist_ok=True)
         self.wal_path = os.path.join(data_dir, self.WAL_NAME)
-        self.snapshot_path = os.path.join(data_dir, self.SNAPSHOT_NAME)
         started = time.perf_counter()
-        snapshot = load_snapshot(self.snapshot_path)
-        self.state = snapshot if snapshot is not None else SnapshotState()
-        ops, replay = replay_wal(self.wal_path, min_seq=self.state.wal_seq)
+        self.state = NodeState()
+        ops, replay = replay_wal(self.wal_path)
         for record in ops:
             self.state.apply(record)
         counters.wal_recoveries += 1
         self.report = RecoveryReport(
-            recovered=(
-                snapshot is not None
-                or replay.records > 0
-                or replay.skipped > 0
-            ),
-            snapshot_loaded=snapshot is not None,
+            recovered=replay.records > 0,
             index_entries=sum(
                 len(values) for values in self.state.stores["index"].values()
             ),
@@ -783,10 +667,8 @@ class DurableNodeState:
             truncated_bytes=replay.truncated_bytes,
             replay_ms=(time.perf_counter() - started) * 1000.0,
         )
-        self.wal = WriteAheadLog(
-            self.wal_path, policy, start_seq=max(self.state.wal_seq, replay.last_seq)
-        )
-        self._records_since_snapshot = 0
+        self.wal = WriteAheadLog(self.wal_path, policy)
+        self._appends_since_compaction = 0
 
     # -- journal protocol ----------------------------------------------------
     #
@@ -795,11 +677,9 @@ class DurableNodeState:
 
     def _append(self, op: int, fields: tuple) -> None:
         self.wal.append(op, fields)
-        self.state.apply(
-            WalOp(seq=self.wal.next_seq - 1, op=op, fields=fields)
-        )
-        self._records_since_snapshot += 1
-        if self._records_since_snapshot >= self.snapshot_every:
+        self.state.apply(WalOp(op, fields))
+        self._appends_since_compaction += 1
+        if self._appends_since_compaction >= self.COMPACT_EVERY:
             self.compact()
 
     def record_put(self, node: int, store: str, key: str, value: str) -> None:
@@ -847,11 +727,9 @@ class DurableNodeState:
         self.wal.flush()
 
     def compact(self) -> int:
-        """Snapshot the materialized state and reset the log."""
-        written = write_snapshot(self.snapshot_path, self.state)
-        self.wal.reset(self.state.wal_seq)
-        self._records_since_snapshot = 0
-        return written
+        """Rewrite the log as the materialized state; returns its size."""
+        self._appends_since_compaction = 0
+        return self.wal.rewrite(self.state.records())
 
     def close(self) -> None:
         """Graceful shutdown: flush and release the log."""
@@ -874,8 +752,8 @@ class NodeWalSet:
     anything never touches the disk.  Restart chaos then works on one
     victim at a time: :meth:`kill` (clean SIGKILL) or :meth:`power_loss`
     (kill mid-write: the unsynced log tail is torn), followed by
-    :meth:`recover`, which replays snapshot + log tail and reopens the
-    log for the node's next life.
+    :meth:`recover`, which replays the log and reopens it for the node's
+    next life.
     """
 
     def __init__(self, root: str, fsync: str | FsyncPolicy = "interval") -> None:
@@ -891,7 +769,7 @@ class NodeWalSet:
         self._down: set[int] = set()
 
     def node_dir(self, node: int) -> str:
-        """The data directory holding ``node``'s WAL and snapshot."""
+        """The data directory holding ``node``'s log."""
         return os.path.join(self.root, f"node-{node:x}")
 
     def _state_for(self, node: int) -> Optional[DurableNodeState]:
@@ -937,14 +815,12 @@ class NodeWalSet:
         """A node departed for good: its durable state goes with it --
         also when its journal is down (killed, not yet recovered), or a
         later ``recover`` of the id would replay the departed node."""
-        state = self._states.pop(node, None)
-        if state is not None:
-            state.abandon()
+        self.kill(node)
         self._down.discard(node)
-        for name in (DurableNodeState.WAL_NAME, DurableNodeState.SNAPSHOT_NAME):
-            path = os.path.join(self.node_dir(node), name)
-            if os.path.exists(path):
-                os.remove(path)
+        directory = self.node_dir(node)
+        if os.path.isdir(directory):
+            for name in os.listdir(directory):
+                os.remove(os.path.join(directory, name))
 
     # -- restart chaos -------------------------------------------------------
 
@@ -960,11 +836,9 @@ class NodeWalSet:
 
         Returns the number of bytes the outage destroyed.
         """
-        state = self._states.pop(node, None)
+        state = self._states.get(node)
         synced = state.wal.synced_size if state is not None else 0
-        if state is not None:
-            state.abandon()
-        self._down.add(node)
+        self.kill(node)
         wal_path = os.path.join(self.node_dir(node), DurableNodeState.WAL_NAME)
         return tear_wal(wal_path, synced)
 

@@ -521,13 +521,13 @@ def replay_durable_state(
     by a restarting daemon alike.  The entries come *from* the journal
     and must not be re-logged: ``replay_entries`` detaches the stores'
     journal for the replay and the cache below is filled directly, not
-    through the journaling service (the seq watermark plus idempotent
-    application is what keeps repeated restarts from growing the WAL or
-    the stores).  Index entries, then file entries, then cache
-    shortcuts **in journal order**: a bounded (``lruK``) cache that
-    overflowed before the kill comes back holding the most recently
-    written shortcuts, as it did when the process died.  Returns
-    ``(entries, cache_entries)`` actually (re)added.
+    through the journaling service (that plus idempotent application is
+    what keeps repeated restarts from growing the WAL or the stores).
+    Index entries, then file entries, then cache shortcuts **in journal
+    order**: a bounded (``lruK``) cache that overflowed before the kill
+    comes back holding the most recently written shortcuts, as it did
+    when the process died.  Returns ``(entries, cache_entries)``
+    actually (re)added.
     """
     state = durable.state
     cache_entries = 0

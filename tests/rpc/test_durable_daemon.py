@@ -20,8 +20,9 @@ import time
 import pytest
 
 from repro.core.query import FieldQuery
+from repro.perf import counters
 from repro.rpc.cluster import LocalCluster
-from repro.storage.durable import replay_wal
+from repro.storage.durable import OP_PUT, DurableNodeState, replay_wal
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
 REPO_SRC = os.path.join(
@@ -124,6 +125,65 @@ def test_double_restart_is_idempotent(tmp_path, corpus):
         client.refresh_members(cluster.daemons[0].address)
         assert_all_found(client, corpus)
         client.close()
+
+
+def test_record_fsynced_before_the_kill_survives_a_power_loss(
+    tmp_path, monkeypatch
+):
+    """The power loss tears only what was never fsynced -- measured when
+    the daemon is dead, not when the kill was requested: a write that
+    lands and is fsynced in between is below the fsync line."""
+    with durable_cluster(tmp_path, fsync="always") as cluster:
+        victim = cluster.daemons[1]
+        kill = victim.kill
+
+        def write_then_kill():
+            victim.index_store.put_local(victim.node_id, "late-key", "late-value")
+            kill()
+
+        monkeypatch.setattr(victim, "kill", write_then_kill)
+        cluster.kill_node(1, power_loss=True)
+        ops, report = replay_wal(victim.durable.wal_path, repair=False)
+        assert not report.repaired  # nothing torn
+        assert ops[-1].op == OP_PUT
+        assert ops[-1].fields == ("index", "late-key", "late-value")
+        restarted = cluster.restart_node(1)
+        assert restarted.recovery.truncated_bytes == 0
+
+
+def test_restart_across_a_compaction_recovers_entries_and_cache(
+    tmp_path, corpus, monkeypatch
+):
+    """Daemons whose logs were compacted under load come back with the
+    entries and shortcuts they held, from the one rewritten file."""
+    monkeypatch.setattr(DurableNodeState, "COMPACT_EVERY", 4)
+    compactions = counters.wal_compactions
+    with durable_cluster(tmp_path) as cluster:
+        client = populate(cluster, corpus)
+        assert_all_found(client, corpus)
+        assert counters.wal_compactions > compactions
+        victim_index = max(
+            range(NUM_NODES),
+            key=lambda i: len(cluster.daemons[i].durable.state.cache),
+        )
+        victim = cluster.daemons[victim_index]
+        cluster.kill_node(victim_index)
+        held = victim.durable.state  # everything journaled before the kill
+        assert held.cache, "victim cached nothing; test is vacuous"
+        data_dir = victim.data_dir
+        assert os.listdir(data_dir) == ["wal.log"]
+
+        restarted = cluster.restart_node(victim_index)
+        recovery = restarted.recovery
+        assert recovery.index_entries == len(held.entries("index"))
+        assert recovery.file_entries == len(held.entries("file"))
+        assert recovery.cache_entries == sum(map(len, held.cache.values()))
+        cache = restarted.service.caches[restarted.node_id]
+        assert all(query_key in cache for query_key in held.cache)
+        client.refresh_members(cluster.daemons[0].address)
+        assert_all_found(client, corpus)
+        client.close()
+    assert os.listdir(data_dir) == ["wal.log"]
 
 
 # -- real subprocess: actual SIGKILL / SIGTERM ------------------------------

@@ -1,19 +1,25 @@
-"""The durable layer: WAL framing, snapshots, and crash-recovery edges.
+"""The durable layer: WAL framing, compaction, and crash-recovery edges.
 
 Covers the degradation matrix recovery promises: torn tails truncate,
 corrupt-CRC records are skipped with a warning (valid prefix kept), an
-empty data dir recovers to nothing, a snapshot newer than the log
-replays nothing, and repeated kill/recover/repair cycles are idempotent.
+empty data dir recovers to nothing, a log of another format version is
+set aside rather than appended to, a stray compaction file is never
+read, and repeated kill/recover/repair cycles are idempotent.
 """
 
 import os
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import NodeCache
 from repro.dht.ring import IdealRing
+from repro.perf import counters
 from repro.storage.durable import (
+    DURABLE_VERSION,
     OP_CACHE_INSERT,
     OP_IDENTITY,
     OP_MEMBER,
@@ -21,20 +27,20 @@ from repro.storage.durable import (
     OP_REMOVE_KEY,
     OP_REMOVE_VALUE,
     RECORD_PREFIX_BYTES,
+    WAL_HEADER,
     WAL_HEADER_BYTES,
+    WAL_MAGIC,
     DurableNodeState,
     FsyncPolicy,
+    NodeState,
     NodeWalSet,
-    SnapshotState,
     WalError,
     WriteAheadLog,
     decode_record_body,
     encode_record_body,
     frame_record,
-    load_snapshot,
     replay_wal,
     tear_wal,
-    write_snapshot,
 )
 from repro.storage.store import DHTStorage, replay_durable_state
 
@@ -77,22 +83,21 @@ BIG_ID = (1 << 159) + 12345  # a realistic 160-bit node id
     ],
 )
 def test_record_roundtrip(op, fields):
-    record = decode_record_body(encode_record_body(17, op, fields))
-    assert record.seq == 17
+    record = decode_record_body(encode_record_body(op, fields))
     assert record.op == op
     assert record.fields == fields
 
 
 def test_unknown_op_raises():
     with pytest.raises(WalError):
-        encode_record_body(1, 99, ())
-    body = struct.pack(">QB", 1, 99)
+        encode_record_body(99, ())
+    body = struct.pack(">B", 99)
     with pytest.raises(WalError):
         decode_record_body(body)
 
 
 def test_trailing_bytes_rejected():
-    body = encode_record_body(1, OP_IDENTITY, (5,)) + b"junk"
+    body = encode_record_body(OP_IDENTITY, (5,)) + b"junk"
     with pytest.raises(WalError):
         decode_record_body(body)
 
@@ -111,7 +116,6 @@ def test_wal_appends_replay_in_order(tmp_path):
     path = str(tmp_path / "wal.log")
     wal_with_records(path, count=5).close()
     ops, report = replay_wal(path)
-    assert [op.seq for op in ops] == [1, 2, 3, 4, 5]
     assert [op.fields[1] for op in ops] == [f"key-{i}" for i in range(5)]
     assert report.records == 5
     assert not report.repaired
@@ -208,38 +212,45 @@ def test_tear_wal_respects_the_fsync_line(tmp_path):
     assert report.repaired  # the half-kept unsynced record was torn
 
 
-# -- snapshots --------------------------------------------------------------
+# -- the state as records ---------------------------------------------------
 
 
 def sample_state():
-    state = SnapshotState(node_id=BIG_ID, wal_seq=9)
+    state = NodeState(node_id=BIG_ID)
     state.peers = {BIG_ID: ("127.0.0.1", 7000), 3: ("::1", 7001)}
     state.stores["index"]["author=liben-nowell"] = ["msd:1", "msd:2"]
+    state.stores["index"]["author=balakrishnan"] = ["msd:3"]
     state.stores["file"]["msd:1"] = ["article"]
-    state.cache["author=karger"] = ["msd:2"]
+    state.cache["author=karger"] = ["msd:2", "msd:1"]
+    state.cache["author=kaashoek"] = ["msd:3"]
     return state
 
 
-def test_snapshot_roundtrip(tmp_path):
-    path = str(tmp_path / "snapshot.bin")
-    write_snapshot(path, sample_state())
-    loaded = load_snapshot(path)
-    assert loaded == sample_state()
-    assert not os.path.exists(path + ".tmp")
+def ordered(state):
+    """A NodeState with its dict orders made visible to ``==``: they
+    decide which shortcuts a bounded cache keeps after a restart."""
+    return (
+        state.node_id,
+        list(state.peers.items()),
+        [(label, list(store.items())) for label, store in state.stores.items()],
+        list(state.cache.items()),
+    )
 
 
-def test_corrupt_snapshot_is_ignored(tmp_path):
-    path = str(tmp_path / "snapshot.bin")
-    write_snapshot(path, sample_state())
-    with open(path, "r+b") as handle:
-        handle.seek(-3, os.SEEK_END)
-        handle.write(b"\xff\xff\xff")
-    with pytest.warns(RuntimeWarning, match="checksum"):
-        assert load_snapshot(path) is None
-
-
-def test_missing_snapshot_is_none(tmp_path):
-    assert load_snapshot(str(tmp_path / "absent.bin")) is None
+def test_records_roundtrip_through_apply(tmp_path):
+    # records() is the inverse of apply, through the log's own codec:
+    # what a compaction writes is what a recovery rebuilds.
+    path = str(tmp_path / "wal.log")
+    wal = WriteAheadLog(path, FsyncPolicy("never"))
+    wal.rewrite(sample_state().records())
+    wal.close()
+    assert os.listdir(tmp_path) == ["wal.log"]
+    ops, _ = replay_wal(path)
+    rebuilt = NodeState()
+    for record in ops:
+        rebuilt.apply(record)
+    assert ordered(rebuilt) == ordered(sample_state())
+    assert list(NodeState().records()) == []
 
 
 # -- DurableNodeState recovery edges ----------------------------------------
@@ -271,41 +282,83 @@ def test_journal_then_recover(tmp_path):
     recovered.close()
 
 
-def test_snapshot_newer_than_log_replays_nothing(tmp_path):
-    # The crash-between-rename-and-truncate window: the snapshot already
-    # folded the log's records in, so replay must skip every one of them.
+@pytest.mark.parametrize(
+    "version", [1, DURABLE_VERSION + 1], ids=["older", "newer"]
+)
+def test_log_of_another_version_is_set_aside_not_appended_to(tmp_path, version):
+    """A log this build cannot read moves to ``wal.log.v<N>`` untouched,
+    and the acknowledged writes that follow land in a new log: appended
+    behind the foreign header, the next recovery would ignore them all."""
     data_dir = str(tmp_path / "node")
-    durable = DurableNodeState(data_dir, fsync="never")
-    for index in range(6):
-        durable.record_put(1, "index", f"key-{index}", "v")
-    state_before = durable.state
-    write_snapshot(durable.snapshot_path, state_before)  # log NOT reset
+    os.makedirs(data_dir)
+    foreign = WAL_MAGIC + bytes((version,)) + b"records this build cannot read"
+    with open(os.path.join(data_dir, "wal.log"), "wb") as handle:
+        handle.write(foreign)
+    with pytest.warns(RuntimeWarning, match="speaks version"):
+        durable = DurableNodeState(data_dir, fsync="always")
+    assert not durable.report.recovered
+    durable.record_put(1, "index", "acknowledged", "v")
     durable.abandon()
 
     recovered = DurableNodeState(data_dir)
-    assert recovered.report.snapshot_loaded
-    assert recovered.report.wal_records == 0  # all skipped, none re-applied
-    assert recovered.state.stores == state_before.stores
-    # New appends continue past the watermark instead of reusing seqs.
-    recovered.record_put(1, "index", "after", "v")
-    assert recovered.state.wal_seq > state_before.wal_seq
+    assert recovered.state.entries("index") == [("acknowledged", "v")]
     recovered.close()
+    assert sorted(os.listdir(data_dir)) == ["wal.log", f"wal.log.v{version}"]
+    with open(os.path.join(data_dir, f"wal.log.v{version}"), "rb") as handle:
+        assert handle.read() == foreign
 
 
 def test_compaction_resets_the_log_and_survives_restart(tmp_path):
+    """Compaction rewrites the log as the state: removed entries leave
+    it, and the rewritten log is all a restart needs."""
     data_dir = str(tmp_path / "node")
-    durable = DurableNodeState(data_dir, fsync="never", snapshot_every=4)
+    durable = DurableNodeState(data_dir, fsync="never")
+    durable.COMPACT_EVERY = 4
+    before = counters.wal_compactions
     for index in range(10):
         durable.record_put(1, "index", f"key-{index}", "v")
-    assert os.path.exists(durable.snapshot_path)
-    assert os.path.getsize(durable.wal_path) < 200  # reset after compaction
+    for index in range(5):
+        durable.record_remove_key(1, "index", f"key-{index}")
+    assert counters.wal_compactions - before == 3  # after appends 4, 8, 12
+    durable.compact()
+    ops, _ = replay_wal(durable.wal_path, repair=False)
+    assert ops == list(durable.state.records())  # the log is the state
+    assert len(ops) == 5
     durable.abandon()
+    assert os.listdir(data_dir) == ["wal.log"]
 
     recovered = DurableNodeState(data_dir)
-    assert recovered.report.snapshot_loaded
-    state = recovered.state
-    assert len(state.entries("index")) + len(state.entries("file")) == 10
+    assert recovered.state == durable.state
+    assert recovered.report.wal_records == 5
     recovered.close()
+
+
+GHOST = frame_record(encode_record_body(OP_PUT, ("index", "ghost", "v")))
+
+
+@pytest.mark.parametrize(
+    "stray",
+    [b"", WAL_HEADER + GHOST[:-3], WAL_HEADER + GHOST],
+    ids=["empty", "torn", "complete"],
+)
+def test_stray_compaction_file_is_ignored_then_overwritten(tmp_path, stray):
+    """A ``wal.log.tmp`` left by a crash before the rename is never
+    read, and the next compaction writes over it."""
+    data_dir = str(tmp_path / "node")
+    durable = DurableNodeState(data_dir, fsync="never")
+    durable.record_put(1, "index", "kept", "v")
+    durable.abandon()
+    with open(os.path.join(data_dir, "wal.log.tmp"), "wb") as handle:
+        handle.write(stray)
+
+    recovered = DurableNodeState(data_dir, fsync="never")
+    assert recovered.state.entries("index") == [("kept", "v")]
+    recovered.compact()
+    assert os.listdir(data_dir) == ["wal.log"]
+    recovered.abandon()
+    again = DurableNodeState(data_dir)
+    assert again.state.entries("index") == [("kept", "v")]
+    again.close()
 
 
 def test_recovery_is_idempotent_across_repeated_restarts(tmp_path):
@@ -444,3 +497,116 @@ def test_dropping_a_killed_node_deletes_its_journal(tmp_path):
     state = walset.recover(7).state
     assert state.entries("index") == state.entries("file") == []
     walset.close()
+
+
+# -- property: any journal script recovers to its model ----------------------
+
+STORES = st.sampled_from(["index", "file"])
+KEYS = st.sampled_from(["k0", "k1", "k2"])
+VALUES = st.sampled_from(["v0", "v1"])
+NODE_IDS = st.sampled_from([3, BIG_ID])
+STEPS = st.one_of(
+    st.tuples(st.just("put"), STORES, KEYS, VALUES),
+    st.tuples(st.just("remove_value"), STORES, KEYS, VALUES),
+    st.tuples(st.just("remove_key"), STORES, KEYS),
+    st.tuples(st.just("cache"), KEYS, VALUES),
+    st.tuples(
+        st.just("member"),
+        NODE_IDS,
+        st.sampled_from(["127.0.0.1", "::1"]),
+        st.integers(1, 65535),
+    ),
+    st.tuples(st.just("identity"), NODE_IDS),
+    st.just(("compact",)),
+    st.just(("restart",)),
+)
+
+
+def model_step(model, step):
+    """What one journal step does to the plain-dict model."""
+    kind, *args = step
+    if kind == "put":
+        store, key, value = args
+        values = model["stores"][store].setdefault(key, [])
+        if value not in values:
+            values.append(value)
+    elif kind == "remove_value":
+        store, key, value = args
+        values = model["stores"][store].get(key, [])
+        if value in values:
+            values.remove(value)
+            if not values:
+                del model["stores"][store][key]
+    elif kind == "remove_key":
+        store, key = args
+        model["stores"][store].pop(key, None)
+    elif kind == "cache":
+        query_key, msd_key = args
+        targets = model["cache"].setdefault(query_key, [])
+        if msd_key not in targets:
+            targets.append(msd_key)
+    elif kind == "member":
+        node_id, host, port = args
+        model["peers"][node_id] = (host, port)
+    elif kind == "identity":
+        model["node_id"] = args[0]
+
+
+def open_journal(data_dir):
+    durable = DurableNodeState(data_dir, fsync="never")
+    durable.COMPACT_EVERY = 5  # automatic compactions mid-script too
+    return durable
+
+
+def journal_step(durable, data_dir, step):
+    """Run one step against the journal; returns the live journal."""
+    kind, *args = step
+    if kind == "put":
+        durable.record_put(1, *args)
+    elif kind == "remove_value":
+        durable.record_remove_value(1, *args)
+    elif kind == "remove_key":
+        durable.record_remove_key(1, *args)
+    elif kind == "cache":
+        durable.record_cache_insert(1, *args)
+    elif kind == "member":
+        durable.record_member(*args)
+    elif kind == "identity":
+        durable.record_identity(*args)
+    elif kind == "compact":
+        durable.compact()
+    else:  # SIGKILL, then recover from the disk alone
+        durable.abandon()
+        durable = open_journal(data_dir)
+    return durable
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(STEPS, max_size=30))
+def test_any_journal_script_recovers_to_its_model(script):
+    """After every step of a random script -- compactions and restarts
+    anywhere in it -- the state replayed from the one log equals a
+    plain-dict model of the script, and the data dir holds one file."""
+    with tempfile.TemporaryDirectory() as root:
+        data_dir = os.path.join(root, "node")
+        durable = open_journal(data_dir)
+        model = {
+            "node_id": None,
+            "peers": {},
+            "stores": {"index": {}, "file": {}},
+            "cache": {},
+        }
+        try:
+            for step in script:
+                durable = journal_step(durable, data_dir, step)
+                model_step(model, step)
+                expected = NodeState(**model)
+                assert ordered(durable.state) == ordered(expected)
+                ops, _ = replay_wal(durable.wal_path, repair=False)
+                recovered = NodeState()
+                for record in ops:
+                    recovered.apply(record)
+                assert ordered(recovered) == ordered(expected)
+        finally:
+            durable.close()
+        assert os.listdir(data_dir) == ["wal.log"]
