@@ -217,6 +217,26 @@ class TestEndToEndCounters:
         assert counts["xpath_parses"] == 0
 
 
+class TestPublicationCounters:
+    def test_paper_populate_builds_keys_not_queries(self, monkeypatch):
+        """Publishing the paper's 10,000 records builds each record's keys
+        from its chain texts: at most the returned MSD per record is a
+        ``FieldQuery`` (12 per record when every mapping end was one),
+        and no key is parsed."""
+        constructed = [0]
+        init = FieldQuery.__init__
+
+        def counted(query, *args, **kwargs):
+            constructed[0] += 1
+            init(query, *args, **kwargs)
+
+        experiment = Experiment(get_preset("paper"))
+        monkeypatch.setattr(FieldQuery, "__init__", counted)
+        increments = _delta(experiment.populate)
+        assert constructed[0] <= len(experiment.corpus.records) == 10_000
+        assert increments["field_parse_calls"] == 0
+
+
 class TestKernelSchedulerCounters:
     """Counter-based guards on the event-kernel schedulers.
 

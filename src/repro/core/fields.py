@@ -1,4 +1,4 @@
-"""Descriptor schemas: fields, records, descriptors, and query text.
+"""Descriptor schemas: fields, records, and query text.
 
 The paper's running example is a bibliographic database whose descriptors
 have author, title, conference, year, and size fields (Figure 1).  A
@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Mapping, Optional
-
-from repro.xmlq.element import Element
+from typing import Iterable, Mapping, Optional
 
 
 class SchemaError(ValueError):
@@ -113,64 +111,12 @@ class Schema:
                     predicates.extend(constraint.predicate_texts(chain, closing))
                 else:
                     predicates.append(f"{chain}[{constraint}]{closing}")
-        predicates.sort()
-        return f"/{self.root}" + "".join(predicates)
+        return self.key_of(predicates)
 
-    # -- descriptors ------------------------------------------------------------
-
-    def descriptor_for(self, record: "Record") -> Element:
-        """Build the XML descriptor of a record (Figure 1 style)."""
-        root = _TreeBuilder(self.root)
-        for field_name in self.all_field_names:
-            value = record.get(field_name)
-            if value is not None:
-                root.set_path(self.path_of(field_name), value)
-        return root.build()
-
-    def record_from_descriptor(self, descriptor: Element) -> "Record":
-        """Extract a record from a descriptor produced by this schema."""
-        if descriptor.tag != self.root:
-            raise SchemaError(
-                f"descriptor root <{descriptor.tag}> does not match schema "
-                f"<{self.root}>"
-            )
-        values: dict[str, str] = {}
-        for field_name in self.all_field_names:
-            text = descriptor.findtext(self.path_of(field_name))
-            if text is not None:
-                values[field_name] = text
-        return Record(self, values)
-
-
-class _TreeBuilder:
-    """Assembles an element tree from path/value assignments."""
-
-    def __init__(self, root_tag: str) -> None:
-        self.root_tag = root_tag
-        self._tree: dict = {}
-
-    def set_path(self, path: str, value: str) -> None:
-        parts = path.split("/")
-        node = self._tree
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise SchemaError(f"path conflict at {part!r} in {path!r}")
-        if parts[-1] in node:
-            raise SchemaError(f"duplicate path {path!r}")
-        node[parts[-1]] = value
-
-    def build(self) -> Element:
-        return self._build_element(self.root_tag, self._tree)
-
-    def _build_element(self, tag: str, content) -> Element:
-        if isinstance(content, str):
-            return Element(tag, text=content)
-        children = [
-            self._build_element(child_tag, child_content)
-            for child_tag, child_content in content.items()
-        ]
-        return Element(tag, children=children)
+    def key_of(self, chains: Iterable[str]) -> str:
+        """The canonical key over predicate chain texts, sorted: the one
+        join of :meth:`xpath_for` and :class:`~repro.core.query.RecordKeys`."""
+        return f"/{self.root}" + "".join(sorted(chains))
 
 
 class Record:
@@ -209,10 +155,6 @@ class Record:
     @property
     def values(self) -> dict[str, str]:
         return dict(self._values)
-
-    def descriptor(self) -> Element:
-        """The record's XML descriptor (Figure 1 form)."""
-        return self.schema.descriptor_for(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Record):

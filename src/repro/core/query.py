@@ -7,7 +7,8 @@ and :class:`Range` constraints (Section IV-C and the trie-over-DHT
 extension).  It is the structured twin of a canonical XPath expression:
 ``key()`` produces the normalized XPath text whose hash places the query
 in the DHT, and :meth:`parse` recovers the structure from that text for
-every predicate form.
+every predicate form.  A published record's keys come from
+:class:`RecordKeys` instead, one table of chain texts per record.
 
 Covering (Section III-B) factors per field: ``q'`` covers ``q`` if and
 only if every field ``q'`` constrains is also constrained by ``q`` with
@@ -35,7 +36,6 @@ from repro.core.predicates import (
     coerce,
 )
 from repro.perf import counters
-from repro.xmlq.pattern import TreePattern, pattern_from_xpath
 
 #: A comparison leaf of a canonical key, ``tag OP value``.  Matches any
 #: text: one without a leading ``tag OP`` comes back with ``OP`` empty.
@@ -76,15 +76,17 @@ class FieldQuery:
 
     @classmethod
     def msd_of(cls, record: Record) -> "FieldQuery":
-        """The most specific query of a record: every field constrained."""
-        return cls(record.schema, record.values)
+        """The most specific query of a record: every field constrained
+        to its value, exactly -- ``"Al*n"`` or ``"prefix:TCP"`` raise
+        :class:`PredicateError`, as a reserved character does."""
+        return RecordKeys(record).msd()
 
     @classmethod
     def of_record(
         cls, record: Record, fields: Iterable[str]
     ) -> "FieldQuery":
-        """The query constraining ``fields`` to the record's values."""
-        constraints = {name: record[name] for name in fields}
+        """The query constraining ``fields`` to the record's (exact) values."""
+        constraints = {name: Exact(record[name]) for name in fields}
         return cls(record.schema, constraints)
 
     # Parsing canonical text is on the simulation's hot path (a node's
@@ -259,13 +261,6 @@ class FieldQuery:
                 return pred.text
         return None
 
-    def predicate(self, field_name: str) -> Optional[FieldPredicate]:
-        """The predicate constraining a field, or None."""
-        for name, pred in self._items:
-            if name == field_name:
-                return pred
-        return None
-
     def key(self) -> str:
         """Canonical XPath text -- the identifier hashed into the DHT."""
         if self._key is None:
@@ -341,10 +336,6 @@ class FieldQuery:
             merged[name] = pred
         return FieldQuery(self.schema, merged)
 
-    def to_pattern(self) -> TreePattern:
-        """Tree-pattern form, for interoperation with :mod:`repro.xmlq`."""
-        return pattern_from_xpath(self.key())
-
     # -- dunder --------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -360,3 +351,32 @@ class FieldQuery:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{name}={pred.text!r}" for name, pred in self._items)
         return f"FieldQuery({pairs})"
+
+
+class RecordKeys:
+    """Every key of one record, from one table of chain texts: each value
+    validated once, as :class:`Exact`, and spelled once as its chain
+    (``[author[name[Alan]]]``); a key is :meth:`Schema.key_of` over the
+    chains of its fields, so no key needs a :class:`FieldQuery`."""
+
+    __slots__ = ("schema", "_exacts", "_chains", "msd_key")
+
+    def __init__(self, record: Record) -> None:
+        self.schema = schema = record.schema
+        self._exacts = {name: Exact(value) for name, value in record.items()}
+        frames = schema.key_frames
+        self._chains = {
+            name: exact.predicate_texts(*frames[name])[0]
+            for name, exact in self._exacts.items()
+        }
+        self.msd_key = schema.key_of(self._chains.values())
+
+    def key(self, fields: Iterable[str]) -> str:
+        """The key constraining ``fields`` to the record's values."""
+        return self.schema.key_of([self._chains[name] for name in fields])
+
+    def msd(self) -> FieldQuery:
+        """The record's MSD, from the predicates and key already made."""
+        query = FieldQuery(self.schema, self._exacts)
+        query._key = self.msd_key
+        return query

@@ -28,11 +28,11 @@ indexes"), used by the shortcut ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
 from repro.core.fields import Record, Schema
 from repro.core.predicates import PREDICATE_KINDS, Prefix, Wildcard
-from repro.core.query import FieldQuery
+from repro.core.query import FieldQuery, RecordKeys
 
 #: Sentinel target: the most specific descriptor of a record.
 MSD_TARGET = "MSD"
@@ -287,35 +287,29 @@ class IndexScheme:
 
     # -- index entry generation ----------------------------------------------------
 
-    def mappings_for(self, record: Record) -> list[tuple[FieldQuery, FieldQuery]]:
-        """All (index query -> more specific query) mappings for a record.
+    def mappings_for(self, record: Union[Record, RecordKeys]) -> list[tuple[str, str]]:
+        """All (index key -> more specific key) mappings for a record.
 
-        For each edge ``K -> K'`` the record contributes the mapping
-        ``(q_K(record); q_K'(record))``; MSD targets map to the record's
-        most specific query.  Identical mappings produced through
-        different edges are deduplicated.
+        For each edge ``K -> K'`` the record contributes the key pair
+        ``(q_K(record); q_K'(record))``; MSD targets map to its MSD key.
+        A pair produced through several edges is kept once, where first
+        produced.  Each class's key is built once, from the record's
+        :class:`RecordKeys` (pass them when already built).
         """
-        msd = FieldQuery.msd_of(record)
-        mappings: list[tuple[FieldQuery, FieldQuery]] = []
-        seen: set[tuple[FieldQuery, FieldQuery]] = set()
-        for source, targets in self._edges.items():
-            source_query = FieldQuery.of_record(record, source)
-            for target in targets:
-                if target == MSD_TARGET:
-                    target_query = msd
-                else:
-                    assert isinstance(target, frozenset)
-                    target_query = FieldQuery.of_record(record, target)
-                pair = (source_query, target_query)
-                if pair not in seen:
-                    seen.add(pair)
-                    mappings.append(pair)
-        return mappings
+        keys = record if isinstance(record, RecordKeys) else RecordKeys(record)
+        built: dict[object, str] = {keyset: keys.key(keyset) for keyset in self._edges}
+        built[MSD_TARGET] = keys.msd_key
+        pairs = (
+            (built[source], built[target])
+            for source, targets in self._edges.items()
+            for target in targets
+        )
+        return list(dict.fromkeys(pairs))
 
     def shortcut_mapping(
         self, record: Record, fields: Iterable[str]
-    ) -> tuple[FieldQuery, FieldQuery]:
-        """A deep link (Section IV-C): index class -> the record's MSD.
+    ) -> tuple[str, str]:
+        """A deep link (Section IV-C): index key -> the record's MSD key.
 
         E.g. ``shortcut_mapping(record, {"author"})`` produces the
         ``(q6; d1)`` entry of the paper, letting a popular file be reached
@@ -324,7 +318,8 @@ class IndexScheme:
         keyset = frozenset(fields)
         if keyset not in self._edges:
             raise KeyError(f"not an index class: {set(keyset)}")
-        return (FieldQuery.of_record(record, keyset), FieldQuery.msd_of(record))
+        keys = RecordKeys(record)
+        return keys.key(keyset), keys.msd_key
 
     def __repr__(self) -> str:
         return f"IndexScheme({self.name!r}, {len(self._edges)} classes)"

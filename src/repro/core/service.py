@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 
 from repro.core.cache import CachePolicy, NodeCache
 from repro.core.fields import Record, Schema
-from repro.core.query import FieldQuery
+from repro.core.query import FieldQuery, RecordKeys
 from repro.core.scheme import IndexScheme
 from repro.net.message import Message, MessageKind
 from repro.net.transport import DeliveryError, SimulatedTransport, _discard
@@ -248,21 +248,22 @@ class IndexService:
     def insert_record(self, record: Record, file_payload: str = FILE_MARK) -> FieldQuery:
         """Store a record's file and create all its index mappings.
 
-        Returns the record's most specific query.
+        Returns the record's most specific query.  A value that is not
+        exact (``"Al*n"``, ``"prefix:TCP"``) raises before anything is stored.
         """
-        msd = FieldQuery.msd_of(record)
-        self.file_store.put(msd.key(), file_payload)
-        for source, target in self.scheme.mappings_for(record):
+        keys = RecordKeys(record)
+        self.file_store.put(keys.msd_key, file_payload)
+        for source_key, target_key in self.scheme.mappings_for(keys):
             self.index_store.put(
-                source.key(), self._stored_entry(source.key(), target.key())
+                source_key, self._stored_entry(source_key, target_key)
             )
-        return msd
+        return keys.msd()
 
     def insert_shortcut_mapping(self, record: Record, fields) -> None:
         """Add a permanent deep-link index entry (Section IV-C)."""
-        source, target = self.scheme.shortcut_mapping(record, fields)
+        source_key, target_key = self.scheme.shortcut_mapping(record, fields)
         self.index_store.put(
-            source.key(), self._stored_entry(source.key(), target.key())
+            source_key, self._stored_entry(source_key, target_key)
         )
 
     def _stored_entry(self, source_key: str, target_key: str) -> str:
@@ -284,26 +285,25 @@ class IndexService:
         entries shared with other records survive (e.g. the
         conference->conference/year entry of Figure 5 serves many files).
         """
-        msd = FieldQuery.msd_of(record)
-        if msd.key() not in self.file_store:
+        keys = RecordKeys(record)
+        if keys.msd_key not in self.file_store:
             raise IndexServiceError(f"record not stored: {record!r}")
-        self.file_store.remove_key(msd.key())
-        mappings = self.scheme.mappings_for(record)
-        # Most specific targets first, so emptiness propagates upward.
-        mappings.sort(key=lambda pair: len(pair[1].fields), reverse=True)
-        for source, target in mappings:
-            if self._resolvable(target):
+        self.file_store.remove_key(keys.msd_key)
+        mappings = self.scheme.mappings_for(keys)
+        # Most specific targets first, so emptiness propagates upward: a
+        # stable sort by the target's count of ``][``-separated chains.
+        mappings.sort(key=lambda pair: pair[1].count("]["), reverse=True)
+        for source_key, target_key in mappings:
+            if self._resolvable(target_key):
                 continue
-            source_key = source.key()
-            stored = self._stored_entry(source_key, target.key())
+            stored = self._stored_entry(source_key, target_key)
             if (
                 source_key in self.index_store
                 and stored in self.index_store.values(source_key)
             ):
                 self.index_store.remove_value(source_key, stored)
 
-    def _resolvable(self, query: FieldQuery) -> bool:
-        key = query.key()
+    def _resolvable(self, key: str) -> bool:
         if key in self.file_store:
             return True
         return key in self.index_store and bool(self.index_store.values(key))

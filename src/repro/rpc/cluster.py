@@ -29,12 +29,12 @@ import asyncio
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine, SearchTrace
 from repro.core.fields import ARTICLE_SCHEMA, Record, Schema
-from repro.core.query import FieldQuery
+from repro.core.query import FieldQuery, RecordKeys
 from repro.core.scheme import build_scheme
 from repro.core.service import FILE_MARK, IndexService
 from repro.dht import DEFAULT_BITS, build_substrate, hash_key
@@ -205,7 +205,7 @@ class ClusterClient:
     def _daemon_name(self, node_id: int) -> str:
         return daemon_endpoint_name(*self.members[node_id])
 
-    def insert_messages(self, record: Record) -> list[Message]:
+    def insert_messages(self, record: Union[Record, RecordKeys]) -> list[Message]:
         """The wire messages one record's publication fans out into.
 
         One ``store_file`` per file replica plus one ``INDEX_INSERT``
@@ -213,8 +213,10 @@ class ClusterClient:
         owning daemon -- the placement decisions of
         :meth:`IndexService.insert_record`, materialized so callers can
         choose how to deliver them (lockstep, batched, or async).
+        Takes the record's :class:`RecordKeys` when already built.
         """
-        msd_key = FieldQuery.msd_of(record).key()
+        keys = record if isinstance(record, RecordKeys) else RecordKeys(record)
+        msd_key = keys.msd_key
         messages = [
             Message(
                 kind=MessageKind.CONTROL,
@@ -224,14 +226,14 @@ class ClusterClient:
             )
             for node in self.file_store.responsible_nodes(msd_key)
         ]
-        for source, target in self.scheme.mappings_for(record):
-            for node in self.index_store.responsible_nodes(source.key()):
+        for source_key, target_key in self.scheme.mappings_for(keys):
+            for node in self.index_store.responsible_nodes(source_key):
                 messages.append(
                     Message(
                         kind=MessageKind.INDEX_INSERT,
                         source=self.engine.user,
                         destination=self._daemon_name(node),
-                        payload=(source.key(), target.key()),
+                        payload=(source_key, target_key),
                     )
                 )
         return messages
@@ -245,8 +247,9 @@ class ClusterClient:
         one round-trip-time instead of one per message (1.53x the
         inserts/s of lockstep sends, benchmarks/test_rpc_throughput.py).
         """
-        self.transport.send_many(self.insert_messages(record))
-        return FieldQuery.msd_of(record)
+        keys = RecordKeys(record)
+        self.transport.send_many(self.insert_messages(keys))
+        return keys.msd()
 
     def search(self, query: FieldQuery, target: Record) -> SearchTrace:
         """Covering-chain lookup over the wire (see LookupEngine.search).

@@ -4,7 +4,7 @@ The core layer reasons about records and field queries; the xmlq layer
 reasons about XML descriptors and XPath text.  The system is coherent
 only if they always agree:
 
-    query.covers_record(record)  ==  matches(record.descriptor(), query.key())
+    query.covers_record(record)  ==  matches(descriptor_of(record), query.key())
     query.covers(other)          ==  covers(query.key(), other.key())
 
 These properties are exercised over randomized records and field subsets.
@@ -17,6 +17,7 @@ from repro.core.fields import ARTICLE_SCHEMA, Record
 from repro.core.query import FieldQuery
 from repro.xmlq.evaluator import matches
 from repro.xmlq.pattern import covers, descriptor_to_pattern
+from tests.xmlq.oracles import descriptor_of
 
 AUTHORS = ["John_Smith", "Alan_Doe", "Wei_Chen"]
 TITLES = ["TCP", "IPv6", "Wavelets", "Routing"]
@@ -46,7 +47,7 @@ def test_covers_record_equals_xml_matching(query_source, target, fields):
     """Field-level record matching == XPath evaluation on the descriptor."""
     query = FieldQuery.of_record(query_source, fields)
     assert query.covers_record(target) == matches(
-        target.descriptor(), query.key()
+        descriptor_of(target), query.key()
     )
 
 
@@ -54,9 +55,9 @@ def test_covers_record_equals_xml_matching(query_source, target, fields):
 @settings(max_examples=200, deadline=None)
 def test_msd_key_matches_only_its_own_descriptor(record, fields):
     msd = FieldQuery.msd_of(record)
-    assert matches(record.descriptor(), msd.key())
+    assert matches(descriptor_of(record), msd.key())
     projected = FieldQuery.of_record(record, fields)
-    assert matches(record.descriptor(), projected.key())
+    assert matches(descriptor_of(record), projected.key())
 
 
 @given(records, records, field_subsets)
@@ -64,7 +65,7 @@ def test_msd_key_matches_only_its_own_descriptor(record, fields):
 def test_pattern_covering_of_descriptor_agrees(query_source, target, fields):
     """covers(query, descriptor-pattern) == covers_record."""
     query = FieldQuery.of_record(query_source, fields)
-    pattern = descriptor_to_pattern(target.descriptor())
+    pattern = descriptor_to_pattern(descriptor_of(target))
     assert covers(query.key(), pattern) == query.covers_record(target)
 
 

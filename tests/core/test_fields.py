@@ -5,6 +5,7 @@ import pytest
 from key_oracle import xpath_for_normalized
 from repro.core.fields import ARTICLE_SCHEMA, Record, Schema, SchemaError
 from repro.xmlq.normalize import normalize_xpath
+from tests.xmlq.oracles import descriptor_of, record_from_descriptor
 
 
 class TestSchema:
@@ -107,21 +108,21 @@ class TestRecord:
 
 class TestDescriptors:
     def test_descriptor_structure(self, paper_records):
-        descriptor = paper_records[0].descriptor()
+        descriptor = descriptor_of(paper_records[0])
         assert descriptor.tag == "article"
         assert descriptor.findtext("author/name") == "John_Smith"
         assert descriptor.findtext("year") == "1989"
 
     def test_descriptor_roundtrip(self, paper_records):
         for record in paper_records:
-            recovered = ARTICLE_SCHEMA.record_from_descriptor(record.descriptor())
+            recovered = record_from_descriptor(ARTICLE_SCHEMA, descriptor_of(record))
             assert recovered == record
 
     def test_wrong_root_rejected(self):
         from repro.xmlq.element import Element
 
         with pytest.raises(SchemaError):
-            ARTICLE_SCHEMA.record_from_descriptor(Element("book"))
+            record_from_descriptor(ARTICLE_SCHEMA, Element("book"))
 
     def test_descriptor_matches_own_msd(self, paper_records):
         from repro.core.query import FieldQuery
@@ -129,4 +130,4 @@ class TestDescriptors:
 
         for record in paper_records:
             msd = FieldQuery.msd_of(record)
-            assert matches(record.descriptor(), msd.key())
+            assert matches(descriptor_of(record), msd.key())

@@ -15,11 +15,14 @@ from repro import perf
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine
 from repro.core.fields import ARTICLE_SCHEMA
+from repro.core.query import FieldQuery
 from repro.core.scheme import simple_scheme
 from repro.core.service import IndexService
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
+from repro.sim.experiment import Experiment
+from repro.sim.presets import get_preset
 from repro.storage.store import DHTStorage
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 from repro.workload.querygen import QueryGenerator
@@ -117,3 +120,24 @@ class TestCacheTripleInvariants:
         counters.field_parse_cache_hits = 8
         counters.field_parse_cache_misses = 2
         assert counters.cache_hit_rates() == {"field_parse_calls": 0.8}
+
+
+class TestPublicationBuildsKeysNotQueries:
+    def test_populate_builds_at_most_one_query_per_record(self, monkeypatch):
+        """A record's keys come from its chain texts: the returned MSD is
+        the one query publication builds (it built 12 per record from
+        ``FieldQuery`` objects), and it never parses a key."""
+        constructed = [0]
+        init = FieldQuery.__init__
+
+        def counted(query, *args, **kwargs):
+            constructed[0] += 1
+            init(query, *args, **kwargs)
+
+        experiment = Experiment(get_preset("smoke"))
+        monkeypatch.setattr(FieldQuery, "__init__", counted)
+        before = perf.snapshot()
+        experiment.populate()
+        increments = perf.delta(before, perf.snapshot())
+        assert constructed[0] <= len(experiment.corpus.records)
+        assert increments["field_parse_calls"] == 0

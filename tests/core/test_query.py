@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.fields import ARTICLE_SCHEMA, SchemaError
 from repro.core.query import FieldQuery, QueryParseError
+from repro.xmlq.pattern import pattern_from_xpath
 
 
 @pytest.fixture
@@ -141,5 +142,5 @@ class TestAlgebra:
             author.extend({"author": "Somebody_Else"})
 
     def test_to_pattern(self, smith_tcp):
-        pattern = smith_tcp.to_pattern()
+        pattern = pattern_from_xpath(smith_tcp.key())
         assert pattern.size() > 0

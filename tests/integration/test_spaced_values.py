@@ -7,6 +7,13 @@ ended ``found=False`` after one interaction -- silently.  The key decoder
 reads values by bracket structure, so such records are reachable from
 every index class; a value holding a character the key grammar reserves
 now fails loudly, at publish.
+
+So does a value that spells a predicate (``"prefix:TCP"``,
+``"range:1:2"``, ``"Al*n"``).  Publication read each value through the
+constraint DSL, so such a record was stored under a non-exact MSD: a
+prefix or range MSD that does not cover its own record (lookups by
+author or conf ended ``found=False`` with ``gave_up=False``), a wildcard
+MSD that also matched ``Alan``.  A record's values are exact.
 """
 
 from __future__ import annotations
@@ -77,3 +84,36 @@ def test_reserved_value_fails_at_insert(small_service, title):
     )
     with pytest.raises(PredicateError):
         small_service.insert_record(record)
+
+
+#: Values that read as a prefix, a range and a wildcard in the constraint DSL.
+PREDICATE_SPELLINGS = ["prefix:TCP", "range:1:2", "Al*n"]
+
+
+def _spelling_record(title: str) -> Record:
+    return Record(
+        ARTICLE_SCHEMA,
+        {"author": "A", "title": title, "conf": "C", "year": "1", "size": "1"},
+    )
+
+
+@pytest.mark.parametrize("title", PREDICATE_SPELLINGS)
+def test_predicate_spelling_fails_at_insert_in_memory(small_service, title):
+    with pytest.raises(PredicateError):
+        small_service.insert_record(_spelling_record(title))
+    assert small_service.index_store.total_entries() == 0
+    assert small_service.file_store.total_entries() == 0
+
+
+def test_predicate_spelling_fails_at_insert_over_the_wire():
+    with LocalCluster(3, substrate="chord", scheme="simple") as cluster:
+        client = cluster.client()
+        try:
+            for title in PREDICATE_SPELLINGS:
+                with pytest.raises(PredicateError):
+                    client.insert_record(_spelling_record(title))
+            for daemon in cluster.daemons:
+                assert daemon.index_store.total_entries() == 0
+                assert daemon.file_store.total_entries() == 0
+        finally:
+            client.close()
