@@ -2,8 +2,8 @@
 
 Unlike the figure benches (one-shot reproductions), these time the core
 primitives over many rounds: record insertion (index construction),
-query resolution at a node, the end-to-end search, the covering check,
-partial-order-graph construction and navigation, and substrate lookups.
+query resolution at a node, the end-to-end search, canonical keys and
+their decoding, entry selection, repair, and substrate lookups.
 They guard the simulator's performance envelope -- the full evaluation
 feeds 50,000 queries through these paths.
 
@@ -37,8 +37,6 @@ from repro.sim.presets import get_preset
 from repro.storage.store import DHTStorage
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 from repro.workload.querygen import QueryGenerator
-from repro.xmlq.partial_order import PartialOrderGraph
-from repro.xmlq.pattern import covers
 from tests.core.select_oracle import select_entry_per_entry
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -80,31 +78,6 @@ def _dump_micro_json():
     (RESULTS_DIR / "micro_operations.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-
-
-def _pog_query_set(num_records=6):
-    """Overlapping field-combination queries, as the index layer makes."""
-    queries = []
-    for i in range(num_records):
-        record = {
-            "author": f"Author_{i}",
-            "title": f"Title_{i}",
-            "conf": ("SIGCOMM", "INFOCOM", "ICDCS")[i % 3],
-            "year": ("1989", "1996", "2001")[i % 3],
-        }
-        for keys in (
-            ("author",),
-            ("title",),
-            ("conf",),
-            ("year",),
-            ("author", "title"),
-            ("conf", "year"),
-            ("author", "title", "conf", "year"),
-        ):
-            queries.append(
-                ARTICLE_SCHEMA.xpath_for({k: record[k] for k in keys})
-            )
-    return list(dict.fromkeys(queries))
 
 
 def build_stack(num_nodes=64, populate=0):
@@ -167,50 +140,6 @@ def test_micro_end_to_end_search(benchmark):
         assert trace.found
 
     benchmark(search)
-
-
-def test_micro_covering_check(benchmark):
-    general = "/article[author[name[John_Smith]]]"
-    specific = (
-        "/article[author[name[John_Smith]]][conf[SIGCOMM]]"
-        "[size[315635]][title[TCP]][year[1989]]"
-    )
-    benchmark(lambda: covers(general, specific))
-
-
-def test_micro_partial_order_build(benchmark):
-    """Construct the covering partial order of an overlapping query set
-    (33 queries, ~1000 potential pairwise covering checks)."""
-    queries = _pog_query_set()
-    benchmark(lambda: PartialOrderGraph(queries))
-
-
-def test_micro_partial_order_navigation(benchmark):
-    """Hasse-diagram reads on a standing graph: the navigation mix an
-    index node performs per query chain (edges + chains to one MSD)."""
-    graph = PartialOrderGraph(_pog_query_set())
-    leaf = graph.leaves()[0]
-
-    def navigate():
-        edges = graph.hasse_edges()
-        chains = graph.chains_to(leaf)
-        assert edges and chains
-
-    benchmark(navigate)
-
-
-def test_micro_partial_order_incremental_add(benchmark):
-    """Grow a graph one query at a time (the index-build pattern):
-    exercises fingerprint prefiltering and incremental Hasse splicing."""
-    queries = _pog_query_set()
-
-    def grow():
-        graph = PartialOrderGraph()
-        for query in queries:
-            graph.add(query)
-        return graph
-
-    benchmark(grow)
 
 
 def test_micro_canonical_key(benchmark):

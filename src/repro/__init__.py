@@ -6,8 +6,9 @@ through query-to-query mappings, with an adaptive distributed cache.
 
 Subpackages, bottom-up:
 
-- :mod:`repro.xmlq` -- semi-structured descriptors, the XPath query
-  subset, the covering relation;
+- :mod:`repro.xmlq` -- the XPath query subset: lexer, parser, AST and
+  normal form (the paper's tree-pattern covering is the test tree's
+  oracle; the index layer decides covering on field queries);
 - :mod:`repro.net` -- simulated transport with traffic accounting;
 - :mod:`repro.dht` -- Chord, Kademlia, Pastry, CAN, and an ideal
   consistent-hashing ring behind one protocol interface;
@@ -20,8 +21,8 @@ Subpackages, bottom-up:
 - :mod:`repro.baselines` -- the INS/Twine replication comparator.
 
 Cross-cutting: :mod:`repro.perf` holds the cheap always-on performance
-counters the hot-path layers increment (parses, normalizations, covering
-checks, cache hit rates).
+counters the layers increment (key parses and their cache hit rate,
+engine and service traffic, faults, WAL, wire and security events).
 
 The most common entry points are re-exported here.
 """

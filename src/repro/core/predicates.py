@@ -21,8 +21,8 @@ Every predicate knows three things:
     ``self``.  Together with subset-of-constraints this defines query
     covering.  The relation is *sound but conservative* for wildcard
     pairs (undecidable cases return False); the exact/prefix/range
-    fragments are complete and pinned against the ``repro.xmlq``
-    tree-pattern homomorphism oracle by tests;
+    fragments are complete and pinned against the
+    tree-pattern homomorphism oracle of the test tree;
 ``predicate_texts(chain, closing)``
     its canonical XPath predicate spelling(s) between a field's opening
     tag chain and closing brackets (``[author[name`` ... ``]]``, from

@@ -2,7 +2,7 @@
 
 A load test produces one :class:`StageSummary` per ramp stage (offered
 load, achieved throughput, latency percentiles, error accounting,
-schedule fingerprint).  :func:`detect_knee` turns the stage sequence
+schedule digest).  :func:`detect_knee` turns the stage sequence
 into the capacity verdict -- the first stage where *goodput flattens
 while latency inflects* -- and :func:`append_bench_record` persists the
 whole trajectory to ``BENCH_rpc.json`` in the same append-only format

@@ -11,7 +11,7 @@ Everything here is a function of ``(seed, worker, stage)`` only: no
 wall clock, no sockets, no shared state.  Repeated runs with the same
 seed therefore produce byte-identical schedules in every worker -- the
 property suite pins reproducibility and the Poisson shape, and
-:func:`schedule_digest` turns a schedule into a short fingerprint the
+:func:`schedule_digest` turns a schedule into a short digest the
 benchmark record carries so identical-mix reruns are checkable.
 """
 
@@ -104,7 +104,7 @@ def stage_schedule(
 
 
 def schedule_digest(ops: list[Op]) -> str:
-    """Short stable fingerprint of a schedule (arrivals + mix).
+    """Short stable digest of a schedule (arrivals + mix).
 
     Arrival times enter via ``repr`` of the float, so two schedules
     digest equal exactly when every instant and every operation choice
@@ -119,7 +119,7 @@ def schedule_digest(ops: list[Op]) -> str:
 
 
 def combine_digests(digests: list[str]) -> str:
-    """Fold per-worker digests into one run-level fingerprint."""
+    """Fold per-worker digests into one run-level digest."""
     hasher = hashlib.sha256()
     for digest in digests:
         hasher.update(digest.encode())

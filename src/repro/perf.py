@@ -1,14 +1,15 @@
 """Cheap, always-on performance counters for the query-algebra hot path.
 
 The paper's evaluation pushes 50,000 queries through the index hierarchy
-(Section V); every one of them parses query text, normalizes it, and runs
-covering checks.  This module counts those operations -- and the cache
-hits that avoid them -- so that performance work on the hot path can be
-*proved* rather than eyeballed.
+(Section V); every step reads the canonical keys a node answered with.
+This module counts that work -- key parses and the cache hits that avoid
+them, free-text XPath parses, engine and service traffic, faults, WAL,
+wire and security events -- so that performance work can be *proved*
+rather than eyeballed.
 
 Counters are plain integer attributes on a module-level singleton,
-incremented inline by the instrumented layers (:mod:`repro.xmlq`,
-:mod:`repro.core`).  Incrementing an int attribute costs tens of
+incremented inline by the instrumented layers (:mod:`repro.core`,
+:mod:`repro.net`, :mod:`repro.storage`, :mod:`repro.rpc`, ...).  Incrementing an int attribute costs tens of
 nanoseconds, so the counters stay on in production and in every
 simulation run; :meth:`PerfCounters.snapshot` and :func:`delta` turn them
 into dictionaries for reports, benchmark JSON dumps, and regression
@@ -24,9 +25,6 @@ from __future__ import annotations
 
 #: (calls, hits, misses) attribute triples of every cached operation.
 CACHE_TRIPLES: tuple[tuple[str, str, str], ...] = (
-    ("normalize_calls", "normalize_cache_hits", "normalize_cache_misses"),
-    ("pattern_calls", "pattern_cache_hits", "pattern_cache_misses"),
-    ("covers_calls", "covers_cache_hits", "covers_cache_misses"),
     (
         "field_parse_calls",
         "field_parse_cache_hits",
@@ -39,31 +37,12 @@ class PerfCounters:
     """Hot-path operation counters; one process-wide instance lives below."""
 
     __slots__ = (
-        # parsing / normalization
+        # free-text XPath parsing (repro.xmlq)
         "xpath_parses",
-        "normalize_calls",
-        "normalize_cache_hits",
-        "normalize_cache_misses",
-        # pattern interning
-        "pattern_calls",
-        "pattern_cache_hits",
-        "pattern_cache_misses",
-        # covering
-        "covers_calls",
-        "covers_cache_hits",
-        "covers_cache_misses",
-        "covers_fingerprint_rejections",
-        "homomorphism_runs",
-        "homomorphism_node_visits",
         # field-query parsing (core layer)
         "field_parse_calls",
         "field_parse_cache_hits",
         "field_parse_cache_misses",
-        # partial-order graph maintenance
-        "pog_adds",
-        "pog_covers_checks",
-        "pog_prefilter_skips",
-        "pog_hasse_edge_updates",
         # service / engine traffic
         "service_queries",
         "service_file_fetches",

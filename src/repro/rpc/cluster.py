@@ -40,7 +40,7 @@ from repro.core.service import FILE_MARK, IndexService
 from repro.dht import DEFAULT_BITS, build_substrate, hash_key
 from repro.net.message import Message, MessageKind
 from repro.net.transport import TransportError
-from repro.rpc.daemon import NodeDaemon, parse_member
+from repro.rpc.daemon import NodeDaemon, parse_members
 from repro.rpc.transport import (
     Address,
     AsyncioTransport,
@@ -115,24 +115,14 @@ class ClusterClient:
         if tracer is not None:
             tracer.bind_clock(self.transport.clock)
             self.transport.bind_tracer(tracer)
+        #: The membership roster: node id -> daemon public key.
+        self.roster = dict(peer_keys or {})
         #: Discovered membership: node id -> daemon address.
         try:
             self.members = self._discover(bootstrap)
             if not self.members:
                 raise TransportError("bootstrap daemon reported no members")
-            roster = dict(peer_keys or {})
-            for node_id, address in self.members.items():
-                name = IndexService.endpoint_name(node_id)
-                control = daemon_endpoint_name(*address)
-                self.transport.add_route(name, address)
-                self.transport.add_route(control, address)
-                key = roster.get(node_id)
-                if key is not None:
-                    # A conflict here (e.g. the TOFU pin learned during
-                    # discovery disagreeing with the roster) raises: the
-                    # bootstrap answered with a non-member key.
-                    self.transport.pin_peer(name, key)
-                    self.transport.pin_peer(control, key)
+            self._route_members()
         except BaseException:
             # Failed construction must not leak the client socket.
             asyncio.run_coroutine_threadsafe(
@@ -190,10 +180,7 @@ class ClusterClient:
             except (asyncio.TimeoutError, TransportError, OSError) as error:
                 last_error = error
                 continue
-            assert response is not None and response.payload[0] == "members"
-            return dict(
-                parse_member(entry) for entry in response.payload[1:]
-            )
+            return dict(parse_members(response, bootstrap))
         raise TransportError(
             f"bootstrap {bootstrap[0]}:{bootstrap[1]} did not answer "
             f"discovery within {self.discover_retries + 1} attempts of "
@@ -304,11 +291,22 @@ class ClusterClient:
             self.transport.remove_route(IndexService.endpoint_name(node_id))
             self.transport.remove_route(daemon_endpoint_name(*address))
         self.members = discovered
+        self._route_members()
+
+    def _route_members(self) -> None:
+        """Route every member's two endpoint names, and pin both to the
+        member's roster key -- a restarted daemon's new control name too.
+        A conflict (a TOFU pin learned during discovery disagreeing with
+        the roster) raises: the bootstrap answered with a non-member key."""
         for node_id, address in self.members.items():
-            self.transport.add_route(
-                IndexService.endpoint_name(node_id), address
-            )
-            self.transport.add_route(daemon_endpoint_name(*address), address)
+            key = self.roster.get(node_id)
+            for name in (
+                IndexService.endpoint_name(node_id),
+                daemon_endpoint_name(*address),
+            ):
+                self.transport.add_route(name, address)
+                if key is not None:
+                    self.transport.pin_peer(name, key)
 
     def close(self) -> None:
         """Release the client's socket."""

@@ -87,6 +87,17 @@ def parse_member(entry: str) -> tuple[int, Address]:
     return int(id_text, 16), (host, int(port_text))
 
 
+def parse_members(response: Optional[Message], peer: Address) -> list[tuple[int, Address]]:
+    """The entries of ``peer``'s ``members`` reply; any other answer is a
+    :class:`TransportError`."""
+    if response is None or response.payload[:1] != ("members",):
+        raise TransportError(f"{peer[0]}:{peer[1]} did not answer with members")
+    try:
+        return [parse_member(entry) for entry in response.payload[1:]]
+    except ValueError as error:
+        raise TransportError(f"{peer[0]}:{peer[1]} sent a malformed member") from error
+
+
 class NodeDaemon:
     """One substrate node served over real sockets.
 
@@ -279,7 +290,7 @@ class NodeDaemon:
             try:
                 await self._join(peer_address)
                 return
-            except (DeliveryError, TransportError, OSError, AssertionError):
+            except (TransportError, OSError):
                 continue
 
     async def serve(self) -> None:
@@ -328,9 +339,8 @@ class NodeDaemon:
             ),
         )
         response = await self.transport.request(request)
-        assert response is not None and response.payload[0] == "members"
-        for entry in response.payload[1:]:
-            self._apply_member(*parse_member(entry))
+        for node_id, address in parse_members(response, bootstrap):
+            self._apply_member(node_id, address)
 
     # -- membership ---------------------------------------------------------
 

@@ -839,7 +839,21 @@ class AsyncioTransport:
             self._remember_reply(cache_key, reply)
             return reply
         self.meter.record(message)
-        response = handler(message)
+        try:
+            response = handler(message)
+        except Exception as error:
+            # The socket callback must keep serving: a request its handler
+            # cannot read (a payload of the wrong shape) is answered, not
+            # raised out of it -- over UDP the sender would wait out its
+            # whole retry ladder, over TCP asyncio would close the
+            # connection under every other exchange on it.
+            self._loop.call_exception_handler(
+                {"message": f"request to {message.destination!r} refused",
+                 "exception": error}
+            )
+            reply = self._error_frame(request_id, "bad-request")
+            self._remember_reply(cache_key, reply)
+            return reply
         if response is None:
             reply = self._frame(FRAME_ACK, request_id)
         else:

@@ -481,14 +481,8 @@ def main(argv: list[str] | None = None) -> int:
     if perf:
         perf_rows = [
             ["xpath parses", f"{perf.get('xpath_parses', 0):,}"],
-            ["normalizations", f"{perf.get('normalize_calls', 0):,} "
-             f"({100 * result.perf_hit_rate('normalize'):.1f}% cached)"],
             ["query-text parses", f"{perf.get('field_parse_calls', 0):,} "
              f"({100 * result.perf_hit_rate('field_parse'):.1f}% cached)"],
-            ["covering checks", f"{perf.get('covers_calls', 0):,} "
-             f"({100 * result.perf_hit_rate('covers'):.1f}% cached)"],
-            ["homomorphism node visits",
-             f"{perf.get('homomorphism_node_visits', 0):,}"],
         ]
         print(format_table(["hot-path operation", "count"], perf_rows,
                            title="perf counters"))

@@ -31,53 +31,18 @@ queries.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from typing import Union
 
-from repro.perf import counters
 from repro.xmlq.astnodes import Axis, LocationPath, LocationStep, Predicate
 from repro.xmlq.xpparser import parse_xpath
 
 _BARE_WORD_RE = re.compile(r"[\w.\-:+]+", re.UNICODE)
 
-# Normalization sits on the hot path: the simulation normalizes the same
-# few hundred thousand query texts over and over (every search step and
-# every graph membership test).  A bounded LRU cache of source text ->
-# canonical text makes repeats O(1); canonical outputs are also mapped to
-# themselves (normalization is idempotent, property-tested) so
-# re-normalizing an already-canonical key is always a hit.
-_NORMALIZE_CACHE: OrderedDict[str, str] = OrderedDict()
-_NORMALIZE_CACHE_LIMIT = 65_536
-
 
 def normalize_xpath(expression: Union[str, LocationPath]) -> str:
     """Return the canonical text of a query expression."""
-    if not isinstance(expression, str):
-        return str(normalize_path(expression))
-    counters.normalize_calls += 1
-    cached = _NORMALIZE_CACHE.get(expression)
-    if cached is not None:
-        counters.normalize_cache_hits += 1
-        _NORMALIZE_CACHE.move_to_end(expression)
-        return cached
-    counters.normalize_cache_misses += 1
-    canonical = str(normalize_path(expression))
-    _NORMALIZE_CACHE[expression] = canonical
-    _NORMALIZE_CACHE.setdefault(canonical, canonical)
-    while len(_NORMALIZE_CACHE) > _NORMALIZE_CACHE_LIMIT:
-        _NORMALIZE_CACHE.popitem(last=False)
-    return canonical
-
-
-def clear_normalize_cache() -> None:
-    """Drop every cached normalization (for tests and benchmarks)."""
-    _NORMALIZE_CACHE.clear()
-
-
-def normalize_path(expression: Union[str, LocationPath]) -> LocationPath:
-    """Return the canonical :class:`LocationPath` of a query expression."""
     path = parse_xpath(expression) if isinstance(expression, str) else expression
-    return _normalize_location_path(path)
+    return str(_normalize_location_path(path))
 
 
 def _normalize_location_path(path: LocationPath) -> LocationPath:

@@ -20,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def measure(packages: list[str]) -> dict[str, int]:
+    from repro.perf import PerfCounters
     from repro.sim import ExperimentConfig
 
     sizes = {
@@ -28,6 +29,7 @@ def measure(packages: list[str]) -> dict[str, int]:
             for path in (ROOT / "src").rglob("*.py")
         ),
         "ExperimentConfig fields": len(fields(ExperimentConfig)),
+        "repro.perf counters": len(PerfCounters.__slots__),
     }
     for name in packages:
         sizes[f"{name}.__all__"] = len(importlib.import_module(name).__all__)

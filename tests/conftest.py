@@ -12,7 +12,7 @@ from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
 from repro.storage.store import DHTStorage
-from repro.xmlq.xmlparse import parse_xml
+from tests.xmlq.xmlparse import parse_xml
 
 
 @pytest.fixture

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.fields import ARTICLE_SCHEMA, Record
 from repro.core.query import FieldQuery
-from repro.xmlq.evaluator import matches
-from repro.xmlq.pattern import covers, descriptor_to_pattern
+from tests.xmlq.evaluator import matches
+from tests.xmlq.pattern import covers, descriptor_to_pattern
 from tests.xmlq.oracles import descriptor_of
 
 AUTHORS = ["John_Smith", "Alan_Doe", "Wei_Chen"]

@@ -119,14 +119,14 @@ class TestDescriptors:
             assert recovered == record
 
     def test_wrong_root_rejected(self):
-        from repro.xmlq.element import Element
+        from tests.xmlq.element import Element
 
         with pytest.raises(SchemaError):
             record_from_descriptor(ARTICLE_SCHEMA, Element("book"))
 
     def test_descriptor_matches_own_msd(self, paper_records):
         from repro.core.query import FieldQuery
-        from repro.xmlq.evaluator import matches
+        from tests.xmlq.evaluator import matches
 
         for record in paper_records:
             msd = FieldQuery.msd_of(record)

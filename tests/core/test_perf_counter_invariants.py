@@ -3,10 +3,9 @@
 Every cached operation advertises a ``(calls, hits, misses)`` triple in
 :data:`repro.perf.CACHE_TRIPLES`; the instrumented layers must keep
 ``hits + misses == calls`` at every instant, and each counter must be
-monotone between resets.  A realistic search workload drives all four
-cached operations (normalize, pattern interning, covering memo, and the
-``field_parse_*`` triple added by the FieldQuery parse cache) and checks
-the books afterwards.
+monotone between resets.  A realistic search workload drives the one
+cached operation, the ``field_parse_*`` triple of the FieldQuery parse
+cache, and checks the books afterwards.
 """
 
 from __future__ import annotations
@@ -26,17 +25,11 @@ from repro.sim.presets import get_preset
 from repro.storage.store import DHTStorage
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 from repro.workload.querygen import QueryGenerator
-from repro.xmlq.partial_order import PartialOrderGraph
-from repro.xmlq.pattern import covers
 
 
 def run_search_workload(num_queries: int = 200) -> None:
-    """Drive every cached hot-path operation through real searches.
-
-    Engine searches exercise the ``field_parse_*`` triple; the text-level
-    covering checks and the partial-order build at the end exercise
-    normalize, pattern interning, and the covers memo on the same mix.
-    """
+    """Drive the cached hot-path operation through real searches: engine
+    searches exercise the ``field_parse_*`` triple."""
     ring = IdealRing(64)
     for index in range(16):
         ring.add_node(hash_key(f"peer-{index}", 64))
@@ -54,16 +47,10 @@ def run_search_workload(num_queries: int = 200) -> None:
     for record in corpus.records:
         service.insert_record(record)
     engine = LookupEngine(service, user="user:invariant")
-    texts = []
     for item in QueryGenerator(corpus, seed=7).generate(num_queries):
         trace = engine.search(item.query, item.target)
         service.transport.meter.end_query()
         assert trace.found
-        texts.append(item.query.key())
-    for specific in texts[:20]:
-        for general in texts[:5]:
-            covers(general, specific)
-    PartialOrderGraph(texts[:20])
 
 
 class TestCacheTripleInvariants:

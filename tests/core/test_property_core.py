@@ -20,7 +20,7 @@ from repro.core.cache import CachePolicy
 from repro.core.fields import ARTICLE_SCHEMA, Record
 from repro.core.query import FieldQuery
 from repro.core.scheme import complex_scheme, flat_scheme, simple_scheme
-from repro.xmlq.pattern import covers as pattern_covers
+from tests.xmlq.pattern import covers as pattern_covers
 
 AUTHORS = ["John_Smith", "Alan_Doe", "Wei_Chen", "Maria_Garcia"]
 TITLES = ["TCP", "IPv6", "Wavelets", "Routing", "Caching"]

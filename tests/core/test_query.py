@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.fields import ARTICLE_SCHEMA, SchemaError
 from repro.core.query import FieldQuery, QueryParseError
-from repro.xmlq.pattern import pattern_from_xpath
+from tests.xmlq.pattern import pattern_from_xpath
 
 
 @pytest.fixture
@@ -108,7 +108,7 @@ class TestCovering:
     def test_agrees_with_pattern_covering(self, paper_records):
         """Field-level covering must agree with the tree-pattern
         homomorphism on canonical query text."""
-        from repro.xmlq.pattern import covers as pattern_covers
+        from tests.xmlq.pattern import covers as pattern_covers
 
         record = paper_records[0]
         subsets = [["author"], ["author", "title"], ["year"], ["conf", "year"]]

@@ -5,7 +5,7 @@ Satellite coverage for the algebra refactor:
 - property test ``parse(key(q)) == q`` under hypothesis over all four
   predicate kinds (and mixed conjunctions);
 - malformed ``prefix:`` / range spellings raise ``QueryParseError``;
-- predicate covering pinned against the ``covers_uncached`` tree-pattern
+- predicate covering pinned against the ``tests.xmlq.pattern.covers`` tree-pattern
   homomorphism oracle on the fragments where both apply: full agreement
   on the exact/range fragment (the oracle understands the comparison
   pair numerically), oracle ⟹ algebra on the prefix fragment (the
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.fields import ARTICLE_SCHEMA, Record, SchemaError
 from repro.core.predicates import Exact, Prefix, Range, Wildcard
 from repro.core.query import FieldQuery, QueryParseError
-from tests.xmlq.oracles import covers_uncached
+from tests.xmlq.pattern import covers
 
 AUTHORS = ["John_Smith", "Alan_Doe", "Wei_Chen", "Maria_Garcia"]
 TITLES = ["TCP", "IPv6", "Wavelets", "Routing", "Caching"]
@@ -114,7 +114,7 @@ class TestCoveringOracle:
         # The homomorphism treats prefix:/wildcard spellings as opaque
         # labels, so whatever covering it *can* prove (equality-style
         # embeddings, range containment) the algebra must also accept.
-        if covers_uncached(general.key(), specific.key()):
+        if covers(general.key(), specific.key()):
             assert general.covers(specific)
 
     @st.composite
@@ -132,7 +132,7 @@ class TestCoveringOracle:
     def test_exact_range_fragment_agrees(self, general, specific):
         # Comparison predicates are understood numerically on both
         # sides, so the exact/range fragment agrees in both directions.
-        assert general.covers(specific) == covers_uncached(
+        assert general.covers(specific) == covers(
             general.key(), specific.key()
         )
 

@@ -55,7 +55,7 @@ class TestRunLoadTest:
 
     def test_digest_is_reproducible_without_rerunning(self, small_run):
         # The digest depends only on (seed, workers, ramp): recomputing
-        # the schedules offline must reproduce the run's fingerprint.
+        # the schedules offline must reproduce the run's digest.
         from repro.loadgen.schedule import (
             combine_digests,
             schedule_digest,

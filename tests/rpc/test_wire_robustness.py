@@ -1,0 +1,172 @@
+"""What the wire does with requests and replies it did not expect.
+
+- A request whose payload has the wrong shape for its verb is answered
+  with a ``bad-request`` error, never raised out of the socket callback:
+  over UDP the sender used to wait out its whole retry ladder, over TCP
+  asyncio closed the connection under every other exchange on it.
+- A discovery or join answered with anything but ``members`` is a
+  :class:`TransportError`, not an ``AssertionError``.
+- A restarted daemon's new control name is pinned to its roster key.
+- A lookup whose only replica is dead waits out real backoff timers
+  between its retries.
+"""
+
+import asyncio
+import threading
+import time
+
+import pytest
+
+from repro.core.engine import LookupEngine
+from repro.core.query import FieldQuery
+from repro.net.message import Message, MessageKind
+from repro.net.transport import DeliveryError, TransportError
+from repro.rpc.cluster import ClusterClient, LocalCluster
+from repro.rpc.daemon import NodeDaemon
+from repro.rpc.transport import AsyncioTransport, daemon_endpoint_name
+from repro.workload.corpus import CorpusConfig, SyntheticCorpus
+
+TIMEOUT_MS = 500.0
+
+MALFORMED = {
+    "join-without-arguments": (MessageKind.CONTROL, ("join",)),
+    "store-file-without-value": (MessageKind.CONTROL, ("store_file", "k")),
+    "pull-of-a-non-hex-id": (MessageKind.CONTROL, ("pull", "zz")),
+    "index-insert-of-one-field": (MessageKind.INDEX_INSERT, ("k",)),
+}
+
+
+@pytest.fixture
+def loop():
+    event_loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=event_loop.run_forever, daemon=True)
+    thread.start()
+    yield event_loop
+    event_loop.call_soon_threadsafe(event_loop.stop)
+    thread.join(timeout=5)
+    event_loop.close()
+
+
+def run(loop, coroutine):
+    return asyncio.run_coroutine_threadsafe(coroutine, loop).result(timeout=10)
+
+
+@pytest.fixture
+def daemon(loop):
+    node = NodeDaemon()
+    run(loop, node.start())
+    yield node
+    loop.call_soon_threadsafe(node.stop)
+    run(loop, node.serve())
+
+
+@pytest.fixture
+def client(loop):
+    transports = []
+
+    def make(**options):
+        transport = AsyncioTransport(
+            request_timeout_ms=TIMEOUT_MS, max_retries=0, **options
+        )
+        run(loop, transport.start())
+        transports.append(transport)
+        return transport
+
+    yield make
+    for transport in transports:
+        run(loop, transport.close())
+
+
+def to_control(daemon, kind, payload):
+    return Message(
+        kind=kind, source="user:0", destination=daemon.control_name, payload=payload
+    )
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_udp_sender_gets_an_answer_within_one_timeout(self, daemon, client, case):
+        sender = client()
+        started = time.monotonic()
+        with pytest.raises(DeliveryError) as excinfo:
+            sender.send(to_control(daemon, *MALFORMED[case]))
+        assert excinfo.value.reason == "bad-request"
+        assert time.monotonic() - started < TIMEOUT_MS / 1000.0
+
+    def test_tcp_connection_keeps_serving_beside_a_bad_request(self, daemon, client):
+        sender = client(udp_max_bytes=1)  # every frame travels over TCP
+        results = sender.run_blocking(
+            lambda done: sender._fan_out(
+                [
+                    to_control(daemon, MessageKind.CONTROL, ("join",)),
+                    to_control(daemon, MessageKind.CONTROL, ("ping",)),
+                ],
+                done.set_result,
+                done.set_exception,
+            )
+        )
+        bad, ping = results
+        assert isinstance(bad, DeliveryError) and bad.reason == "bad-request"
+        assert isinstance(ping, Message) and ping.payload[0] == "pong"
+
+
+class TestWrongMembershipAnswer:
+    @pytest.fixture
+    def impostor(self, loop):
+        """A control endpoint that answers ``members`` with ``pong``."""
+        transport = AsyncioTransport()
+        address = run(loop, transport.start("127.0.0.1", 0))
+        transport.register(
+            daemon_endpoint_name(*address),
+            lambda message: message.reply(MessageKind.CONTROL, ("pong", "1")),
+        )
+        yield address
+        run(loop, transport.close())
+
+    def test_discovery_raises_transport_error(self, loop, impostor):
+        with pytest.raises(TransportError, match="members"):
+            ClusterClient(loop, impostor, discover_timeout_ms=500.0)
+
+    def test_join_raises_transport_error(self, loop, impostor):
+        node = NodeDaemon()
+        try:
+            with pytest.raises(TransportError, match="members"):
+                run(loop, node.start(impostor))
+        finally:
+            run(loop, node.transport.close())
+
+
+def test_restarted_daemon_is_pinned_to_its_roster_key(tmp_path):
+    with LocalCluster(3, data_root=str(tmp_path), signed=True) as cluster:
+        client = cluster.client()
+        try:
+            cluster.kill_node(1)
+            restarted = cluster.restart_node(1)
+            client.refresh_members(cluster.daemons[0].address)
+            control = daemon_endpoint_name(*restarted.address)
+            assert client.transport.pinned_key(control) == restarted.identity.public_key
+            assert client.ping(restarted.node_id)
+        finally:
+            client.close()
+
+
+def test_retry_backoff_waits_on_real_timers():
+    """The file's only replica is dead: the lookup retries it
+    ``MAX_RETRIES`` times, each after a backoff ``AsyncioTransport.post``
+    lets elapse on the loop."""
+    record = SyntheticCorpus(CorpusConfig(num_articles=4, num_authors=2, seed=3)).records[0]
+    with LocalCluster(3) as cluster:
+        client = cluster.client(request_timeout_ms=5.0, max_retries=0)
+        try:
+            client.insert_record(record)
+            msd = FieldQuery.msd_of(record)
+            (owner,) = client.file_store.responsible_nodes(msd.key())
+            cluster.kill_node(cluster.node_ids.index(owner))
+            started = time.monotonic()
+            trace = client.search(msd, record)
+            waited_ms = (time.monotonic() - started) * 1000.0
+        finally:
+            client.close()
+    assert trace.gave_up and not trace.found
+    assert trace.retries == LookupEngine.MAX_RETRIES
+    assert waited_ms >= sum(LookupEngine.RETRY_BACKOFF) * LookupEngine.BACKOFF_UNIT_MS

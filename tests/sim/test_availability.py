@@ -26,7 +26,7 @@ CHAOS = replace(
 )
 
 
-def trace_fingerprint(trace):
+def trace_signature(trace):
     """Every observable field of a SearchTrace, as a comparable tuple."""
     return (
         trace.query.key(),
@@ -53,7 +53,7 @@ def run_with_traces(config, bare_transport=False):
         experiment.transport = experiment.transport.inner
     traces = []
     experiment.trace_sink = lambda trace: traces.append(
-        trace_fingerprint(trace)
+        trace_signature(trace)
     )
     result = experiment.run()
     return result, traces

@@ -34,7 +34,7 @@ TINY = ExperimentConfig(
 _NONDETERMINISTIC_FIELDS = ("runtime_seconds", "perf_counters")
 
 
-def trace_fingerprint(trace):
+def trace_signature(trace):
     return (
         trace.query.key(),
         trace.found,
@@ -50,12 +50,12 @@ def trace_fingerprint(trace):
 
 def run_with_traces(config):
     experiment = Experiment(config)
-    fingerprints = []
-    experiment.trace_sink = lambda trace: fingerprints.append(
-        trace_fingerprint(trace)
+    signatures = []
+    experiment.trace_sink = lambda trace: signatures.append(
+        trace_signature(trace)
     )
     result = experiment.run()
-    return result, fingerprints
+    return result, signatures
 
 
 def comparable(result):

@@ -30,7 +30,7 @@ TINY_RESTART = ExperimentConfig(
 )
 
 
-def fingerprint(trace):
+def signature(trace):
     return (
         trace.query.key(),
         trace.found,
@@ -44,7 +44,7 @@ def fingerprint(trace):
 def run_with_traces(config):
     experiment = Experiment(config)
     traces = []
-    experiment.trace_sink = lambda trace: traces.append(fingerprint(trace))
+    experiment.trace_sink = lambda trace: traces.append(signature(trace))
     result = experiment.run()
     return result, traces
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmlq.element import Element, element, text_element
+from tests.xmlq.element import Element, element, text_element
 
 
 class TestConstruction:

@@ -6,8 +6,8 @@ the paper's Figure 3 partial order is drawn from.
 
 import pytest
 
-from repro.xmlq.evaluator import ValueNode, evaluate, matches
-from repro.xmlq.xmlparse import parse_xml
+from tests.xmlq.evaluator import ValueNode, evaluate, matches
+from tests.xmlq.xmlparse import parse_xml
 
 
 class TestPaperMatrix:

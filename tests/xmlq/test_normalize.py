@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmlq.evaluator import matches
+from tests.xmlq.evaluator import matches
 from repro.xmlq.normalize import normalize_xpath
 
 

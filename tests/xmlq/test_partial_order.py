@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmlq.partial_order import PartialOrderGraph
+from tests.xmlq.partial_order import PartialOrderGraph
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xmlq.pattern import (
+from tests.xmlq.pattern import (
     TreePattern,
     covers,
     descriptor_to_pattern,

@@ -14,11 +14,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xmlq.element import Element
-from repro.xmlq.evaluator import matches
+from tests.xmlq.element import Element
+from tests.xmlq.evaluator import matches
 from repro.xmlq.normalize import normalize_xpath
-from repro.xmlq.pattern import covers, descriptor_to_pattern
-from repro.xmlq.xmlparse import parse_xml, serialize_xml
+from tests.xmlq.pattern import covers, descriptor_to_pattern
+from tests.xmlq.xmlparse import parse_xml, serialize_xml
 
 TAGS = ["article", "author", "first", "last", "title", "conf", "year", "note"]
 VALUES = ["John", "Smith", "TCP", "IPv6", "SIGCOMM", "INFOCOM", "1989", "1996"]

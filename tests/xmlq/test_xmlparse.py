@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.xmlq.element import element, text_element
-from repro.xmlq.xmlparse import XMLParseError, parse_xml, serialize_xml
+from tests.xmlq.element import element, text_element
+from tests.xmlq.xmlparse import XMLParseError, parse_xml, serialize_xml
 
 
 class TestParsing:
@@ -96,7 +96,7 @@ class TestSerialization:
         assert parse_xml(serialize_xml(tree)) == tree
 
     def test_self_closing_for_empty(self):
-        from repro.xmlq.element import Element
+        from tests.xmlq.element import Element
 
         assert serialize_xml(Element("note")) == "<note/>"
 
