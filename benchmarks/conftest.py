@@ -2,7 +2,7 @@
 
 Every bench reproduces one artifact of the paper's evaluation at the
 paper's scale (500 nodes, 10,000 articles, 50,000 queries).  Grid cells
-are memoized process-wide (see :mod:`repro.sim.runner`), so the whole
+are memoized process-wide (see ``tests/sim/runner.py``), so the whole
 harness pays for each (scheme, cache policy) combination exactly once.
 
 Each bench renders the same rows/series the paper plots and stores the
@@ -19,7 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import run_cached
+from tests.sim.runner import run_cached
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

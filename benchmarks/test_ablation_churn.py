@@ -15,7 +15,7 @@ from dataclasses import replace
 from conftest import REDUCED, emit
 from repro.analysis.tables import format_table
 from repro.sim.experiment import Experiment
-from repro.sim.runner import _shared_corpus
+from tests.sim.runner import _shared_corpus
 
 CHURN_LEVELS = (0, 10, 50, 200)
 

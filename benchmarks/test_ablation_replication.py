@@ -13,7 +13,7 @@ from dataclasses import replace
 from conftest import REDUCED, emit
 from repro.analysis.tables import format_table
 from repro.sim.experiment import Experiment
-from repro.sim.runner import _shared_corpus
+from tests.sim.runner import _shared_corpus
 
 FACTORS = (1, 2, 4)
 

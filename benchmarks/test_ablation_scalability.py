@@ -19,7 +19,7 @@ import pytest
 from conftest import REDUCED, emit
 from repro.analysis.tables import format_table
 from repro.sim.experiment import Experiment
-from repro.sim.runner import _shared_corpus
+from tests.sim.runner import _shared_corpus
 
 NODE_COUNTS = (125, 250, 500, 1_000)
 

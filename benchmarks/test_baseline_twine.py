@@ -17,15 +17,15 @@ identical corpus, substrate, and workload:
 
 from conftest import REDUCED, cell, emit
 from repro.analysis.tables import format_table
-from repro.baselines.twine import TwineResolver
 from repro.core.fields import ARTICLE_SCHEMA
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
-from repro.sim.runner import _shared_corpus
 from repro.storage.store import DHTStorage
 from repro.workload.popularity import PowerLawPopularity
 from repro.workload.querygen import QueryGenerator
+from tests.baselines.twine import TwineResolver
+from tests.sim.runner import _shared_corpus
 
 
 def run_twine():

@@ -9,10 +9,10 @@ realized distribution.
 """
 
 from conftest import emit
-from repro.analysis.tables import bar_chart
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 from repro.workload.querygen import QueryGenerator
-from repro.workload.trace import (
+from tests.analysis.tables import bar_chart
+from tests.workload.querytrace import (
     QueryTrace,
     format_structure_label,
     structure_distribution,

@@ -6,7 +6,7 @@ observes that "all probabilities follow roughly a power-law".
 
 Methodology is reproduced end to end for the BibFinder series: a
 BibFinder-sized query log (9,108 entries) is *generated*, then *parsed
-and summarized* (``repro.workload.logs``), and the per-author and
+and summarized* (``tests/workload/logs.py``), and the per-author and
 per-title request probabilities extracted from it are fitted with the
 paper's own method -- least squares on log-log axes.  The NetBib and
 CiteSeer series come from their corresponding synthetic models.
@@ -15,11 +15,11 @@ CiteSeer series come from their corresponding synthetic models.
 import random
 
 from conftest import emit
-from repro.analysis.powerlaw import fit_power_law
 from repro.analysis.tables import format_table
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
-from repro.workload.logs import generate_query_log, parse_query_log, summarize_log
 from repro.workload.popularity import PowerLawPopularity, ZipfPopularity
+from tests.analysis.powerlaw import fit_power_law
+from tests.workload.logs import generate_query_log, parse_query_log, summarize_log
 
 
 def build_series():

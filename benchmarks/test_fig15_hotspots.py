@@ -7,8 +7,8 @@ more than 100% because one user query generates several index accesses.
 """
 
 from conftest import cell, emit
-from repro.analysis.stats import lorenz_skew
 from repro.analysis.tables import format_table
+from tests.analysis.stats import lorenz_skew
 
 POLICIES = ("none", "lru30", "single")
 

@@ -73,20 +73,29 @@ def main() -> None:
     session = InteractiveSession(
         service, FieldQuery(ARTICLE_SCHEMA, {"author": "John_Smith"})
     )
-    print(f"level 1 ({session.current.query.key()}):")
-    for index, entry in enumerate(session.choices()):
-        print(f"   [{index}] {entry}")
-    session.refine(0)
-    print(f"level 2 ({session.current.query.key()}):")
-    for index, entry in enumerate(session.choices()):
-        print(f"   [{index}] {entry}")
-    session.refine(0)
-    print(f"level 3 is the most specific descriptor; fetching the file ...")
+    while not session.at_file_level:
+        print(f"level {session.depth} ({session.current.query.key()}):")
+        for index, entry in enumerate(session.choices()):
+            print(f"   [{index}] {entry}")
+        session.refine(0)
+    print(f"level {session.depth} is the most specific descriptor; fetching ...")
+    print(f"   fetched: {session.fetch()} ({session.fetched_msd})")
+    print("   path: " + " -> ".join(query.key() for query in session.history))
+
+    # Back up to the author level and take the other branch, scripted
+    # towards a known record.
+    session.back()
+    session.back()
+    print(f"back at level {session.depth}; walking towards the IPv6 paper")
+    while not session.at_file_level:
+        session.refine_towards(records[4])
     print(f"   fetched: {session.fetch()} ({session.fetched_msd})")
 
-    # Back up and take the other branch.
-    session.back()
-    print(f"back at level 2; other siblings remain explorable")
+    # A query nobody indexed offers nothing to descend into.
+    unknown = InteractiveSession(
+        service, FieldQuery(ARTICLE_SCHEMA, {"author": "Nobody_Known"})
+    )
+    print(f"author Nobody_Known: exhausted={unknown.exhausted}")
 
     # --- prefix search: the user only remembers "Al..." ---
     print("\n-- prefix exploration: authors starting with 'A' --")

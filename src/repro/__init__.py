@@ -17,8 +17,11 @@ Subpackages, bottom-up:
   index service, the lookup engine, the adaptive cache;
 - :mod:`repro.workload` -- corpus, popularity, and query models;
 - :mod:`repro.sim` -- the evaluation harness (Section V);
-- :mod:`repro.analysis` -- fitting and reporting helpers;
-- :mod:`repro.baselines` -- the INS/Twine replication comparator.
+- :mod:`repro.analysis` -- percentiles and table rendering.
+
+Evaluation-only code -- the INS/Twine comparator, the query-log and
+power-law fitting pipeline of Figures 7 and 9 -- lives in the test tree
+beside the benchmarks that run it.
 
 Cross-cutting: :mod:`repro.perf` holds the cheap always-on performance
 counters the layers increment (key parses and their cache hit rate,

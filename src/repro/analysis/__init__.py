@@ -1,33 +1,17 @@
-"""Analysis utilities: power-law fitting, distributions, table rendering.
+"""Analysis utilities: percentiles, quantile collectors, table rendering.
 
-These are the tools Section V uses to turn raw logs into its figures:
-least-squares power-law fits on log-log data (Figure 9), CCDF
-construction (Figure 10), rank-ordered load curves (Figure 15), and the
-textual tables/bars the benchmark harness prints.
+The response-time percentiles of the experiment driver, the loadgen's
+mergeable latency sketches, and the aligned text tables the command-line
+tools print.  The figure benchmarks' power-law fits, CCDF and rank
+curves and bar charts live with them in ``tests/analysis/``.
 """
 
-from repro.analysis.powerlaw import PowerLawFit, fit_power_law
-from repro.analysis.stats import (
-    ExactQuantiles,
-    LogBucketQuantiles,
-    ccdf_points,
-    lorenz_skew,
-    percentile,
-    rank_ordered,
-    summarize,
-)
-from repro.analysis.tables import bar_chart, format_table
+from repro.analysis.stats import ExactQuantiles, LogBucketQuantiles, percentile
+from repro.analysis.tables import format_table
 
 __all__ = [
-    "PowerLawFit",
-    "fit_power_law",
     "ExactQuantiles",
     "LogBucketQuantiles",
-    "ccdf_points",
-    "lorenz_skew",
     "percentile",
-    "rank_ordered",
-    "summarize",
-    "bar_chart",
     "format_table",
 ]

@@ -1,4 +1,4 @@
-"""Distribution helpers: CCDFs, rank curves, and summary statistics.
+"""Percentiles and streaming quantile collectors.
 
 Two streaming quantile collectors back the experiment driver's
 response-time percentiles:
@@ -16,29 +16,6 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
-
-
-def summarize(values: Sequence[float]) -> dict[str, float]:
-    """Mean, standard deviation, min, max, and median of a sample."""
-    if not values:
-        raise ValueError("no values")
-    ordered = sorted(values)
-    n = len(ordered)
-    mean = sum(ordered) / n
-    variance = sum((value - mean) ** 2 for value in ordered) / n
-    middle = n // 2
-    if n % 2:
-        median = ordered[middle]
-    else:
-        median = (ordered[middle - 1] + ordered[middle]) / 2
-    return {
-        "mean": mean,
-        "std": math.sqrt(variance),
-        "min": ordered[0],
-        "max": ordered[-1],
-        "median": median,
-        "count": float(n),
-    }
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -77,9 +54,6 @@ class ExactQuantiles:
         """Record one sample."""
         self._values.append(value)
 
-    def __len__(self) -> int:
-        return len(self._values)
-
     @property
     def count(self) -> int:
         """Number of samples recorded so far."""
@@ -96,16 +70,6 @@ class ExactQuantiles:
     def percentile(self, fraction: float) -> float:
         """Exact nearest-rank percentile, ``fraction`` in [0, 1]."""
         return percentile(self._values, fraction)
-
-    def merge(self, other: "ExactQuantiles") -> "ExactQuantiles":
-        """Fold another collector's samples into this one (in place).
-
-        Returns ``self`` so merges chain; the result is exactly the
-        collector that saw both sample streams (order never matters for
-        nearest-rank percentiles).
-        """
-        self._values.extend(other._values)
-        return self
 
 
 class LogBucketQuantiles:
@@ -153,11 +117,6 @@ class LogBucketQuantiles:
         self._min = math.inf
         self._max = -math.inf
 
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative error of ``percentile`` estimates."""
-        return (self._gamma - 1.0) / (self._gamma + 1.0)
-
     def add(self, value: float) -> None:
         """Record one non-negative sample in its logarithmic bucket."""
         if value < 0:
@@ -175,18 +134,10 @@ class LogBucketQuantiles:
         buckets = self._buckets
         buckets[index] = buckets.get(index, 0) + 1
 
-    def __len__(self) -> int:
-        return self._count
-
     @property
     def count(self) -> int:
         """Number of samples recorded so far."""
         return self._count
-
-    @property
-    def bucket_count(self) -> int:
-        """Number of occupied buckets (the memory footprint probe)."""
-        return len(self._buckets) + (1 if self._zero_count else 0)
 
     @property
     def mean(self) -> float:
@@ -276,41 +227,3 @@ class LogBucketQuantiles:
         if state["max"] is not None:
             sketch._max = state["max"]
         return sketch
-
-
-def ccdf_points(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical complementary CDF: points ``(v, P(X > v))``."""
-    if not values:
-        raise ValueError("no values")
-    ordered = sorted(values)
-    n = len(ordered)
-    points: list[tuple[float, float]] = []
-    index = 0
-    while index < n:
-        value = ordered[index]
-        # advance past duplicates
-        while index < n and ordered[index] == value:
-            index += 1
-        points.append((value, (n - index) / n))
-    return points
-
-
-def rank_ordered(values: Sequence[float]) -> list[float]:
-    """Values sorted descending -- the x-axis ordering of Figure 15."""
-    return sorted(values, reverse=True)
-
-
-def lorenz_skew(values: Sequence[float]) -> float:
-    """Fraction of total mass held by the top 10% of values.
-
-    A compact skewness measure for load distributions: 0.1 means
-    perfectly balanced; values near 1 mean extreme hot-spots.
-    """
-    if not values:
-        raise ValueError("no values")
-    ordered = sorted(values, reverse=True)
-    total = sum(ordered)
-    if total == 0:
-        return 0.0
-    top = max(1, len(ordered) // 10)
-    return sum(ordered[:top]) / total

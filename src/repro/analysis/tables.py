@@ -1,14 +1,14 @@
-"""Plain-text rendering of tables and bar charts.
+"""Plain-text rendering of tables.
 
 The benchmark harness reproduces the paper's figures as printed series:
 each bench prints the same rows/bars the paper plots, so a reader can
-compare shapes side by side with the paper.  These helpers keep that
+compare shapes side by side with the paper.  This helper keeps that
 output consistent.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def format_table(
@@ -33,29 +33,6 @@ def format_table(
     lines.append(separator)
     for row in cells[1:]:
         lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def bar_chart(
-    data: Mapping[str, float],
-    width: int = 50,
-    unit: str = "",
-    title: Optional[str] = None,
-) -> str:
-    """Render a horizontal bar chart with proportional bars."""
-    if not data:
-        raise ValueError("no data")
-    peak = max(data.values())
-    label_width = max(len(label) for label in data)
-    lines = []
-    if title:
-        lines.append(title)
-    for label, value in data.items():
-        length = 0 if peak == 0 else int(round(width * value / peak))
-        bar = "#" * length
-        lines.append(
-            f"{label.ljust(label_width)} | {bar} {_format_cell(value)}{unit}"
-        )
     return "\n".join(lines)
 
 

@@ -152,10 +152,6 @@ class Record:
             if name in self._values
         ]
 
-    @property
-    def values(self) -> dict[str, str]:
-        return dict(self._values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Record):
             return NotImplemented

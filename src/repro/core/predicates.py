@@ -129,9 +129,6 @@ class Exact:
         """Canonical spelling: the value nested in the field path."""
         return [f"{chain}[{self.value}]{closing}"]
 
-    def __repr__(self) -> str:
-        return f"Exact({self.value!r})"
-
 
 @dataclass(frozen=True)
 class Prefix:
@@ -183,9 +180,6 @@ class Prefix:
     def predicate_texts(self, chain: str, closing: str) -> list[str]:
         """Canonical spelling: the tagged prefix nested in the path."""
         return [f"{chain}[{PREFIX_TAG}{self.prefix}]{closing}"]
-
-    def __repr__(self) -> str:
-        return f"Prefix({self.prefix!r})"
 
 
 @dataclass(frozen=True)
@@ -269,9 +263,6 @@ class Wildcard:
         # double-quoted -- exactly the normalizer's serialization.
         return [f'{chain}="{self.pattern}"{closing}']
 
-    def __repr__(self) -> str:
-        return f"Wildcard({self.pattern!r})"
-
 
 @dataclass(frozen=True)
 class Range:
@@ -330,9 +321,6 @@ class Range:
     def predicate_texts(self, chain: str, closing: str) -> list[str]:
         """Canonical spelling: the ``>=``/``<=`` comparison pair."""
         return [f"{chain}>={self.lo}{closing}", f"{chain}<={self.hi}{closing}"]
-
-    def __repr__(self) -> str:
-        return f"Range({self.lo}, {self.hi})"
 
 
 FieldPredicate = Union[Exact, Prefix, Wildcard, Range]

@@ -174,10 +174,3 @@ class InteractiveSession:
                 query=query, entries=answer.entries, shortcuts=answer.shortcuts
             )
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"InteractiveSession(depth={self.depth}, "
-            f"query={self.current.query.key()!r}, "
-            f"choices={len(self.current.choices)})"
-        )

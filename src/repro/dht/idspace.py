@@ -66,11 +66,3 @@ class IdSpace:
     def finger_start(self, node: int, index: int) -> int:
         """Start of Chord finger ``index`` (0-based): node + 2^index."""
         return (node + (1 << index)) % self.size
-
-    def distance_clockwise(self, source: int, target: int) -> int:
-        """Clockwise distance from ``source`` to ``target`` on the ring."""
-        return (target - source) % self.size
-
-    def distance_xor(self, left: int, right: int) -> int:
-        """Kademlia's symmetric XOR distance."""
-        return left ^ right

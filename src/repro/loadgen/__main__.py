@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.loadgen.report import (
@@ -17,7 +18,6 @@ from repro.loadgen.report import (
     format_capacity_report,
 )
 from repro.loadgen.runner import LoadTestConfig, run_load_test
-from repro.rpc.loop import install_uvloop
 
 
 def parse_ramp(text: str) -> tuple[float, ...]:
@@ -26,8 +26,8 @@ def parse_ramp(text: str) -> tuple[float, ...]:
         stages = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad ramp: {text!r}") from None
-    if not stages or any(rate <= 0 for rate in stages):
-        raise argparse.ArgumentTypeError("ramp needs positive rates")
+    if not stages or not all(0 < rate < math.inf for rate in stages):
+        raise argparse.ArgumentTypeError("ramp needs positive, finite rates")
     return stages
 
 
@@ -104,14 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run workers on threads in-process instead of spawned processes",
     )
     parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help=(
-            "run the cluster and client loops on uvloop when the "
-            "package is importable (falls back to stock asyncio)"
-        ),
-    )
-    parser.add_argument(
         "--out",
         default="BENCH_rpc.json",
         help="benchmark trajectory file to append to (default BENCH_rpc.json)",
@@ -128,32 +120,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    options = build_parser().parse_args(argv)
-    extra_meta = {"label": options.label} if options.label else {}
-    if options.uvloop:
-        # Installing the policy here covers the cluster's background
-        # loop and the in-process client loops; spawned worker
-        # processes keep the stock loop (they are CPU-light senders).
-        extra_meta["loop"] = (
-            "uvloop" if install_uvloop() else "asyncio (uvloop unavailable)"
+    parser = build_parser()
+    options = parser.parse_args(argv)
+    try:
+        config = LoadTestConfig(
+            num_nodes=options.nodes,
+            workers=options.workers,
+            ramp=options.ramp,
+            stage_seconds=options.stage_seconds,
+            store_fraction=options.store_fraction,
+            seed=options.seed,
+            substrate=options.substrate,
+            scheme=options.scheme,
+            cache=options.cache,
+            replication=options.replication,
+            num_base_records=options.base_records,
+            request_timeout_ms=options.request_timeout_ms,
+            drain_timeout_s=options.drain_seconds,
+            processes=not options.threads,
+            extra_meta={"label": options.label} if options.label else {},
         )
-    config = LoadTestConfig(
-        num_nodes=options.nodes,
-        workers=options.workers,
-        ramp=options.ramp,
-        stage_seconds=options.stage_seconds,
-        store_fraction=options.store_fraction,
-        seed=options.seed,
-        substrate=options.substrate,
-        scheme=options.scheme,
-        cache=options.cache,
-        replication=options.replication,
-        num_base_records=options.base_records,
-        request_timeout_ms=options.request_timeout_ms,
-        drain_timeout_s=options.drain_seconds,
-        processes=not options.threads,
-        extra_meta=extra_meta,
-    )
+    except ValueError as error:
+        parser.error(str(error))
     report = run_load_test(config)
     record = bench_record(report)
     if options.out:

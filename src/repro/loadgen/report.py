@@ -99,10 +99,6 @@ class KneeReport:
     goodput_hz: float
     reason: str
 
-    def to_dict(self) -> dict:
-        """Return a JSON-ready mapping of the knee verdict."""
-        return asdict(self)
-
 
 @dataclass
 class CapacityReport:
@@ -235,7 +231,7 @@ def bench_record(report: CapacityReport) -> dict:
     return {
         "config": report.config,
         "stages": [summary.to_dict() for summary in report.stages],
-        "knee": report.knee.to_dict() if report.knee is not None else None,
+        "knee": asdict(report.knee) if report.knee is not None else None,
         "peak_goodput_hz": round(report.peak_goodput_hz, 3),
         "schedule_digest": report.digest,
     }

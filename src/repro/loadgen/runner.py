@@ -20,6 +20,7 @@ ceiling before the cluster does.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -73,6 +74,20 @@ class LoadTestConfig:
     bootstrap: Optional[tuple[str, int]] = None
     extra_meta: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
+        if not self.ramp or not all(0 < rate < math.inf for rate in self.ramp):
+            raise ValueError("ramp needs positive, finite rates")
+        if not 0 < self.stage_seconds < math.inf:
+            raise ValueError("stage seconds must be positive and finite")
+        if not 0 <= self.drain_timeout_s < math.inf:
+            raise ValueError("drain seconds must be finite and non-negative")
+        if not 0 < self.request_timeout_ms < math.inf:
+            raise ValueError("request timeout must be positive, finite milliseconds")
+        if self.num_base_records < 1:
+            raise ValueError("need at least one base record")
+
     def describe(self) -> dict:
         """The config echo embedded in the benchmark record."""
         return {
@@ -100,10 +115,6 @@ def worker_configs(
     Each stage's total rate splits evenly across the workers; offsets
     stack the stages back to back from the shared start instant.
     """
-    if config.workers < 1:
-        raise ValueError("need at least one worker")
-    if not config.ramp:
-        raise ValueError("ramp needs at least one stage")
     plans = []
     offset = 0.0
     for index, rate in enumerate(config.ramp):

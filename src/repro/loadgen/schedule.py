@@ -18,6 +18,7 @@ benchmark record carries so identical-mix reruns are checkable.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 
@@ -76,10 +77,10 @@ def stage_schedule(
     ``store_fraction``.  Pure and deterministic: calling twice returns
     equal lists.
     """
-    if rate_hz <= 0:
-        raise ValueError("rate_hz must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    if not 0 < rate_hz < math.inf:
+        raise ValueError("rate_hz must be positive and finite")
+    if not 0 < duration_s < math.inf:
+        raise ValueError("duration_s must be positive and finite")
     if not 0.0 <= store_fraction <= 1.0:
         raise ValueError("store_fraction outside [0, 1]")
     rng = stage_rng(seed, worker, stage)

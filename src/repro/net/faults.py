@@ -40,6 +40,7 @@ zero ``AdversaryPlan`` adds two falsy checks per send and no draw.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -92,8 +93,8 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.max_latency_ms < 0:
-            raise ValueError("max_latency_ms cannot be negative")
+        if not 0 <= self.max_latency_ms < math.inf:
+            raise ValueError("max_latency_ms must be finite and non-negative")
 
     @property
     def is_zero(self) -> bool:
@@ -254,10 +255,6 @@ class FaultyTransport:
         return _complete(self._delivery(message, False))
 
     # -- virtual-time delivery ---------------------------------------------
-
-    @property
-    def kernel(self) -> Optional["EventKernel"]:
-        return self.inner.kernel
 
     def bind_clock(
         self, kernel: "EventKernel", latency: "LatencyModel"

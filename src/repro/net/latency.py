@@ -10,6 +10,7 @@ Kademlia, to substantiate that the indexing layer is latency-neutral.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from typing import Protocol
@@ -40,8 +41,8 @@ class ConstantLatency:
     """Every hop costs the same fixed delay."""
 
     def __init__(self, milliseconds: float = 50.0) -> None:
-        if milliseconds < 0:
-            raise ValueError("latency cannot be negative")
+        if not 0 <= milliseconds < math.inf:
+            raise ValueError("latency must be finite and non-negative")
         self.milliseconds = milliseconds
 
     def sample(self, source: str, destination: str) -> float:
@@ -60,8 +61,8 @@ class SeededUniformLatency:
     def __init__(
         self, low: float = 10.0, high: float = 100.0, seed: int = 0
     ) -> None:
-        if low < 0 or high < low:
-            raise ValueError("need 0 <= low <= high")
+        if not 0 <= low <= high < math.inf:
+            raise ValueError("need 0 <= low <= high, both finite")
         self.low = low
         self.high = high
         self.seed = seed

@@ -99,7 +99,7 @@ class Message:
         uses.  The real wire codec (:mod:`repro.rpc.codec`) produces a
         *measured* size that exceeds this estimate by exactly the
         endpoint-name bytes plus a fixed framing delta (see
-        ``repro.rpc.codec.estimate_delta``); a tier-1 test pins the
+        ``estimate_delta`` in ``tests/rpc/wire_size.py``); a tier-1 test pins the
         relation, so the estimate stays an honest lower bound.
 
         The value is computed once per message: traffic metering reads

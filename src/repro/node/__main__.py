@@ -38,7 +38,6 @@ import sys
 from repro.core.scheme import SCHEMES
 from repro.dht import DEFAULT_BITS, SUBSTRATES
 from repro.rpc.daemon import NodeDaemon
-from repro.rpc.loop import install_uvloop
 
 
 def parse_host_port(text: str) -> tuple[str, int]:
@@ -117,13 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(needs --identity-dir)"
         ),
     )
-    parser.add_argument(
-        "--uvloop", action="store_true",
-        help=(
-            "run on uvloop when the package is importable "
-            "(falls back to the stock asyncio loop otherwise)"
-        ),
-    )
     return parser
 
 
@@ -185,12 +177,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.require_signed and args.identity_dir is None:
         parser.error("--require-signed needs --identity-dir")
-    if args.uvloop:
-        active = install_uvloop()
-        print(
-            "LOOP uvloop" if active else "LOOP asyncio (uvloop unavailable)",
-            flush=True,
-        )
     try:
         return asyncio.run(run(args))
     except KeyboardInterrupt:

@@ -70,11 +70,6 @@ class LookupTrace:
         return [event for event in self.events if event.kind == kind]
 
     @property
-    def start(self) -> Optional[TraceEvent]:
-        head = self.of_kind("lookup_start")
-        return head[0] if head else None
-
-    @property
     def end(self) -> Optional[TraceEvent]:
         tail = self.of_kind("lookup_end")
         return tail[-1] if tail else None
@@ -99,33 +94,6 @@ class LookupTrace:
         end = self.end
         return bool(end.data.get("found")) if end else False
 
-    def visited_nodes(self) -> set[int]:
-        """Index/storage nodes that served this lookup (Fig 15 view)."""
-        return {
-            event.data["node"]
-            for event in self.events
-            if event.kind in ("index_step", "fetch_step")
-        }
-
-    def waited_latency_ms(self) -> float:
-        """Virtual time the lookup spent waiting, reconstructed leg by leg.
-
-        Sums every route leg on the lookup's critical path -- request and
-        response legs of queries, fetches, failed deliveries, and replica
-        failovers -- plus retry backoff waits.  Cache-insert legs are
-        excluded: shortcut creation is fire-and-forget, so the lookup
-        never waits for it.  Equals ``lookup_end.elapsed_ms`` (a pinned
-        trace invariant).
-        """
-        total = 0.0
-        for event in self.events:
-            if event.kind == "dht_route_hop":
-                if event.data["message"] != "cache_insert":
-                    total += event.data["latency_ms"]
-            elif event.kind == "backoff":
-                total += event.data["wait_ms"]
-        return total
-
 
 @dataclass
 class TraceFile:
@@ -134,15 +102,6 @@ class TraceFile:
     header: dict
     events: list[TraceEvent]
     lookups: list[LookupTrace]
-
-    @property
-    def unattributed(self) -> list[TraceEvent]:
-        """Events belonging to no lookup (e.g. duplicate deliveries)."""
-        return [
-            event
-            for event in self.events
-            if event.lookup is None and event.kind != "trace_header"
-        ]
 
 
 def iter_events(path: str) -> Iterator[TraceEvent]:

@@ -91,11 +91,6 @@ class Tracer:
         """Timestamp subsequent events with the kernel's virtual time."""
         self._clock = lambda: kernel.now
 
-    @property
-    def now(self) -> float:
-        """Current timestamp source (virtual ms; 0.0 when clockless)."""
-        return self._clock()
-
     # -- span plumbing ------------------------------------------------------
 
     def set_context(self, lookup: int, exchange: Optional[int]) -> None:

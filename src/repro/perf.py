@@ -128,11 +128,6 @@ class PerfCounters:
                 rates[calls_name] = getattr(self, hits_name) / calls
         return rates
 
-    def __repr__(self) -> str:
-        busy = {k: v for k, v in self.snapshot().items() if v}
-        return f"PerfCounters({busy})"
-
-
 #: The process-wide counter instance every instrumented layer increments.
 counters = PerfCounters()
 
@@ -141,10 +136,6 @@ def snapshot() -> dict[str, int]:
     """Shorthand for ``counters.snapshot()``."""
     return counters.snapshot()
 
-
-def reset() -> None:
-    """Shorthand for ``counters.reset()``."""
-    counters.reset()
 
 
 def delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:

@@ -31,8 +31,6 @@ from repro.rpc.codec import (
     encode_frame,
     encode_message,
     encode_stream,
-    estimate_delta,
-    measured_size_bytes,
 )
 from repro.rpc.cluster import ClusterClient, LocalCluster
 from repro.rpc.daemon import NodeDaemon
@@ -51,8 +49,6 @@ __all__ = [
     "encode_frame",
     "encode_message",
     "encode_stream",
-    "estimate_delta",
-    "measured_size_bytes",
     "AsyncioTransport",
     "WallClock",
     "daemon_endpoint_name",

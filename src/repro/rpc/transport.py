@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import itertools
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -267,8 +268,8 @@ class AsyncioTransport:
         """
         if require_signed and identity is None:
             raise ValueError("require_signed needs an identity to sign with")
-        if request_timeout_ms <= 0:
-            raise ValueError("timeouts must be positive milliseconds")
+        if not 0 < request_timeout_ms < math.inf:
+            raise ValueError("timeouts must be positive, finite milliseconds")
         if max_retries < 0:
             raise ValueError("max_retries cannot be negative")
         self.meter = meter if meter is not None else TrafficMeter()
@@ -364,20 +365,9 @@ class AsyncioTransport:
             raise TransportError(f"endpoint already registered: {name!r}")
         self._endpoints[name] = endpoint
 
-    def unregister(self, name: str) -> None:
-        """Detach a local endpoint."""
-        if name not in self._endpoints:
-            raise TransportError(f"no such endpoint: {name!r}")
-        del self._endpoints[name]
-
     def is_registered(self, name: str) -> bool:
         """True for local endpoints and routed (remote) names alike."""
         return name in self._endpoints or name in self._routes
-
-    @property
-    def endpoint_names(self) -> list[str]:
-        """Names of the locally hosted endpoints."""
-        return list(self._endpoints)
 
     def bind_tracer(self, tracer: Optional["Tracer"]) -> None:
         """Attach (or detach) the lookup tracer (see SimulatedTransport)."""

@@ -78,10 +78,6 @@ class NodeIdentity:
             self._private = None
             self.public_key = _pure.public_key(self.seed)
 
-    @classmethod
-    def generate(cls, seed: Union[bytes, int, str, None] = None) -> "NodeIdentity":
-        return cls(seed)
-
     def sign(self, data: bytes) -> bytes:
         counters.sec_sign_calls += 1
         if self._private is not None:
@@ -133,9 +129,6 @@ class NodeIdentity:
         identity = cls(backend=backend)
         identity.save(directory)
         return identity
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"NodeIdentity(pub={self.public_key.hex()[:16]}..., backend={self.backend})"
 
 
 def verify_signature(public_key: bytes, data: bytes, signature: bytes) -> bool:

@@ -12,10 +12,10 @@ indexing network with 50,000 queries from our query generator."
   backoff timers on;
 - :mod:`repro.sim.metrics` -- the result record with every measurement
   the paper's figures report;
-- :mod:`repro.sim.runner` -- a memoizing runner so the many benches that
-  share a grid cell (scheme x cache policy) compute it once;
-- :mod:`repro.sim.presets` -- the paper's parameter grid and smaller
-  smoke-test presets.
+- :mod:`repro.sim.presets` -- the paper's named configurations and
+  smaller smoke-test presets.
+
+The figure benchmarks' memoizing grid runner lives in ``tests/sim/``.
 """
 
 from repro.sim.experiment import Experiment, ExperimentConfig
@@ -32,9 +32,7 @@ from repro.sim.presets import (
     RESTART_CHAOS_SMOKE_CONFIG,
     SCHEMES,
     SMOKE_CONFIG,
-    paper_grid,
 )
-from repro.sim.runner import clear_cache, run_cached
 
 __all__ = [
     "Experiment",
@@ -42,8 +40,6 @@ __all__ = [
     "ExperimentResult",
     "EventKernel",
     "KernelError",
-    "clear_cache",
-    "run_cached",
     "CACHE_POLICIES_FIG11",
     "CACHE_POLICIES_FIG12",
     "CHURN_CONFIG",
@@ -54,5 +50,4 @@ __all__ = [
     "RESTART_CHAOS_SMOKE_CONFIG",
     "SCHEMES",
     "SMOKE_CONFIG",
-    "paper_grid",
 ]

@@ -21,6 +21,7 @@ The run has two modes sharing one workload and one chaos schedule:
 
 from __future__ import annotations
 
+import math
 import random
 import shutil
 import tempfile
@@ -33,14 +34,9 @@ from repro.analysis.stats import ExactQuantiles
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine, SearchTrace
 from repro.core.fields import ARTICLE_SCHEMA
-from repro.core.scheme import (
-    SCHEMES,
-    IndexScheme,
-    article_predicates,
-    build_scheme,
-)
-from repro.core.trie import TrieIndex
+from repro.core.scheme import SCHEMES, article_predicates, build_scheme
 from repro.core.service import IndexService
+from repro.core.trie import TrieIndex
 from repro.dht import SUBSTRATES, build_substrate, hash_key
 from repro.net.adversary import ROLE_SYBIL, AdversaryPlan
 from repro.net.faults import FaultPlan, FaultyTransport
@@ -208,8 +204,10 @@ class ExperimentConfig:
             raise ValueError("sizes must be positive")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if self.arrival_interval_ms < 0:
-            raise ValueError("arrival interval must be non-negative")
+        if not 0 <= self.arrival_interval_ms < math.inf:
+            raise ValueError("arrival interval must be finite and non-negative")
+        if self.shortcut_top_n < 0 or self.churn_events < 0:
+            raise ValueError("shortcut and churn counts must be non-negative")
         parse_latency_model(self.latency_model)  # validates the spec
         if self.crash_events < 0 or self.crash_downtime_queries < 1:
             raise ValueError("crash schedule must be non-negative")
@@ -295,10 +293,9 @@ class Experiment:
         self,
         config: ExperimentConfig,
         corpus: Optional[SyntheticCorpus] = None,
-        scheme: Optional[IndexScheme] = None,
     ) -> None:
-        """``corpus`` (and ``scheme``) may be shared across experiments
-        with identical corpus parameters to avoid re-generation."""
+        """``corpus`` may be shared across experiments with identical
+        corpus parameters to avoid re-generation."""
         self.config = config
         self.corpus = corpus or SyntheticCorpus(
             CorpusConfig(
@@ -309,22 +306,19 @@ class Experiment:
         )
         if len(self.corpus) != config.num_articles:
             raise ValueError("shared corpus does not match the configuration")
-        if scheme is None:
-            declarations = None
-            if config.predicate_mix > 0:
-                # Predicate workloads need the scheme to declare the kinds
-                # it resolves.  The trie cell also declares levels (so
-                # lookups rewrite onto trie nodes); the chains cell
-                # declares kinds only, opting into the specialization
-                # fallback.
-                declarations = article_predicates()
-                if config.index_structure != "trie":
-                    declarations = {
-                        field: replace(declared, trie_levels=())
-                        for field, declared in declarations.items()
-                    }
-            scheme = build_scheme(config.scheme, ARTICLE_SCHEMA, declarations)
-        self.scheme = scheme
+        declarations = None
+        if config.predicate_mix > 0:
+            # Predicate workloads need the scheme to declare the kinds it
+            # resolves.  The trie cell also declares levels (so lookups
+            # rewrite onto trie nodes); the chains cell declares kinds
+            # only, opting into the specialization fallback.
+            declarations = article_predicates()
+            if config.index_structure != "trie":
+                declarations = {
+                    field: replace(declared, trie_levels=())
+                    for field, declared in declarations.items()
+                }
+        self.scheme = build_scheme(config.scheme, ARTICLE_SCHEMA, declarations)
         node_ids = sorted(
             {hash_key(f"node-{i}", config.bits) for i in range(config.num_nodes)}
         )
@@ -672,7 +666,7 @@ class Experiment:
                 f"{config.num_queries} lookups completed"
             )
         result.virtual_time_ms = kernel.now
-        if len(response_times):
+        if response_times.count:
             result.response_time_ms_mean = response_times.mean
             result.response_time_ms_p50 = response_times.percentile(0.50)
             result.response_time_ms_p95 = response_times.percentile(0.95)

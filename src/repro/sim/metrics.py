@@ -144,8 +144,8 @@ class ExperimentResult:
     def perf_hit_rate(self, operation: str) -> float:
         """Cache hit rate of one counted operation during this run.
 
-        ``operation`` is the counter prefix, e.g. ``"normalize"`` or
-        ``"field_parse"``; returns 0.0 when the operation never ran.
+        ``operation`` is the counter prefix (``"field_parse"``, the one
+        counted cache); returns 0.0 when the operation never ran.
         """
         hits = self.perf_counters.get(f"{operation}_cache_hits", 0)
         misses = self.perf_counters.get(f"{operation}_cache_misses", 0)

@@ -283,16 +283,3 @@ ADVERSARIAL_SMOKE_CONFIG = register_preset(
         adversary_eclipse_victims=2,
     ),
 )
-
-
-def paper_grid(
-    schemes: tuple[str, ...] = SCHEMES,
-    caches: tuple[str, ...] = CACHE_POLICIES_FIG12,
-    base: ExperimentConfig = PAPER_CONFIG,
-) -> list[ExperimentConfig]:
-    """Every (scheme, cache) cell of the evaluation grid."""
-    return [
-        replace(base, scheme=scheme, cache=cache)
-        for scheme in schemes
-        for cache in caches
-    ]

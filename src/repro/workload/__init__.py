@@ -13,20 +13,11 @@ The paper's workload has three ingredients, each with a module here:
   (Figure 7): author 60%, title 20%, year 10%, author+title 5%,
   author+year 5% -- :mod:`repro.workload.querygen`.
 
-:mod:`repro.workload.trace` holds the query-trace record type and helpers
-to summarize traces the way the paper's figures do.
+The query-log and query-trace models that re-derive these parameters
+for Figures 7 and 9 are evaluation code and live in ``tests/workload/``.
 """
 
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
-from repro.workload.logs import (
-    DerivedModels,
-    LogEntry,
-    LogSummary,
-    derive_models,
-    generate_query_log,
-    parse_query_log,
-    summarize_log,
-)
 from repro.workload.popularity import (
     PAPER_CCDF_COEFFICIENT,
     PAPER_CCDF_EXPONENT,
@@ -38,13 +29,6 @@ from repro.workload.querygen import (
     QueryGenerator,
     QueryStructureModel,
     WorkloadQuery,
-)
-from repro.workload.trace import (
-    QueryTrace,
-    format_structure_label,
-    read_trace,
-    structure_distribution,
-    write_trace,
 )
 
 __all__ = [
@@ -58,16 +42,4 @@ __all__ = [
     "QueryGenerator",
     "QueryStructureModel",
     "WorkloadQuery",
-    "QueryTrace",
-    "format_structure_label",
-    "read_trace",
-    "structure_distribution",
-    "write_trace",
-    "DerivedModels",
-    "LogEntry",
-    "LogSummary",
-    "derive_models",
-    "generate_query_log",
-    "parse_query_log",
-    "summarize_log",
 ]

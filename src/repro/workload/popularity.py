@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 #: Coefficient of the paper's fitted CDF, Section V-C.
 PAPER_CCDF_COEFFICIENT = 0.063
@@ -107,12 +106,6 @@ class PowerLawPopularity:
                 f"rank {rank} outside population [1, {self.population}]"
             )
 
-    def __repr__(self) -> str:
-        return (
-            f"PowerLawPopularity(n={self.population}, "
-            f"c={self.coefficient}, a={self.exponent})"
-        )
-
 
 class ZipfPopularity:
     """Classical Zipf distribution: ``p_i ∝ 1 / i**s`` over ranks 1..n.
@@ -157,35 +150,3 @@ class ZipfPopularity:
 
         u = rng.random()
         return bisect.bisect_right(self._cumulative, u) + 1
-
-    def __repr__(self) -> str:
-        return f"ZipfPopularity(n={self.population}, s={self.s})"
-
-
-def fitted_ccdf(
-    population: int,
-    coefficient: float = PAPER_CCDF_COEFFICIENT,
-    exponent: float = PAPER_CCDF_EXPONENT,
-) -> list[tuple[int, float]]:
-    """The (rank, CCDF) series of Figure 10, at every rank."""
-    model = PowerLawPopularity(population, coefficient, exponent)
-    return [(rank, model.ccdf(rank)) for rank in range(1, population + 1)]
-
-
-def empirical_rank_probabilities(samples: list[int], population: Optional[int] = None) -> list[float]:
-    """Per-rank empirical request probabilities from sampled ranks.
-
-    Returns probabilities indexed by rank-1, for comparing a sampled
-    workload against the model (Figure 9 style), padded with zeros to
-    ``population`` when given.
-    """
-    if not samples:
-        raise ValueError("no samples")
-    size = population if population is not None else max(samples)
-    counts = [0] * size
-    for rank in samples:
-        if not 1 <= rank <= size:
-            raise ValueError(f"sample rank {rank} outside [1, {size}]")
-        counts[rank - 1] += 1
-    total = len(samples)
-    return [count / total for count in counts]

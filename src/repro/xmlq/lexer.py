@@ -54,9 +54,6 @@ class Token:
     value: str
     position: int
 
-    def __repr__(self) -> str:
-        return f"Token({self.type.name}, {self.value!r}, @{self.position})"
-
 
 class XPathLexError(ValueError):
     """Raised on characters outside the query subset."""

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.analysis.powerlaw import fit_power_law
+from tests.analysis.powerlaw import fit_power_law
 
 
 class TestExactFits:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.tables import bar_chart, format_table
+from repro.analysis.tables import format_table
+from tests.analysis.tables import bar_chart
 
 
 class TestFormatTable:

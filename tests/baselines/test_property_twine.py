@@ -3,13 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.twine import TwineResolver
 from repro.core.fields import ARTICLE_SCHEMA, Record
 from repro.core.query import FieldQuery
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
 from repro.storage.store import DHTStorage
+from tests.baselines.twine import TwineResolver
 
 records = st.builds(
     lambda a, t, c, y: Record(
@@ -44,7 +44,7 @@ def test_every_strand_covers_its_record(record):
         assert strand.covers_record(record)
 
 
-@given(st.lists(records, min_size=1, max_size=10, unique_by=lambda r: r.values["title"]))
+@given(st.lists(records, min_size=1, max_size=10, unique_by=lambda r: r["title"]))
 @settings(max_examples=60, deadline=None)
 def test_replication_count_is_exact(record_list):
     resolver = build()
@@ -60,7 +60,7 @@ def test_replication_count_is_exact(record_list):
 
 
 @given(
-    st.lists(records, min_size=1, max_size=8, unique_by=lambda r: r.values["title"]),
+    st.lists(records, min_size=1, max_size=8, unique_by=lambda r: r["title"]),
     st.integers(0, 7),
     st.sets(st.sampled_from(["author", "title", "conf", "year"]), min_size=1, max_size=2),
 )

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.baselines.twine import TwineResolver
 from repro.core.fields import ARTICLE_SCHEMA
 from repro.core.query import FieldQuery
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
 from repro.storage.store import DHTStorage
+from tests.baselines.twine import TwineResolver
 
 
 def build(max_strand_fields=2, num_nodes=12):

@@ -21,7 +21,7 @@ from repro.net.message import Message, MessageKind
 
 
 def _msd(record: Record) -> FieldQuery:
-    return FieldQuery(record.schema, record.values)
+    return FieldQuery(record.schema, dict(record.items()))
 
 
 def _of_record(record: Record, fields) -> FieldQuery:

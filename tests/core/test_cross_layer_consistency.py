@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from repro.core.fields import ARTICLE_SCHEMA, Record
 from repro.core.query import FieldQuery
 from tests.xmlq.evaluator import matches
-from tests.xmlq.pattern import covers, descriptor_to_pattern
 from tests.xmlq.oracles import descriptor_of
+from tests.xmlq.pattern import covers, descriptor_to_pattern
 
 AUTHORS = ["John_Smith", "Alan_Doe", "Wei_Chen"]
 TITLES = ["TCP", "IPv6", "Wavelets", "Routing"]

@@ -96,7 +96,7 @@ class TestRecord:
             record["size"]
 
     def test_equality_and_hash(self, paper_records):
-        twin = Record(ARTICLE_SCHEMA, paper_records[0].values)
+        twin = Record(ARTICLE_SCHEMA, dict(paper_records[0].items()))
         assert twin == paper_records[0]
         assert hash(twin) == hash(paper_records[0])
         assert paper_records[0] != paper_records[1]

@@ -88,7 +88,7 @@ class TestCacheTripleInvariants:
     def test_identity_holds_at_every_intermediate_snapshot(self):
         """Sampling mid-workload never catches the books unbalanced:
         the layers bump hit/miss in the same step as the call."""
-        perf.reset()
+        perf.counters.reset()
         samples = []
         for _ in range(4):
             run_search_workload(num_queries=30)

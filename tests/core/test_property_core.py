@@ -88,7 +88,7 @@ class TestCoveringEquivalence:
 
 class TestSearchTotality:
     @given(
-        st.lists(records, min_size=1, max_size=8, unique_by=lambda r: r.values["title"]),
+        st.lists(records, min_size=1, max_size=8, unique_by=lambda r: r["title"]),
         st.integers(0, 7),
         field_subsets,
         st.sampled_from(["simple", "flat", "complex"]),
@@ -120,7 +120,7 @@ class TestSearchTotality:
         assert trace.interactions <= 10
 
     @given(
-        st.lists(records, min_size=2, max_size=6, unique_by=lambda r: r.values["title"]),
+        st.lists(records, min_size=2, max_size=6, unique_by=lambda r: r["title"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_deletion_makes_unreachable_without_breaking_others(

@@ -114,7 +114,7 @@ class TestAgainstPerEntryOracle:
         target_msd = FieldQuery.msd_of(target)
         entries = data.draw(entry_texts(cold, target))
         expected = select_entry_per_entry(
-            reference, entries, Record(reference, target.values)
+            reference, entries, Record(reference, dict(target.items()))
         )
         chosen = FieldQuery.select_covering(entries, target, target_msd)
         again = FieldQuery.select_covering(entries, target, target_msd)  # warm memo
@@ -157,7 +157,7 @@ class TestAgainstPerEntryOracle:
         )
         with pytest.raises(PredicateError):
             FieldQuery.msd_of(target)
-        msd = FieldQuery(schema, target.values)
+        msd = FieldQuery(schema, dict(target.items()))
         assert not msd.is_exact()
         entries = [msd.key(), schema.xpath_for({"title": "T", "conf": "C"})]
         chosen = FieldQuery.select_covering(entries, target, msd)

@@ -8,6 +8,7 @@ consulting node-local state only.  They lived on the network classes
 
 from repro.dht.can import CANNetwork
 from repro.dht.chord import ChordNetwork
+from repro.dht.idspace import IdSpace
 from repro.dht.kademlia import KademliaNetwork
 from repro.dht.pastry import PastryNetwork
 
@@ -56,3 +57,13 @@ def can_partition_is_valid(network: CANNetwork) -> bool:
             volume *= high - low
         total += volume
     return abs(total - 1.0) < 1e-9
+
+
+def distance_clockwise(space: IdSpace, source: int, target: int) -> int:
+    """Clockwise distance from ``source`` to ``target`` on the ring."""
+    return (target - source) % space.size
+
+
+def distance_xor(left: int, right: int) -> int:
+    """Kademlia's symmetric XOR distance."""
+    return left ^ right

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht.idspace import IdSpace, in_interval
+from tests.dht.oracles import distance_clockwise
 
 BITS = 6
 SIZE = 1 << BITS
@@ -64,15 +65,15 @@ def test_finger_start_distance(node, index):
     """finger i starts exactly 2^i clockwise from the node."""
     space = IdSpace(BITS)
     start = space.finger_start(node, index)
-    assert space.distance_clockwise(node, start) == (1 << index)
+    assert distance_clockwise(space, node, start) == (1 << index)
 
 
 @given(ids, ids)
 @settings(max_examples=200, deadline=None)
 def test_clockwise_distance_antisymmetry(a, b):
     space = IdSpace(BITS)
-    forward = space.distance_clockwise(a, b)
-    backward = space.distance_clockwise(b, a)
+    forward = distance_clockwise(space, a, b)
+    backward = distance_clockwise(space, b, a)
     if a == b:
         assert forward == backward == 0
     else:

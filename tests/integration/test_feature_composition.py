@@ -7,7 +7,6 @@ search, and Twine beside the index service on one substrate.
 """
 
 
-from repro.baselines.twine import TwineResolver
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine
 from repro.core.fields import ARTICLE_SCHEMA
@@ -22,6 +21,7 @@ from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
 from repro.net.transport import SimulatedTransport
 from repro.storage.store import DHTStorage
+from tests.baselines.twine import TwineResolver
 
 
 def chord_service(

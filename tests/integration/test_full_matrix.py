@@ -26,6 +26,7 @@ from repro.obs.reader import TraceEvent, group_lookups
 from repro.obs.tracer import Tracer
 from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.storage.store import DHTStorage
+from tests.obs.spans import visited_nodes
 
 SCHEMES = {
     "simple": simple_scheme,
@@ -128,7 +129,7 @@ def test_trace_reconstructs_traffic_meter_counts(
 
     reconstructed: Counter[str] = Counter()
     for span in spans:
-        for node in span.visited_nodes():
+        for node in visited_nodes(span):
             reconstructed[service.endpoint_name(node)] += 1
     assert dict(reconstructed) == transport.meter.query_counts_by_node()
 
@@ -161,7 +162,7 @@ def test_trace_reconstructs_traffic_in_kernel_mode():
 
     reconstructed: Counter[str] = Counter()
     for span in spans:
-        for node in span.visited_nodes():
+        for node in visited_nodes(span):
             reconstructed[experiment.service.endpoint_name(node)] += 1
     assert (
         dict(reconstructed)

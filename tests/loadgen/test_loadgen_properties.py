@@ -121,7 +121,7 @@ class TestSketchMergeProperties:
             for value in part:
                 exact.add(value)
         assert merged.count == exact.count
-        bound = merged.relative_error  # 0.0099... for the default gamma
+        bound = (1.02 - 1.0) / (1.02 + 1.0)  # (gamma - 1) / (gamma + 1) = 0.0099...
         assert bound < 0.0099 + 1e-6
         for q in (0.5, 0.9, 0.95, 0.99):
             estimate = merged.percentile(q)

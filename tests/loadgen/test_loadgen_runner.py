@@ -196,3 +196,50 @@ class TestCli:
             parser.parse_args(["--ramp", "10,abc"])
         with pytest.raises(SystemExit):
             parser.parse_args(["--ramp", "-5"])
+
+    @pytest.mark.parametrize("ramp", ["10,nan", "10,inf"])
+    def test_ramp_parsing_rejects_non_finite_rates(self, ramp):
+        # nan scheduled a silently empty stage; inf never finished
+        # scheduling (expovariate(inf) is 0.0).
+        from repro.loadgen.__main__ import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--ramp", ramp])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--drain-seconds", "-5"],
+            ["--drain-seconds", "nan"],
+            ["--request-timeout-ms", "nan"],
+            ["--request-timeout-ms", "inf"],
+            ["--base-records", "0"],
+        ],
+    )
+    def test_cli_rejects_inputs_it_cannot_run(self, flags, capsys):
+        from repro.loadgen.__main__ import main
+
+        tiny = ["--nodes", "1", "--threads", "--ramp", "5", "--stage-seconds", "0.2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*tiny, "--out", "", *flags])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"ramp": (10.0, float("nan"))},
+            {"ramp": (float("inf"),)},
+            {"stage_seconds": 0.0},
+            {"stage_seconds": float("inf")},
+            {"drain_timeout_s": -5.0},
+            {"request_timeout_ms": float("nan")},
+            {"num_base_records": 0},
+            {"workers": 0},
+        ],
+    )
+    def test_rejects_what_it_cannot_run(self, options):
+        with pytest.raises(ValueError):
+            LoadTestConfig(**options)

@@ -33,6 +33,7 @@ from repro.core.query import FieldQuery
 from repro.obs.reader import TraceEvent, group_lookups
 from repro.obs.tracer import TRACE_VERSION
 from repro.sim.experiment import Experiment, ExperimentConfig
+from tests.obs.spans import waited_latency_ms
 
 configs = st.fixed_dictionaries(
     {
@@ -172,7 +173,7 @@ def test_trace_invariants(config):
                 )
 
         # Latency decomposition: waited legs + backoff == elapsed.
-        assert span.waited_latency_ms() == pytest.approx(
+        assert waited_latency_ms(span) == pytest.approx(
             span.elapsed_ms, abs=1e-6
         )
 

@@ -13,6 +13,7 @@ from repro.obs.reader import (
     load_trace,
 )
 from repro.obs.tracer import TRACE_VERSION, Tracer
+from tests.obs.spans import visited_nodes, waited_latency_ms
 
 
 class FakeKernel:
@@ -150,12 +151,12 @@ class TestSerialization:
         assert len(trace.events) == written
         assert [span.lookup_id for span in trace.lookups] == [0, 1]
         for span in trace.lookups:
-            assert span.start is not None and span.end is not None
+            assert span.of_kind("lookup_start") and span.end is not None
             assert span.chain_length == 1
             assert span.hops == 2
             assert span.found
-            assert span.visited_nodes() == {17}
-            assert span.waited_latency_ms() == pytest.approx(15.0)
+            assert visited_nodes(span) == {17}
+            assert waited_latency_ms(span) == pytest.approx(15.0)
 
     def test_same_events_serialize_to_identical_bytes(self):
         first, second = Tracer(meta={"seed": 9}), Tracer(meta={"seed": 9})

@@ -112,6 +112,13 @@ class TestRequestResponse:
         assert response is not None and response.payload == ("x",)
 
 
+@pytest.mark.parametrize("timeout_ms", [0.0, -1.0, float("nan"), float("inf")])
+def test_timeout_must_be_positive_and_finite(timeout_ms):
+    # nan passed a `<= 0` check and then timed every exchange out.
+    with pytest.raises(ValueError):
+        AsyncioTransport(request_timeout_ms=timeout_ms)
+
+
 class TestFailureMapping:
     def test_unroutable_name_is_misuse(self, client):
         with pytest.raises(TransportError):

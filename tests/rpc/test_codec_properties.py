@@ -19,8 +19,8 @@ from repro.rpc.codec import (
     decode_message,
     encode_frame,
     encode_message,
-    measured_size_bytes,
 )
+from tests.rpc.wire_size import measured_size_bytes
 
 text = st.text(max_size=64)
 names = st.text(min_size=1, max_size=48)

@@ -1,7 +1,7 @@
 """Estimated vs measured message sizes (Figure 12 cross-check).
 
 ``Message.size_bytes`` is the payload-derived *estimate* the traffic
-accounting uses; ``repro.rpc.codec.measured_size_bytes`` is what the
+accounting uses; ``measured_size_bytes`` (``tests/rpc/wire_size.py``) is what the
 wire actually carries.  These tests pin the exact documented relation
 between the two, so the estimate stays an honest lower bound and any
 codec change that silently grows the frame breaks loudly.
@@ -21,9 +21,8 @@ from repro.rpc.codec import (
     ENVELOPE_BYTES,
     MESSAGE_FIXED_BYTES,
     WIRE_PER_ENTRY_BYTES,
-    estimate_delta,
-    measured_size_bytes,
 )
+from tests.rpc.wire_size import estimate_delta, measured_size_bytes
 
 
 def payload_message(kind, source="user:0", destination="node:2a"):

@@ -1,4 +1,5 @@
-"""Memoizing experiment runner shared by the benchmark harness.
+"""Memoizing experiment runner shared by the benchmark harness, and the
+evaluation grid it runs.
 
 Several figures read different columns of the same (scheme, cache) grid
 cell; :func:`run_cached` computes each cell once per process and shares
@@ -8,8 +9,11 @@ whole harness costs one pass over the grid.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.sim.experiment import Experiment, ExperimentConfig
 from repro.sim.metrics import ExperimentResult
+from repro.sim.presets import CACHE_POLICIES_FIG12, PAPER_CONFIG, SCHEMES
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
 _results: dict[ExperimentConfig, ExperimentResult] = {}
@@ -50,3 +54,16 @@ def clear_cache() -> None:
     """Drop memoized results and corpora (tests use this for isolation)."""
     _results.clear()
     _corpora.clear()
+
+
+def paper_grid(
+    schemes: tuple[str, ...] = SCHEMES,
+    caches: tuple[str, ...] = CACHE_POLICIES_FIG12,
+    base: ExperimentConfig = PAPER_CONFIG,
+) -> list[ExperimentConfig]:
+    """Every (scheme, cache) cell of the evaluation grid."""
+    return [
+        replace(base, scheme=scheme, cache=cache)
+        for scheme in schemes
+        for cache in caches
+    ]

@@ -50,6 +50,29 @@ class TestArgumentParsing:
     def test_shortcut_top_n(self):
         assert parse(["--shortcut-top-n", "25"]).shortcut_top_n == 25
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # -1 installed deep links for every article but one
+            ["--shortcut-top-n", "-1"],
+            # silently ran no churn
+            ["--churn-events", "-2"],
+            # the rest crashed in the kernel after the whole populate, or
+            # (arrival nan) silently ran closed loop
+            ["--latency-model", "constant:nan"],
+            ["--latency-model", "constant:inf"],
+            ["--latency-model", "uniform:1:inf"],
+            ["--latency-model", "uniform:nan:5"],
+            ["--latency-ms", "nan"],
+            ["--latency-ms", "inf"],
+            ["--arrival-interval-ms", "inf"],
+            ["--arrival-interval-ms", "nan"],
+        ],
+    )
+    def test_out_of_range_input_rejected_before_the_run(self, flags):
+        with pytest.raises(ValueError):
+            parse(["--preset", "smoke", *flags])
+
 
 class TestPresetAndChaosFlags:
     def test_churn_preset_loads(self):

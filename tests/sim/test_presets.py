@@ -13,10 +13,10 @@ from repro.sim.presets import (
     SCHEMES,
     SMOKE_CONFIG,
     get_preset,
-    paper_grid,
     preset_names,
     register_preset,
 )
+from tests.sim.runner import paper_grid
 
 
 class TestPresets:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.experiment import ExperimentConfig
-from repro.sim.runner import cached_cells, clear_cache, run_cached
+from tests.sim.runner import cached_cells, clear_cache, run_cached
 
 TINY = ExperimentConfig(
     num_nodes=10, num_articles=60, num_queries=200, num_authors=30
@@ -34,7 +34,7 @@ class TestMemoization:
     def test_corpus_shared_across_cells(self):
         run_cached(TINY)
         run_cached(replace(TINY, cache="single"))
-        from repro.sim import runner
+        from tests.sim import runner
 
         assert len(runner._corpora) == 1
 

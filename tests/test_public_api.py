@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.workload",
     "repro.sim",
     "repro.analysis",
-    "repro.baselines",
     "repro.rpc",
     "repro.loadgen",
 ]

@@ -26,10 +26,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from repro.analysis.powerlaw import PowerLawFit, fit_power_law
 from repro.workload.corpus import SyntheticCorpus
 from repro.workload.popularity import PowerLawPopularity
 from repro.workload.querygen import QueryGenerator, QueryStructureModel
+from tests.analysis.powerlaw import PowerLawFit, fit_power_law
 
 
 @dataclass(frozen=True)

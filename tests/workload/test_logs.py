@@ -3,7 +3,7 @@
 import pytest
 
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
-from repro.workload.logs import (
+from tests.workload.logs import (
     LogEntry,
     derive_models,
     generate_query_log,

@@ -8,9 +8,8 @@ from repro.workload.popularity import (
     PAPER_CCDF_EXPONENT,
     PowerLawPopularity,
     ZipfPopularity,
-    empirical_rank_probabilities,
-    fitted_ccdf,
 )
+from tests.workload.popularity import empirical_rank_probabilities, fitted_ccdf
 
 
 class TestPowerLaw:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 from repro.workload.querygen import QueryGenerator
-from repro.workload.trace import (
+from tests.workload.querytrace import (
     QueryTrace,
     format_structure_label,
     read_trace,

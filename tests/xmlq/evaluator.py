@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.xmlq.astnodes import Axis, Comparison, LocationPath, LocationStep, Predicate
-from tests.xmlq.element import Element
 from repro.xmlq.xpparser import parse_xpath
+from tests.xmlq.element import Element
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from tests.xmlq.evaluator import matches
 from repro.xmlq.normalize import normalize_xpath
+from tests.xmlq.evaluator import matches
 
 
 class TestCanonicalForm:

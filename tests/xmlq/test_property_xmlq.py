@@ -14,9 +14,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.xmlq.normalize import normalize_xpath
 from tests.xmlq.element import Element
 from tests.xmlq.evaluator import matches
-from repro.xmlq.normalize import normalize_xpath
 from tests.xmlq.pattern import covers, descriptor_to_pattern
 from tests.xmlq.xmlparse import parse_xml, serialize_xml
 
