@@ -13,11 +13,12 @@ reproducible:
 - :mod:`repro.net.transport` -- an in-process transport that routes
   messages between registered endpoints while metering them,
 - :mod:`repro.net.faults` -- deterministic fault injection (message
-  loss, duplicates, added latency, refusal of marked-down endpoints,
-  and the Byzantine population of :mod:`repro.net.adversary`) wrapping
-  the transport behind the same endpoint protocol,
+  loss, refusal of marked-down endpoints, and the Byzantine population
+  of :mod:`repro.net.adversary`) wrapping the transport behind the same
+  endpoint protocol,
 - :mod:`repro.net.latency` -- pluggable link-latency models so substrate
-  experiments can report lookup delays.
+  experiments can report lookup delays; the only source of per-hop
+  delay.
 """
 
 from repro.net.faults import NO_FAULTS, FaultPlan, FaultyTransport

@@ -1,6 +1,6 @@
 """The adversarial (Byzantine) population: who misbehaves, and how.
 
-:mod:`repro.net.faults` models *benign* failure -- drops, latency,
+:mod:`repro.net.faults` models *benign* failure -- drops and
 crashes -- and owns the one fault-injecting transport.  This module
 describes the malicious kinds a real P2P deployment faces, which that
 same :class:`repro.net.faults.FaultyTransport` applies when handed an
@@ -14,9 +14,9 @@ same :class:`repro.net.faults.FaultyTransport` applies when handed an
   them into the overlay (they become responsible for key ranges via the
   normal join/repair path) and marks them on the transport, after which
   they withhold every answer;
-- **eclipse sets** selectively drop lookup traffic (query and fetch
-  requests only -- maintenance passes) addressed to victim nodes,
-  cutting their replica keys off from users.
+- **eclipse sets** drop all lookup traffic (query and fetch requests
+  only -- maintenance passes) addressed to victim nodes, cutting their
+  replica keys off from users.
 
 Mechanics: compromised behavior is applied to the *response* after the
 honest handler ran (:func:`corrupt`), which models a node that
@@ -49,8 +49,8 @@ defence against it is the service's cross-replica second opinion
 failover loop, which owns all trust-ledger updates (one owner, no
 double penalties between transport and service).
 
-Determinism: all choices flow through the transport's one chaos RNG
-(recruitment, eclipse drop draws), so adversarial cells are
+Determinism: recruitment draws from the transport's one chaos RNG,
+and nothing else here draws at all, so adversarial cells are
 bit-reproducible under a fixed seed.  A zero :class:`AdversaryPlan`
 adds no draws and no per-send work beyond two falsy checks.
 """
@@ -91,26 +91,20 @@ class AdversaryPlan:
     Counts are drawn from the node population by
     ``FaultyTransport.recruit``; ``sybil_joins`` is consumed by
     the simulation harness (Sybils must *join*, which only the harness
-    can orchestrate).  ``eclipse_drop`` is the per-message drop
-    probability for lookup traffic to an eclipsed victim; the default
-    1.0 is a total eclipse and costs no RNG draws.
+    can orchestrate).  An eclipse is total: every lookup message to a
+    victim is lost.
     """
 
     poisoners: int = 0
     liars: int = 0
     sybil_joins: int = 0
     eclipse_victims: int = 0
-    eclipse_drop: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("poisoners", "liars", "sybil_joins", "eclipse_victims"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
-        if not 0.0 <= self.eclipse_drop <= 1.0:
-            raise ValueError(
-                f"eclipse_drop must be in [0, 1], got {self.eclipse_drop}"
-            )
 
     @property
     def is_zero(self) -> bool:

@@ -7,11 +7,9 @@ wrapper -- :class:`FaultyTransport` exposes the same endpoint protocol as
 :class:`repro.net.transport.SimulatedTransport`, so the whole stack runs
 unchanged over it -- driven by a seeded :class:`FaultPlan`:
 
-- per-message *drop* probability (request or response lost in flight),
-- per-exchange *duplicate* delivery (the destination handles the message
-  twice, as a retransmitting network would cause),
-- added *latency milliseconds* per delivered message, on the same
-  virtual clock the event kernel uses,
+- per-message *drop* probability (request or response lost in flight;
+  per-hop delay is the latency model's alone, see
+  :mod:`repro.net.latency`),
 - refusal of delivery to endpoints *marked down*
   (:meth:`FaultyTransport.fail_node` / ``recover_node``): they stay
   registered but refuse delivery, which is exactly the window in which
@@ -40,9 +38,7 @@ zero ``AdversaryPlan`` adds two falsy checks per send and no draw.
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -65,7 +61,6 @@ from repro.net.transport import (
     SimulatedTransport,
     _complete,
     _Delivery,
-    _discard,
 )
 from repro.perf import counters
 
@@ -77,33 +72,21 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Seeded description of what goes wrong, and how often.
-
-    Added latency is expressed in virtual-clock milliseconds
-    (``max_latency_ms``).
-    """
+    """Seeded description of what goes wrong, and how often."""
 
     drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    max_latency_ms: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("drop_probability", "duplicate_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if not 0 <= self.max_latency_ms < math.inf:
-            raise ValueError("max_latency_ms must be finite and non-negative")
+        if not 0.0 <= self.drop_probability <= 1.0:
+            raise ValueError(
+                f"drop_probability must be in [0, 1], got {self.drop_probability}"
+            )
 
     @property
     def is_zero(self) -> bool:
         """True when the plan injects nothing at all."""
-        return (
-            self.drop_probability == 0.0
-            and self.duplicate_probability == 0.0
-            and self.max_latency_ms == 0.0
-        )
+        return self.drop_probability == 0.0
 
 
 #: The transparent plan: wrapping with it is behaviourally identical to
@@ -148,8 +131,6 @@ class FaultyTransport:
         self.eclipsed: set[str] = set()
         self._forge_serials = itertools.count(1)
         self.sends = 0
-        #: Total injected latency, in virtual-clock milliseconds.
-        self.latency_ms = 0.0
 
     # -- endpoint protocol (delegation) ------------------------------------
 
@@ -247,8 +228,6 @@ class FaultyTransport:
           spent them) but the handler never runs;
         - a dropped *response* meters both sides (the node did the work
           and transmitted) yet the caller sees a :class:`DeliveryError`;
-        - a duplicated message runs the handler twice and meters both
-          deliveries;
         - a send to a crashed endpoint meters the request bytes and
           raises with reason ``crashed`` so callers fail over.
         """
@@ -272,11 +251,9 @@ class FaultyTransport:
 
         Time is made explicit: a refused or dropped request reaches
         ``on_error`` after the request's one-way delay (the idealized
-        timeout of the failure detector); injected latency lengthens the
-        request leg; a duplicate is a second scheduled delivery whose
-        response is discarded; a dropped *response* is decided when the
-        response leg arrives -- the work and bytes were spent, the
-        caller still sees the error.
+        timeout of the failure detector); a dropped *response* is
+        decided when the response leg arrives -- the work and bytes were
+        spent, the caller still sees the error.
         """
         self.inner._schedule(self._delivery(message, True), on_result, on_error)
 
@@ -284,9 +261,8 @@ class FaultyTransport:
         """One exchange under both plans -- the only place faults are
         drawn and answers forged.
 
-        The order is the same for both drivers: eclipse (a draw only
-        when ``eclipse_drop`` < 1), refusal by a marked-down endpoint,
-        request drop, added latency, duplicate (all at send time), then
+        The order is the same for both drivers: eclipse, refusal by a
+        marked-down endpoint and request drop (all at send time), then
         the response drop and the destination's forgery once the
         response has arrived -- so a timed fault sequence is a
         deterministic function of the kernel's event order.
@@ -310,27 +286,7 @@ class FaultyTransport:
         ):
             counters.fault_drops += 1
             return (yield from deliver(message, timed, lost=DeliveryError.DROPPED))
-        extra_ms = 0.0
-        if plan.max_latency_ms:
-            extra_ms = self._rng.uniform(0.0, plan.max_latency_ms)
-            self.latency_ms += extra_ms
-            counters.fault_latency_ms += extra_ms
-        if (
-            plan.duplicate_probability
-            and self._rng.random() < plan.duplicate_probability
-        ):
-            counters.fault_duplicates += 1
-            # Nobody awaits the copy, so it is on no lookup's critical
-            # path: its legs are recorded unattributed and the
-            # latency-sum trace invariant holds.
-            tracer = self.inner.tracer
-            copy = deliver(message, timed, extra_ms)
-            with nullcontext() if tracer is None else tracer.activated(None):
-                if timed:
-                    self.inner._schedule(copy, _discard, _discard)
-                else:
-                    _complete(copy)
-        response = yield from deliver(message, timed, extra_ms)
+        response = yield from deliver(message, timed)
         if (
             response is not None
             and plan.drop_probability
@@ -347,9 +303,7 @@ class FaultyTransport:
         )
 
     def _eclipse_blocks(self, message: Message) -> bool:
-        drop = self.adversary.eclipse_drop
         return (
             message.destination in self.eclipsed
             and message.kind in LOOKUP_KINDS
-            and (drop >= 1.0 or self._rng.random() < drop)
         )

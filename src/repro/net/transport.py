@@ -202,7 +202,6 @@ class SimulatedTransport:
         self,
         message: Message,
         timed: bool,
-        extra_delay_ms: float = 0.0,
         lost: Optional[str] = None,
     ) -> _Delivery:
         """One exchange, written once for both drivers.
@@ -226,7 +225,7 @@ class SimulatedTransport:
         # arrival fires, other lookups' sends will have moved the
         # tracer's current-span pointer.
         span = tracer.current if tracer is not None else None
-        delay = self._hop_delay(message) + extra_delay_ms if timed else 0.0
+        delay = self._hop_delay(message) if timed else 0.0
         if tracer is not None and (
             timed or (handler is not None and lost is None)
         ):

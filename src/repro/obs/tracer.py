@@ -102,9 +102,9 @@ class Tracer:
         """Temporarily re-activate a captured span reference.
 
         Used by continuations firing on the kernel (failover attempts,
-        duplicate deliveries with ``ref=None``) so that transport-level
-        events they trigger are attributed to the right lookup -- or to
-        no lookup at all -- regardless of what ``current`` points at.
+        message legs) so that transport-level events they trigger are
+        attributed to the right lookup -- or, with ``ref=None``, to no
+        lookup at all -- regardless of what ``current`` points at.
         """
         previous = self.current
         self.current = ref

@@ -53,8 +53,6 @@ class PerfCounters:
         "trie_walks",
         # fault injection (repro.net.faults)
         "fault_drops",
-        "fault_duplicates",
-        "fault_latency_ms",
         "fault_crashed_sends",
         # failure-aware lookups (engine retries, service replica failover)
         "engine_retries",

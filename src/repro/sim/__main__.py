@@ -82,10 +82,6 @@ _FLAGS: tuple[tuple[Optional[str], tuple[tuple[str, ...], ...]], ...] = (
     ("failure model", (
         ("fault_drop_probability", "--drop-probability",
          "per-message loss probability (seeded, deterministic)"),
-        ("fault_duplicate_probability", "--duplicate-probability",
-         "per-exchange duplicate-delivery probability"),
-        ("fault_latency_ms", "--latency-ms",
-         "max added latency per delivered message, in virtual ms"),
         ("churn_events", "--churn-events",
          "join/leave events over the feed (with incremental repair)"),
         ("churn_mode", "--churn-mode",
@@ -126,8 +122,6 @@ _FLAGS: tuple[tuple[Optional[str], tuple[tuple[str, ...], ...]], ...] = (
          "adversary-controlled joins flooded in over the feed"),
         ("adversary_eclipse_victims", "--eclipse-victims",
          "honest nodes whose lookup traffic the adversary drops"),
-        ("adversary_eclipse_drop", "--eclipse-drop",
-         "drop probability for lookups to eclipsed nodes (default 1.0)"),
         ("verify_signatures", "--verify-signatures",
          "switch the repro.sec defence on: forged responses are rejected "
          "and the trust ledger deprioritizes misbehaving replicas"),
@@ -356,7 +350,7 @@ _SEC_COMPARISON = _Comparison(
         "adversary": _section(
             config, "adversary_poisoners", "adversary_liars",
             "adversary_sybil_joins", "adversary_eclipse_victims",
-            "adversary_eclipse_drop", strip="adversary_",
+            strip="adversary_",
         ),
     },
     metrics=_sec_cell_metrics,

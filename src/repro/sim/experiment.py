@@ -37,7 +37,7 @@ from repro.core.fields import ARTICLE_SCHEMA
 from repro.core.scheme import SCHEMES, article_predicates, build_scheme
 from repro.core.service import IndexService
 from repro.core.trie import TrieIndex
-from repro.dht import SUBSTRATES, build_substrate, hash_key
+from repro.dht import SUBSTRATES, IdSpace, build_substrate, hash_key
 from repro.net.adversary import ROLE_SYBIL, AdversaryPlan
 from repro.net.faults import FaultPlan, FaultyTransport
 from repro.net.latency import parse_latency_model
@@ -63,6 +63,10 @@ class ExperimentConfig:
     permanent deep-link index entries (Section IV-C) for the N most
     popular articles from every entry index class -- 0 reproduces the
     paper, >0 drives the shortcut ablation.
+
+    Every field is set to a non-default value by a registered preset or
+    a CI run of ``python -m repro.sim``, or is a path or a run seed; a
+    knob nothing sets is deleted rather than kept.
     """
 
     scheme: str = "simple"
@@ -106,12 +110,9 @@ class ExperimentConfig:
     #: ``random.Random`` so every chaos run is bit-reproducible.
     churn_seed: int = 7
     #: Message-fault injection (see repro.net.faults): per-message drop
-    #: probability, per-exchange duplicate probability, max added latency
-    #: in virtual milliseconds per delivered message.  All zero = the
-    #: reliable network.
+    #: probability.  Zero = the reliable network; per-hop delay is
+    #: ``latency_model``'s alone.
     fault_drop_probability: float = 0.0
-    fault_duplicate_probability: float = 0.0
-    fault_latency_ms: float = 0.0
     #: Transient node crashes: events spread uniformly over the feed;
     #: each crashes one random live node (it stays in the overlay and
     #: registered, but refuses delivery) for ``crash_downtime_queries``
@@ -163,14 +164,12 @@ class ExperimentConfig:
     #: :mod:`repro.net.adversary`.  Poisoners fabricate index entries
     #: and serve forged files; liars forge shortcut referrals; Sybils
     #: are adversary-controlled joiners flooded into the overlay over
-    #: the feed; eclipse victims have their lookup traffic dropped with
-    #: probability ``adversary_eclipse_drop``.  All zero keeps the run
-    #: bit-identical to the benign simulator.
+    #: the feed; eclipse victims have all their lookup traffic dropped.
+    #: All zero keeps the run bit-identical to the benign simulator.
     adversary_poisoners: int = 0
     adversary_liars: int = 0
     adversary_sybil_joins: int = 0
     adversary_eclipse_victims: int = 0
-    adversary_eclipse_drop: float = 1.0
     #: The repro.sec defence: content authentication (publisher-signed
     #: index entries and content-addressed descriptors -- see
     #: :mod:`repro.sec.entries`; *fabricated* responses surface as
@@ -202,6 +201,9 @@ class ExperimentConfig:
         CachePolicy.parse(self.cache)  # validates
         if self.num_nodes < 1 or self.num_articles < 1 or self.num_queries < 0:
             raise ValueError("sizes must be positive")
+        IdSpace(self.bits)  # validates
+        if self.replication < 1:
+            raise ValueError(f"replication must be >= 1, got {self.replication}")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         if not 0 <= self.arrival_interval_ms < math.inf:
@@ -218,17 +220,15 @@ class ExperimentConfig:
         FsyncPolicy.parse(self.fsync)  # validates
         if not 0.0 <= self.predicate_mix <= 1.0:
             raise ValueError(f"predicate_mix must be in [0, 1]: {self.predicate_mix}")
-        # Delegates range checks on the probabilities / latency.
+        # Delegates the range check on the drop probability.
         self.fault_plan()
-        # Delegates range checks on the adversary counts / drop rate.
+        # Delegates range checks on the adversary counts.
         self.adversary_plan()
 
     def fault_plan(self) -> FaultPlan:
         """The message-fault plan this configuration describes."""
         return FaultPlan(
             drop_probability=self.fault_drop_probability,
-            duplicate_probability=self.fault_duplicate_probability,
-            max_latency_ms=self.fault_latency_ms,
             seed=self.churn_seed,
         )
 
@@ -239,7 +239,6 @@ class ExperimentConfig:
             liars=self.adversary_liars,
             sybil_joins=self.adversary_sybil_joins,
             eclipse_victims=self.adversary_eclipse_victims,
-            eclipse_drop=self.adversary_eclipse_drop,
             seed=self.churn_seed,
         )
 
@@ -271,6 +270,8 @@ class ExperimentConfig:
 
     def scaled(self, factor: float) -> "ExperimentConfig":
         """A proportionally smaller/larger copy (for quick tests)."""
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {factor}")
         return replace(
             self,
             num_nodes=max(1, int(self.num_nodes * factor)),
@@ -515,9 +516,7 @@ class Experiment:
             result.perf_counters[f"kernel_{name}"] = value
         for counter in (
             "fault_drops",
-            "fault_duplicates",
             "fault_crashed_sends",
-            "fault_latency_ms",
             "service_failovers",
             "storage_failovers",
         ):

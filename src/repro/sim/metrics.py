@@ -99,9 +99,7 @@ class ExperimentResult:
     total_failed_sends: int = 0        # exchanges that raised DeliveryError
     lookups_gave_up: int = 0           # searches abandoned on delivery failure
     fault_drops: int = 0               # injected message losses
-    fault_duplicates: int = 0          # injected duplicate deliveries
     fault_crashed_sends: int = 0       # sends refused by crashed nodes
-    fault_latency_ms: float = 0.0      # injected latency, in virtual ms
     service_failovers: int = 0         # requests redirected to a replica
     storage_failovers: int = 0         # reads skipping a dead replica
     repair_keys: int = 0               # keys re-replicated by churn repair
@@ -188,10 +186,8 @@ class ExperimentResult:
             ["failed sends", self.total_failed_sends],
             ["replica failovers (service, storage)",
              f"{self.service_failovers}, {self.storage_failovers}"],
-            ["injected drops / duplicates", f"{self.fault_drops} / "
-             f"{self.fault_duplicates}"],
+            ["injected drops", self.fault_drops],
             ["sends refused by crashed nodes", self.fault_crashed_sends],
-            ["injected latency", f"{self.fault_latency_ms:,.0f} ms"],
             ["keys re-replicated by repair", self.repair_keys],
             ["repair traffic", f"{self.repair_bytes:,} B"],
         ] + self.restart_rows() + self.adversarial_rows()

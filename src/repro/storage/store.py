@@ -158,18 +158,18 @@ class DHTStorage:
 
     # -- operations ------------------------------------------------------------
 
-    def put(self, key: str, value: str, allow_duplicate: bool = False) -> PutResult:
+    def put(self, key: str, value: str) -> PutResult:
         """Store ``value`` under ``key`` on the responsible nodes.
 
         Multiple distinct values accumulate under one key.  Storing a value
-        already present is a no-op unless ``allow_duplicate`` is set.
+        already present is a no-op.
         """
         numeric = self.numeric_key(key)
         result = self.protocol.lookup(numeric)
         nodes = self._replicas_of(result.node)
         for node in nodes:
             bucket = self._node_stores.setdefault(node, {}).setdefault(key, [])
-            if allow_duplicate or value not in bucket:
+            if value not in bucket:
                 bucket.append(value)
                 if self._journal is not None:
                     self._journal.record_put(
@@ -177,15 +177,13 @@ class DHTStorage:
                     )
         self._numeric[key] = numeric
         catalog_bucket = self._catalog.setdefault(key, [])
-        if allow_duplicate or value not in catalog_bucket:
+        if value not in catalog_bucket:
             catalog_bucket.append(value)
         return PutResult(
             key=key, numeric_key=numeric, nodes=tuple(nodes), hops=result.hops
         )
 
-    def put_local(
-        self, node: NodeId, key: str, value: str, allow_duplicate: bool = False
-    ) -> None:
+    def put_local(self, node: NodeId, key: str, value: str) -> None:
         """Store one replica of ``value`` under ``key`` on ``node`` only.
 
         This is the wire-facing write: a networked daemon owns exactly one
@@ -197,12 +195,12 @@ class DHTStorage:
         """
         self._unsettled.add(node)  # written outside placement: repair looks
         bucket = self._node_stores.setdefault(node, {}).setdefault(key, [])
-        if allow_duplicate or value not in bucket:
+        if value not in bucket:
             bucket.append(value)
             if self._journal is not None:
                 self._journal.record_put(node, self._journal_store, key, value)
         catalog_bucket = self._catalog.setdefault(key, [])
-        if allow_duplicate or value not in catalog_bucket:
+        if value not in catalog_bucket:
             catalog_bucket.append(value)
 
     def get(self, key: str) -> GetResult:
@@ -423,9 +421,6 @@ class DHTStorage:
                         if value not in held:
                             held.append(value)
                             shipped.append(value)
-                    if len(held) < len(stored_values):
-                        # Duplicates no shipping supplies: revisited every pass.
-                        self._loose.add(key)
                 else:
                     continue
                 repaired_here = True

@@ -68,7 +68,7 @@ class TestPlan:
         with pytest.raises(ValueError):
             AdversaryPlan(poisoners=-1)
         with pytest.raises(ValueError):
-            AdversaryPlan(eclipse_drop=1.5)
+            AdversaryPlan(eclipse_victims=-1)
 
 
 class TestShortcutMarkPin:
@@ -229,35 +229,24 @@ class TestEclipse:
         transport.send(insert())
         assert len(received) == 1
 
-    def test_partial_eclipse_draws_from_chaos_rng(self, wired):
-        plan = AdversaryPlan(eclipse_victims=1, eclipse_drop=0.5)
-        outcomes = []
-        for _ in range(2):
-            transport, _ = wired(plan, rng=random.Random(9))
-            transport.eclipse("node:1")
-            delivered = 0
-            for _ in range(50):
-                try:
-                    transport.send(query())
-                    delivered += 1
-                except DeliveryError:
-                    pass
-            outcomes.append(delivered)
-        assert outcomes[0] == outcomes[1]
-        assert 0 < outcomes[0] < 50
+    def test_eclipse_draws_nothing_from_chaos_rng(self, wired):
+        rng = random.Random(9)
+        transport, _ = wired(AdversaryPlan(eclipse_victims=1), rng=rng)
+        transport.eclipse("node:1")
+        state = rng.getstate()
+        for _ in range(50):
+            with pytest.raises(DeliveryError):
+                transport.send(query())
+        assert rng.getstate() == state
 
 
 
 class TestUnboundClockMisuse:
-    @pytest.mark.parametrize("eclipse_drop", [1.0, 0.5])
     def test_eclipsed_send_async_without_clock_raises_before_any_state_changes(
-        self, wired, eclipse_drop
+        self, wired
     ):
         rng = random.Random(9)
-        transport, received = wired(
-            AdversaryPlan(eclipse_victims=1, eclipse_drop=eclipse_drop),
-            rng=rng,
-        )
+        transport, received = wired(AdversaryPlan(eclipse_victims=1), rng=rng)
         transport.eclipse("node:1")
         state = rng.getstate()
         before = perf.snapshot()

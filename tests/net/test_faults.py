@@ -48,9 +48,7 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(drop_probability=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(duplicate_probability=-0.1)
-        with pytest.raises(ValueError):
-            FaultPlan(max_latency_ms=-1.0)
+            FaultPlan(drop_probability=-0.1)
 
 
 class TestZeroPlanTransparency:
@@ -80,8 +78,6 @@ class TestZeroPlanTransparency:
             faulty.send(request())
         delta = perf.delta(before, perf.snapshot())
         assert delta["fault_drops"] == 0
-        assert delta["fault_duplicates"] == 0
-        assert delta["fault_latency_ms"] == 0
         assert delta["fault_crashed_sends"] == 0
 
 
@@ -128,27 +124,6 @@ class TestDrops:
             return outcomes
 
         assert run() == run()
-
-
-class TestDuplicates:
-    def test_duplicate_delivers_twice_and_meters_both(self, wired):
-        faulty, received = wired(FaultPlan(duplicate_probability=1.0, seed=3))
-        message = request()
-        response = faulty.send(message)
-        assert response is not None
-        assert len(received) == 2
-        # Two full request+response exchanges hit the wire.
-        assert faulty.meter.normal_bytes == 2 * (
-            message.size_bytes + response.size_bytes
-        )
-
-
-class TestLatency:
-    def test_latency_ms_accumulates(self, wired):
-        faulty, _ = wired(FaultPlan(max_latency_ms=5.0, seed=3))
-        for _ in range(50):
-            faulty.send(request())
-        assert 0 < faulty.latency_ms <= 250.0
 
 
 class TestCrashes:
@@ -230,36 +205,6 @@ class TestAsyncFaults:
         assert outcomes == [DeliveryError.DROPPED]
         assert received == []
 
-    def test_duplicate_delivers_twice_async(self, wired):
-        faulty, received, kernel = self.clocked(
-            wired, FaultPlan(duplicate_probability=1.0, seed=3)
-        )
-        responses = []
-        faulty.send_async(
-            request(),
-            lambda response: responses.append(response),
-            lambda error: responses.append(error),
-        )
-        kernel.run()
-        # The caller sees one response; the endpoint handled two copies.
-        assert len(responses) == 1
-        assert len(received) == 2
-
-    def test_injected_latency_delays_arrival(self, wired):
-        faulty, received, kernel = self.clocked(
-            wired, FaultPlan(max_latency_ms=500.0, seed=3)
-        )
-        arrivals = []
-        faulty.send_async(
-            request(),
-            lambda response: arrivals.append(kernel.now),
-            lambda error: None,
-        )
-        kernel.run()
-        assert len(arrivals) == 1
-        assert arrivals[0] > 20.0  # both legs plus the injected delay
-        assert faulty.latency_ms > 0
-
     def test_async_faults_deterministic_in_seed(self, wired):
         def drive():
             faulty, _, kernel = self.clocked(
@@ -283,13 +228,9 @@ class TestUnboundClockMisuse:
     def test_send_async_without_clock_raises_before_any_state_changes(
         self, wired
     ):
-        # A downed destination and a plan that would drop, delay and
-        # duplicate on this very send -- were it ever started.
-        plan = FaultPlan(
-            drop_probability=1.0,
-            duplicate_probability=1.0,
-            max_latency_ms=50.0,
-        )
+        # A downed destination and a plan that would drop this very
+        # send -- were it ever started.
+        plan = FaultPlan(drop_probability=1.0)
         rng = random.Random(9)
         faulty, received = wired(plan, rng=rng)
         faulty.fail_node("node:1")
@@ -299,7 +240,6 @@ class TestUnboundClockMisuse:
             faulty.send_async(request(), lambda r: None, lambda e: None)
         assert not isinstance(excinfo.value, DeliveryError)
         assert faulty.sends == 0
-        assert faulty.latency_ms == 0.0
         assert faulty.crashed_endpoints == {"node:1"}
         assert faulty.meter.total_bytes == 0
         assert rng.getstate() == state

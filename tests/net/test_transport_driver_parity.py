@@ -101,14 +101,6 @@ SCENARIOS = {
         None,
         DeliveryError.DROPPED,
     ),
-    "duplicate": (
-        QUERY, {"plan": FaultPlan(duplicate_probability=1.0)}, None,
-        ("honest-entry",),
-    ),
-    "added-latency": (
-        QUERY, {"plan": FaultPlan(max_latency_ms=40.0)}, None,
-        ("honest-entry",),
-    ),
     "eclipse": (QUERY, {}, eclipsed, DeliveryError.DROPPED),
     "poisoner": (
         QUERY, {}, compromised(ROLE_POISONER),
@@ -173,7 +165,6 @@ def observe(name, scheduled):
         "messages": {c: meter.messages_for(c) for c in TrafficCategory},
         "counters": perf.delta(before, perf.snapshot()),
         "sends": transport.sends,
-        "latency_ms": transport.latency_ms,
         "rng": rng.getstate(),
     }
 

@@ -42,7 +42,6 @@ configs = st.fixed_dictionaries(
             ["zero", "constant:20", "uniform:5:50"]
         ),
         "fault_drop_probability": st.sampled_from([0.0, 0.08]),
-        "fault_duplicate_probability": st.sampled_from([0.0, 0.05]),
         "replication": st.sampled_from([1, 3]),
         "churn_events": st.sampled_from([0, 2]),
         "crash_events": st.sampled_from([0, 1]),

@@ -1,7 +1,8 @@
 """CI gate: ``src/`` is what the entry points run.
 
 Runs every user-facing entry point in its CI form -- the six smoke
-presets, a traced run and a concurrent attacked run, the four routed
+presets, a traced run and a concurrent attacked run, a run of the grid
+knobs no preset sets (scheme, id width, deep links), the four routed
 substrates, an open-loop run, ``repro.obs summarize``,
 ``repro.analysis.report``, every example, a 3-node ``repro.loadgen``
 ramp and a two-daemon ``repro.node`` pair -- each as a subprocess under
@@ -193,6 +194,11 @@ def entry_points(tmp: pathlib.Path) -> list[list[str]]:
         SIM + ["--preset", "range-queries-smoke", "--bench-out", str(tmp / "q.json")],
         SIM + ["--preset", "adversarial-smoke", "--bench-out", str(tmp / "s.json")],
         SIM + ["--preset", "smoke", "--scale", "0.5", "--trace-out", str(tmp / "t.jsonl")],
+        # The grid knobs no preset sets: index scheme, id width, deep links.
+        SIM + [
+            "--preset", "smoke", "--scale", "0.3", "--scheme", "flat", "--bits", "32",
+            "--shortcut-top-n", "5",
+        ],
         ["-m", "repro.obs", "summarize", str(tmp / "t.jsonl")],
         SIM + [
             "--preset", "smoke", "--scale", "0.5", "--concurrency", "8",

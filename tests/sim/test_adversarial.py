@@ -56,7 +56,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(adversary_poisoners=-1)
         with pytest.raises(ValueError):
-            ExperimentConfig(adversary_eclipse_drop=2.0)
+            ExperimentConfig(adversary_eclipse_victims=-1)
 
     def test_benign_config_has_no_adversary(self):
         config = ExperimentConfig()

@@ -132,9 +132,7 @@ class TestChurnPreset:
     def test_availability_rows_render(self, smoke_result):
         rows = {label: value for label, value in smoke_result.availability_rows()}
         assert rows["lookup success rate"].endswith("%")
-        assert rows["injected drops / duplicates"] == (
-            f"{smoke_result.fault_drops} / {smoke_result.fault_duplicates}"
-        )
+        assert rows["injected drops"] == smoke_result.fault_drops
 
 
 def churn_positions(config):

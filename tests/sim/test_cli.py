@@ -63,8 +63,9 @@ class TestArgumentParsing:
             ["--latency-model", "constant:inf"],
             ["--latency-model", "uniform:1:inf"],
             ["--latency-model", "uniform:nan:5"],
-            ["--latency-ms", "nan"],
-            ["--latency-ms", "inf"],
+            # crashed deep inside the run
+            ["--replication", "0"],
+            ["--bits", "0"],
             ["--arrival-interval-ms", "inf"],
             ["--arrival-interval-ms", "nan"],
         ],
@@ -72,6 +73,24 @@ class TestArgumentParsing:
     def test_out_of_range_input_rejected_before_the_run(self, flags):
         with pytest.raises(ValueError):
             parse(["--preset", "smoke", *flags])
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--replication", "0"], "replication"),
+            (["--replication", "-3"], "replication"),
+            (["--bits", "0"], "bits"),
+            (["--bits", "257"], "bits"),
+            (["--scale", "inf"], "scale"),
+            (["--scale", "nan"], "scale"),
+        ],
+    )
+    def test_bad_size_or_scale_is_a_usage_error(self, flags, named, capsys):
+        assert main(["--preset", "smoke", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
 
 
 class TestPresetAndChaosFlags:
@@ -97,8 +116,6 @@ class TestPresetAndChaosFlags:
         config = parse(
             [
                 "--drop-probability", "0.1",
-                "--duplicate-probability", "0.02",
-                "--latency-ms", "3",
                 "--churn-events", "7",
                 "--churn-mode", "poisson",
                 "--crash-events", "2",
@@ -107,8 +124,6 @@ class TestPresetAndChaosFlags:
             ]
         )
         assert config.fault_drop_probability == 0.1
-        assert config.fault_duplicate_probability == 0.02
-        assert config.fault_latency_ms == 3.0
         assert config.churn_events == 7
         assert config.churn_mode == "poisson"
         assert config.crash_events == 2
@@ -300,7 +315,6 @@ class TestAdversarialFlags:
                 "--liars", "2",
                 "--sybil-joins", "4",
                 "--eclipse-victims", "1",
-                "--eclipse-drop", "0.8",
                 "--verify-signatures",
             ]
         )
@@ -308,7 +322,6 @@ class TestAdversarialFlags:
         assert config.adversary_liars == 2
         assert config.adversary_sybil_joins == 4
         assert config.adversary_eclipse_victims == 1
-        assert config.adversary_eclipse_drop == 0.8
         assert config.verify_signatures is True
         assert config.has_adversary
 

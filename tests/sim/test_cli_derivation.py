@@ -1,13 +1,17 @@
 """The simulator CLI is derived from ``ExperimentConfig``: one flag per
-field, the flag strings frozen, every flag reaching its field."""
+field, the flag strings frozen, every flag reaching its field, and every
+field set by a preset or a CI form."""
 
 import argparse
+import pathlib
 from dataclasses import fields
 
 import pytest
 
-from repro.sim.__main__ import build_parser, config_from_args
+from repro.sim.__main__ import _FLAGS, build_parser, config_from_args
 from repro.sim.experiment import ExperimentConfig
+from repro.sim.presets import get_preset, preset_names
+from tests.reachability import SIM, entry_points
 
 #: The option strings of the hand-written parser this one replaced.
 FROZEN_FLAGS = [
@@ -15,12 +19,11 @@ FROZEN_FLAGS = [
     "--queries", "--authors", "--bits", "--replication", "--corpus-seed",
     "--query-seed", "--scale", "--shortcut-top-n", "--preset",
     "--concurrency", "--latency-model", "--arrival-interval-ms",
-    "--drop-probability", "--duplicate-probability", "--latency-ms",
-    "--churn-events", "--churn-mode", "--crash-events", "--crash-downtime",
-    "--churn-seed", "--restart-events", "--restart-downtime",
+    "--drop-probability", "--churn-events", "--churn-mode", "--crash-events",
+    "--crash-downtime", "--churn-seed", "--restart-events", "--restart-downtime",
     "--power-loss-events", "--durability", "--fsync", "--data-dir",
     "--predicate-mix", "--index-structure", "--bench-out", "--poisoners",
-    "--liars", "--sybil-joins", "--eclipse-victims", "--eclipse-drop",
+    "--liars", "--sybil-joins", "--eclipse-victims",
     "--verify-signatures", "--trace-out",
 ]
 
@@ -42,10 +45,11 @@ NON_DEFAULT = {
     "predicate_mix": 0.5,
     "arrival_interval_ms": 2.5,
     "fault_drop_probability": 0.1,
-    "fault_duplicate_probability": 0.2,
-    "fault_latency_ms": 7.5,
-    "adversary_eclipse_drop": 0.25,
 }
+
+#: The fields that may keep their default in every preset and CI form:
+#: a path and the two run seeds.
+DEFAULT_ONLY = {"data_dir", "corpus_seed", "query_seed"}
 
 
 def field_actions():
@@ -59,14 +63,14 @@ def field_actions():
     ]
 
 
-def test_option_strings_are_the_frozen_41():
+def test_option_strings_are_the_frozen_38():
     strings = [
         flag
         for action in build_parser()._actions
         if not isinstance(action, argparse._HelpAction)
         for flag in action.option_strings
     ]
-    assert len(strings) == len(set(strings)) == 41
+    assert len(strings) == len(set(strings)) == 38
     assert sorted(strings) == sorted(FROZEN_FLAGS)
 
 
@@ -109,3 +113,28 @@ def test_trace_out_sets_trace():
     args = build_parser().parse_args(["--trace-out", "trace.jsonl"])
     assert config_from_args(args).trace is True
     assert config_from_args(build_parser().parse_args([])).trace is False
+
+
+def configs_in_use():
+    """Every registered preset, and the config of every ``repro.sim``
+    CI form in ``tests/reachability.py``."""
+    configs = [get_preset(name) for name in preset_names()]
+    for argv in entry_points(pathlib.Path("ci")):
+        if argv[: len(SIM)] == SIM:
+            args = build_parser().parse_args(argv[len(SIM):])
+            configs.append(config_from_args(args))
+    return configs
+
+
+def test_every_flag_is_set_by_a_preset_or_a_ci_form():
+    default = ExperimentConfig()
+    flagged = {name for _, rows in _FLAGS for name, *_ in rows}
+    used = {
+        name
+        for config in configs_in_use()
+        for name in flagged
+        if getattr(config, name) != getattr(default, name)
+    }
+    assert sorted(flagged - used - DEFAULT_ONLY) == [], "never leaves its default"
+    assert sorted(DEFAULT_ONLY & used) == [], "stale exemption"
+    assert DEFAULT_ONLY <= flagged

@@ -98,15 +98,11 @@ class TestDeterminism:
 
 
 #: The chaos cells the two drivers must replay identically, beside the
-#: reliable one: churn + crashes + drops, the same with duplicates,
-#: restart chaos over the WAL, and the Byzantine population with the
-#: trust ledger off and on (second opinions, contradiction penalties,
-#: trusted-first ordering).
+#: reliable one: churn + crashes + drops, restart chaos over the WAL,
+#: and the Byzantine population with the trust ledger off and on
+#: (second opinions, contradiction penalties, trusted-first ordering).
 CHAOS_CELLS = {
     "churn-smoke": CHURN_SMOKE_CONFIG.scaled(0.25),
-    "churn-smoke-duplicates": replace(
-        CHURN_SMOKE_CONFIG.scaled(0.25), fault_duplicate_probability=0.05
-    ),
     "restart-chaos-smoke": RESTART_CHAOS_SMOKE_CONFIG,
     "adversarial-smoke-unverified": replace(
         ADVERSARIAL_SMOKE_CONFIG, verify_signatures=False

@@ -81,7 +81,7 @@ keys = st.sampled_from([f"key-{index}" for index in range(12)])
 values = st.sampled_from(["v0", "v1", "v2", "vé"])
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("put"), keys, values, st.booleans()),
+        st.tuples(st.just("put"), keys, values),
         st.tuples(st.just("put_local"), keys, values, st.integers(0, 40)),
         st.tuples(st.just("remove_key"), keys),
         st.tuples(st.just("remove_value"), keys, values),
@@ -101,8 +101,7 @@ def apply(store: DHTStorage, operation: tuple) -> None:
     name, *args = operation
     members = protocol.node_ids
     if name == "put":
-        key, value, duplicate = args
-        store.put(key, value, allow_duplicate=duplicate)
+        store.put(*args)
     elif name == "put_local":
         key, value, pick = args
         store.put_local(members[pick % len(members)], key, value)

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht import SUBSTRATES, build_substrate
-from repro.dht.idspace import hash_key
 from repro.storage.store import DHTStorage, RepairReport
 from tests.storage import test_repair_differential as differential
 from tests.storage.repair_oracle import repair_per_key
@@ -39,7 +38,7 @@ values = st.sampled_from(["v0", "v1", "v2", "vé"])
 picks = st.integers(0, 120)
 operations = st.lists(
     st.one_of(
-        st.tuples(st.just("put"), keys, values, st.booleans()),
+        st.tuples(st.just("put"), keys, values),
         st.tuples(st.just("put_local"), keys, values, picks),
         st.tuples(st.just("remove_key"), keys),
         st.tuples(st.just("remove_value"), keys, values),
@@ -90,7 +89,7 @@ def test_same_repair_as_the_per_key_pass_at_48_nodes(substrate, replication, scr
 
 
 def populate(count: int = 40) -> list:
-    return [("put", f"key-{index}", "v0", False) for index in range(count)]
+    return [("put", f"key-{index}", "v0") for index in range(count)]
 
 
 @pytest.mark.parametrize("replication", [1, 3])
@@ -117,28 +116,8 @@ class TestWhatTheArcsAloneGetWrong:
         )
         assert real.get(key).values == ("v0",)
 
-    def test_duplicate_value_stays_unsettled(self, substrate, replication):
-        """(b) ``allow_duplicate`` after a join that took the key: a
-        holder is one value short that no shipping supplies, so every
-        later pass reports the key -- as the per-key pass always has."""
-        joiner = START_NODES
-        key = key_taken_by(substrate, joiner)
-        real = run_twins(
-            substrate,
-            replication,
-            [
-                *populate(),
-                ("put", key, "v0", False),
-                ("join", joiner),
-                ("put", key, "v0", True),
-                ("repair",),
-                ("repair",),
-            ],
-        )
-        assert real.repair().keys_repaired == 1
-
     def test_leave_then_rejoin_under_the_same_id(self, substrate, replication):
-        """(c) Equal rings before and after, different placement: the
+        """(b) Equal rings before and after, different placement: the
         node's copies left with it and it rejoins holding nothing.  A
         log sees that, a diff of two ring snapshots cannot."""
         real, _, _ = build(substrate, replication)
@@ -217,19 +196,6 @@ class TestWhatTheArcsAloneGetWrong:
         lookups.clear()
         assert store.repair() == RepairReport()
         assert lookups == []
-
-
-def key_taken_by(substrate: str, serial: int) -> str:
-    """A key whose primary changes to ``node_id(serial)`` when that node
-    joins the start overlay (CAN places a joiner by its own dice, so the
-    key is picked to suit the joiner, not the joiner to suit a key)."""
-    protocol = build(substrate, 1)[0].protocol
-    protocol.add_node(node_id(serial))
-    return next(
-        key
-        for key in (f"taken-{index}" for index in range(10_000))
-        if protocol.lookup(hash_key(key, BITS)).node == node_id(serial)
-    )
 
 
 def count_lookups(protocol) -> list:

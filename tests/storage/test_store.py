@@ -38,10 +38,12 @@ class TestPutGet:
         store.put("k", "v")
         assert store.get("k").values == ("v",)
 
-    def test_duplicate_allowed_when_requested(self, store):
+    def test_duplicate_local_value_deduplicated(self, store):
+        (node,) = store.responsible_nodes("k")
         store.put("k", "v")
-        store.put("k", "v", allow_duplicate=True)
-        assert store.get("k").values == ("v", "v")
+        store.put_local(node, "k", "v")
+        assert store.get("k").values == ("v",)
+        assert store.values_at(node, "k") == ("v",)
 
     def test_missing_key(self, store):
         result = store.get("nothing")
