@@ -151,14 +151,13 @@ class TestPublicationCounters:
 
 
 class TestKernelSchedulerCounters:
-    """Counter-based guards on the event-kernel schedulers.
+    """Counter-based guards on the event-kernel timing wheel.
 
-    The timing wheel's asymptotics live in three internal counters --
-    entries moved by adaptive resizes (must stay O(n) amortized), empty
-    buckets probed by the forward scan (must stay O(1) per pop), and
-    min() fallbacks (must stay rare) -- and the heap's cancel-churn
-    bound lives in its compaction counter.  These are deterministic on
-    any machine, unlike wall-clock ratios.
+    The wheel's asymptotics live in three internal counters -- entries
+    moved by adaptive resizes (must stay O(n) amortized), empty buckets
+    probed by the forward scan (must stay O(1) per pop), and min()
+    fallbacks (must stay rare).  These are deterministic on any machine,
+    unlike wall-clock ratios.
     """
 
     @staticmethod
@@ -207,20 +206,6 @@ class TestKernelSchedulerCounters:
             f"for {n} events -- did adaptive widening break?"
         )
         assert stats["scan_fallbacks"] <= 50
-
-    def test_heap_cancel_churn_compacts(self):
-        kernel = EventKernel(scheduler="heap")
-        noop = lambda: None  # noqa: E731
-        for _ in range(200):
-            kernel.schedule(500.0, noop)
-        for index in range(50_000):
-            kernel.schedule(float(index % 100), noop).cancel()
-        stats = kernel.stats()
-        assert stats["compactions"] >= 1
-        assert stats["heap_len"] <= 2 * 200 + kernel._COMPACT_MIN + 2, (
-            f"cancelled entries accumulating: heap_len={stats['heap_len']} "
-            "for 200 live events"
-        )
 
 
 class TestTracingOverhead:

@@ -279,12 +279,10 @@ class SimulatedTransport:
             except DeliveryError as error:
                 finish, outcome = on_error, error
             else:
-                # post, not schedule: nothing cancels an in-flight
-                # message, so the cancellable handle would be a dead
-                # allocation per send.  A fresh lambda per leg rather
-                # than one closure re-posting itself: a self-referencing
-                # closure is a reference cycle, and every send would wait
-                # for the garbage collector.
+                # A fresh lambda per leg rather than one closure
+                # re-posting itself: a self-referencing closure is a
+                # reference cycle, and every send would wait for the
+                # garbage collector.
                 self.kernel.post(
                     delay, lambda: self._leg(delivery, on_result, on_error, span)
                 )

@@ -577,7 +577,7 @@ class Experiment:
         """
         config = self.config
         result = self._result
-        kernel = EventKernel(scheduler="wheel")
+        kernel = EventKernel()
         latency = parse_latency_model(
             config.latency_model, seed=config.churn_seed
         )

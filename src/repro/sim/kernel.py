@@ -7,18 +7,18 @@ are completely independent issues").  To measure what the paper punts on
 -- per-query latency under concurrent traffic -- the stack needs a
 notion of *when* every message arrives, independent of wall-clock time.
 
-:class:`EventKernel` supplies that notion.  It is a classic
-discrete-event scheduler:
+:class:`EventKernel` supplies that notion with one booking call and one
+drain:
 
-- events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
-  increasing tie-breaker, so two events scheduled for the same virtual
-  instant fire in scheduling order -- the whole simulation is a
-  deterministic function of its inputs;
-- ``schedule(delay_ms, callback)`` books a callback at ``now +
-  delay_ms`` and returns a cancellable handle; ``post(delay_ms,
-  callback)`` books one without a handle (the fire-and-forget hot path);
-- ``run()`` pops events in order, advancing ``now`` to each event's
-  timestamp before invoking it.
+- ``post(delay_ms, callback)`` books ``callback`` at ``now +
+  delay_ms``.  Events are ordered by ``(time, seq)`` where ``seq`` is a
+  monotonically increasing tie-breaker, so two callbacks booked for the
+  same virtual instant fire in booking order -- the whole simulation is
+  a deterministic function of its inputs;
+- ``run()`` drains the queue in that order, advancing ``now`` to each
+  event's timestamp before invoking it, and returns the final time.
+
+A booking cannot be cancelled, and the queue drains only as a whole.
 
 There is deliberately **no wall-clock anywhere**: the kernel never calls
 ``time.time`` or sleeps.  Virtual milliseconds are just an ordering
@@ -27,28 +27,26 @@ device, which is exactly what latency measurements need -- hop delays
 contend for the same nodes in a reproducible interleaving, and the
 response-time percentiles of a run are bit-stable across repetitions.
 
-Two interchangeable schedulers implement that contract:
+Two schedulers implement that contract:
 
-- ``EventKernel(scheduler="heap")`` (the default) keeps the original
-  binary heap of :class:`ScheduledEvent` objects.  Every pop costs
-  O(log n) Python-level comparisons, which is fine at the paper's scale
-  but dominates wall-clock once millions of events are in flight.
-- ``EventKernel(scheduler="wheel")`` is a calendar queue (an adaptive
-  timing wheel): events land in buckets keyed by ``int(time / width)``,
-  the next non-empty bucket is found by scanning forward from the
-  current one, and a bucket is sorted once -- with C-level tuple
-  comparisons -- when the clock reaches it.  The bucket width adapts in
-  both directions (shrinking as density grows, widening as it falls) so
-  buckets stay near a small target occupancy, giving amortized O(1)
-  pops at dense horizons.  Events
-  booked *into* the bucket currently being drained go to a small side
-  heap that is merged on the fly, preserving exact ``(time, seq)``
-  order.
+- ``EventKernel()`` (the default, and the one every simulation runs) is
+  a calendar queue (an adaptive timing wheel): events land in buckets
+  keyed by ``int(time / width)``, the next non-empty bucket is found by
+  scanning forward from the current one, and a bucket is sorted once --
+  with C-level tuple comparisons -- when the clock reaches it.  The
+  bucket width adapts in both directions (shrinking as density grows,
+  widening as it falls) so buckets stay near a small target occupancy,
+  giving amortized O(1) pops at dense horizons.  Events booked *into*
+  the bucket currently being drained go to a small side heap that is
+  merged on the fly, preserving exact ``(time, seq)`` order.
+- ``EventKernel(scheduler="heap")`` is a binary heap of ``(time, seq,
+  callback)`` tuples at O(log n) per pop: the order oracle the tests
+  hold the wheel to, and the baseline the layer benchmark times it
+  against.
 
-Both schedulers run callbacks in the identical order for the identical
-``schedule``/``post``/``cancel`` call sequence (a property-test suite
-pins this), so switching schedulers never changes a measured number --
-only how fast it is produced.
+Both run callbacks in the identical order for the identical ``post``
+sequence (a property-test suite pins this), so the choice of scheduler
+never changes a measured number -- only how fast it is produced.
 """
 
 from __future__ import annotations
@@ -62,46 +60,7 @@ SCHEDULERS: tuple[str, ...] = ("heap", "wheel")
 
 
 class KernelError(RuntimeError):
-    """Raised on kernel misuse (negative delays, bad scheduler names, ...)."""
-
-
-class ScheduledEvent:
-    """Handle to one booked callback; ``cancel()`` unbooks it.
-
-    Cancellation is lazy: the entry stays queued and is skipped when
-    popped, which keeps ``cancel`` O(1).  The owning kernel keeps a live
-    count so cancellation (and firing) never requires a queue scan.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "_kernel")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[[], None],
-        kernel: "Optional[EventKernel]" = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self._kernel = kernel
-
-    def cancel(self) -> None:
-        """Unbook the event; a no-op if it already fired."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        callback = self.callback
-        self.callback = None  # release references early
-        kernel = self._kernel
-        self._kernel = None
-        if kernel is not None and callback is not None:
-            kernel._note_cancel()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+    """Raised on kernel misuse (negative delays, unknown scheduler names)."""
 
 
 class EventKernel:
@@ -109,16 +68,14 @@ class EventKernel:
 
     ``now`` is in virtual milliseconds and starts at 0.0.  All state is
     local to the instance, so independent simulations never interact.
-    ``EventKernel(scheduler="heap"|"wheel")`` picks the implementation;
-    both obey the same ``(time, seq)`` FIFO-within-timestamp contract.
+    ``EventKernel(scheduler="wheel"|"heap")`` picks the implementation
+    (the wheel by default); both obey the same ``(time, seq)``
+    FIFO-within-timestamp contract.
     """
 
-    __slots__ = ("_now", "_seq", "_live", "events_run")
+    __slots__ = ("_now", "_seq", "events_run")
 
-    #: Implementation name, overridden per subclass.
-    scheduler_name = "heap"
-
-    def __new__(cls, scheduler: str = "heap", **kwargs):
+    def __new__(cls, scheduler: str = "wheel"):
         if cls is EventKernel:
             try:
                 cls = _IMPLEMENTATIONS[scheduler]
@@ -129,58 +86,32 @@ class EventKernel:
                 ) from None
         return object.__new__(cls)
 
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._seq = 0
+        #: Events executed so far (a cheap progress/determinism probe).
+        self.events_run = 0
+
     @property
     def now(self) -> float:
         """Current virtual time, in milliseconds."""
         return self._now
 
-    @property
-    def pending(self) -> int:
-        """Number of booked (non-cancelled) events still in the queue.
-
-        O(1): a live counter maintained by schedule/cancel/pop, never a
-        queue traversal.
-        """
-        return self._live
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-
-    # Subclasses implement: schedule, post, step, run, stats.
+    # Subclasses implement: post, run.
 
 
 class _HeapKernel(EventKernel):
-    """The original binary-heap scheduler, plus O(1) ``pending`` and
-    compaction of lazily-cancelled entries.
+    """The order oracle: a binary heap of ``(time, seq, callback)``
+    tuples.  ``seq`` is unique, so a comparison never reaches the
+    callback."""
 
-    Cancelled events used to stay heap-resident until popped, so a
-    schedule/cancel churn loop grew the heap without bound.  The heap is
-    now rebuilt (dropping cancelled entries) whenever they outnumber the
-    live ones, keeping peak memory within 2x the live event count while
-    preserving pop order exactly -- ``(time, seq)`` is a total order, so
-    re-heapifying the surviving events cannot reorder anything.
-    """
+    __slots__ = ("_heap",)
 
-    __slots__ = ("_heap", "_cancelled_in_heap", "_compactions")
+    def __init__(self, scheduler: str = "heap") -> None:
+        super().__init__()
+        self._heap: list[tuple] = []
 
-    scheduler_name = "heap"
-
-    #: Never bother compacting heaps smaller than this.
-    _COMPACT_MIN = 64
-
-    def __init__(self, scheduler: str = "heap", **kwargs) -> None:
-        self._now = 0.0
-        self._seq = 0
-        self._live = 0
-        #: Events executed so far (a cheap progress/determinism probe).
-        self.events_run = 0
-        self._heap: list[ScheduledEvent] = []
-        self._cancelled_in_heap = 0
-        self._compactions = 0
-
-    def schedule(
-        self, delay_ms: float, callback: Callable[[], None]
-    ) -> ScheduledEvent:
+    def post(self, delay_ms: float, callback: Callable[[], None]) -> None:
         """Book ``callback`` to fire at ``now + delay_ms``.
 
         A zero delay is allowed and fires after all events already
@@ -188,83 +119,26 @@ class _HeapKernel(EventKernel):
         """
         if delay_ms < 0:
             raise KernelError(f"cannot schedule into the past: {delay_ms}")
-        event = ScheduledEvent(self._now + delay_ms, self._seq, callback, self)
+        heapq.heappush(self._heap, (self._now + delay_ms, self._seq, callback))
         self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, event)
-        return event
 
-    def post(self, delay_ms: float, callback: Callable[[], None]) -> None:
-        """``schedule`` without returning a cancellable handle."""
-        self.schedule(delay_ms, callback)
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        self._cancelled_in_heap += 1
+    def run(self) -> float:
+        """Drain the queue; returns the final virtual time."""
         heap = self._heap
-        if (
-            self._cancelled_in_heap > len(heap) // 2
-            and len(heap) >= self._COMPACT_MIN
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify the survivors."""
-        self._heap = [event for event in self._heap if not event.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_in_heap = 0
-        self._compactions += 1
-
-    def step(self) -> bool:
-        """Run the next event; returns False when the queue is empty."""
-        heap = self._heap
+        heappop = heapq.heappop
         while heap:
-            event = heapq.heappop(heap)
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            if event.time < self._now:
-                raise KernelError("event queue went back in time")
-            self._now = event.time
+            self._now, _, callback = heappop(heap)
             self.events_run += 1
-            self._live -= 1
-            callback = event.callback
-            event.callback = None
-            event._kernel = None
             callback()
-            return True
-        return False
-
-    def run(self, until: Optional[Callable[[], bool]] = None) -> float:
-        """Drain the queue; returns the final virtual time.
-
-        ``until`` (optional) is checked before each event: when it
-        returns True the loop stops early with booked events intact.
-        """
-        while self._heap:
-            if until is not None and until():
-                break
-            if not self.step():
-                break
         return self._now
-
-    def stats(self) -> dict[str, int]:
-        """Scheduler-internal operation counts (regression-guard probes)."""
-        return {
-            "scheduler": 0,  # 0 = heap, 1 = wheel (kept numeric for JSON)
-            "heap_len": len(self._heap),
-            "cancelled_in_heap": self._cancelled_in_heap,
-            "compactions": self._compactions,
-        }
 
 
 class _WheelKernel(EventKernel):
     """Calendar-queue scheduler: adaptive-width buckets of event tuples.
 
-    Entries are ``(time, seq, x)`` tuples -- ``x`` is a bare callback
-    (from :meth:`post`) or a :class:`ScheduledEvent` handle (from
-    :meth:`schedule`) -- so all ordering comparisons happen at C level.
-    ``seq`` is unique, so a comparison never reaches ``x``.
+    Entries are ``(time, seq, callback)`` tuples, so all ordering
+    comparisons happen at C level; ``seq`` is unique, so a comparison
+    never reaches the callback.
 
     The bucket width rescales to the target occupancy whenever average
     occupancy drifts 4x past it in either direction: total entries moved
@@ -286,7 +160,6 @@ class _WheelKernel(EventKernel):
         "_alen",
         "_aidx",
         "_side",
-        "_target",
         "_rebuilds",
         "_entries_moved",
         "_scan_probes",
@@ -294,36 +167,24 @@ class _WheelKernel(EventKernel):
         "_side_pushes",
     )
 
-    scheduler_name = "wheel"
-
+    #: Initial bucket width in virtual ms.
+    _WIDTH_MS = 1.0
+    #: Average bucket occupancy the width adapts towards.
+    _TARGET = 8
     #: Probes budgeted per forward scan before falling back to min().
     _SCAN_LIMIT = 256
     #: Posts between occupancy checks (must be a power of two minus one).
     _RESIZE_MASK = 4095
 
-    def __init__(
-        self,
-        scheduler: str = "wheel",
-        width_ms: float = 1.0,
-        target_occupancy: int = 8,
-        **kwargs,
-    ) -> None:
-        if width_ms <= 0:
-            raise KernelError(f"bucket width must be positive: {width_ms}")
-        if target_occupancy < 1:
-            raise KernelError("target occupancy must be >= 1")
-        self._now = 0.0
-        self._seq = 0
-        self._live = 0
-        self.events_run = 0
-        self._inv = 1.0 / width_ms
+    def __init__(self, scheduler: str = "wheel") -> None:
+        super().__init__()
+        self._inv = 1.0 / self._WIDTH_MS
         self._buckets: dict[int, list] = {}
         self._active: list = []
         self._ai = 0
         self._alen = 0
         self._aidx = -1
         self._side: list = []
-        self._target = target_occupancy
         self._rebuilds = 0
         self._entries_moved = 0
         self._scan_probes = 0
@@ -332,14 +193,17 @@ class _WheelKernel(EventKernel):
 
     # -- booking -----------------------------------------------------------
 
-    def _book(self, delay_ms: float, x) -> tuple:
+    def post(self, delay_ms: float, callback: Callable[[], None]) -> None:
+        """Book ``callback`` to fire at ``now + delay_ms``.
+
+        This is the hot path: one tuple and one list append per event.
+        """
         if delay_ms < 0:
             raise KernelError(f"cannot schedule into the past: {delay_ms}")
         t = self._now + delay_ms
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        entry = (t, seq, x)
+        entry = (t, seq, callback)
         idx = int(t * self._inv)
         # The side heap holds everything booked at or behind the bucket
         # currently being drained (idx can be *behind* it when the clock
@@ -356,25 +220,6 @@ class _WheelKernel(EventKernel):
                 bucket.append(entry)
         if not (seq & self._RESIZE_MASK):
             self._maybe_resize()
-        return entry
-
-    def post(self, delay_ms: float, callback: Callable[[], None]) -> None:
-        """Book a fire-and-forget callback (no cancellable handle).
-
-        This is the hot path: one tuple and one list append per event,
-        no per-event handle object.
-        """
-        self._book(delay_ms, callback)
-
-    def schedule(
-        self, delay_ms: float, callback: Callable[[], None]
-    ) -> ScheduledEvent:
-        """Book ``callback`` and return a cancellable handle."""
-        event = ScheduledEvent(0.0, 0, callback, self)
-        entry = self._book(delay_ms, event)
-        event.time = entry[0]
-        event.seq = entry[1]
-        return event
 
     # -- adaptive width ----------------------------------------------------
 
@@ -387,12 +232,16 @@ class _WheelKernel(EventKernel):
         buckets = len(self._buckets)
         if buckets < 32:
             return
-        occupancy = self._live / buckets
-        target = self._target
+        # Bookings minus events run.  ``run`` settles ``events_run`` on
+        # exit, so inside a drain this also counts the drain's fired
+        # events: the occupancy every recorded run was resized by.
+        queued = self._seq - self.events_run
+        occupancy = queued / buckets
+        target = self._TARGET
         if occupancy > 4 * target:
             # Too dense: shrink buckets so the per-bucket sort stays small.
             self._rebuild(self._inv * (occupancy / target))
-        elif occupancy < target / 4 and self._live >= 4096:
+        elif occupancy < target / 4 and queued >= 4096:
             # Too sparse: widen buckets so the forward scan stops paying
             # ~1/occupancy empty probes per acquire.  Both directions
             # rescale to the target, so a rebuild fires only when
@@ -463,57 +312,15 @@ class _WheelKernel(EventKernel):
         self._ai = 0
         return bucket
 
-    def step(self) -> bool:
-        """Run the next event; returns False when the queue is empty."""
-        heappop = heapq.heappop
-        while True:
-            side = self._side
-            if self._ai < self._alen:
-                entry = self._active[self._ai]
-                if side and side[0] < entry:
-                    entry = heappop(side)
-                else:
-                    self._ai += 1
-            elif side:
-                entry = heappop(side)
-            elif self._acquire() is None:
-                return False
-            else:
-                continue
-            x = entry[2]
-            if x.__class__ is ScheduledEvent:
-                if x.cancelled:
-                    continue
-                callback = x.callback
-                x.callback = None
-                x._kernel = None
-            else:
-                callback = x
-            self._now = entry[0]
-            self.events_run += 1
-            self._live -= 1
-            callback()
-            return True
-
-    def run(self, until: Optional[Callable[[], bool]] = None) -> float:
+    def run(self) -> float:
         """Drain the queue; returns the final virtual time.
 
-        With no ``until`` predicate the drain runs a tight loop over
-        each sorted bucket (the web-scale fast path); with one, it falls
-        back to per-event stepping so the predicate is checked before
-        every event, matching the heap scheduler's semantics.
+        A tight loop over each sorted bucket, merging the side heap
+        entry by entry while it is non-empty.
         """
-        if until is not None:
-            while self._live or self._has_entries():
-                if until():
-                    break
-                if not self.step():
-                    break
-            return self._now
         heappop = heapq.heappop
         side = self._side
         nrun = 0
-        live_drop = 0
         ai = self._ai
         try:
             while True:
@@ -522,19 +329,9 @@ class _WheelKernel(EventKernel):
                 if ai >= alen:
                     if side:
                         entry = heappop(side)
-                        x = entry[2]
-                        if x.__class__ is ScheduledEvent:
-                            if x.cancelled:
-                                continue
-                            callback = x.callback
-                            x.callback = None
-                            x._kernel = None
-                        else:
-                            callback = x
                         self._now = entry[0]
                         nrun += 1
-                        live_drop += 1
-                        callback()
+                        entry[2]()
                         continue
                     if self._acquire() is None:
                         return self._now
@@ -547,57 +344,26 @@ class _WheelKernel(EventKernel):
                             entry = heappop(side)
                         else:
                             ai += 1
-                        x = entry[2]
-                        if x.__class__ is ScheduledEvent:
-                            if x.cancelled:
-                                continue
-                            callback = x.callback
-                            x.callback = None
-                            x._kernel = None
-                        else:
-                            callback = x
                         self._now = entry[0]
                         nrun += 1
-                        live_drop += 1
-                        callback()
+                        entry[2]()
                     else:
                         i = ai
                         for entry in active[i:]:
-                            x = entry[2]
-                            if x.__class__ is ScheduledEvent:
-                                if x.cancelled:
-                                    i += 1
-                                    if side:
-                                        break
-                                    continue
-                                callback = x.callback
-                                x.callback = None
-                                x._kernel = None
-                            else:
-                                callback = x
                             self._now = entry[0]
                             i += 1
                             nrun += 1
-                            live_drop += 1
-                            callback()
+                            entry[2]()
                             if side:
                                 break
                         ai = i
         finally:
             self._ai = ai
             self.events_run += nrun
-            self._live -= live_drop
-
-    def _has_entries(self) -> bool:
-        """Whether any entries (live or cancelled) remain queued."""
-        return (
-            self._ai < self._alen or bool(self._side) or bool(self._buckets)
-        )
 
     def stats(self) -> dict[str, int]:
         """Scheduler-internal operation counts (regression-guard probes)."""
         return {
-            "scheduler": 1,
             "buckets": len(self._buckets),
             "rebuilds": self._rebuilds,
             "entries_moved": self._entries_moved,

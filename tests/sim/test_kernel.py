@@ -8,7 +8,13 @@ indistinguishable through it.
 
 import pytest
 
-from repro.sim.kernel import SCHEDULERS, EventKernel, KernelError
+from repro.sim.kernel import (
+    SCHEDULERS,
+    EventKernel,
+    KernelError,
+    _HeapKernel,
+    _WheelKernel,
+)
 
 
 @pytest.fixture(params=SCHEDULERS)
@@ -25,9 +31,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self, make_kernel):
         kernel = make_kernel()
         fired = []
-        kernel.schedule(30.0, lambda: fired.append("c"))
-        kernel.schedule(10.0, lambda: fired.append("a"))
-        kernel.schedule(20.0, lambda: fired.append("b"))
+        kernel.post(30.0, lambda: fired.append("c"))
+        kernel.post(10.0, lambda: fired.append("a"))
+        kernel.post(20.0, lambda: fired.append("b"))
         kernel.run()
         assert fired == ["a", "b", "c"]
 
@@ -35,15 +41,15 @@ class TestScheduling:
         kernel = make_kernel()
         fired = []
         for label in ("first", "second", "third"):
-            kernel.schedule(5.0, lambda label=label: fired.append(label))
+            kernel.post(5.0, lambda label=label: fired.append(label))
         kernel.run()
         assert fired == ["first", "second", "third"]
 
     def test_now_advances_to_event_time(self, make_kernel):
         kernel = make_kernel()
         seen = []
-        kernel.schedule(12.5, lambda: seen.append(kernel.now))
-        kernel.schedule(40.0, lambda: seen.append(kernel.now))
+        kernel.post(12.5, lambda: seen.append(kernel.now))
+        kernel.post(40.0, lambda: seen.append(kernel.now))
         final = kernel.run()
         assert seen == [12.5, 40.0]
         assert final == kernel.now == 40.0
@@ -55,84 +61,42 @@ class TestScheduling:
         def chained():
             times.append(kernel.now)
             if len(times) < 3:
-                kernel.schedule(10.0, chained)
+                kernel.post(10.0, chained)
 
-        kernel.schedule(10.0, chained)
+        kernel.post(10.0, chained)
         kernel.run()
         assert times == [10.0, 20.0, 30.0]
 
     def test_zero_delay_runs_after_current_bookings(self, make_kernel):
         kernel = make_kernel()
         fired = []
-        kernel.schedule(0.0, lambda: fired.append("booked-first"))
-        kernel.schedule(0.0, lambda: fired.append("booked-second"))
+        kernel.post(0.0, lambda: fired.append("booked-first"))
+        kernel.post(0.0, lambda: fired.append("booked-second"))
         kernel.run()
         assert fired == ["booked-first", "booked-second"]
         assert kernel.now == 0.0
 
     def test_negative_delay_rejected(self, make_kernel):
         with pytest.raises(KernelError):
-            make_kernel().schedule(-0.1, lambda: None)
-
-    def test_post_interleaves_with_schedule(self, make_kernel):
-        kernel = make_kernel()
-        fired = []
-        kernel.schedule(5.0, lambda: fired.append("scheduled"))
-        kernel.post(5.0, lambda: fired.append("posted"))
-        kernel.schedule(5.0, lambda: fired.append("scheduled-late"))
-        kernel.run()
-        assert fired == ["scheduled", "posted", "scheduled-late"]
+            make_kernel().post(-0.1, lambda: None)
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(KernelError):
             EventKernel(scheduler="fifo")
 
 
-class TestCancellation:
-    def test_cancelled_event_never_fires(self, make_kernel):
-        kernel = make_kernel()
-        fired = []
-        handle = kernel.schedule(5.0, lambda: fired.append("cancelled"))
-        kernel.schedule(10.0, lambda: fired.append("kept"))
-        handle.cancel()
-        kernel.run()
-        assert fired == ["kept"]
-
-    def test_cancel_after_fire_is_noop(self, make_kernel):
-        kernel = make_kernel()
-        handle = kernel.schedule(1.0, lambda: None)
-        kernel.run()
-        handle.cancel()  # must not raise
-
-    def test_pending_counts_live_events_only(self, make_kernel):
-        kernel = make_kernel()
-        kernel.schedule(1.0, lambda: None)
-        drop = kernel.schedule(2.0, lambda: None)
-        assert kernel.pending == 2
-        drop.cancel()
-        assert kernel.pending == 1
-
-
 class TestRun:
-    def test_step_on_empty_queue_returns_false(self, make_kernel):
-        assert make_kernel().step() is False
+    def test_run_on_empty_queue_returns_zero(self, make_kernel):
+        kernel = make_kernel()
+        assert kernel.run() == 0.0
+        assert kernel.events_run == 0
 
     def test_events_run_counts_fired_callbacks(self, make_kernel):
         kernel = make_kernel()
         for _ in range(4):
-            kernel.schedule(1.0, lambda: None)
-        kernel.schedule(2.0, lambda: None).cancel()
+            kernel.post(1.0, lambda: None)
         kernel.run()
         assert kernel.events_run == 4
-
-    def test_run_until_stops_early_with_queue_intact(self, make_kernel):
-        kernel = make_kernel()
-        fired = []
-        for delay in (1.0, 2.0, 3.0):
-            kernel.schedule(delay, lambda delay=delay: fired.append(delay))
-        kernel.run(until=lambda: len(fired) >= 2)
-        assert fired == [1.0, 2.0]
-        assert kernel.pending == 1
 
     def test_deterministic_across_instances(self, make_kernel):
         def drive():
@@ -141,12 +105,12 @@ class TestRun:
 
             def fan_out():
                 for delay in (7.0, 3.0, 3.0):
-                    kernel.schedule(
+                    kernel.post(
                         delay, lambda delay=delay: fired.append((kernel.now, delay))
                     )
 
-            kernel.schedule(1.0, fan_out)
-            kernel.schedule(2.0, lambda: fired.append((kernel.now, "fixed")))
+            kernel.post(1.0, fan_out)
+            kernel.post(2.0, lambda: fired.append((kernel.now, "fixed")))
             kernel.run()
             return fired, kernel.events_run, kernel.now
 
@@ -154,12 +118,12 @@ class TestRun:
 
 
 class TestDispatch:
-    def test_default_is_heap(self):
-        assert EventKernel().stats()["scheduler"] == 0
+    def test_default_is_wheel(self):
+        assert type(EventKernel()) is _WheelKernel
 
     def test_requested_scheduler_is_served(self):
-        assert EventKernel(scheduler="heap").stats()["scheduler"] == 0
-        assert EventKernel(scheduler="wheel").stats()["scheduler"] == 1
+        assert type(EventKernel(scheduler="heap")) is _HeapKernel
+        assert type(EventKernel(scheduler="wheel")) is _WheelKernel
 
     def test_both_are_event_kernels(self):
         for scheduler in SCHEDULERS:
