@@ -136,7 +136,6 @@ def test_micro_end_to_end_search(benchmark):
     def search():
         item = next(items)
         trace = engine.search(item.query, item.target)
-        service.transport.meter.end_query()
         assert trace.found
 
     benchmark(search)

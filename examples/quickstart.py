@@ -72,7 +72,6 @@ def main() -> None:
     ]:
         query = FieldQuery.of_record(article, fields)
         trace = engine.search(query, article)
-        transport.meter.end_query()
         path = " -> ".join(key for _, key in trace.visited)
         print(f"  {query.key()}")
         print(f"    found={trace.found} in {trace.interactions} interactions")
@@ -83,7 +82,6 @@ def main() -> None:
     print("\n-- non-indexed query: author+year (Table I scenario) --")
     ay_query = FieldQuery.of_record(articles[1], ["author", "year"])
     trace = engine.search(ay_query, articles[1])
-    transport.meter.end_query()
     print(f"  {ay_query.key()}")
     print(
         f"    found={trace.found} in {trace.interactions} interactions "

@@ -82,6 +82,10 @@ class SearchTrace:
     cache_hit: bool = False
     hit_interaction: Optional[int] = None  # 1-based index of the jump
     visited: list[tuple[int, str]] = field(default_factory=list)
+    #: Endpoint names of every replica that answered this lookup -- its
+    #: Figure 15 footprint.  Unlike ``visited`` it includes a replica
+    #: whose empty answer the trust ledger set aside.
+    touched: set[str] = field(default_factory=set)
     result_msd: Optional[str] = None
     #: Trace-span id of this lookup when the engine is traced (else None).
     span_id: Optional[int] = None
@@ -175,12 +179,9 @@ class LookupEngine:
         between -- and ``on_complete(trace)`` fires at the search's
         virtual completion time.  Retry backoff waits
         ``units * BACKOFF_UNIT_MS`` on the clock (besides burning the
-        usual interaction budget).  The lookup credits a Figure 15 node
-        set of its own, which ``on_complete`` flushes with
-        ``meter.end_query()``.
+        usual interaction budget).
         """
         trace = self._begin_search(query, target)
-        self.service.transport.meter.current_query_nodes = set()
         steps = self._search_steps(trace, target, True)
         self.service._drive_async(steps, on_complete, _raise, kernel)
         return trace
@@ -337,7 +338,6 @@ class LookupEngine:
         keys (index targets first, then cached shortcuts).
         """
         answer = self.service.query(query, self.user)
-        self.service.transport.meter.end_query()
         return answer.entries + answer.shortcuts
 
     # -- internals -----------------------------------------------------------------
@@ -369,7 +369,7 @@ class LookupEngine:
             budget -= 1  # the exchange itself consumes one budget unit
             try:
                 result = yield from self.service._replica_steps(
-                    kind, key, self.user, routed
+                    kind, key, self.user, routed, trace.touched
                 )
                 return result, budget, exchange
             except DeliveryError as error:

@@ -328,7 +328,12 @@ class IndexService:
         return self._drive(steps)
 
     def _replica_steps(
-        self, kind: MessageKind, key: str, user: str, routed: bool
+        self,
+        kind: MessageKind,
+        key: str,
+        user: str,
+        routed: bool,
+        touched: Optional[set[str]] = None,
     ) -> _Steps:
         """Ask the replicas of ``key`` in turn -- the one failover loop.
 
@@ -338,7 +343,9 @@ class IndexService:
         a file request.  A persistent failure moves on to the next
         replica; a transient one propagates, whatever was heard before
         it.  ``routed`` requests carry their overlay path length, which
-        only a clocked transport charges for.
+        only a clocked transport charges for.  Every replica that
+        answered -- a withheld empty answer included -- joins
+        ``touched``, the lookup's Figure 15 set.
         """
         fetch = kind is MessageKind.FILE_REQUEST
         if fetch:
@@ -348,10 +355,6 @@ class IndexService:
         store = self.file_store if fetch else self.index_store
         tracer = self.transport.tracer
         trust = self.trust
-        # Figure 15 credits every replica that answered, to the query
-        # that was current when the operation began (the continuation
-        # driver re-points the meter at it before every resume).
-        touched = self.transport.meter.current_query_nodes
         order = self._replica_order(store, key)
         route_hops = self._route_hops(store, key) if routed else 1
         #: Empty answers awaiting a second opinion (trust ledger only):
@@ -388,7 +391,8 @@ class IndexService:
             assert response is not None
             if trust is not None:
                 trust.record_success(name)
-            touched.add(name)
+            if touched is not None:
+                touched.add(name)
             if fetch:
                 return node, bool(response.payload)
             answer = self._parse_answer(node, key, response)
@@ -451,15 +455,13 @@ class IndexService:
         ``on_error``.  A one-way ``CACHE_INSERT`` is not waited for; a
         backoff is ``kernel.post``-ed.
 
-        Before every resume the meter's Figure 15 set current now is
-        pointed at again, and the span current when the stack last
-        yielded is re-activated around it (``on_done`` / ``on_error`` run
-        outside it): resumes fire after other operations moved both.
+        The span current when the stack last yielded is re-activated
+        around every resume (``on_done`` / ``on_error`` run outside it):
+        resumes fire after other operations moved it.
         """
         tracer = self.transport.tracer
         span = None if tracer is None else tracer.current
-        touched = self.transport.meter.current_query_nodes
-        self._resume((steps, on_done, on_error, kernel, touched), span, steps.send)
+        self._resume((steps, on_done, on_error, kernel), span, steps.send)
 
     def _resume(self, operation: tuple, span, resume, value=None) -> None:
         """One resume of the continuation driver, and what it waits on.
@@ -468,9 +470,8 @@ class IndexService:
         not closures naming each other: those would be one reference
         cycle per operation, kept alive until the garbage collector runs.
         """
-        steps, on_done, on_error, kernel, touched = operation
+        steps, on_done, on_error, kernel = operation
         transport = self.transport
-        transport.meter.current_query_nodes = touched
         tracer = transport.tracer
         with nullcontext() if tracer is None else tracer.activated(span):
             try:

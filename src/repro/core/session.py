@@ -7,8 +7,8 @@ and restricts its query at each step, or automated..."
 from a broad query, inspects the result set a node returned, picks one of
 the more specific queries, and descends -- with the ability to back up
 and explore a different branch of the partial order.  Every step is a
-real message exchange through the index service, so traffic and per-node
-load are metered exactly like automated searches.
+real message exchange through the index service, so its traffic is
+metered exactly like an automated search's.
 """
 
 from __future__ import annotations
@@ -140,7 +140,6 @@ class InteractiveSession:
         if not self.at_file_level:
             raise SessionError("only a most-specific query resolves to a file")
         _, found = self.service.fetch_file(self.current.query, self.user)
-        self.service.transport.meter.end_query()
         self._fetched = self.current.query.key() if found else None
         return found
 
@@ -168,7 +167,6 @@ class InteractiveSession:
             self._stack.append(SessionStep(query=query))
             return
         answer = self.service.query(query, self.user)
-        self.service.transport.meter.end_query()
         self._stack.append(
             SessionStep(
                 query=query, entries=answer.entries, shortcuts=answer.shortcuts

@@ -12,6 +12,8 @@ import json
 import math
 import sys
 
+from repro.core.scheme import SCHEMES
+from repro.dht import SUBSTRATES
 from repro.loadgen.report import (
     append_bench_record,
     bench_record,
@@ -69,10 +71,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=42, help="schedule seed")
     parser.add_argument(
-        "--substrate", default="chord", help="DHT substrate (default chord)"
+        "--substrate",
+        choices=SUBSTRATES,
+        default="chord",
+        help="DHT substrate (default chord)",
     )
     parser.add_argument(
-        "--scheme", default="simple", help="indexing scheme (default simple)"
+        "--scheme",
+        choices=SCHEMES,
+        default="simple",
+        help="indexing scheme (default simple)",
     )
     parser.add_argument(
         "--cache", default="multi", help="cache policy (default multi)"

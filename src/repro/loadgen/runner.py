@@ -28,7 +28,9 @@ from multiprocessing import get_context
 from typing import Optional
 
 from repro.analysis.stats import LogBucketQuantiles
-from repro.dht import DEFAULT_BITS
+from repro.core.cache import CachePolicy
+from repro.core.scheme import SCHEMES
+from repro.dht import DEFAULT_BITS, SUBSTRATES
 from repro.loadgen.report import (
     CapacityReport,
     StageSummary,
@@ -75,8 +77,19 @@ class LoadTestConfig:
     extra_meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.num_nodes < 1:
+            raise ValueError("a cluster needs at least one node")
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        if not 0 <= self.store_fraction <= 1:
+            raise ValueError("store fraction must lie in [0, 1]")
+        if self.substrate not in SUBSTRATES:
+            raise ValueError(f"unknown substrate: {self.substrate!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme: {self.scheme!r}")
+        CachePolicy.parse(self.cache)
+        if self.replication < 1:
+            raise ValueError("replication factor must be >= 1")
         if not self.ramp or not all(0 < rate < math.inf for rate in self.ramp):
             raise ValueError("ramp needs positive, finite rates")
         if not 0 < self.stage_seconds < math.inf:

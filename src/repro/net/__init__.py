@@ -8,8 +8,8 @@ reproducible:
 
 - :mod:`repro.net.message` -- typed messages with a deterministic byte-size
   model (query/response/cache-insert payloads),
-- :mod:`repro.net.traffic` -- traffic meters aggregating bytes by category
-  and per-node message counts (Figures 12 and 15),
+- :mod:`repro.net.traffic` -- a traffic meter summing bytes and messages
+  by category (Figure 12),
 - :mod:`repro.net.transport` -- an in-process transport that routes
   messages between registered endpoints while metering them,
 - :mod:`repro.net.faults` -- deterministic fault injection (message
@@ -30,7 +30,7 @@ from repro.net.latency import (
     parse_latency_model,
 )
 from repro.net.message import Message, MessageKind, TrafficCategory
-from repro.net.traffic import NodeLoad, TrafficMeter
+from repro.net.traffic import TrafficMeter
 from repro.net.transport import (
     DeliveryError,
     Endpoint,
@@ -42,7 +42,6 @@ __all__ = [
     "Message",
     "MessageKind",
     "TrafficCategory",
-    "NodeLoad",
     "TrafficMeter",
     "Endpoint",
     "SimulatedTransport",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 #: Fixed per-message overhead (addressing, type, framing).
 HEADER_BYTES = 16
@@ -66,16 +65,13 @@ class Message:
 
     ``source`` and ``destination`` are opaque endpoint names registered
     with the transport; ``payload`` is a tuple of query strings (or other
-    textual entries); ``size_bytes`` is derived from the payload unless a
-    caller supplies an explicit size (e.g. file transfers, whose size is
-    the article size, not the descriptor length).
+    textual entries); ``size_bytes`` is derived from the payload.
     """
 
     kind: MessageKind
     source: str
     destination: str
     payload: tuple[str, ...] = ()
-    explicit_size: Optional[int] = None
     #: Overlay legs this message traverses (>= 1).  The synchronous
     #: transport ignores it; the event kernel multiplies the sampled
     #: per-hop latency by it, so a request routed through a Chord/
@@ -101,31 +97,16 @@ class Message:
         endpoint-name bytes plus a fixed framing delta (see
         ``estimate_delta`` in ``tests/rpc/wire_size.py``); a tier-1 test pins the
         relation, so the estimate stays an honest lower bound.
-
-        The value is computed once per message: traffic metering reads
-        it several times (bytes by category, bytes in, bytes out), and
-        the payload of a frozen message cannot change.
         """
-        cached = self.__dict__.get("_size_bytes")
-        if cached is not None:
-            return cached
-        if self.explicit_size is not None:
-            size = self.explicit_size
-        else:
-            payload = self.payload
-            size = (
-                HEADER_BYTES
-                + len("".join(payload).encode("utf-8"))
-                + PER_ENTRY_BYTES * len(payload)
-            )
-        object.__setattr__(self, "_size_bytes", size)
-        return size
+        payload = self.payload
+        return (
+            HEADER_BYTES
+            + len("".join(payload).encode("utf-8"))
+            + PER_ENTRY_BYTES * len(payload)
+        )
 
     def reply(
-        self,
-        kind: MessageKind,
-        payload: tuple[str, ...] = (),
-        explicit_size: Optional[int] = None,
+        self, kind: MessageKind, payload: tuple[str, ...] = ()
     ) -> "Message":
         """Build a response message back to this message's source."""
         return Message(
@@ -133,5 +114,4 @@ class Message:
             source=self.destination,
             destination=self.source,
             payload=payload,
-            explicit_size=explicit_size,
         )

@@ -35,6 +35,7 @@ import contextlib
 import signal
 import sys
 
+from repro.core.cache import CachePolicy
 from repro.core.scheme import SCHEMES
 from repro.dht import DEFAULT_BITS, SUBSTRATES
 from repro.rpc.daemon import NodeDaemon
@@ -177,6 +178,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.require_signed and args.identity_dir is None:
         parser.error("--require-signed needs --identity-dir")
+    if args.replication < 1:
+        parser.error("--replication must be >= 1")
+    try:
+        CachePolicy.parse(args.cache)
+    except ValueError as error:
+        parser.error(f"--cache: {error}")
     try:
         return asyncio.run(run(args))
     except KeyboardInterrupt:

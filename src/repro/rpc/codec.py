@@ -6,8 +6,7 @@ translation between the two: every message kind round-trips through
 ``encode_message`` / ``decode_message`` bit-exactly, and the framing is
 explicit enough that the *measured* wire size can be cross-checked
 against the payload-derived estimate :attr:`Message.size_bytes` uses for
-Figure 12's traffic accounting (see :func:`measured_size_bytes` and
-:func:`estimate_delta`).
+Figure 12's traffic accounting (``tests/rpc/wire_size.py`` pins the gap).
 
 Frame format (version 1)
 ========================
@@ -31,13 +30,12 @@ followed by a type-dependent body:
     ------  ----  -----------------------------------------------------
     0       1     message kind code (table below)
     1       1     traffic category code: 1=normal 2=cache 3=maintenance
-    2       1     flags, bit 0: explicit_size present
+    2       1     flags (bit 1: signed, below; every other bit is 0)
     3       2     route_hops (u16, >= 1)
     5       2     source length Ls, then Ls bytes UTF-8
     7+Ls    2     destination length Ld, then Ld bytes UTF-8
     9+Ls+Ld 2     payload entry count N
     ...           N entries, each: u32 byte length + UTF-8 bytes
-    [tail]  8     explicit_size (u64), only when flag bit 0 is set
 
   Kind codes: query_request=1, query_response=2, index_insert=3,
   index_remove=4, cache_insert=5, file_request=6, file_response=7,
@@ -145,11 +143,9 @@ WIRE_PER_ENTRY_BYTES = 4
 #: DeliveryError reason: the transport retries over TCP transparently).
 OVERSIZED_REASON = "oversized"
 
-_FLAG_EXPLICIT_SIZE = 0x01
 #: Set on message bodies travelling inside a signed (version-2) frame.
 #: A version-1 decoder rejects it as an unknown flag bit by design.
 _FLAG_SIGNED = 0x02
-_KNOWN_FLAGS = _FLAG_EXPLICIT_SIZE | _FLAG_SIGNED
 
 #: Signed-trailer field sizes (ed25519).
 SIGNED_PUBKEY_BYTES = 32
@@ -214,12 +210,6 @@ def encode_message(message: Message, *, signed: bool = False) -> bytes:
     if len(message.payload) > _U16_MAX:
         raise CodecError("payload exceeds 65535 entries")
     flags = _FLAG_SIGNED if signed else 0
-    if message.explicit_size is not None:
-        if not 0 <= message.explicit_size <= _U64_MAX:
-            raise CodecError(
-                f"explicit_size out of u64 range: {message.explicit_size}"
-            )
-        flags |= _FLAG_EXPLICIT_SIZE
     parts = [
         struct.pack(
             ">BBBHH", kind_code, category_code, flags, hops, len(source)
@@ -235,8 +225,6 @@ def encode_message(message: Message, *, signed: bool = False) -> bytes:
             raise CodecError("payload entry exceeds u32 byte length")
         parts.append(struct.pack(">I", len(data)))
         parts.append(data)
-    if message.explicit_size is not None:
-        parts.append(struct.pack(">Q", message.explicit_size))
     return b"".join(parts)
 
 
@@ -268,9 +256,6 @@ class _Reader:
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
 
     def text(self, count: int) -> str:
         try:
@@ -305,7 +290,7 @@ def decode_message(body: Buffer, *, signed: bool = False) -> Message:
     if category is None:
         raise CodecError(f"unknown traffic category code: {category_code}")
     flags = reader.u8()
-    known = _KNOWN_FLAGS if signed else _FLAG_EXPLICIT_SIZE
+    known = _FLAG_SIGNED if signed else 0
     if flags & ~known:
         raise CodecError(f"unknown flag bits set: {flags:#x}")
     if signed and not flags & _FLAG_SIGNED:
@@ -317,14 +302,12 @@ def decode_message(body: Buffer, *, signed: bool = False) -> Message:
     destination = reader.text(reader.u16())
     count = reader.u16()
     payload = tuple(reader.text(reader.u32()) for _ in range(count))
-    explicit_size = reader.u64() if flags & _FLAG_EXPLICIT_SIZE else None
     reader.done()
     return Message(
         kind=kind,
         source=source,
         destination=destination,
         payload=payload,
-        explicit_size=explicit_size,
         route_hops=hops,
         category=category,
     )

@@ -26,6 +26,7 @@ import random
 import shutil
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, Iterable, Optional
 
@@ -424,6 +425,9 @@ class Experiment:
         #: The result being accumulated (created by :meth:`_run`); the
         #: chaos handlers write their counts onto it directly.
         self._result: ExperimentResult
+        #: Figure 15: node endpoint -> completed lookups that touched it
+        #: (the union of every ``SearchTrace.touched``).
+        self.node_queries: Counter[str] = Counter()
         #: Optional observer called with every SearchTrace as the feed
         #: runs (determinism and zero-fault-identity tests use this).
         self.trace_sink: Optional[Callable[[SearchTrace], None]] = None
@@ -558,11 +562,9 @@ class Experiment:
 
     def _run_sequential(self, feed: Iterable[WorkloadQuery]) -> None:
         """The paper's feed: one query at a time through the call stack."""
-        meter = self.transport.meter
         for position, workload_query in enumerate(feed):
             self._dispatch_chaos(position)
             trace = self.engine.search(workload_query.query, workload_query.target)
-            meter.end_query()
             self._record_trace(trace)
 
     def _run_concurrent(self, feed: Iterable[WorkloadQuery]) -> None:
@@ -588,7 +590,6 @@ class Experiment:
             LookupEngine(self.service, user=f"user:{index}", tracer=self.tracer)
             for index in range(1, config.concurrency)
         ]
-        meter = self.transport.meter
         # Every sample is kept: percentiles are exact, at 8 bytes per
         # query per metric.
         response_times = ExactQuantiles()
@@ -599,9 +600,6 @@ class Experiment:
 
         def finish(trace: SearchTrace, started_at: float) -> None:
             response_times.add(kernel.now - started_at)
-            # The continuation driver pointed the meter at this lookup's
-            # own touched nodes (Fig 15) before completing it.
-            meter.end_query()
             self._record_trace(trace)
 
         def begin(
@@ -678,6 +676,7 @@ class Experiment:
         result = self._result
         result.searches += 1
         result.found += int(trace.found)
+        self.node_queries.update(trace.touched)
         if not trace.query.is_exact():
             result.predicate_queries += 1
         if self._any_recovery:
@@ -728,11 +727,10 @@ class Experiment:
         if index_keys:
             result.avg_index_keys_per_node = sum(index_keys) / len(index_keys)
 
-        counts = meter.query_counts_by_node()
-        percentages = sorted(
-            (100.0 * count / queries for count in counts.values()), reverse=True
+        result.node_query_percentages = sorted(
+            (100.0 * count / queries for count in self.node_queries.values()),
+            reverse=True,
         )
-        result.node_query_percentages = percentages
 
         result.avg_dht_hops = self._average_dht_hops()
 

@@ -25,8 +25,9 @@ query shapes answerable          indexed classes   every strand shape
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 from repro.core.fields import Record, Schema
 from repro.core.query import FieldQuery
@@ -43,6 +44,8 @@ class TwineWorkloadResult:
     found: int = 0
     total_interactions: int = 0
     normal_bytes_total: int = 0
+    #: Figure 15: resolver endpoint -> lookups that touched it.
+    node_queries: Counter[str] = field(default_factory=Counter)
 
     @property
     def avg_interactions(self) -> float:
@@ -132,14 +135,23 @@ class TwineResolver:
         for strand in self.strands_for(record):
             self.description_store.put(strand.key(), description)
 
-    def lookup(self, query: FieldQuery, target: Record, user: str) -> tuple[bool, int]:
+    def lookup(
+        self,
+        query: FieldQuery,
+        target: Record,
+        user: str,
+        touched: Optional[set[str]] = None,
+    ) -> tuple[bool, int]:
         """Resolve a query and fetch the target's file.
 
         Returns ``(found, interactions)``.  One resolver round trip
         returns the full matching descriptions; selecting the target's
         and fetching its file costs one more interaction -- Twine
-        lookups are flat by construction.
+        lookups are flat by construction.  Every node that answered
+        joins ``touched``, the lookup's Figure 15 set.
         """
+        if touched is None:
+            touched = set()
         if not self.transport.is_registered(user):
             self.transport.register(user, lambda message: None)
         strand_key = query.key()
@@ -152,7 +164,7 @@ class TwineResolver:
                 payload=(strand_key,),
             )
         )
-        self.transport.meter.touch_node(self.endpoint_name(node))
+        touched.add(self.endpoint_name(node))
         interactions = 1
         assert response is not None
         target_msd = FieldQuery.msd_of(target).key()
@@ -167,7 +179,7 @@ class TwineResolver:
                 payload=(target_msd,),
             )
         )
-        self.transport.meter.touch_node(self.endpoint_name(file_node))
+        touched.add(self.endpoint_name(file_node))
         interactions += 1
         assert file_response is not None
         return bool(file_response.payload), interactions
@@ -185,8 +197,9 @@ class TwineResolver:
             if len(query.fields) > self.max_strand_fields:
                 fields = sorted(query.fields)[: self.max_strand_fields]
                 query = query.restrict(fields)
-            found, interactions = self.lookup(query, item.target, user)
-            meter.end_query()
+            touched: set[str] = set()
+            found, interactions = self.lookup(query, item.target, user, touched)
+            result.node_queries.update(touched)
             result.searches += 1
             result.found += int(found)
             result.total_interactions += interactions

@@ -49,7 +49,6 @@ def run_search_workload(num_queries: int = 200) -> None:
     engine = LookupEngine(service, user="user:invariant")
     for item in QueryGenerator(corpus, seed=7).generate(num_queries):
         trace = engine.search(item.query, item.target)
-        service.transport.meter.end_query()
         assert trace.found
 
 

@@ -1,13 +1,14 @@
 """One failover core, two drivers: the blocking and ``_async`` names agree.
 
 ``IndexService`` writes its replica loop once (``_replica_steps``) and
-runs it inline (``query_key`` / ``fetch_file``) or over the event kernel
-(``query_key_async`` / ``fetch_file_async``).  Each scenario below goes
-through both -- the scheduled one on a zero-latency clock -- with and
-without a trust ledger, and must come out identical in everything but
-time: the answer or the error reason, the metered bytes, the
-``repro.perf`` counter deltas, the ledger's scores, the Figure 15 node
-counts and the chaos RNG's state afterwards.
+runs it inline (``_drive``, behind ``query_key`` / ``fetch_file``) or
+over the event kernel (``_drive_async``, behind ``query_key_async`` /
+``fetch_file_async``).  Each scenario below drives the stack those names
+build through both -- the scheduled one on a zero-latency clock -- with
+and without a trust ledger, and must come out identical in everything
+but time: the answer or the error reason, the metered bytes, the
+``repro.perf`` counter deltas, the ledger's scores, the Figure 15 set of
+replicas that answered and the chaos RNG's state afterwards.
 """
 
 import random
@@ -24,7 +25,7 @@ from repro.dht.ring import IdealRing
 from repro.net.adversary import ROLE_POISONER, ROLE_SYBIL
 from repro.net.faults import FaultPlan, FaultyTransport
 from repro.net.latency import ZeroLatency
-from repro.net.message import TrafficCategory
+from repro.net.message import MessageKind, TrafficCategory
 from repro.net.transport import DeliveryError, SimulatedTransport
 from repro.sec.trust import TrustLedger
 from repro.sim.kernel import EventKernel
@@ -120,8 +121,12 @@ SCENARIOS = {
 }
 
 
-def observe(name, trusted, scheduled):
-    """Run one scenario through one driver; return everything but time."""
+def observe(name, trusted, scheduled, public=False):
+    """Run one scenario through one driver; return everything but time.
+
+    ``public`` goes through the public name instead, which keeps no
+    Figure 15 set (``touched`` stays empty).
+    """
     operation, arrange = SCENARIOS[name]
     service, transport, trust, rng = build(trusted)
     fetch = operation == "fetch"
@@ -130,9 +135,11 @@ def observe(name, trusted, scheduled):
     order = first_order(service, store, key)
     arrange(transport, order)
     meter = transport.meter
-    meter.reset()
+    bytes_before = {c: meter.bytes_for(c) for c in TrafficCategory}
     before = perf.snapshot()
     outcomes = []
+    touched = set()
+    kind = MessageKind.FILE_REQUEST if fetch else MessageKind.QUERY_REQUEST
 
     def on_done(result):
         outcomes.append(
@@ -143,28 +150,35 @@ def observe(name, trusted, scheduled):
     def on_error(error):
         outcomes.append((error.reason, error.destination))
 
+    # The same stack the public names build: routed only when scheduled.
+    steps = service._replica_steps(kind, key, USER, scheduled, touched)
     if scheduled:
         kernel = EventKernel()
         transport.bind_clock(kernel, ZeroLatency())
-        if fetch:
+        if not public:
+            service._drive_async(steps, on_done, on_error)
+        elif fetch:
             service.fetch_file_async(MSD, USER, on_done, on_error)
         else:
             service.query_key_async(key, USER, on_done, on_error)
         kernel.run()
     else:
         try:
-            if fetch:
+            if not public:
+                on_done(service._drive(steps))
+            elif fetch:
                 on_done(service.fetch_file(MSD, USER))
             else:
                 on_done(service.query_key(key, USER))
         except DeliveryError as error:
             on_error(error)
     (outcome,) = outcomes
-    meter.end_query()
     return {
         "outcome": outcome,
-        "bytes": {c: meter.bytes_for(c) for c in TrafficCategory},
-        "touched": meter.query_counts_by_node(),
+        "bytes": {
+            c: meter.bytes_for(c) - bytes_before[c] for c in TrafficCategory
+        },
+        "touched": touched,
         "counters": perf.delta(before, perf.snapshot()),
         "scores": None if trust is None else [trust.score(n) for n in order],
         "sends": transport.sends,
@@ -178,6 +192,16 @@ def test_blocking_and_async_names_agree(name, trusted):
     inline, _ = observe(name, trusted, scheduled=False)
     scheduled, _ = observe(name, trusted, scheduled=True)
     assert scheduled == inline
+
+
+@pytest.mark.parametrize("scheduled", [False, True], ids=["inline", "kernel"])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_public_names_drive_the_same_stack(name, scheduled):
+    stack, _ = observe(name, True, scheduled)
+    named, _ = observe(name, True, scheduled, public=True)
+    assert named.pop("touched") == set()
+    stack.pop("touched")
+    assert named == stack
 
 
 class TestTheScenariosAreWhatTheySay:

@@ -5,8 +5,8 @@ configurations, and every indexed query shape must locate every record.
 This is the search-totality guarantee the evaluation relies on, pinned
 as an explicit matrix on the Figure 1 corpus.  The matrix also
 cross-checks the observability layer: the per-lookup node touches
-reconstructed from a trace must equal the TrafficMeter's Figure 15
-aggregates, independently accumulated.
+reconstructed from a trace must equal the Figure 15 counts folded from
+each lookup's ``SearchTrace.touched``, independently accumulated.
 """
 
 from collections import Counter
@@ -71,7 +71,6 @@ def test_matrix_cell(scheme_name, policy_name, paper_records):
             for shape in SHAPES:
                 query = FieldQuery.of_record(record, shape)
                 trace = engine.search(query, record)
-                service.transport.meter.end_query()
                 assert trace.found, (scheme_name, policy_name, shape, repetition)
                 assert trace.result_msd == FieldQuery.msd_of(record).key()
                 # Bounded work: deepest chain (4) + one generalization
@@ -84,13 +83,13 @@ def test_matrix_cell(scheme_name, policy_name, paper_records):
 def test_trace_reconstructs_traffic_meter_counts(
     scheme_name, policy_name, paper_records
 ):
-    """Per-lookup node touches from the trace == TrafficMeter aggregates.
+    """Per-lookup node touches from the trace == Figure 15 counts.
 
-    The meter accumulates Figure 15's queries-touched counts message by
-    message; the trace records the resolution chain lookup by lookup.
-    Reconstructing the meter's view from the trace (and vice versa: the
-    trace's interaction count from the meter-backed SearchTrace) must
-    agree exactly -- two independent accounting paths, one truth.
+    The replica loop adds every replica that answered to the lookup's
+    ``SearchTrace.touched``, folded here exactly as ``Experiment`` folds
+    it; the tracer records the resolution chain as events.
+    Reconstructing the counts from the exported events must agree
+    exactly -- two independent accounting paths, one truth.
     """
     ring = IdealRing(64)
     for index in range(16):
@@ -113,14 +112,15 @@ def test_trace_reconstructs_traffic_meter_counts(
     engine = LookupEngine(service, user="user:xcheck", tracer=tracer)
 
     searches = 0
+    node_queries: Counter[str] = Counter()
     for repetition in range(2):
         for record in paper_records:
             for shape in SHAPES:
                 query = FieldQuery.of_record(record, shape)
                 trace = engine.search(query, record)
-                transport.meter.end_query()
                 assert trace.found
                 searches += 1
+                node_queries.update(trace.touched)
 
     spans = group_lookups(
         TraceEvent.from_line(line) for line in tracer.jsonl_lines()
@@ -131,16 +131,15 @@ def test_trace_reconstructs_traffic_meter_counts(
     for span in spans:
         for node in visited_nodes(span):
             reconstructed[service.endpoint_name(node)] += 1
-    assert dict(reconstructed) == transport.meter.query_counts_by_node()
+    assert reconstructed == node_queries
 
 
 def test_trace_reconstructs_traffic_in_kernel_mode():
     """The cross-check holds with overlapping lookups on the kernel.
 
-    Concurrent mode keeps one touched-node set per lookup (the engine
-    points the meter at it before each resume); reconstructing those
-    sets from the exported trace events must land on the same aggregate
-    counts.
+    Concurrent mode interleaves the lookups' exchanges, each adding to
+    its own ``SearchTrace.touched``; reconstructing those sets from the
+    exported trace events must land on the experiment's Figure 15 counts.
     """
     config = ExperimentConfig(
         cache="single",
@@ -164,10 +163,7 @@ def test_trace_reconstructs_traffic_in_kernel_mode():
     for span in spans:
         for node in visited_nodes(span):
             reconstructed[experiment.service.endpoint_name(node)] += 1
-    assert (
-        dict(reconstructed)
-        == experiment.transport.meter.query_counts_by_node()
-    )
+    assert reconstructed == experiment.node_queries
 
 
 def test_matrix_interactions_never_increase_with_cache(paper_records):
@@ -192,7 +188,6 @@ def test_matrix_interactions_never_increase_with_cache(paper_records):
                 query = FieldQuery.of_record(record, shape)
                 cold = engine.search(query, record)
                 warm = engine.search(query, record)
-                service.transport.meter.end_query()
                 assert warm.interactions <= cold.interactions, (
                     scheme_name, shape,
                 )

@@ -214,6 +214,11 @@ class TestCli:
             ["--request-timeout-ms", "nan"],
             ["--request-timeout-ms", "inf"],
             ["--base-records", "0"],
+            ["--store-fraction", "2"],
+            ["--nodes", "0"],
+            ["--replication", "0"],
+            ["--cache", "bogus"],
+            ["--substrate", "bogus"],
         ],
     )
     def test_cli_rejects_inputs_it_cannot_run(self, flags, capsys):
@@ -238,6 +243,13 @@ class TestConfigBoundary:
             {"request_timeout_ms": float("nan")},
             {"num_base_records": 0},
             {"workers": 0},
+            {"store_fraction": 2.0},
+            {"store_fraction": float("nan")},
+            {"num_nodes": 0},
+            {"replication": 0},
+            {"cache": "bogus"},
+            {"substrate": "bogus"},
+            {"scheme": "bogus"},
         ],
     )
     def test_rejects_what_it_cannot_run(self, options):

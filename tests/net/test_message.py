@@ -24,12 +24,6 @@ class TestSizes:
         message = Message(MessageKind.QUERY_REQUEST, "a", "b", payload=("é",))
         assert message.size_bytes == HEADER_BYTES + 2 + PER_ENTRY_BYTES
 
-    def test_explicit_size_overrides(self):
-        message = Message(
-            MessageKind.FILE_RESPONSE, "a", "b", payload=("x",), explicit_size=250_000
-        )
-        assert message.size_bytes == 250_000
-
     def test_size_grows_with_result_set(self):
         small = Message(MessageKind.QUERY_RESPONSE, "a", "b", payload=("x",))
         large = Message(
@@ -71,8 +65,3 @@ class TestReply:
         assert response.source == "node:9"
         assert response.destination == "user:1"
         assert response.payload == ("entry",)
-
-    def test_reply_with_explicit_size(self):
-        request = Message(MessageKind.FILE_REQUEST, "u", "n")
-        response = request.reply(MessageKind.FILE_RESPONSE, explicit_size=99)
-        assert response.size_bytes == 99

@@ -13,12 +13,14 @@ Two guarantees pin the observability layer down:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import asdict, replace
 
 import pytest
 
 from repro.sim.experiment import Experiment
-from repro.sim.presets import CHURN_SMOKE_CONFIG, CONCURRENT_CONFIG
+from repro.sim.presets import CHURN_SMOKE_CONFIG, CONCURRENT_CONFIG, get_preset
 
 #: Result fields excluded from bit-identity comparisons (wall clock and
 #: process-global memo-cache warmup; see tests/sim/test_concurrent.py).
@@ -106,3 +108,20 @@ class TestObserverEffect:
         assert experiment.transport.tracer is None
         assert experiment.index_store.tracer is None
         assert experiment.file_store.tracer is None
+
+
+def test_figure15_credits_every_replica_that_answered():
+    """Figure 15 counts the replicas a lookup touched, not those it
+    followed: with verification and the trust ledger on, a withheld
+    empty answer set aside for a second opinion still touched its
+    replica.  Pinned as taken before Figure 15 moved from the traffic
+    meter onto ``SearchTrace.touched``; counting ``trace.visited``
+    instead sums to 247.47.
+    """
+    config = replace(get_preset("adversarial-smoke"), verify_signatures=True)
+    result = Experiment(config).run()
+    percentages = result.node_query_percentages
+    assert len(percentages) == 53
+    assert round(sum(percentages), 2) == 252.8
+    digest = hashlib.sha256(json.dumps(percentages).encode()).hexdigest()
+    assert digest[:16] == "894a58deecdf55fe"

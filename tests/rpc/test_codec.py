@@ -52,14 +52,6 @@ class TestMessageRoundTrip:
         )
         assert decode_message(encode_message(message)) == message
 
-    def test_explicit_size_survives(self):
-        message = sample_message(
-            kind=MessageKind.FILE_RESPONSE, explicit_size=123456
-        )
-        decoded = decode_message(encode_message(message))
-        assert decoded.explicit_size == 123456
-        assert decoded == message
-
     def test_route_hops_survive(self):
         message = sample_message(route_hops=17)
         assert decode_message(encode_message(message)).route_hops == 17
@@ -95,10 +87,6 @@ class TestEncodeLimits:
         with pytest.raises(CodecError):
             encode_message(sample_message(source="s" * 70000))
 
-    def test_negative_explicit_size_rejected(self):
-        with pytest.raises(CodecError):
-            encode_message(sample_message(explicit_size=-1))
-
 
 class TestDecodeRejection:
     def test_truncated_body_rejected(self):
@@ -129,6 +117,15 @@ class TestDecodeRejection:
         body[2] |= 0x80
         with pytest.raises(CodecError):
             decode_message(bytes(body))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_flag_bit_zero_is_unknown(self, signed):
+        # Bit 0 is unassigned: no encoder sets it, and no decoder accepts it.
+        body = bytearray(encode_message(sample_message(), signed=signed))
+        assert body[2] & 0x01 == 0
+        body[2] |= 0x01
+        with pytest.raises(CodecError, match="unknown flag bits"):
+            decode_message(bytes(body), signed=signed)
 
     def test_invalid_utf8_rejected(self):
         message = sample_message(payload=("abcd",))

@@ -2,7 +2,7 @@
 
 Hypothesis drives the codec across the full message space -- every
 kind, every category, unicode payloads and endpoint names, the
-route_hops wire range, optional explicit sizes, and large frames -- and
+route_hops wire range and large frames -- and
 asserts the round trip is the identity and the measured size matches
 the frame actually produced.
 """
@@ -31,7 +31,6 @@ messages = st.builds(
     source=names,
     destination=names,
     payload=st.tuples() | st.lists(text, max_size=8).map(tuple),
-    explicit_size=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
     route_hops=st.integers(min_value=1, max_value=0xFFFF),
     category=st.sampled_from(list(TrafficCategory)),
 )

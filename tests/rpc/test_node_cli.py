@@ -199,3 +199,21 @@ def test_require_signed_without_identity_dir_is_a_usage_error():
     )
     assert process.returncode == 2
     assert "--identity-dir" in process.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [["--cache", "bogus"], ["--replication", "0"]]
+)
+def test_unrunnable_overlay_options_are_usage_errors(flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.run(
+        [sys.executable, "-m", "repro.node", "--listen", "127.0.0.1:0", *flags],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert process.returncode == 2
+    assert "error:" in process.stderr
+    assert "Traceback" not in process.stderr

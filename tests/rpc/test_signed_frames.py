@@ -39,7 +39,6 @@ messages = st.builds(
     source=names,
     destination=names,
     payload=st.tuples() | st.lists(text, max_size=6).map(tuple),
-    explicit_size=st.none() | st.integers(min_value=0, max_value=2**64 - 1),
     route_hops=st.integers(min_value=1, max_value=0xFFFF),
     category=st.sampled_from(list(TrafficCategory)),
 )

@@ -89,21 +89,3 @@ def test_relation_holds_across_the_message_space(
     assert measured_size_bytes(message) == message.size_bytes + (
         estimate_delta(message)
     )
-
-
-def test_explicit_size_is_not_bound_by_the_relation():
-    """A file transfer's size_bytes is the article size, not the frame's.
-
-    The wire still moves only the descriptor, so the measured size is
-    unrelated to (and typically far below) the explicit figure; the
-    cross-check deliberately binds the payload-derived case only.
-    """
-    message = Message(
-        kind=MessageKind.FILE_RESPONSE,
-        source="node:1",
-        destination="user:0",
-        payload=("author=x/title=y",),
-        explicit_size=10_000_000,
-    )
-    assert message.size_bytes == 10_000_000
-    assert measured_size_bytes(message) < message.size_bytes

@@ -23,24 +23,19 @@ def measured_size_bytes(message: Message) -> int:
 def estimate_delta(message: Message) -> int:
     """Exact gap between the measured and the estimated size.
 
-    For a payload-derived message (``explicit_size is None``)::
+    ::
 
         measured - estimated = (ENVELOPE_BYTES + MESSAGE_FIXED_BYTES
                                 - HEADER_BYTES)
                                + len(utf8(source)) + len(utf8(destination))
 
     i.e. a fixed framing delta of 7 bytes plus the endpoint names the
-    estimate deliberately ignores (they are simulation-local).  With an
-    explicit size the flag tail adds 8 more bytes -- but then
-    ``size_bytes`` returns the caller's figure (a file's article size),
-    which the wire size of the *descriptor* is unrelated to, so the
-    cross-check only binds the payload-derived case.  A tier-1 test
-    asserts ``measured_size_bytes(m) == m.size_bytes + estimate_delta(m)``
-    for payload-derived messages of every kind.
+    estimate deliberately ignores (they are simulation-local).  A tier-1
+    test asserts ``measured_size_bytes(m) == m.size_bytes +
+    estimate_delta(m)`` for messages of every kind.
     """
     fixed = ENVELOPE_BYTES + MESSAGE_FIXED_BYTES - HEADER_BYTES
     names = len(message.source.encode("utf-8")) + len(
         message.destination.encode("utf-8")
     )
-    tail = 8 if message.explicit_size is not None else 0
-    return fixed + names + tail
+    return fixed + names
