@@ -41,6 +41,8 @@ class MessageKind(enum.Enum):
     FILE_RESPONSE = "file_response"
     CONTROL = "control"
 
+    __hash__ = object.__hash__  # a singleton: C, not Enum's python hash
+
 
 class TrafficCategory(enum.Enum):
     """Accounting buckets used by Figure 12."""
@@ -49,14 +51,16 @@ class TrafficCategory(enum.Enum):
     CACHE = "cache"
     MAINTENANCE = "maintenance"
 
-    @staticmethod
-    def for_kind(kind: MessageKind) -> "TrafficCategory":
-        if kind is MessageKind.CACHE_INSERT:
-            return TrafficCategory.CACHE
-        if kind in (MessageKind.INDEX_INSERT, MessageKind.INDEX_REMOVE,
-                    MessageKind.CONTROL):
-            return TrafficCategory.MAINTENANCE
-        return TrafficCategory.NORMAL
+    __hash__ = object.__hash__  # as MessageKind's
+
+
+#: The Figure 12 bucket of each kind.
+_CATEGORY_OF_KIND = dict.fromkeys(MessageKind, TrafficCategory.NORMAL) | {
+    MessageKind.CACHE_INSERT: TrafficCategory.CACHE,
+    MessageKind.INDEX_INSERT: TrafficCategory.MAINTENANCE,
+    MessageKind.INDEX_REMOVE: TrafficCategory.MAINTENANCE,
+    MessageKind.CONTROL: TrafficCategory.MAINTENANCE,
+}
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,7 @@ class Message:
 
     def __post_init__(self) -> None:
         if self.category is None:
-            object.__setattr__(
-                self, "category", TrafficCategory.for_kind(self.kind)
-            )
+            object.__setattr__(self, "category", _CATEGORY_OF_KIND[self.kind])
 
     @property
     def size_bytes(self) -> int:
