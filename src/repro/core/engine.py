@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.fields import Record
-from repro.core.query import FieldQuery
+from repro.core.query import FieldQuery, RecordKeys
 from repro.core.service import IndexService, QueryAnswer
 from repro.net.message import MessageKind
 from repro.net.transport import DeliveryError
@@ -205,8 +205,8 @@ class LookupEngine:
         drivers; ``routed`` is the driver's (continuation requests carry
         their overlay path length).
         """
-        target_msd = FieldQuery.msd_of(target)
-        target_msd_key = target_msd.key()
+        keys = RecordKeys(target)
+        msd, target_msd_key = keys.msd(), keys.msd_key
 
         current = trace.query
         if not current.is_exact():
@@ -272,11 +272,11 @@ class LookupEngine:
                 trace.cache_hit = True
                 if trace.hit_interaction is None:
                     trace.hit_interaction = trace.interactions
-                current = target_msd
+                current = msd
                 referrer = answer.node
                 continue
 
-            chosen = FieldQuery.select_covering(answer.entries, target, target_msd)
+            chosen = FieldQuery.select_covering(answer.entries, target, msd, keys)
             if chosen is not None:
                 current = chosen
                 referrer = answer.node
