@@ -2,7 +2,7 @@
 """End-to-end demo over real sockets: a loopback cluster of daemons.
 
 Boots a :class:`repro.rpc.cluster.LocalCluster` of node daemons on
-ephemeral loopback ports (UDP + TCP, real frames through the
+ephemeral loopback ports (TCP, real frames through the
 :mod:`repro.rpc.codec` wire format), publishes a synthetic corpus
 through a wire client, then resolves seeded covering-chain lookups and
 prints the traffic/trace summary.  Exits 0 only if every lookup found
@@ -123,9 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         "wire traffic: "
         f"{counters.rpc_requests} requests, "
-        f"{counters.rpc_udp_frames} UDP frames, "
         f"{counters.rpc_tcp_frames} TCP frames, "
-        f"{counters.rpc_retries} retries, "
+        f"{counters.rpc_timeouts} timeouts, "
         f"{counters.rpc_bytes_sent} B sent, "
         f"{counters.rpc_bytes_received} B received"
     )

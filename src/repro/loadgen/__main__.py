@@ -20,6 +20,7 @@ from repro.loadgen.report import (
     format_capacity_report,
 )
 from repro.loadgen.runner import LoadTestConfig, run_load_test
+from repro.rpc.transport import AsyncioTransport
 
 
 def parse_ramp(text: str) -> tuple[float, ...]:
@@ -97,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--request-timeout-ms",
         type=float,
-        default=250.0,
-        help="per-request transport timeout (default 250)",
+        default=AsyncioTransport.REQUEST_TIMEOUT_MS,
+        help="per-request transport deadline (default %(default)g)",
     )
     parser.add_argument(
         "--drain-seconds",

@@ -44,6 +44,7 @@ from repro.loadgen.worker import (
     run_worker,
 )
 from repro.rpc.cluster import LocalCluster
+from repro.rpc.transport import AsyncioTransport
 
 
 @dataclass
@@ -64,8 +65,7 @@ class LoadTestConfig:
     bits: int = DEFAULT_BITS
     num_base_records: int = 50
     store_pool_size: int = 200
-    request_timeout_ms: float = 250.0
-    max_retries: int = 3
+    request_timeout_ms: float = AsyncioTransport.REQUEST_TIMEOUT_MS
     #: Grace between worker setup and the common start instant.
     start_grace_s: float = 2.0
     drain_timeout_s: float = 15.0
@@ -157,7 +157,6 @@ def worker_configs(
             store_pool_size=config.store_pool_size,
             start_at=start_at,
             request_timeout_ms=config.request_timeout_ms,
-            max_retries=config.max_retries,
             gamma=config.gamma,
             drain_timeout_s=config.drain_timeout_s,
         )
@@ -268,7 +267,6 @@ def run_load_test(config: LoadTestConfig) -> CapacityReport:
                 replication=config.replication,
                 bits=config.bits,
                 request_timeout_ms=config.request_timeout_ms,
-                max_retries=config.max_retries,
             ).start()
             seed_base_records(cluster, config)
             bootstrap = cluster.daemons[0].address

@@ -1,7 +1,7 @@
 """One load-generator worker: an open-loop client process.
 
 A worker owns one :class:`~repro.rpc.cluster.ClusterClient` (its own
-UDP socket, its own routing mirror) and replays the deterministic
+connections, its own routing mirror) and replays the deterministic
 operation script of :mod:`repro.loadgen.schedule` against the cluster
 *open-loop*: every operation is dispatched at its scheduled arrival
 instant whether or not earlier operations finished -- exactly the
@@ -45,6 +45,7 @@ from repro.loadgen.schedule import (
 )
 from repro.net.transport import DeliveryError
 from repro.rpc.cluster import ClusterClient
+from repro.rpc.transport import AsyncioTransport
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
 
@@ -76,8 +77,7 @@ class WorkerConfig:
     num_base_records: int = 50
     store_pool_size: int = 200
     start_at: float = 0.0
-    request_timeout_ms: float = 250.0
-    max_retries: int = 3
+    request_timeout_ms: float = AsyncioTransport.REQUEST_TIMEOUT_MS
     gamma: float = 1.02
     drain_timeout_s: float = 15.0
 
@@ -187,7 +187,6 @@ def run_worker(config: WorkerConfig) -> WorkerResult:
         bits=config.bits,
         user=f"loadgen:{config.worker}",
         request_timeout_ms=config.request_timeout_ms,
-        max_retries=config.max_retries,
     )
     entry_classes = sorted(
         tuple(sorted(keyset)) for keyset in client.scheme.entry_classes()

@@ -54,7 +54,7 @@ def parse_host_port(text: str) -> tuple[str, int]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.node",
-        description="Serve one index node over UDP/TCP.",
+        description="Serve one index node over TCP.",
     )
     parser.add_argument(
         "--listen", type=parse_host_port, required=True, metavar="HOST:PORT",

@@ -80,11 +80,9 @@ class PerfCounters:
         "rpc_responses",
         "rpc_retries",
         "rpc_timeouts",
-        "rpc_udp_frames",
         "rpc_tcp_frames",
         "rpc_tcp_connects",
         "rpc_tcp_reuses",
-        "rpc_oversized_fallbacks",
         "rpc_codec_errors",
         "rpc_bytes_sent",
         "rpc_bytes_received",

@@ -7,9 +7,9 @@ real networked processes:
 - :mod:`repro.rpc.codec` -- the versioned, deterministic wire format for
   :class:`repro.net.message.Message` (frame spec in the module
   docstring), plus the measured-vs-estimated size accounting;
-- :mod:`repro.rpc.transport` -- :class:`AsyncioTransport`, a UDP+TCP
+- :mod:`repro.rpc.transport` -- :class:`AsyncioTransport`, a TCP
   transport with the simulated transport's ``send``/``send_async``
-  surface, wall-clock timeouts mapped onto the typed
+  surface, wall-clock deadlines and lost connections mapped onto the typed
   :class:`~repro.net.transport.DeliveryError` hierarchy;
 - :mod:`repro.rpc.daemon` -- :class:`NodeDaemon`, one substrate node on
   one socket (served by ``python -m repro.node``);

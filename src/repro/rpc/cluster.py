@@ -8,7 +8,7 @@ with a ``members`` control exchange, builds a local *routing mirror* of
 the substrate (routing state only; it stores no data and hosts no
 endpoints), and then runs the ordinary
 :class:`~repro.core.engine.LookupEngine` against the cluster, every
-exchange travelling through real UDP/TCP sockets.
+exchange travelling through real TCP sockets.
 
 The mirror is what makes the client thin: ``responsible_nodes`` answers
 placement questions locally (exactly the knowledge a DHT client library
@@ -70,8 +70,7 @@ class ClusterClient:
         user: str = "user:0",
         schema: Optional[Schema] = None,
         tracer: Optional["Tracer"] = None,
-        request_timeout_ms: float = 250.0,
-        max_retries: int = 3,
+        request_timeout_ms: float = AsyncioTransport.REQUEST_TIMEOUT_MS,
         discover_timeout_ms: float = 2000.0,
         discover_retries: int = 2,
         identity: Optional[NodeIdentity] = None,
@@ -94,7 +93,7 @@ class ClusterClient:
         membership discovery: a dead bootstrap raises
         :class:`TransportError` after at most
         ``(discover_retries + 1) * discover_timeout_ms`` instead of
-        stalling the caller behind the transport's own retry ladder.
+        stalling the caller for the transport's whole request deadline.
         """
         if discover_timeout_ms <= 0:
             raise ValueError("discover_timeout_ms must be positive")
@@ -107,7 +106,6 @@ class ClusterClient:
         self.scheme = build_scheme(scheme, self.schema)
         self.transport = AsyncioTransport(
             request_timeout_ms=request_timeout_ms,
-            max_retries=max_retries,
             identity=identity,
             require_signed=require_signed,
         )
@@ -154,8 +152,8 @@ class ClusterClient:
     def _discover(self, bootstrap: Address) -> dict[int, Address]:
         """Fetch the membership, under an explicit retry/timeout budget.
 
-        Each attempt gets ``discover_timeout_ms`` wall-clock (covering
-        the transport's internal retry ladder, which would otherwise
+        Each attempt gets ``discover_timeout_ms`` wall-clock (shorter
+        than the transport's request deadline, which would otherwise
         stretch a dead bootstrap into multiple seconds), and at most
         ``discover_retries`` re-attempts follow before the bounded
         :class:`TransportError` surfaces to the caller.
@@ -341,8 +339,7 @@ class LocalCluster:
         replication: int = 1,
         bits: int = DEFAULT_BITS,
         host: str = "127.0.0.1",
-        request_timeout_ms: float = 250.0,
-        max_retries: int = 3,
+        request_timeout_ms: float = AsyncioTransport.REQUEST_TIMEOUT_MS,
         data_root: Optional[str] = None,
         fsync: str = "interval",
         signed: bool = False,
@@ -370,7 +367,6 @@ class LocalCluster:
         self.bits = bits
         self.host = host
         self.request_timeout_ms = request_timeout_ms
-        self.max_retries = max_retries
         self.data_root = data_root
         self.fsync = fsync
         self.signed = signed
@@ -442,7 +438,6 @@ class LocalCluster:
             bits=self.bits,
             node_id=node_id,
             request_timeout_ms=self.request_timeout_ms,
-            max_retries=self.max_retries,
             data_dir=data_dir,
             fsync=self.fsync,
             identity=identity,
@@ -521,7 +516,6 @@ class LocalCluster:
             replication=self.replication,
             bits=self.bits,
             request_timeout_ms=self.request_timeout_ms,
-            max_retries=self.max_retries,
         )
         if self.signed:
             options["identity"] = NodeIdentity("cluster-client")

@@ -43,12 +43,11 @@ followed by a type-dependent body:
 
 - **ACK** has an empty body: the request was delivered and its handler
   produced no response (the wire form of ``handler(message) -> None``;
-  without it a UDP sender could not tell "no response" from "lost").
+  every exchange on a shared stream needs an answer to settle it).
 
 - **ERROR** carries a delivery-failure reason: u16 length + UTF-8 reason
   string (one of the :class:`repro.net.transport.DeliveryError` reasons,
-  or the codec-internal ``oversized`` that asks the sender to repeat the
-  request over TCP).
+  or ``codec`` / ``bad-request`` for a request the peer could not read).
 
 Signed frames (version 2)
 =========================
@@ -79,17 +78,14 @@ Unsigned frames keep encoding exactly as version 1, bit-identically.
 **Replay is out of scope of the frame format.**  A signed frame carries
 no freshness field (no counter, timestamp, or nonce), so a recorded
 frame remains a valid signed frame forever.  In practice a replayed
-*request* is absorbed by the server's ``(addr, request id)`` dedupe
-cache within its TTL/capacity bounds and re-executed past them, and a
-replayed *response* is only accepted while its request id is pending --
+*request* is executed again, and a replayed *response* is only accepted while its request id is pending --
 adding per-peer freshness state would couple the stateless codec to
 connection state for an attack the index workload (idempotent inserts,
 read-only queries) gives little leverage to.  Deployments that need
 replay protection should wrap frames in a channel that provides it.
 
-Transport mapping: a frame travels as one UDP datagram, or over a TCP
-stream prefixed with a u32 frame length (``encode_stream`` /
-:class:`StreamUnframer`).  Decoding rejects bad magic, unknown versions,
+Transport mapping: a frame travels over a TCP stream prefixed with a
+u32 frame length (``encode_stream`` / :class:`StreamUnframer`).  Decoding rejects bad magic, unknown versions,
 unknown type/kind/category codes, truncated bodies, and trailing bytes
 with :class:`CodecError` -- a real socket can deliver garbage, so the
 decoder never raises anything else.  Decoders accept ``bytes`` or
@@ -138,10 +134,6 @@ MESSAGE_FIXED_BYTES = 11
 #: deliberately equals ``message.PER_ENTRY_BYTES`` so the estimate and
 #: the measurement agree per entry.
 WIRE_PER_ENTRY_BYTES = 4
-
-#: Reason string of the codec-internal oversized-response error (not a
-#: DeliveryError reason: the transport retries over TCP transparently).
-OVERSIZED_REASON = "oversized"
 
 #: Set on message bodies travelling inside a signed (version-2) frame.
 #: A version-1 decoder rejects it as an unknown flag bit by design.

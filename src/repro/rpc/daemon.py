@@ -3,7 +3,7 @@
 A :class:`NodeDaemon` hosts a single substrate node -- its DHT routing
 state, its slice of the index and file stores, and its shortcut cache --
 behind an :class:`~repro.rpc.transport.AsyncioTransport` listening on one
-UDP+TCP port.  A population of daemons (one process each, or many in one
+TCP port.  A population of daemons (one process each, or many in one
 loop via :class:`repro.rpc.cluster.LocalCluster`) is the networked
 counterpart of the simulation's single-process overlay: the same
 :class:`~repro.core.service.IndexService` code answers the same
@@ -118,8 +118,7 @@ class NodeDaemon:
         bits: int = DEFAULT_BITS,
         node_id: Optional[int] = None,
         schema: Optional[Schema] = None,
-        request_timeout_ms: float = 250.0,
-        max_retries: int = 3,
+        request_timeout_ms: float = AsyncioTransport.REQUEST_TIMEOUT_MS,
         data_dir: Optional[str] = None,
         fsync: str = "interval",
         identity_dir: Optional[str] = None,
@@ -157,7 +156,6 @@ class NodeDaemon:
             self.identity = NodeIdentity.load_or_create(identity_dir)
         self.transport = AsyncioTransport(
             request_timeout_ms=request_timeout_ms,
-            max_retries=max_retries,
             identity=self.identity,
             require_signed=require_signed,
         )

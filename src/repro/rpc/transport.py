@@ -1,10 +1,10 @@
 """Real-socket transport with the `SimulatedTransport` surface.
 
 :class:`AsyncioTransport` carries :class:`repro.net.message.Message`
-frames over UDP datagrams (TCP for frames too large for a datagram)
-between named endpoints, exposing the ``register`` / ``send`` /
-``send_async`` surface of :class:`repro.net.transport.SimulatedTransport`
--- so :class:`repro.core.service.IndexService` and
+frames over TCP between named endpoints, exposing the ``register`` /
+``send`` / ``send_async`` surface of
+:class:`repro.net.transport.SimulatedTransport` -- so
+:class:`repro.core.service.IndexService` and
 :class:`repro.core.engine.LookupEngine` run over real sockets unchanged.
 
 Differences from the simulated transport, all deliberate:
@@ -13,11 +13,12 @@ Differences from the simulated transport, all deliberate:
   shape ``daemon@host:port`` self-resolve).  Sending to a name with
   neither a handler nor a route raises :class:`TransportError`, the
   simulation's "never existed" misuse error.
-- **Failure detection is a timer.**  A request unanswered within its
-  deadline is retried with capped exponential backoff; exhausting the
-  retries raises :class:`~repro.net.transport.DeliveryError` with the
-  ``timeout`` reason -- transient like ``dropped``, so the engine's
-  retries and the service's failover apply unchanged.  An ERROR frame
+- **Failure detection is a connection and a timer.**  A refused dial or
+  a lost connection is :class:`~repro.net.transport.DeliveryError`
+  ``unregistered`` at once (the service fails over); a request
+  unanswered within its one deadline is ``timeout`` -- transient like
+  ``dropped``, so the engine's retries apply unchanged.  The transport
+  itself never re-sends: retries live one layer up.  An ERROR frame
   (unknown endpoint, crashed node) is a ``DeliveryError`` of its reason.
 - **Time is wall-clock** behind the kernel's clock protocol: a
   :class:`WallClock` whose ``now`` is milliseconds, like
@@ -29,22 +30,20 @@ ways) and, with a tracer bound, traced as the simulated transport's
 
 Threading model: the transport lives on one asyncio event loop, and one
 callback-driven core (:meth:`AsyncioTransport.send_async`) carries every
-exchange there: a request is a frame on a channel, a deadline timer and
-two continuations -- no Task, no coroutine, no Future.  :meth:`request`
-and :meth:`request_many` are the Future adapters for coroutines on the
-loop; another thread's :meth:`send` / :meth:`send_many` /
-:meth:`run_blocking` cross onto the loop once (refused on it).
+exchange there: a request is a frame on a connection, a deadline timer
+and two continuations -- no Task, no coroutine, no Future.
+:meth:`request` and :meth:`request_many` are the Future adapters for
+coroutines on the loop; another thread's :meth:`send` / :meth:`send_many`
+/ :meth:`run_blocking` cross onto the loop once (refused on it).
 
-One frame path, two channels: a datagram, or the one TCP connection per
-peer address -- dialled on first use (the only Task: its
-``create_connection``), split by the codec's :class:`StreamUnframer`,
-shared by every exchange to that peer (the request id tells them apart).
-One dispatcher takes every frame: a REQUEST is served and answered on the
-channel it came on; anything else settles the exchange pending under its
-id.  A refused connect fails each exchange waiting on it with
-``DeliveryError(unregistered)``.  A lost connection (reset, EOF, a codec
-error on the stream) leaves the map, each exchange in flight on it takes
-its next ladder step at once, and the next attempt dials again.  The
+One channel: the one TCP connection per peer address -- dialled on first
+use (the only Task: its ``create_connection``), split by the codec's
+:class:`StreamUnframer`, shared by every exchange to that peer (the
+request id tells them apart).  One dispatcher takes every frame: a
+REQUEST is served and answered on the connection it came on; anything
+else settles the exchange pending under its id.  A lost connection
+(refused, reset, EOF, a codec error on the stream) leaves the map and
+fails each exchange in flight on it; the next request dials again.  The
 accepting side pauses reading while its socket has paused writing.
 """
 
@@ -56,7 +55,6 @@ import itertools
 import math
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
@@ -72,13 +70,10 @@ from repro.net.transport import (
 )
 from repro.perf import counters
 from repro.rpc.codec import (
-    ENVELOPE_BYTES,
     FRAME_ACK,
     FRAME_ERROR,
     FRAME_REQUEST,
     FRAME_RESPONSE,
-    OVERSIZED_REASON,
-    SIGNED_TRAILER_BYTES,
     STREAM_PREFIX_BYTES,
     Buffer,
     CodecError,
@@ -142,29 +137,17 @@ class WallClock:
 
 @dataclass(slots=True)
 class _Exchange:
-    """One request in flight: what to (re)send, where, and who waits;
-    ``tcp`` picks the channel, ``handle`` is the attempt's deadline."""
+    """One request in flight: where it went, who waits, and its
+    deadline ``handle``."""
 
     message: Message
-    body: bytes
     address: Address
     on_result: ResponseCallback
     on_error: ErrorCallback
     span: Optional["SpanRef"]
     started: float
-    request_id: int = 0
-    attempt: int = 0
-    timeout_ms: float = 0.0
-    tcp: bool = False
+    request_id: int
     handle: Optional[asyncio.TimerHandle] = None
-
-
-class _DatagramEndpoint(asyncio.DatagramProtocol):
-    """asyncio's datagram callback, bound straight to the dispatcher
-    (``error_received`` stays a no-op: the deadline handles a loss)."""
-
-    def __init__(self, owner: "AsyncioTransport") -> None:
-        self.datagram_received = owner._on_frame
 
 
 class _Stream(asyncio.Protocol):
@@ -218,7 +201,7 @@ class _Stream(asyncio.Protocol):
         for frame in frames:
             if self.transport.is_closing():
                 return
-            self.owner._on_frame(frame, self.address, self)
+            self.owner._on_frame(frame, self)
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.owner._lost(self)
@@ -233,30 +216,24 @@ class _Stream(asyncio.Protocol):
 
 
 class AsyncioTransport:
-    """UDP+TCP message transport with the simulated-transport surface."""
+    """TCP message transport with the simulated-transport surface."""
 
-    #: Ceiling of the per-attempt deadline as retries double it.
-    BACKOFF_CAP_MS = 2000.0
-    #: Bounds of the server-side reply cache: entries, and seconds since
-    #: last replayed (a retransmission only comes within a retry window).
-    DEDUPE_CAP = 1024
-    DEDUPE_TTL_S = 60.0
+    #: Default deadline of one exchange, in milliseconds: the window a
+    #: slow but live peer gets before the exchange fails as ``timeout``.
+    REQUEST_TIMEOUT_MS = 3750.0
 
     def __init__(
         self,
         *,
         meter: Optional[TrafficMeter] = None,
         clock: Optional[WallClock] = None,
-        request_timeout_ms: float = 250.0,
-        max_retries: int = 3,
-        udp_max_bytes: int = 1400,
+        request_timeout_ms: float = REQUEST_TIMEOUT_MS,
+        udp_max_bytes: object = None,  # ignored: bench/layers.py passes it (ROADMAP item 3)
         identity: Optional[NodeIdentity] = None,
         require_signed: bool = False,
         peer_keys: Optional[dict[str, bytes]] = None,
     ) -> None:
-        """``request_timeout_ms`` is the first attempt's deadline; each
-        retry doubles it up to ``BACKOFF_CAP_MS`` (capped exponential
-        backoff).  Frames larger than ``udp_max_bytes`` travel over TCP.
+        """``request_timeout_ms`` is each exchange's one deadline.
 
         ``identity`` switches on signed (version-2, see
         :mod:`repro.rpc.codec`) ed25519 frames, and every incoming signed
@@ -270,18 +247,10 @@ class AsyncioTransport:
             raise ValueError("require_signed needs an identity to sign with")
         if not 0 < request_timeout_ms < math.inf:
             raise ValueError("timeouts must be positive, finite milliseconds")
-        if max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
         self.meter = meter if meter is not None else TrafficMeter()
         self.clock = clock if clock is not None else WallClock()
         self.request_timeout_ms = request_timeout_ms
-        self.max_retries = max_retries
-        self.udp_max_bytes = udp_max_bytes
         self.identity = identity
-        #: Frame bytes beyond the body: envelope, plus the signed trailer.
-        self._frame_overhead = ENVELOPE_BYTES + (
-            SIGNED_TRAILER_BYTES if identity is not None else 0
-        )
         self.require_signed = require_signed
         #: Endpoint name -> pinned ed25519 public key (see pin_peer).
         self._pinned_keys: dict[str, bytes] = {}
@@ -291,8 +260,8 @@ class AsyncioTransport:
         self._endpoints: dict[str, Endpoint] = {}
         self._routes: dict[str, Address] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: The loop's thread while the transport is open, else None.
         self._loop_thread: Optional[int] = None
-        self._udp: Optional[asyncio.DatagramTransport] = None
         self._server: Optional[asyncio.base_events.Server] = None
         #: Peer address -> its one TCP connection, dialled or accepted.
         self._streams: dict[Address, _Stream] = {}
@@ -301,12 +270,6 @@ class AsyncioTransport:
         #: Callers blocked in run_blocking (see _finish).
         self._blocked: set[concurrent.futures.Future] = set()
         self._request_ids = itertools.count(1)
-        #: (peer address, request id) -> (expiry deadline ms, reply
-        #: frame), so a retransmission of an already-served request gets
-        #: the same reply instead of re-running the handler; LRU-ordered.
-        self._served: OrderedDict[
-            tuple[Address, int], tuple[float, bytes]
-        ] = OrderedDict()
         self.listen_address: Optional[Address] = None
 
     # -- lifecycle ----------------------------------------------------------
@@ -314,41 +277,29 @@ class AsyncioTransport:
     async def start(
         self, host: Optional[str] = None, port: int = 0
     ) -> Optional[Address]:
-        """Bring the sockets up on the running loop.
+        """Bring the transport up on the running loop.
 
-        With a ``host``, binds a UDP endpoint *and* a TCP server on the
-        same port (``port=0`` lets the OS choose; the chosen port is in
-        :attr:`listen_address`) -- the daemon mode.  Without a host,
-        binds only an ephemeral loopback UDP socket for replies -- the
-        client mode (its TCP connections are all dialled).
+        With a ``host``, listens for TCP connections there (``port=0``
+        lets the OS choose; the chosen port is in :attr:`listen_address`)
+        -- the daemon mode.  Without a host it binds nothing -- the
+        client mode: its connections are all dialled.
         """
         if self._loop is not None:
             raise TransportError("transport already started")
         self._loop = asyncio.get_running_loop()
         self._loop_thread = threading.get_ident()
         if host is None:
-            await self._bind_udp("127.0.0.1", 0)
             return None
         self._server = await self._loop.create_server(
             lambda: _Stream(self), host=host, port=port
         )
-        bound_port = self._server.sockets[0].getsockname()[1]
-        await self._bind_udp(host, bound_port)
-        self.listen_address = (host, bound_port)
+        self.listen_address = (host, self._server.sockets[0].getsockname()[1])
         return self.listen_address
-
-    async def _bind_udp(self, host: str, port: int) -> None:
-        self._udp, _ = await self._loop.create_datagram_endpoint(
-            lambda: _DatagramEndpoint(self), local_addr=(host, port)
-        )
 
     async def close(self) -> None:
         """Tear the sockets down and fail every in-flight request."""
-        if self._udp is not None:
-            self._udp.close()
-            self._udp = None
+        self._loop_thread = None
         for exchange in list(self._pending.values()):
-            exchange.handle.cancel()
             self._fail(exchange, DeliveryError.TIMEOUT)
         for stream in list(self._streams.values()):
             stream.close()
@@ -423,12 +374,13 @@ class AsyncioTransport:
 
         Exactly one continuation fires, later and on the loop thread:
         ``on_result`` with the reply (``None`` for an ACK), or
-        ``on_error`` with the :class:`DeliveryError` (``timeout`` after
-        retry exhaustion, or the peer-reported reason).  Misuse (wrong
-        thread, unroutable name, not running) raises here.  Returns the
-        exchange in flight (``None`` for a local destination).
+        ``on_error`` with the :class:`DeliveryError` (``timeout`` at the
+        deadline, ``unregistered`` for a refused or lost connection, or
+        the peer-reported reason).  Misuse (wrong thread, unroutable
+        name, not running) raises here.  Returns the exchange in flight
+        (``None`` for a local destination).
         """
-        if threading.get_ident() != self._loop_thread or self._udp is None:
+        if threading.get_ident() != self._loop_thread:
             raise TransportError("send_async off the open transport's loop thread")
         handler = self._endpoints.get(message.destination)
         if handler is not None:
@@ -443,31 +395,16 @@ class AsyncioTransport:
         if self.tracer is not None:
             span, started = self.tracer.current, self.clock.now
             self.tracer.message_hop(message, "request", 0.0, span)
-        exchange = _Exchange(message, body, address, on_result, on_error, span, started)
-        self._launch(exchange, self._frame_overhead + len(body) > self.udp_max_bytes)
-        return exchange
-
-    def _launch(self, exchange: _Exchange, tcp: bool) -> None:
-        """The first attempt of ``exchange``, under a fresh request id."""
-        exchange.request_id = next(self._request_ids)
-        exchange.attempt, exchange.tcp = 0, tcp
-        exchange.timeout_ms = self.request_timeout_ms
-        self._pending[exchange.request_id] = exchange
-        self._attempt(exchange)
-
-    def _attempt(self, exchange: _Exchange) -> None:
-        """One attempt: the frame out on the exchange's channel, its
-        deadline armed."""
-        frame = self._frame(FRAME_REQUEST, exchange.request_id, exchange.body)
-        if exchange.tcp:
-            self._channel(exchange.address).send(frame)
-        else:
-            self._udp.sendto(frame, exchange.address)
-            counters.rpc_udp_frames += 1
-            counters.rpc_bytes_sent += len(frame)
-        exchange.handle = self._loop.call_later(
-            exchange.timeout_ms / 1000.0, self._unanswered, exchange
+        request_id = next(self._request_ids)
+        exchange = _Exchange(
+            message, address, on_result, on_error, span, started, request_id
         )
+        self._pending[request_id] = exchange
+        self._channel(address).send(self._frame(FRAME_REQUEST, request_id, body))
+        exchange.handle = self._loop.call_later(
+            self.request_timeout_ms / 1000.0, self._expire, exchange
+        )
+        return exchange
 
     def _channel(self, address: Address) -> _Stream:
         """The one TCP connection to ``address``, dialled on first use."""
@@ -485,41 +422,28 @@ class AsyncioTransport:
     def _dialled(self, stream: _Stream, dial: asyncio.Task) -> None:
         """A failed dial is a lost connection (a cancelled one, closed)."""
         if not dial.cancelled() and dial.exception() is not None:
-            refused = isinstance(dial.exception(), ConnectionRefusedError)
-            self._lost(stream, refused)
+            self._lost(stream)
 
-    def _lost(self, stream: _Stream, refused: bool = False) -> None:
+    def _lost(self, stream: _Stream) -> None:
         """``stream`` is gone: it leaves the map, and each exchange in
-        flight on it takes its next ladder step now -- or, when the dial
-        was refused (the peer's port is gone), fails as ``unregistered``."""
+        flight on it fails as ``unregistered`` -- the peer's port is
+        gone or its connection broke, so the service fails over."""
         address = stream.address
         if self._streams.get(address) is not stream:
             return  # already replaced under its address
         del self._streams[address]
-        lost = [e for e in self._pending.values() if e.tcp and e.address == address]
-        for exchange in lost:
-            exchange.handle.cancel()
-            if refused:
-                self._fail(exchange, DeliveryError.UNREGISTERED)
-            else:
-                self._unanswered(exchange)
+        for exchange in [e for e in self._pending.values() if e.address == address]:
+            self._fail(exchange, DeliveryError.UNREGISTERED)
 
-    def _unanswered(self, exchange: _Exchange) -> None:
-        """An attempt's deadline passed: give up, or repeat the request
-        under the same ``request_id`` (the peer's reply cache answers
-        what it already served) and a doubled deadline, capped at
-        ``BACKOFF_CAP_MS``."""
+    def _expire(self, exchange: _Exchange) -> None:
+        """The deadline of ``exchange`` passed unanswered."""
         counters.rpc_timeouts += 1
-        if exchange.attempt >= self.max_retries:
-            return self._fail(exchange, DeliveryError.TIMEOUT)
-        exchange.attempt += 1
-        counters.rpc_retries += 1
-        exchange.timeout_ms = min(exchange.timeout_ms * 2.0, self.BACKOFF_CAP_MS)
-        self._attempt(exchange)
+        self._fail(exchange, DeliveryError.TIMEOUT)
 
     def _fail(self, exchange: _Exchange, reason: str) -> None:
-        """End ``exchange``, its attempt over, with a delivery failure."""
+        """End ``exchange``, its deadline disarmed, with a delivery failure."""
         self._pending.pop(exchange.request_id, None)
+        exchange.handle.cancel()
         error = DeliveryError(reason, exchange.message.destination)
         self._finish(exchange.on_error, error)
 
@@ -527,21 +451,14 @@ class AsyncioTransport:
         self, exchange: _Exchange, reply: tuple[int, bytes, Optional[SignedEnvelope]]
     ) -> None:
         """The outcome of ``exchange`` from its reply frame -- the one
-        place a reply is verified and decoded, whichever socket carried
-        it and whichever surface waits for it."""
+        place a reply is verified and decoded, whichever surface waits
+        for it."""
         frame_type, body, envelope = reply
         destination = exchange.message.destination
         try:
             self._verify_reply(envelope, destination)
             if frame_type == FRAME_ERROR:
-                reason = decode_error(body)
-                if reason != OVERSIZED_REASON or exchange.tcp:
-                    raise DeliveryError(reason, destination)
-                # The response did not fit a datagram: repeat the request
-                # over TCP (fresh id -- the reply cache must not replay
-                # the oversized error) and take the streamed reply.
-                counters.rpc_oversized_fallbacks += 1
-                return self._launch(exchange, True)
+                raise DeliveryError(decode_error(body), destination)
             response = None
             if frame_type != FRAME_ACK:
                 response = decode_message(body, signed=envelope is not None)
@@ -752,37 +669,23 @@ class AsyncioTransport:
 
     # -- serving ------------------------------------------------------------
 
-    def _on_frame(
-        self, data: Buffer, addr: Address, stream: Optional[_Stream] = None
-    ) -> None:
-        """The one dispatcher of incoming frames, from a datagram or from
-        ``stream``: a REQUEST is served and answered on the channel it
-        came on; anything else settles the exchange pending under its
-        request id.  A frame that does not decode is dropped -- and ends
-        its stream, whose position is then unknown."""
-        counters.rpc_bytes_received += len(data) + (
-            0 if stream is None else STREAM_PREFIX_BYTES
-        )
+    def _on_frame(self, data: Buffer, stream: _Stream) -> None:
+        """The one dispatcher of frames off ``stream``: a REQUEST is
+        served and answered on it; anything else settles the exchange
+        pending under its request id.  A frame that does not decode is
+        dropped -- and ends its stream, whose position is then unknown."""
+        counters.rpc_bytes_received += len(data) + STREAM_PREFIX_BYTES
         try:
             frame_type, request_id, body, envelope = decode_frame_signed(data)
         except CodecError:
             counters.rpc_codec_errors += 1
-            if stream is not None:
-                stream.transport.close()
+            stream.transport.close()
             return
         if frame_type == FRAME_REQUEST:
-            reply = self._serve_request(
-                request_id, body, addr, via_udp=stream is None, envelope=envelope
-            )
-            if stream is not None:
-                stream.send(reply)
-            elif self._udp is not None:
-                self._udp.sendto(reply, addr)
-                counters.rpc_udp_frames += 1
-                counters.rpc_bytes_sent += len(reply)
+            stream.send(self._serve_request(request_id, body, envelope))
             return
         exchange = self._pending.pop(request_id, None)
-        if exchange is not None:  # else late (ladder exhausted) or unknown
+        if exchange is not None:  # else late (deadline passed) or unknown
             exchange.handle.cancel()
             self._on_reply(exchange, (frame_type, bytes(body), envelope))
 
@@ -790,30 +693,16 @@ class AsyncioTransport:
         self,
         request_id: int,
         body: bytes,
-        addr: Address,
-        via_udp: bool,
         envelope: Optional[SignedEnvelope] = None,
     ) -> bytes:
         """Handle one incoming REQUEST; returns the reply frame."""
-        cache_key = (addr, request_id)
-        cached = self._cached_reply(cache_key)
-        if cached is not None:
-            return cached
         if envelope is not None and not verify_signature(
             envelope.public_key, envelope.signed, envelope.signature
         ):
-            # A forged request is refused before the handler runs; the
-            # reply is NOT cached (the honest sender may retransmit the
-            # authentic frame under the same id).
+            # A forged request is refused before the handler runs.
             counters.sec_verify_failures += 1
             return self._error_frame(request_id, DeliveryError.VERIFY_FAILED)
         if self.require_signed and envelope is None:
-            # Refused, and NOT cached -- like the forged-signature path
-            # above.  An unsigned datagram's source address is attacker
-            # chosen, so remembering this rejection under
-            # ``(addr, request_id)`` would let a spoofer pre-poison the
-            # reply slot of an honest peer's next (guessably sequential)
-            # request id.
             return self._error_frame(request_id, DeliveryError.VERIFY_FAILED)
         try:
             message = decode_message(body, signed=envelope is not None)
@@ -825,60 +714,23 @@ class AsyncioTransport:
             # Over the wire every unknown name is a runtime condition
             # (the peer cannot distinguish "never existed" from
             # "departed"), so it maps to the departed reason.
-            reply = self._error_frame(request_id, DeliveryError.UNREGISTERED)
-            self._remember_reply(cache_key, reply)
-            return reply
+            return self._error_frame(request_id, DeliveryError.UNREGISTERED)
         self.meter.record(message)
         try:
             response = handler(message)
         except Exception as error:
             # The socket callback must keep serving: a request its handler
             # cannot read (a payload of the wrong shape) is answered, not
-            # raised out of it -- over UDP the sender would wait out its
-            # whole retry ladder, over TCP asyncio would close the
-            # connection under every other exchange on it.
+            # raised out of it -- else the sender would wait out its
+            # deadline, and asyncio would close the connection under
+            # every other exchange on it.
             self._loop.call_exception_handler(
                 {"message": f"request to {message.destination!r} refused",
                  "exception": error}
             )
-            reply = self._error_frame(request_id, "bad-request")
-            self._remember_reply(cache_key, reply)
-            return reply
+            return self._error_frame(request_id, "bad-request")
         if response is None:
-            reply = self._frame(FRAME_ACK, request_id)
-        else:
-            self.meter.record(response)
-            response_body = encode_message(response, signed=self.identity is not None)
-            oversized = self._frame_overhead + len(response_body) > self.udp_max_bytes
-            if via_udp and oversized:
-                # Do not cache: the sender repeats over TCP with a fresh
-                # id and must get the real response there.
-                return self._error_frame(request_id, OVERSIZED_REASON)
-            reply = self._frame(FRAME_RESPONSE, request_id, response_body)
-        self._remember_reply(cache_key, reply)
-        return reply
-
-    def _cached_reply(self, key: tuple[Address, int]) -> Optional[bytes]:
-        """The remembered reply for a retransmission, if still fresh.
-        Replaying refreshes both recency (LRU order) and the TTL: the
-        peer is evidently still retrying this request."""
-        entry = self._served.get(key)
-        if entry is None or entry[0] <= self.clock.now:
-            return None
-        self._remember_reply(key, entry[1])
-        return entry[1]
-
-    def _remember_reply(self, key: tuple[Address, int], reply: bytes) -> None:
-        now = self.clock.now
-        # Expired entries drain from the LRU head as new replies arrive,
-        # so an idle-then-busy daemon does not hold stale replies for
-        # the whole capacity's worth of new traffic.
-        while self._served:
-            head_key = next(iter(self._served))
-            if self._served[head_key][0] > now:
-                break
-            del self._served[head_key]
-        self._served.pop(key, None)
-        self._served[key] = (now + self.DEDUPE_TTL_S * 1000.0, reply)
-        while len(self._served) > self.DEDUPE_CAP:
-            self._served.popitem(last=False)
+            return self._frame(FRAME_ACK, request_id)
+        self.meter.record(response)
+        response_body = encode_message(response, signed=self.identity is not None)
+        return self._frame(FRAME_RESPONSE, request_id, response_body)

@@ -69,7 +69,7 @@ def test_frame_envelope_round_trips(message, request_id):
     st.integers(min_value=200, max_value=500),
 )
 def test_large_frames_round_trip(entries, repeat):
-    """Frames far beyond the UDP cutoff still encode and decode exactly."""
+    """Frames far beyond one datagram's size still encode and decode exactly."""
     message = Message(
         kind=MessageKind.QUERY_RESPONSE,
         source="node:1",

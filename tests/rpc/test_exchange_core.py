@@ -2,12 +2,10 @@
 
 Four contracts, each against real loopback sockets:
 
-- the retry ladder (attempts, doubled deadlines, counters, one request
-  id per exchange, late and unknown replies dropped, the oversized
-  answer repeated over TCP under a fresh id);
+- the deadline (one request frame, one ``timeout``, late and unknown
+  replies dropped);
 - a failure on the loop thread never strands a blocked caller;
-- a blocking lookup crosses threads once, and a UDP exchange on the loop
-  creates no ``asyncio.Task`` (counters, not timings);
+- a blocking lookup crosses threads once (counters, not timings);
 - the wire's drivers agree: ``ClusterClient.search``, the engine's
   ``start_async`` posted on the loop, and the sequential
   ``LookupEngine.search`` walk the same chains on fresh clusters.
@@ -33,9 +31,11 @@ from repro.perf import snapshot
 from repro.rpc.cluster import LocalCluster
 from repro.rpc.codec import (
     FRAME_RESPONSE,
+    StreamUnframer,
     decode_frame,
     encode_frame,
     encode_message,
+    encode_stream,
 )
 from repro.rpc.transport import AsyncioTransport
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
@@ -60,16 +60,8 @@ def run(loop, coroutine):
 
 
 @pytest.fixture
-def server(loop):
-    transport = AsyncioTransport(request_timeout_ms=TIMEOUT_MS, max_retries=2)
-    run(loop, transport.start("127.0.0.1", 0))
-    yield transport
-    run(loop, transport.close())
-
-
-@pytest.fixture
 def client(loop):
-    transport = AsyncioTransport(request_timeout_ms=TIMEOUT_MS, max_retries=2)
+    transport = AsyncioTransport(request_timeout_ms=TIMEOUT_MS)
     run(loop, transport.start())
     yield transport
     run(loop, transport.close())
@@ -122,47 +114,39 @@ def echo(message):
     return message.reply(MessageKind.QUERY_RESPONSE, message.payload)
 
 
-class LossyRelay:
-    """A raw UDP hop in front of a server that swallows datagrams.
+class SilentPeer:
+    """A TCP peer that accepts connections and never answers by itself.
 
-    Requests arriving at :attr:`address` are forwarded to ``upstream``
-    (none when ``upstream`` is ``None``: a sink); the first
-    ``swallow_replies`` replies coming back are dropped, later ones
-    forwarded to the requester.  Everything seen is recorded with its
-    arrival instant.
+    Every frame arriving is recorded; :meth:`reply` writes a well-formed
+    RESPONSE under any request id down the latest connection.
     """
 
-    def __init__(self, upstream=None, swallow_replies=0):
-        self.upstream = upstream
-        self.swallow = swallow_replies
-        self.front = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.front.bind(("127.0.0.1", 0))
-        self.back = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.back.bind(("127.0.0.1", 0))
-        self.address = self.front.getsockname()
-        self.requests = []  # (monotonic seconds, frame bytes)
-        self.requester = None
+    def __init__(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()[:2]
+        self.frames = []
+        self.connections = []
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._pump, daemon=True)
         self._thread.start()
 
     def _pump(self):
+        unframers = {}
         while not self._stop.is_set():
-            ready, _, _ = select.select([self.front, self.back], [], [], 0.05)
+            ready, _, _ = select.select([self.listener, *unframers], [], [], 0.05)
             for sock in ready:
-                data, addr = sock.recvfrom(65536)
-                if sock is self.front:
-                    self.requests.append((time.monotonic(), data))
-                    self.requester = addr
-                    if self.upstream is not None:
-                        self.back.sendto(data, self.upstream)
-                elif self.swallow > 0:
-                    self.swallow -= 1
-                else:
-                    self.front.sendto(data, self.requester)
+                if sock is self.listener:
+                    connection, _ = sock.accept()
+                    self.connections.append(connection)
+                    unframers[connection] = StreamUnframer()
+                    continue
+                data = sock.recv(65536)
+                if not data:
+                    del unframers[sock]
+                    continue
+                self.frames.extend(bytes(f) for f in unframers[sock].feed(data))
 
     def reply(self, request_id, payload=("late",)):
-        """Send the requester a well-formed RESPONSE under ``request_id``."""
         body = encode_message(
             Message(
                 kind=MessageKind.QUERY_RESPONSE,
@@ -171,131 +155,71 @@ class LossyRelay:
                 payload=payload,
             )
         )
-        self.front.sendto(
-            encode_frame(FRAME_RESPONSE, request_id, body), self.requester
-        )
+        frame = encode_stream(encode_frame(FRAME_RESPONSE, request_id, body))
+        self.connections[-1].sendall(frame)
+        return len(frame)
 
     def close(self):
         self._stop.set()
         self._thread.join(timeout=2)
-        self.front.close()
-        self.back.close()
+        for connection in self.connections:
+            connection.close()
+        self.listener.close()
 
 
 @pytest.fixture
-def relay_factory():
-    relays = []
-
-    def make(**kwargs):
-        relays.append(LossyRelay(**kwargs))
-        return relays[-1]
-
-    yield make
-    for relay in relays:
-        relay.close()
+def peer():
+    silent = SilentPeer()
+    yield silent
+    silent.close()
 
 
-class TestLadder:
-    def test_lost_replies_retransmit_one_id_under_doubled_deadlines(
-        self, server, client, relay_factory
+class TestDeadline:
+    def test_one_deadline_one_timeout_late_replies_dropped(
+        self, client, peer
     ):
-        calls = []
-
-        def handler(message):
-            calls.append(message)
-            return echo(message)
-
-        server.register("node:1", handler)
-        relay = relay_factory(upstream=server.listen_address, swallow_replies=2)
-        client.add_route("node:1", relay.address)
+        client.add_route("node:1", peer.address)
         before = snapshot()
-        response = bounded(lambda: client.send(request_to("node:1", ("x",))))
-        after = snapshot()
-        assert response is not None and response.payload == ("x",)
-        # Three attempts, byte-identical, so one request id: the server's
-        # reply cache answered the copies and the handler ran once.
-        frames = [frame for _, frame in relay.requests]
-        assert len(frames) == 3 and len(set(frames)) == 1
-        assert len(calls) == 1
-        assert after["rpc_timeouts"] == before["rpc_timeouts"] + 2
-        assert after["rpc_retries"] == before["rpc_retries"] + 2
-        assert after["rpc_requests"] == before["rpc_requests"] + 1
-        assert after["rpc_responses"] == before["rpc_responses"] + 1
-        # Deadlines double: T before the first retransmission, 2T before
-        # the second (timers only fire late, never early).
-        first, second, third = (at for at, _ in relay.requests)
-        assert second - first >= TIMEOUT_MS / 1000.0 * 0.95
-        assert third - second >= 2 * TIMEOUT_MS / 1000.0 * 0.95
-        assert not client._pending
-
-    def test_exhaustion_times_out_then_drops_late_and_unknown_replies(
-        self, client, relay_factory
-    ):
-        relay = relay_factory()  # a sink: nobody ever answers
-        client.add_route("node:1", relay.address)
-        before = snapshot()
+        started = time.monotonic()
         with pytest.raises(DeliveryError) as raised:
             bounded(lambda: client.send(request_to("node:1")))
+        waited_s = time.monotonic() - started
         after = snapshot()
         assert raised.value.reason == DeliveryError.TIMEOUT
         assert raised.value.destination == "node:1"
-        frames = [frame for _, frame in relay.requests]
-        assert len(frames) == 3 and len(set(frames)) == 1  # 1 + max_retries
-        assert after["rpc_timeouts"] == before["rpc_timeouts"] + 3
-        assert after["rpc_retries"] == before["rpc_retries"] + 2
+        assert waited_s >= TIMEOUT_MS / 1000.0 * 0.95  # timers fire late only
+        # One request, one frame on the wire, one timeout: nothing re-sent.
+        assert len(peer.frames) == 1
+        assert after["rpc_requests"] == before["rpc_requests"] + 1
+        assert after["rpc_timeouts"] == before["rpc_timeouts"] + 1
+        assert after["rpc_retries"] == before["rpc_retries"]
         assert not client._pending
-        # The reply arrives after the ladder gave up, and one arrives for
-        # an id nobody asked under: both are dropped without a trace.
-        _, request_id, _ = decode_frame(frames[0])
-        relay.reply(request_id)
-        relay.reply(request_id + 1000)
-        time.sleep(0.05)
+        # The reply arrives after the deadline, and one arrives for an id
+        # nobody asked under: both are read and dropped without a trace.
+        _, request_id, _ = decode_frame(peer.frames[0])
+        sent = peer.reply(request_id) + peer.reply(request_id + 1000)
+        deadline = time.monotonic() + WAIT_S
+        while (
+            snapshot()["rpc_bytes_received"] < after["rpc_bytes_received"] + sent
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
         settled = snapshot()
+        assert settled["rpc_bytes_received"] == after["rpc_bytes_received"] + sent
         assert settled["rpc_responses"] == after["rpc_responses"]
         assert settled["rpc_codec_errors"] == after["rpc_codec_errors"]
         # ... and the transport still works.
         client.register("node:local", echo)
         assert bounded(lambda: client.send(request_to("node:local"))) is not None
 
-    def test_oversized_answer_repeats_over_tcp_under_a_fresh_id(
-        self, server, client
-    ):
-        big = "y" * 5000
-        server.register(
-            "node:1", lambda m: m.reply(MessageKind.QUERY_RESPONSE, (big,))
-        )
-        client.add_route("node:1", server.listen_address)
-        served = []
-        serve = server._serve_request
-
-        def spy(request_id, body, addr, via_udp, envelope=None):
-            served.append((request_id, via_udp))
-            return serve(request_id, body, addr, via_udp, envelope)
-
-        server._serve_request = spy
-        before = snapshot()
-        response = bounded(lambda: client.send(request_to("node:1")))
-        after = snapshot()
-        assert response is not None and response.payload == (big,)
-        (udp_id, first_udp), (tcp_id, second_udp) = served
-        assert first_udp and not second_udp and tcp_id != udp_id
-        assert (
-            after["rpc_oversized_fallbacks"]
-            == before["rpc_oversized_fallbacks"] + 1
-        )
-        assert after["rpc_requests"] == before["rpc_requests"] + 1
-        assert after["rpc_responses"] == before["rpc_responses"] + 1
-        assert not client._pending
-
 
 class TestNobodyIsStranded:
     def test_close_fails_exchanges_in_flight_with_delivery_errors(
-        self, loop, relay_factory
+        self, loop, peer
     ):
-        transport = AsyncioTransport(request_timeout_ms=200.0, max_retries=3)
+        transport = AsyncioTransport(request_timeout_ms=200.0)
         run(loop, transport.start())
-        relay = relay_factory()
-        transport.add_route("node:1", relay.address)
+        transport.add_route("node:1", peer.address)
         awaited = asyncio.run_coroutine_threadsafe(
             transport.request(request_to("node:1")), loop
         )
@@ -308,7 +232,7 @@ class TestNobodyIsStranded:
         )
         sent = in_thread(lambda: transport.send(request_to("node:1")))
         deadline = time.monotonic() + WAIT_S
-        while len(relay.requests) < 3 and time.monotonic() < deadline:
+        while len(peer.frames) < 3 and time.monotonic() < deadline:
             time.sleep(0.005)
         assert len(transport._pending) == 3
         before = snapshot()
@@ -361,7 +285,7 @@ class TestNobodyIsStranded:
             raise RuntimeError("boom in a continuation")
 
         # Raised while the service digests the first reply, i.e. inside
-        # the continuation the transport runs from its datagram callback.
+        # the continuation the transport runs from its stream callback.
         monkeypatch.setattr(client.service, "_parse_answer", boom)
         with pytest.raises(RuntimeError, match="boom in a continuation"):
             bounded(lambda: client.search(query, records[0]))
@@ -370,31 +294,6 @@ class TestNobodyIsStranded:
 
 
 class TestCrossingsAndTasks:
-    def test_a_udp_exchange_on_the_loop_creates_no_task(
-        self, loop, server, client
-    ):
-        server.register("node:1", echo)
-        client.add_route("node:1", server.listen_address)
-        created = []
-
-        def spy(spied_loop, coroutine, **kwargs):
-            task = asyncio.Task(coroutine, loop=spied_loop, **kwargs)
-            created.append(task)
-            return task
-
-        loop.call_soon_threadsafe(loop.set_task_factory, spy)
-        before = snapshot()
-        for index in range(5):
-            response = bounded(
-                lambda: client.send(request_to("node:1", (str(index),)))
-            )
-            assert response.payload == (str(index),)
-        after = snapshot()
-        loop.call_soon_threadsafe(loop.set_task_factory, None)
-        assert created == []
-        assert after["rpc_udp_frames"] == before["rpc_udp_frames"] + 10
-        assert after["rpc_thread_crossings"] == before["rpc_thread_crossings"] + 5
-
     def test_n_blocking_searches_cost_n_crossings(self):
         corpus = SyntheticCorpus(
             CorpusConfig(num_articles=8, num_authors=3, seed=11)

@@ -3,7 +3,7 @@
 The acceptance bar for the rpc subsystem: boot five node daemons on
 loopback sockets, publish a seeded corpus through the wire client, and
 resolve at least 50 covering-chain lookups with 100% success -- every
-exchange travelling through the UDP/TCP codec path.
+exchange travelling through the TCP codec path.
 """
 
 import random

@@ -1,13 +1,10 @@
-"""The TCP channel (one connection per peer) and batched requests.
-
-The transports here are built with a tiny ``udp_max_bytes`` so every
-exchange takes the TCP path without needing megabyte payloads.
-"""
+"""The TCP channel (one connection per peer) and batched requests."""
 
 import asyncio
 import contextlib
 import socket
 import threading
+import time
 
 import pytest
 
@@ -35,17 +32,13 @@ def run(loop, coroutine):
 
 
 def make_server(loop, **options):
-    transport = AsyncioTransport(
-        request_timeout_ms=300.0, max_retries=1, udp_max_bytes=64, **options
-    )
+    transport = AsyncioTransport(request_timeout_ms=300.0, **options)
     run(loop, transport.start("127.0.0.1", 0))
     return transport
 
 
 def make_client(loop, **options):
-    transport = AsyncioTransport(
-        request_timeout_ms=300.0, max_retries=1, udp_max_bytes=64, **options
-    )
+    transport = AsyncioTransport(request_timeout_ms=300.0, **options)
     run(loop, transport.start())
     return transport
 
@@ -178,20 +171,25 @@ class TestStreamFailures:
             writer.close()
 
         listener = run(loop, asyncio.start_server(hang_up, "127.0.0.1", 0))
-        client = AsyncioTransport(
-            request_timeout_ms=100.0, max_retries=1, udp_max_bytes=16
-        )
+        deadline_ms = 5000.0
+        client = AsyncioTransport(request_timeout_ms=deadline_ms)
         run(loop, client.start())
         try:
             client.add_route("node:1", listener.sockets[0].getsockname()[:2])
             before = snapshot()
+            started = time.monotonic()
             with pytest.raises(DeliveryError) as raised:
                 client.send(request_to("node:1"))
+            waited_ms = (time.monotonic() - started) * 1000.0
             after = snapshot()
-            # Each loss is a ladder step: two attempts, two connections.
-            assert raised.value.reason == DeliveryError.TIMEOUT
-            assert after["rpc_tcp_connects"] == before["rpc_tcp_connects"] + 2
-            assert not client._pending
+            # The loss fails the exchange at once, as a departed peer: the
+            # service fails over instead of waiting out the deadline.
+            assert raised.value.reason == DeliveryError.UNREGISTERED
+            assert raised.value.retry_elsewhere
+            assert waited_ms < deadline_ms / 2
+            assert after["rpc_tcp_connects"] == before["rpc_tcp_connects"] + 1
+            assert after["rpc_timeouts"] == before["rpc_timeouts"]
+            assert not client._pending and not client._streams
         finally:
             run(loop, client.close())
             listener.close()
@@ -272,6 +270,9 @@ class TestBatchedRequests:
         with LocalCluster(3, replication=2) as cluster:
             client = cluster.client()
             try:
+                # Dial every daemon first: the dial is the one Task.
+                for node_id in client.members:
+                    assert client.ping(node_id)
                 before = snapshot()
                 with tasks_created(client._loop) as created:
                     for record in corpus.records:

@@ -10,9 +10,9 @@ from repro.rpc.codec import ENVELOPE_BYTES, MESSAGE_FIXED_BYTES, encode_message
 def measured_size_bytes(message: Message) -> int:
     """The real number of bytes this message occupies on the wire.
 
-    Counts the full frame -- envelope plus encoded body -- as sent in
-    one UDP datagram (the stream length prefix of the TCP path is
-    excluded: it is transport framing, not message content).  The
+    Counts the full frame -- envelope plus encoded body -- without the
+    TCP stream's length prefix (transport framing, not message
+    content).  The
     traffic layer can cross-check this measurement against the estimate
     :attr:`Message.size_bytes` computes; :func:`estimate_delta` gives
     the exact difference.
