@@ -21,7 +21,7 @@ from repro import perf
 from repro.core.cache import CachePolicy
 from repro.core.engine import LookupEngine
 from repro.core.fields import ARTICLE_SCHEMA
-from repro.core.query import FieldQuery
+from repro.core.query import FieldQuery, RecordKeys
 from repro.core.scheme import simple_scheme
 from repro.core.service import IndexService
 from repro.dht.idspace import hash_key
@@ -288,6 +288,32 @@ class TestWireThreadCrossings:
         # The exchanges are still there -- they stay on the loop.
         assert increments["rpc_requests"] > 2 * len(feed)
         assert increments["rpc_timeouts"] == increments["rpc_retries"] == 0
+
+
+class TestPublishFrames:
+    """A wire publish sends one signed insert batch per destination daemon.
+
+    ``wire_publish``'s cluster shape: five signed daemons, replication 3.
+    One frame per (mapping, replica) was 21 request frames per publish,
+    each frame and its ACK signed; grouped by destination it is at most
+    five, and ``sec_sign_calls`` follow at two per frame.
+    """
+
+    def test_at_most_one_frame_per_destination_daemon(self):
+        corpus = SyntheticCorpus(
+            CorpusConfig(num_articles=20, num_authors=8, seed=7)
+        )
+        with LocalCluster(5, replication=3, signed=True) as cluster:
+            client = cluster.client()
+            for record in corpus.records:
+                keys = RecordKeys(record)
+                placed = set(client.file_store.responsible_nodes(keys.msd_key))
+                for source_key, _ in client.scheme.mappings_for(keys):
+                    placed.update(client.index_store.responsible_nodes(source_key))
+                increments = _delta(lambda: client.insert_record(record))
+                assert increments["rpc_requests"] <= len(placed) <= 5
+                assert increments["sec_sign_calls"] <= 2 * len(placed)
+            client.close()
 
 
 class TestRepairWalksWhatChurnMoved:

@@ -21,8 +21,7 @@ Each daemon exposes two endpoints:
   ========================  =============================================
   message                   effect
   ========================  =============================================
-  INDEX_INSERT (k, v)       store one index-mapping replica locally
-  CONTROL (store_file,k,v)  store one file replica locally
+  INDEX_INSERT (s,k,v,...)  store a batch of replicas locally, in order
   CONTROL (ping,)           liveness probe; replies (pong, <id:x>)
   CONTROL (members,)        replies (members, <id:x>@host:port, ...)
   CONTROL (join,id,addr)    admit a node; reply members; notify peers
@@ -32,9 +31,12 @@ Each daemon exposes two endpoints:
   CONTROL (shutdown,)       replies (bye,) and stops the daemon
   ========================  =============================================
 
-Placement stays a *sender-side* decision: an insert arrives as one
-message per replica, addressed to the daemon that must hold it, and is
-applied with :meth:`repro.storage.store.DHTStorage.put_local`.  Lookups
+An insert batch is a flat run of ``(store, key, value)`` triples, store
+``"i"`` (index) or ``"f"`` (file), as a ``pull`` reply carries them.
+Placement stays a *sender-side* decision: a publication sends one batch
+to each daemon that must hold part of it, applied in order with
+:meth:`repro.storage.store.DHTStorage.put_local` (an empty, ragged or
+unknown-store batch is refused ``bad-request`` before any write).  Lookups
 need no daemon-side logic at all -- they are addressed to the ``node:``
 endpoint and served by the unmodified service handlers.
 
@@ -50,7 +52,8 @@ write-ahead log before it is acknowledged, and a restart recovers the
 node -- same identity, same entries, same warmed cache, same membership
 view -- by replaying its log.  After recovery the daemon rejoins via
 its remembered peers and re-synchronizes its slice of the data (a
-``pull`` exchange with every peer), so entries written to its keys
+``pull`` exchange with every peer, then one insert batch pushed to each
+peer that should hold what it holds), so entries written to its keys
 while it was down arrive as well.
 """
 
@@ -396,43 +399,59 @@ class NodeDaemon:
 
     # -- re-replication -----------------------------------------------------
 
-    #: Upper bound on entries one ``pull`` response carries; a node with
-    #: more outstanding entries syncs the rest the next time it starts.
-    PULL_LIMIT = 30_000
+    #: Most ``(store, key, value)`` triples one ``pull`` reply or push
+    #: batch carries (the codec allows 65,535 payload entries): a reply
+    #: stops there, a push sends the rest in further batches.
+    BATCH_LIMIT = 21_000
+
+    @property
+    def _stores(self) -> dict[str, DHTStorage]:
+        """The two stores by their code in a triple: "i" index, "f" file."""
+        assert self.index_store is not None and self.file_store is not None
+        return {"i": self.index_store, "f": self.file_store}
+
+    def _held_for(self) -> dict[int, list[str]]:
+        """Entries held here, as flat ``(store, key, value)`` triples,
+        keyed by each other node responsible for them."""
+        held: dict[int, list[str]] = {}
+        for code, store in self._stores.items():
+            for key, values in store.items_at(self.node_id):
+                for replica in store.responsible_nodes(key):
+                    if replica != self.node_id:
+                        batch = held.setdefault(replica, [])
+                        for value in values:
+                            batch.extend((code, key, value))
+        return held
 
     def _pull_payload(self, requester: int) -> tuple[str, ...]:
-        """Entries held here that ``requester`` is responsible for.
+        """What a restarted ``requester`` needs to repair the writes it
+        missed while down: the ``entries`` tag, then its triples."""
+        items = self._held_for().get(requester, [])
+        return ("entries",) + tuple(items[:3 * self.BATCH_LIMIT])
 
-        Flat ``(store, key, value)`` triples after the ``entries`` tag,
-        with ``store`` "i" (index) or "f" (file) -- what a restarted
-        peer needs to repair the writes it missed while down.
-        """
-        assert self.index_store is not None and self.file_store is not None
-        items: list[str] = []
-        for code, store in (("i", self.index_store), ("f", self.file_store)):
-            for key, values in store.items_at(self.node_id):
-                if requester not in store.responsible_nodes(key):
-                    continue
-                for value in values:
-                    items.extend((code, key, value))
-                    if len(items) >= 3 * self.PULL_LIMIT:
-                        return ("entries",) + tuple(items)
-        return ("entries",) + tuple(items)
+    def _apply_entries(self, flat: tuple[str, ...]) -> None:
+        """Store a run of triples here, in order.  The whole run is
+        checked first: a length that is not a multiple of 3 or an unknown
+        store code raises ``ValueError`` with nothing applied."""
+        stores = self._stores
+        if len(flat) % 3 or not stores.keys() >= set(flat[::3]):
+            raise ValueError("malformed (store, key, value) run")
+        for index in range(0, len(flat), 3):
+            stores[flat[index]].put_local(
+                self.node_id, flat[index + 1], flat[index + 2]
+            )
 
-    async def _sync_with_peers(self) -> tuple[int, int]:
+    async def _sync_with_peers(self) -> None:
         """Repair this node's slice of the data against the peers.
 
         Two directions: **pull** asks every peer for entries this node
         is responsible for but may have missed (writes acknowledged by
         the other replicas while this daemon was down), and **push**
         re-offers locally held entries to the other responsible replicas
-        (repairing peers that lost *their* copies).  Both directions are
-        idempotent (``put_local`` deduplicates), so repeated repair
-        passes converge.  Returns ``(entries_pulled, entries_pushed)``.
+        (repairing peers that lost *their* copies), one insert batch per
+        peer.  Both directions are idempotent (``put_local``
+        deduplicates), so repeated repair passes converge.
         """
-        assert self.index_store is not None and self.file_store is not None
-        stores = {"i": self.index_store, "f": self.file_store}
-        pulled = pushed = 0
         for peer_id, peer_address in sorted(self.peers.items()):
             if peer_id == self.node_id:
                 continue
@@ -444,63 +463,36 @@ class NodeDaemon:
             )
             try:
                 response = await self.transport.request(request)
-            except (DeliveryError, TransportError, OSError):
+                if response is not None and response.payload[:1] == ("entries",):
+                    self._apply_entries(response.payload[1:])
+            except (DeliveryError, TransportError, OSError, ValueError):
                 continue
-            if response is None or response.payload[:1] != ("entries",):
-                continue
-            flat = response.payload[1:]
-            for index in range(0, len(flat) - 2, 3):
-                code, key, value = flat[index:index + 3]
-                store = stores.get(code)
-                if store is None:
-                    continue
-                if value not in store.values_at(self.node_id, key):
-                    store.put_local(self.node_id, key, value)
-                    pulled += 1
-        for code, store in stores.items():
-            kind = (
-                MessageKind.INDEX_INSERT if code == "i" else MessageKind.CONTROL
-            )
-            for key, values in store.items_at(self.node_id):
-                for replica in store.responsible_nodes(key):
-                    if replica == self.node_id or replica not in self.peers:
-                        continue
-                    name = daemon_endpoint_name(*self.peers[replica])
-                    for value in values:
-                        payload = (
-                            (key, value)
-                            if code == "i"
-                            else ("store_file", key, value)
-                        )
-                        offer = Message(
-                            kind=kind,
-                            source=self.control_name,
-                            destination=name,
-                            payload=payload,
-                        )
-                        try:
-                            await self.transport.request(offer)
-                            pushed += 1
-                        except (DeliveryError, TransportError, OSError):
-                            break
-        return pulled, pushed
+        step = 3 * self.BATCH_LIMIT
+        for replica, items in sorted(self._held_for().items()):
+            for start in range(0, len(items), step):
+                offer = Message(
+                    kind=MessageKind.INDEX_INSERT,
+                    source=self.control_name,
+                    destination=daemon_endpoint_name(*self.peers[replica]),
+                    payload=tuple(items[start:start + step]),
+                )
+                try:
+                    await self.transport.request(offer)
+                except (DeliveryError, TransportError, OSError):
+                    break
 
     # -- control endpoint ---------------------------------------------------
 
     def _handle_control(self, message: Message) -> Optional[Message]:
         if message.kind is MessageKind.INDEX_INSERT:
-            assert self.index_store is not None
-            key, value = message.payload
-            self.index_store.put_local(self.node_id, key, value)
+            # Raising makes the transport answer bad-request.
+            if not message.payload:
+                raise ValueError("empty insert batch")
+            self._apply_entries(message.payload)
             return None
         if message.kind is not MessageKind.CONTROL or not message.payload:
             return message.reply(MessageKind.CONTROL, ("error", "bad-request"))
         verb, *rest = message.payload
-        if verb == "store_file":
-            assert self.file_store is not None
-            key, value = rest
-            self.file_store.put_local(self.node_id, key, value)
-            return None
         if verb == "ping":
             return message.reply(
                 MessageKind.CONTROL, ("pong", f"{self.node_id:x}")

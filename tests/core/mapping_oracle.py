@@ -107,25 +107,26 @@ def delete_record(service: IndexService, record: Record) -> None:
 
 
 def insert_messages(client, record: Record) -> list[Message]:
-    """``ClusterClient.insert_messages`` over the oracle's mappings."""
+    """A record's publication as one message per (mapping, replica).
+
+    ``ClusterClient.insert_messages`` groups these by destination daemon;
+    each message here is a batch of one ``(store, key, value)`` triple,
+    in the order publication places them.
+    """
     msd_key = _msd(record).key()
-    messages = [
-        Message(
-            kind=MessageKind.CONTROL,
-            source=client.engine.user,
-            destination=client._daemon_name(node),
-            payload=("store_file", msd_key, FILE_MARK),
-        )
+    placed = [
+        (node, ("f", msd_key, FILE_MARK))
         for node in client.file_store.responsible_nodes(msd_key)
     ]
     for source, target in mappings_for(client.scheme, record):
         for node in client.index_store.responsible_nodes(source.key()):
-            messages.append(
-                Message(
-                    kind=MessageKind.INDEX_INSERT,
-                    source=client.engine.user,
-                    destination=client._daemon_name(node),
-                    payload=(source.key(), target.key()),
-                )
-            )
-    return messages
+            placed.append((node, ("i", source.key(), target.key())))
+    return [
+        Message(
+            kind=MessageKind.INDEX_INSERT,
+            source=client.engine.user,
+            destination=client._daemon_name(node),
+            payload=triple,
+        )
+        for node, triple in placed
+    ]

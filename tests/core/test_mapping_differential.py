@@ -5,9 +5,11 @@
 body that built them from :class:`FieldQuery` objects.  On arbitrary
 records (two schemas, spaced values, with and without the admin field)
 and five scheme shapes the two must agree on the key pairs and their
-order, on the wire messages a cluster client fans a record out into,
-and -- through twin services -- on every node's store after any script
-of inserts, deletes and shortcut mappings.
+order, on the per-destination batches a cluster client fans a record
+out into (the oracle sends one frame per mapping and replica), and --
+through twin services -- on every node's store after any script of
+inserts, deletes and shortcut mappings; twin durable clusters fed
+batches and single frames end with equal stores and WAL puts.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from repro.core.scheme import MSD_TARGET, IndexScheme, build_scheme
 from repro.core.service import IndexService, IndexServiceError
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
+from repro.net.message import Message, MessageKind
 from repro.net.transport import SimulatedTransport
 from repro.rpc.cluster import LocalCluster
 from repro.rpc.codec import encode_message
+from repro.storage.durable import OP_PUT, replay_wal
 from repro.storage.store import DHTStorage
 from repro.workload.corpus import CorpusConfig, SyntheticCorpus
 
@@ -202,6 +206,15 @@ def client():
         client.close()
 
 
+def _by_destination(messages) -> dict[str, list[str]]:
+    """Each destination's ``(store, key, value)`` items, flattened in
+    send order; destinations in order of first message."""
+    items: dict[str, list[str]] = {}
+    for message in messages:
+        items.setdefault(message.destination, []).extend(message.payload)
+    return items
+
+
 class TestInsertMessages:
     @settings(
         max_examples=60,
@@ -210,14 +223,74 @@ class TestInsertMessages:
     )
     @given(record=records(), shape=st.sampled_from(SHAPES))
     def test_equal_messages_and_frames(self, client, record, shape):
+        """One batch per destination, carrying exactly the oracle's
+        per-pair items in the oracle's per-destination order."""
         built_for = client.scheme
         client.scheme = scheme_for(record.schema, shape)
         try:
-            messages = client.insert_messages(record)
+            batches = client.insert_messages(record)
             expected = oracle.insert_messages(client, record)
         finally:
             client.scheme = built_for
-        assert messages == expected
-        assert [encode_message(m) for m in messages] == [
-            encode_message(m) for m in expected
+        grouped = _by_destination(expected)
+        assert [batch.destination for batch in batches] == list(grouped)
+        assert _by_destination(batches) == grouped
+        assert [encode_message(batch) for batch in batches] == [
+            encode_message(
+                Message(
+                    kind=MessageKind.INDEX_INSERT,
+                    source=client.engine.user,
+                    destination=destination,
+                    payload=tuple(items),
+                )
+            )
+            for destination, items in grouped.items()
         ]
+
+
+def _published_state(cluster: LocalCluster):
+    """Every daemon's two stores and the puts its WAL journaled, in order
+    (membership records carry ephemeral ports and are left out)."""
+    return [
+        (
+            daemon.index_store.items_at(daemon.node_id),
+            daemon.file_store.items_at(daemon.node_id),
+            [
+                op.fields
+                for op in replay_wal(daemon.durable.wal_path, repair=False)[0]
+                if op.op == OP_PUT
+            ],
+        )
+        for daemon in cluster.daemons
+    ]
+
+
+def test_twin_clusters_hold_and_journal_the_same_after_batches_and_single_frames(
+    tmp_path,
+):
+    """The same records published through per-destination batches into
+    one durable cluster and through the oracle's single-triple frames,
+    one at a time, into its twin: equal stores and equal WAL puts on
+    every daemon, over every scheme shape."""
+    corpus = SyntheticCorpus(CorpusConfig(num_articles=6, num_authors=3, seed=11))
+    states = []
+    for side in ("batches", "single"):
+        with LocalCluster(
+            4, replication=2, data_root=str(tmp_path / side)
+        ) as cluster:
+            client = cluster.client()
+            try:
+                for shape in SHAPES:
+                    client.scheme = scheme_for(ARTICLE_SCHEMA, shape)
+                    for record in corpus.records:
+                        if side == "batches":
+                            client.insert_record(record)
+                        else:
+                            for message in oracle.insert_messages(client, record):
+                                client.transport.send(message)
+            finally:
+                client.close()
+            states.append(_published_state(cluster))
+    batched, single = states
+    assert all(puts for _, _, puts in batched)
+    assert batched == single

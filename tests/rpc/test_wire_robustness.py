@@ -1,7 +1,9 @@
 """What the wire does with requests and replies it did not expect.
 
 - A request whose payload has the wrong shape for its verb is answered
-  with a ``bad-request`` error, never raised out of the socket callback:
+  with a ``bad-request`` error, never raised out of the socket callback
+  (an insert batch that is empty, ragged or names an unknown store is
+  refused before its first write):
   the sender would wait out its deadline, and asyncio would close the
   connection under every other exchange on it.
 - A discovery or join answered with anything but ``members`` is a
@@ -30,9 +32,16 @@ TIMEOUT_MS = 500.0
 
 MALFORMED = {
     "join-without-arguments": (MessageKind.CONTROL, ("join",)),
-    "store-file-without-value": (MessageKind.CONTROL, ("store_file", "k")),
     "pull-of-a-non-hex-id": (MessageKind.CONTROL, ("pull", "zz")),
     "index-insert-of-one-field": (MessageKind.INDEX_INSERT, ("k",)),
+    "file-triple-without-a-value": (MessageKind.INDEX_INSERT, ("f", "k")),
+    "batch-of-a-ragged-length": (
+        MessageKind.INDEX_INSERT, ("i", "k", "v", "f", "k2"),
+    ),
+    "batch-naming-an-unknown-store": (
+        MessageKind.INDEX_INSERT, ("i", "k", "v", "x", "k2", "v2"),
+    ),
+    "empty-insert-batch": (MessageKind.INDEX_INSERT, ()),
 }
 
 
@@ -90,6 +99,23 @@ class TestMalformedRequests:
             sender.send(to_control(daemon, *MALFORMED[case]))
         assert excinfo.value.reason == "bad-request"
         assert time.monotonic() - started < TIMEOUT_MS / 1000.0
+
+    @pytest.mark.parametrize(
+        "case",
+        sorted(c for c in MALFORMED if MALFORMED[c][0] is MessageKind.INDEX_INSERT),
+    )
+    def test_a_refused_batch_applies_nothing(self, daemon, client, case):
+        with pytest.raises(DeliveryError):
+            client().send(to_control(daemon, *MALFORMED[case]))
+        assert daemon.index_store.entries_on_node(daemon.node_id) == 0
+        assert daemon.file_store.entries_on_node(daemon.node_id) == 0
+
+    def test_a_well_formed_batch_is_applied_in_order(self, daemon, client):
+        batch = ("i", "k", "v2", "f", "m", "file", "i", "k", "v1")
+        insert = to_control(daemon, MessageKind.INDEX_INSERT, batch)
+        assert client().send(insert) is None
+        assert daemon.index_store.values_at(daemon.node_id, "k") == ("v2", "v1")
+        assert daemon.file_store.values_at(daemon.node_id, "m") == ("file",)
 
     def test_tcp_connection_keeps_serving_beside_a_bad_request(self, daemon, client):
         sender = client()
