@@ -316,6 +316,34 @@ class TestPublishFrames:
             client.close()
 
 
+class TestPublishRoutesEachKeyOnce:
+    """A simulated publication routes each distinct key once.
+
+    Counted from here, around ``IdealRing.lookup``.  The ``paper``
+    corpus makes 70,000 placements -- 10,000 files and 60,000 index
+    mappings -- over 32,669 distinct keys (10,000 file keys and 22,669
+    index keys).  ``populate`` publishes the corpus through one placement
+    pass, so it routes each key once, not once per placement.
+    """
+
+    def test_paper_populate_routes_once_per_distinct_key(self, monkeypatch):
+        calls = [0]
+        lookup = IdealRing.lookup
+
+        def counted(ring, key):
+            calls[0] += 1
+            return lookup(ring, key)
+
+        experiment = Experiment(get_preset("paper"))
+        monkeypatch.setattr(IdealRing, "lookup", counted)
+        experiment.populate()
+        distinct = len(experiment.index_store._catalog) + len(
+            experiment.file_store._catalog
+        )
+        assert distinct == 32_669
+        assert calls[0] <= distinct, f"{calls[0]} protocol.lookup calls"
+
+
 class TestRepairWalksWhatChurnMoved:
     """``DHTStorage.repair`` routes the keys a membership change can have
     moved, not the catalogue.

@@ -731,6 +731,11 @@ class AsyncioTransport:
             return self._error_frame(request_id, "bad-request")
         if response is None:
             return self._frame(FRAME_ACK, request_id)
+        try:
+            response_body = encode_message(response, signed=self.identity is not None)
+        except CodecError:
+            # A reply past the codec's limits fails this exchange alone.
+            counters.rpc_codec_errors += 1
+            return self._error_frame(request_id, "codec")
         self.meter.record(response)
-        response_body = encode_message(response, signed=self.identity is not None)
         return self._frame(FRAME_RESPONSE, request_id, response_body)

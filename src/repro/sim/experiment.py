@@ -442,8 +442,7 @@ class Experiment:
         """Insert every corpus record (files + index entries)."""
         if self._populated:
             return
-        for record in self.corpus.records:
-            self.service.insert_record(record)
+        self.service.insert_records(self.corpus.records)
         if (
             self.config.predicate_mix > 0
             and self.config.index_structure == "trie"

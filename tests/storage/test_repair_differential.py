@@ -79,20 +79,18 @@ def stores_of(store: DHTStorage) -> list:
 
 keys = st.sampled_from([f"key-{index}" for index in range(12)])
 values = st.sampled_from(["v0", "v1", "v2", "vé"])
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("put"), keys, values),
-        st.tuples(st.just("put_local"), keys, values, st.integers(0, 40)),
-        st.tuples(st.just("remove_key"), keys),
-        st.tuples(st.just("remove_value"), keys, values),
-        st.tuples(st.just("join"), st.integers(START_NODES, 40)),
-        st.tuples(st.just("leave"), st.integers(0, 40)),
-        st.tuples(st.just("crash"), st.integers(0, 40)),
-        st.tuples(st.just("recover"), st.integers(0, 40)),
-        st.tuples(st.just("repair")),
-    ),
-    max_size=40,
+operation = st.one_of(
+    st.tuples(st.just("put"), keys, values),
+    st.tuples(st.just("put_local"), keys, values, st.integers(0, 40)),
+    st.tuples(st.just("remove_key"), keys),
+    st.tuples(st.just("remove_value"), keys, values),
+    st.tuples(st.just("join"), st.integers(START_NODES, 40)),
+    st.tuples(st.just("leave"), st.integers(0, 40)),
+    st.tuples(st.just("crash"), st.integers(0, 40)),
+    st.tuples(st.just("recover"), st.integers(0, 40)),
+    st.tuples(st.just("repair")),
 )
+operations = st.lists(operation, max_size=40)
 
 
 def apply(store: DHTStorage, operation: tuple) -> None:
